@@ -4,7 +4,9 @@ Everything in here is a pure function on numpy arrays.  The eigensolver
 and the matrix exponential are written out explicitly (cyclic complex
 Jacobi, scaling-and-squaring Taylor) so that their numerical behaviour is
 pinned down by this module alone; numpy supplies array arithmetic and
-determinants.
+determinants.  The eigensolver takes one matrix or a whole stack, with
+elementwise arithmetic only, so a stacked call repeats each single call
+bit for bit.
 """
 
 import numpy as np
@@ -19,8 +21,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: Pauli matrices indexed 0..3 with sigma_0 = identity.
-PAULI = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 #: The traceless triple sigma_1..sigma_3 as a (3,2,2) stack.
 SIGMA = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -39,95 +39,152 @@ def tensor_product(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _stack_position(lead, flat_index):
+    """Where a flat stack index lies: '' for a single matrix, else
+    ' at stack index i' (an index tuple for several leading axes)."""
+    if not lead:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(flat_index, lead))
+    return f" at stack index {index[0] if len(index) == 1 else index}"
+
+
 def hermitize(h, asym_tol=tol.HERMITICITY_TOL):
     """Return the Hermitian part (H + H^dag)/2 of an almost-Hermitian H.
 
-    Raises DomainError if the anti-Hermitian defect max|H - H^dag| exceeds
-    ``asym_tol``.
+    ``h`` is one square matrix or a stack of them, shape (..., d, d).
+    Raises DomainError if an entry is not finite or if the anti-Hermitian
+    defect max|H - H^dag| exceeds ``asym_tol``; for a stack the message
+    names the first offending stack index.
     """
     h = np.asarray(h, dtype=complex)
-    defect = np.max(np.abs(h - dag(h)))
-    if defect > asym_tol:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    lead = h.shape[:-2]
+    flat = h.reshape(-1, *h.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    if not finite.all():
+        where = _stack_position(lead, np.argmin(finite))
+        raise DomainError(f"matrix{where} has a non-finite entry")
+    defect = np.abs(flat - dag(flat)).max(axis=(1, 2), initial=0.0)
+    over = defect > asym_tol
+    if over.any():
+        i = np.argmax(over)
         raise DomainError(
-            f"matrix is not Hermitian: max|H - H^dag| = {defect:.3e} > {asym_tol:.1e}"
+            f"matrix{_stack_position(lead, i)} is not Hermitian: "
+            f"max|H - H^dag| = {defect[i]:.3e} > {asym_tol:.1e}"
         )
     return 0.5 * (h + dag(h))
 
 
-def _jacobi_rotation(a, p, q):
-    """2x2 unitary zeroing a[p, q] of the Hermitian matrix ``a``.
+def _off_norm(work, pairs):
+    """Off-diagonal Frobenius norm of the Hermitian blocks work[:, :d, :d],
+    summed in a fixed order so each entry depends on its own matrix only."""
+    total = sum(work[:, p, q].real ** 2 + work[:, p, q].imag ** 2 for p, q in pairs)
+    return np.sqrt(2.0 * total)
 
-    Returns the full-size rotation embedded in an identity.
+
+def _rotate(work, p, q, mag):
+    """Apply the Jacobi rotation zeroing A[p, q] to every matrix of ``work``.
+
+    ``work`` stacks A over V, shape (k, 2d, d); ``mag`` is |A[p, q]|.  The
+    rotation J = D R D^dag (R real, D a phase on q) updates columns p and q
+    of A and V; rows p and q of the Hermitian A follow by conjugation, and
+    the 2x2 pivot block is set to its diagonalized form.
     """
-    apq = a[p, q]
-    phase = apq / abs(apq)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+    d = work.shape[2]
+    app = work[:, p, p].real
+    aqq = work[:, q, q].real
+    tau = (aqq - app) / (2.0 * mag)
+    t = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
+    new_pp = app - t * mag
+    new_qq = aqq + t * mag
     c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    j = np.eye(a.shape[0], dtype=complex)
-    j[p, p] = c
-    j[q, q] = c
-    j[p, q] = s * phase
-    j[q, p] = -s * np.conj(phase)
-    return j
+    cs = t * c * (work[:, p, q] / mag)  # s e^{i phi} with s = t c
+    c, cs = c[:, None], cs[:, None]
+    col_p = work[:, :, p].copy()
+    col_q = work[:, :, q]
+    work[:, :, p] = c * col_p - np.conj(cs) * col_q
+    work[:, :, q] = cs * col_p + c * col_q
+    work[:, p, :] = np.conj(work[:, :d, p])
+    work[:, q, :] = np.conj(work[:, :d, q])
+    work[:, p, p] = new_pp
+    work[:, q, q] = new_qq
+    work[:, p, q] = 0.0
+    work[:, q, p] = 0.0
 
 
 def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
-    """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi.
+    """Eigenvalues and eigenvectors of Hermitian matrices by cyclic Jacobi.
+
+    One kernel for one matrix and for a stack: every value is computed by
+    elementwise operations, so ``herm_eigensystem(hs)[k][i]`` is bit for
+    bit ``herm_eigensystem(hs[i])[k]``.  Each matrix sweeps the pairs
+    (p, q) in cyclic order until its off-diagonal norm is at most
+    JACOBI_OFF_TOL * max(1, |H|_F); a rotation is skipped while |H[p, q]|
+    is at most that stop over d^2, and a matrix drops out of the stack at
+    the start of the first sweep it no longer needs.
 
     Parameters
     ----------
-    h : (n, n) array_like, Hermitian within ``asym_tol``.
+    h : (..., d, d) array_like, Hermitian within ``asym_tol``.
 
     Returns
     -------
-    w : (n,) float array, eigenvalues sorted in descending order.
-    v : (n, n) complex array, unitary; column k is the eigenvector of w[k].
+    w : (..., d) float array, eigenvalues sorted in descending order.
+    v : (..., d, d) complex array, unitary; column k is the eigenvector of w[k].
 
     Raises
     ------
-    NumericalError if the off-diagonal norm has not fallen below the stop
-    threshold after JACOBI_MAX_SWEEPS sweeps.
+    DomainError from hermitize() on non-finite or non-Hermitian input.
+    NumericalError naming the first stack index whose off-diagonal norm is
+    still above its stop after JACOBI_MAX_SWEEPS sweeps.
     """
     a = hermitize(h, asym_tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, np.linalg.norm(a))
-    stop = tol.JACOBI_OFF_TOL * scale
-
-    def off_norm(m):
-        return np.sqrt(np.sum(np.abs(m - np.diag(np.diag(m))) ** 2))
-
-    converged = False
+    lead, d = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, d, d)
+    pairs = [(p, q) for p in range(d - 1) for q in range(p + 1, d)]
+    fro2 = sum(a[:, i, j].real ** 2 + a[:, i, j].imag ** 2 for i in range(d) for j in range(d))
+    stop = tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2))
+    work = np.concatenate([a, np.broadcast_to(np.eye(d, dtype=complex), a.shape)], axis=1)
+    active = np.arange(a.shape[0])
+    w = np.empty((a.shape[0], d))
+    v = np.empty(a.shape, dtype=complex)
+    diag = np.arange(d)
     for _ in range(tol.JACOBI_MAX_SWEEPS):
-        if off_norm(a) <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= stop / (n * n):
-                    continue
-                j = _jacobi_rotation(a, p, q)
-                a = dag(j) @ a @ j
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v = v @ j
-    if not converged:
+        done = _off_norm(work, pairs) <= stop
+        if done.any():
+            finished = work[done]
+            w[active[done]] = finished[:, diag, diag].real
+            v[active[done]] = finished[:, d:, :]
+            work, active, stop = work[~done], active[~done], stop[~done]
+            if not active.size:
+                break
+        skip = stop / (d * d)
+        for p, q in pairs:
+            apq = work[:, p, q]
+            mag = np.hypot(apq.real, apq.imag)
+            rotate = mag > skip
+            if rotate.all():
+                _rotate(work, p, q, mag)
+            elif rotate.any():
+                sub = work[rotate]
+                _rotate(sub, p, q, mag[rotate])
+                work[rotate] = sub
+    if active.size:
         raise NumericalError(
-            f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached, "
-            f"off-diagonal norm {off_norm(a):.3e} > {stop:.3e}"
+            f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
+            f"{_stack_position(lead, active[0])}, off-diagonal norm "
+            f"{_off_norm(work[:1], pairs)[0]:.3e} > {stop[0]:.3e}"
         )
-    w = np.diag(a).real
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return w.reshape(*lead, d), v.reshape(*lead, d, d)
 
 
 def herm_eigenvalues(h, asym_tol=tol.HERMITICITY_TOL):
-    """Descending eigenvalues of a Hermitian matrix (cyclic Jacobi)."""
+    """Descending eigenvalues of one Hermitian matrix or a (..., d, d)
+    stack (cyclic Jacobi; see herm_eigensystem)."""
     return herm_eigensystem(h, asym_tol)[0]
 
 
@@ -239,12 +296,3 @@ def unitarity_defect(u):
     det = abs(np.linalg.det(u) - 1.0)
     return gram, det
 
-
-def check_special_unitary(u, defect_tol=tol.UNITARITY_TOL):
-    """Raise DomainError unless U is special unitary within ``defect_tol``."""
-    gram, det = unitarity_defect(u)
-    if gram > defect_tol or det > defect_tol:
-        raise DomainError(
-            f"matrix is not special unitary: |U^dag U - I| = {gram:.3e}, "
-            f"|det U - 1| = {det:.3e}"
-        )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_band, check_seed
 from . import tolerances as tol
 from .linalg4 import herm_eigenvalues
 from .sampling import ENSEMBLES, ensemble_chunks, ensemble_state
@@ -80,10 +80,8 @@ class RunConfig:
             )
         if self.samples < 1:
             raise DomainError(f"sample count must be positive, got {self.samples}")
-        if not 0 <= self.seed < (1 << 64):
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
-        if not 0 < self.band < 1:
-            raise DomainError(f"verdict band must lie in (0, 1), got {self.band}")
+        check_seed(self.seed)
+        check_band(self.band)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,9 @@ def sample_records(config):
 
     The verdict and left-hand sides agree with a fresh analyze() call on
     the reconstructed state; the spectrum is computed with the package
-    eigensolver, the minimal PT eigenvalue with the oracle route.
+    eigensolver, one stacked call per chunk, and equals the one a replay
+    of the single state gets; the minimal PT eigenvalue comes from the
+    oracle route.
     """
     for start, states in ensemble_chunks(
         config.ensemble, config.seed, config.samples
@@ -204,6 +204,7 @@ def sample_records(config):
         pts = pt_batch(states)
         _, s3, s4 = char_poly_batch(pts)
         min_eig = np.linalg.eigvalsh(pts)[:, 0]
+        spectra = herm_eigenvalues(states)
         for i in range(states.shape[0]):
             yield SampleRecord(
                 index=start + i,
@@ -211,7 +212,7 @@ def sample_records(config):
                 lhs3=float(s3[i]),
                 lhs4=float(s4[i]),
                 min_pt_eig=float(min_eig[i]),
-                spectrum=tuple(herm_eigenvalues(states[i])),
+                spectrum=tuple(spectra[i]),
             )
 
 

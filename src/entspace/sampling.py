@@ -21,8 +21,6 @@ TAG_HS = 1
 TAG_PRODUCT = 2
 TAG_CHART = 3
 TAG_LOCAL_UNITARY = 4
-TAG_HERMITIAN = 5
-TAG_TORUS = 6
 _TAG_VERIFY_BASE = 16  # tags >= 16 are reserved for verification checks
 
 _INDEX_BITS = 56

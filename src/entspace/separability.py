@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_band
 from . import tolerances as tol
 from .chart import ChartPoint, SimplexPoint, representative_state, xyz_from_eigenvalues
 from .fano import from_fano, schlienz_mahler, to_fano
@@ -311,7 +311,9 @@ def analyze(rho, band=tol.VERDICT_TOL):
     Computes the PT characteristic coefficients, the three correlation
     invariants and the dual-route left-hand sides, checks the routes
     against each other to DUAL_PATH_TOL and returns a SeparabilityReport.
+    Raises DomainError unless ``band`` lies in (0, 1).
     """
+    check_band(band)
     rho = np.asarray(rho, dtype=complex)
     f = to_fano(rho)
     s2_pt, s3_pt, s4_pt = s_coeffs_pt(rho)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
+from .errors import check_band, check_seed
 from .chart import (
     ALPHA_WORDS,
     BETA_WORDS,
@@ -125,10 +126,10 @@ def _check_kron_mixed_product(n, seed, band):
 def _check_eigensolver_reconstruction(n, seed, band):
     m = min(n, 1500)
     g = verify_stream(seed, 1)
+    hs = np.stack([random_hermitian(g) for _ in range(m)])
+    ws, vs = herm_eigensystem(hs)
     worst = 0.0
-    for _ in range(m):
-        h = random_hermitian(g)
-        w, v = herm_eigensystem(h)
+    for h, w, v in zip(hs, ws, vs):
         worst = max(worst, np.max(np.abs(v @ np.diag(w) @ dag(v) - h)))
         worst = max(worst, np.max(np.abs(dag(v) @ v - I4)))
         if np.any(np.diff(w) > 0):
@@ -144,10 +145,9 @@ def _check_eigensolver_reconstruction(n, seed, band):
 def _check_charpoly_vs_spectrum(n, seed, band):
     m = min(n, 1500)
     g = verify_stream(seed, 2)
+    hs = np.stack([random_hermitian(g) for _ in range(m)])
     worst = 0.0
-    for _ in range(m):
-        h = random_hermitian(g)
-        w = herm_eigenvalues(h)
+    for h, w in zip(hs, herm_eigenvalues(hs)):
         s2, s3, s4 = char_poly_coeffs(h)
         e2 = sum(w[i] * w[j] for i in range(4) for j in range(i + 1, 4))
         e3 = sum(
@@ -225,12 +225,12 @@ def _check_local_unitary_invariance(n, seed, band):
 
 def _check_chart_spectrum_roundtrip(n, seed, band):
     m = min(n, 500)
+    points = [sample_chart_point(seed, i) for i in range(m)]
+    spectra = herm_eigenvalues(np.stack([representative_state(p) for p in points]))
     worst = 0.0
-    for i in range(m):
-        point = sample_chart_point(seed, i)
+    for point, w in zip(points, spectra):
         r = eigenvalues_from_xyz(point.simplex)
-        rho = representative_state(point)
-        worst = max(worst, np.max(np.abs(herm_eigenvalues(rho) - r)))
+        worst = max(worst, np.max(np.abs(w - r)))
         worst = max(
             worst,
             np.max(
@@ -455,10 +455,13 @@ def run_suite(suite="all", samples=1000, seed=1, band=tol.VERDICT_TOL):
 
     Returns a JSON-ready dict with one entry per check; a check that
     raises is recorded as failed with the exception text, and the
-    remaining checks still run.
+    remaining checks still run.  Raises DomainError on a seed outside
+    [0, 2^64) or a band outside (0, 1).
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    check_seed(seed)
+    check_band(band)
     results = []
     for group, fn in CHECKS:
         if suite != "all" and group != suite:

@@ -93,6 +93,27 @@ def test_check_tol_widens_boundary(tmp_path, capsys):
     assert out["verdict"] == "boundary"
 
 
+def test_check_rejects_non_finite_records(tmp_path, capsys):
+    rho = werner_state(0.2)
+    matrix = {"rho_re": np.where(np.eye(4) == 1, np.nan, rho.real).tolist()}
+    fano = {"fano": {"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 0.0],
+                     "C": [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}
+    for record in (matrix, fano):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(record))
+        assert main(["check", "--state", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_check_rejects_bad_tol(tmp_path, capsys):
+    # an entangled state must not come out separable under a negative band
+    path = _write_state(tmp_path, werner_state(0.5))
+    assert main(["check", "--state", path, "--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "band" in captured.err
+
+
 # -- coeffs --------------------------------------------------------------------
 
 
@@ -197,6 +218,14 @@ def test_verify_cli_passes(capsys):
     for check in out["checks"]:
         assert check["group"] == "ppt"
         assert check["max_residual"] <= check["tolerance"]
+
+
+def test_verify_rejects_bad_seed_and_tol(capsys):
+    for argv in (["--seed", "-5"], ["--tol", "-1"]):
+        assert main(["verify", "--suite", "ppt", "-n", "10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must" in captured.err
 
 
 def test_run_suite_all_groups():

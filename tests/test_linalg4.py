@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entspace import tolerances as tol
 from entspace.errors import DomainError, NumericalError
@@ -24,7 +26,14 @@ from entspace.linalg4 import (
     tensor_product,
     unitarity_defect,
 )
-from entspace.sampling import philox_stream, random_antihermitian, random_hermitian
+from entspace.sampling import (
+    ensemble_chunks,
+    philox_stream,
+    random_antihermitian,
+    random_hermitian,
+)
+
+EPS = np.finfo(float).eps
 
 
 def faddeev_leverrier(h):
@@ -101,6 +110,115 @@ def test_eigensystem_sweep_cap(monkeypatch):
     g = philox_stream(14, 60)
     with pytest.raises(NumericalError, match="sweep cap"):
         herm_eigensystem(random_hermitian(g))
+
+
+def reference_jacobi_eigenvalues(h):
+    """Independent per-matrix cyclic Jacobi: each rotation is embedded in a
+    full identity and applied by two 4x4 matrix products."""
+    a = 0.5 * (h + dag(h))
+    n = a.shape[0]
+    stop = tol.JACOBI_OFF_TOL * max(1.0, np.linalg.norm(a))
+
+    def off_norm(m):
+        return np.sqrt(np.sum(np.abs(m - np.diag(np.diag(m))) ** 2))
+
+    for _ in range(tol.JACOBI_MAX_SWEEPS):
+        if off_norm(a) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= stop / (n * n):
+                    continue
+                phase = apq / abs(apq)
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
+                t = 1.0 if tau == 0.0 else np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                j = np.eye(n, dtype=complex)
+                j[p, p] = c
+                j[q, q] = c
+                j[p, q] = s * phase
+                j[q, p] = -s * np.conj(phase)
+                a = dag(j) @ a @ j
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    else:
+        raise AssertionError("reference Jacobi did not converge")
+    return np.sort(np.diag(a).real)[::-1]
+
+
+def _hs_and_hermitian_stack(seed, count):
+    _, hs = next(ensemble_chunks("hs", seed, count))
+    g = philox_stream(seed, 61)
+    return np.concatenate([hs, np.stack([random_hermitian(g) for _ in range(count)])])
+
+
+def test_eigensystem_matches_reference_loop():
+    hs = _hs_and_hermitian_stack(21, 150)
+    ws, vs = herm_eigensystem(hs)
+    for h, w, v in zip(hs, ws, vs):
+        bound = 64 * EPS * max(1.0, np.linalg.norm(h))
+        assert np.max(np.abs(w - reference_jacobi_eigenvalues(h))) <= bound
+        assert np.max(np.abs(v @ np.diag(w) @ dag(v) - h)) < tol.EIG_RECONSTRUCT_TOL
+        assert np.max(np.abs(dag(v) @ v - I4)) < tol.EIG_RECONSTRUCT_TOL
+
+
+def test_stacked_call_is_bitwise_per_index_call():
+    hs = _hs_and_hermitian_stack(22, 40)
+    ws, vs = herm_eigensystem(hs)
+    assert ws.shape == (80, 4) and vs.shape == (80, 4, 4)
+    for h, w, v in zip(hs, ws, vs):
+        w1, v1 = herm_eigensystem(h)
+        assert np.array_equal(w, w1) and np.array_equal(v, v1)
+    # extra leading axes are flattened and restored
+    grid = herm_eigenvalues(hs.reshape(8, 10, 4, 4))
+    assert np.array_equal(grid.reshape(80, 4), ws)
+    assert herm_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
+
+
+def test_sweep_cap_names_the_failing_index(monkeypatch):
+    g = philox_stream(23, 60)
+    diag = np.diag([0.4, 0.3, 0.2, 0.1])
+    stack = np.stack([diag, diag, random_hermitian(g), random_hermitian(g)])
+    monkeypatch.setattr(tol, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="sweep cap .* at stack index 2,"):
+        herm_eigensystem(stack)
+    # diagonal matrices stop before their first sweep
+    assert np.array_equal(herm_eigenvalues(stack[:2]), [[0.4, 0.3, 0.2, 0.1]] * 2)
+
+
+def test_hermitize_rejects_non_finite_entries():
+    h = np.eye(4, dtype=complex)
+    h[1, 2] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        hermitize(h)
+    stack = np.stack([np.eye(4)] * 5).astype(complex)
+    stack[3, 0, 0] = np.inf
+    with pytest.raises(DomainError, match="at stack index 3 has a non-finite"):
+        herm_eigenvalues(stack)
+    stack[3, 0, 0] = 1.0
+    stack[4, 0, 1] = 1e-6j
+    with pytest.raises(DomainError, match="at stack index 4 is not Hermitian"):
+        hermitize(stack)
+
+
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    re=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(4), st.just(4)), elements=_entries),
+    im_scale=st.sampled_from([0.0, 1e-3, 1.0]),
+)
+def test_stacked_kernel_property(re, im_scale):
+    raw = re + 1j * im_scale * re[:, ::-1, :]
+    stack = 0.5 * (raw + dag(raw))
+    ws = herm_eigenvalues(stack)
+    for h, w in zip(stack, ws):
+        assert np.array_equal(herm_eigenvalues(h), w)
+        ref = np.linalg.eigvalsh(h)[::-1]
+        assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.linalg.norm(h))
 
 
 def test_exp_antihermitian_basics():

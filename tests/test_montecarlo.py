@@ -5,7 +5,7 @@ import pytest
 
 from entspace import tolerances as tol
 from entspace.errors import DomainError
-from entspace.linalg4 import char_poly_coeffs, partial_transpose
+from entspace.linalg4 import char_poly_coeffs, herm_eigenvalues, partial_transpose
 from entspace.montecarlo import (
     RunConfig,
     char_poly_batch,
@@ -16,8 +16,9 @@ from entspace.montecarlo import (
     separable_fraction,
     verdict_masks,
 )
-from entspace.sampling import ensemble_chunks, sample_hs_state
-from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze
+from entspace.sampling import ensemble_chunks, ensemble_state, sample_hs_state
+from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze, werner_state
+from entspace.verify import run_suite
 
 
 def test_run_config_validation():
@@ -30,6 +31,21 @@ def test_run_config_validation():
         RunConfig(ensemble="hs", samples=1, seed=-1)
     with pytest.raises(DomainError, match="band"):
         RunConfig(ensemble="hs", samples=1, seed=0, band=0.0)
+
+
+def test_band_and_seed_are_checked_by_every_entry_point():
+    rho = werner_state(0.5)
+    for band in (-1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(DomainError, match="band"):
+            analyze(rho, band=band)
+        with pytest.raises(DomainError, match="band"):
+            run_suite("ppt", 1, 1, band)
+    for seed in (-5, 1 << 64):
+        with pytest.raises(DomainError, match="seed"):
+            run_suite("ppt", 1, seed)
+        with pytest.raises(DomainError, match="seed"):
+            RunConfig(ensemble="hs", samples=1, seed=seed)
+    assert analyze(rho, band=0.5).verdict == BOUNDARY
 
 
 def test_batched_kernels_match_scalar_routes():
@@ -118,6 +134,20 @@ def test_sample_records_spectrum_is_descending_state_spectrum():
         assert np.all(np.diff(spec) <= 0)
         assert abs(spec.sum() - 1.0) < 1e-12
         assert r.verdict in (SEPARABLE, ENTANGLED, BOUNDARY)
+
+
+@pytest.mark.parametrize(
+    "ensemble, samples, indices",
+    [("hs", 4100, (0, 1, 2047, 4095, 4096, 4099)), ("product", 20, (0, 19)), ("chart", 12, (0, 11))],
+)
+def test_sample_records_spectra_replay_exactly(ensemble, samples, indices):
+    # the stacked per-chunk spectrum is the one a single-state replay gets
+    config = RunConfig(ensemble=ensemble, samples=samples, seed=60)
+    records = list(sample_records(config))
+    for i in indices:
+        replay = herm_eigenvalues(ensemble_state(ensemble, 60, i))
+        assert records[i].spectrum == tuple(replay)
+        assert reanalyze_record(config, records[i]).spectrum == records[i].spectrum
 
 
 def test_purity_mean_agrees_with_direct_average():
