@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 from . import tolerances as tol
 from .linalg4 import I2, I4, SIGMA, dag, herm_eigenvalues, hermitize, tensor_product
+from .linalg4 import _stack_position
 
 # Precomputed operator stacks: BASIS_A[i] = sigma_i (x) I, BASIS_B[j] = I (x) sigma_j,
 # BASIS_AB[i, j] = sigma_i (x) sigma_j.
@@ -24,6 +25,8 @@ BASIS_B = np.stack([tensor_product(I2, s) for s in SIGMA])
 BASIS_AB = np.stack(
     [[tensor_product(si, sj) for sj in SIGMA] for si in SIGMA]
 )
+#: All fifteen in one (15, 4, 4) stack: BASIS_A, BASIS_B, then BASIS_AB row by row.
+BASIS = np.concatenate([BASIS_A, BASIS_B, BASIS_AB.reshape(9, 4, 4)])
 
 
 def density_matrix(m, trace_tol=tol.TRACE_TOL, positivity_tol=tol.POSITIVITY_TOL):
@@ -52,25 +55,36 @@ def density_matrix(m, trace_tol=tol.TRACE_TOL, positivity_tol=tol.POSITIVITY_TOL
 
 @dataclass(frozen=True)
 class FanoState:
-    """Fano coefficients (a, b, C) of a unit-trace Hermitian operator."""
+    """Fano coefficients (a, b, C) of a unit-trace Hermitian operator, or of
+    a stack of them: a and b of shape (..., 3), C of shape (..., 3, 3)."""
 
     a: np.ndarray
     b: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(3)
-        b = np.asarray(self.b, dtype=float).reshape(3)
-        c = np.asarray(self.C, dtype=float).reshape(3, 3)
+        a = np.asarray(self.a, dtype=float)
+        lead = a.shape[:-1]
+        a = a.reshape(*lead, 3)
+        b = np.asarray(self.b, dtype=float).reshape(*lead, 3)
+        c = np.asarray(self.C, dtype=float).reshape(*lead, 3, 3)
         bound = 1.0 + tol.FANO_BOUND_TOL
-        if np.linalg.norm(a) > bound or np.linalg.norm(b) > bound:
+        norm_a = np.sqrt(np.einsum("...i,...i->...", a, a)).reshape(-1)
+        norm_b = np.sqrt(np.einsum("...i,...i->...", b, b)).reshape(-1)
+        over = (norm_a > bound) | (norm_b > bound)
+        if over.any():
+            i = np.argmax(over)
             raise DomainError(
-                f"Bloch vector norm out of range: |a| = {np.linalg.norm(a):.6f}, "
-                f"|b| = {np.linalg.norm(b):.6f}"
+                f"Bloch vector norm out of range{_stack_position(lead, i)}: "
+                f"|a| = {norm_a[i]:.6f}, |b| = {norm_b[i]:.6f}"
             )
-        if np.max(np.abs(c)) > bound:
+        entry = np.abs(c).reshape(-1, 9).max(axis=1)
+        over = entry > bound
+        if over.any():
+            i = np.argmax(over)
             raise DomainError(
-                f"correlation entry out of range: max |C_ij| = {np.max(np.abs(c)):.6f}"
+                f"correlation entry out of range{_stack_position(lead, i)}: "
+                f"max |C_ij| = {entry[i]:.6f}"
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -78,33 +92,33 @@ class FanoState:
 
 
 def to_fano(rho):
-    """Extract Fano coefficients from a unit-trace Hermitian 4x4 matrix.
+    """Extract Fano coefficients from a unit-trace Hermitian 4x4 matrix or
+    a (..., 4, 4) stack of them.
 
     a_i = tr(rho s_i(x)I), b_j = tr(rho I(x)s_j), C_ij = tr(rho s_i(x)s_j);
     all are real for Hermitian input.
     """
     rho = np.asarray(rho, dtype=complex)
-    a = np.einsum("kij,ji->k", BASIS_A, rho).real
-    b = np.einsum("kij,ji->k", BASIS_B, rho).real
-    c = np.einsum("klij,ji->kl", BASIS_AB, rho).real
-    return FanoState(a=a, b=b, C=c)
+    v = np.einsum("kij,...ji->...k", BASIS, rho).real
+    return FanoState(a=v[..., :3], b=v[..., 3:6], C=v[..., 6:])
 
 
 def from_fano(f):
-    """Reassemble the 4x4 matrix from Fano coefficients.
+    """Reassemble the 4x4 matrix (or the (..., 4, 4) stack) from Fano
+    coefficients.
 
     Positivity is not assumed: any (a, b, C) within the coefficient bounds
     yields a unit-trace Hermitian matrix, not necessarily a state.
     """
-    m = I4 + np.einsum("k,kij->ij", f.a, BASIS_A)
-    m = m + np.einsum("k,kij->ij", f.b, BASIS_B)
-    m = m + np.einsum("kl,klij->ij", f.C, BASIS_AB)
+    m = I4 + np.einsum("...k,kij->...ij", f.a, BASIS_A)
+    m = m + np.einsum("...k,kij->...ij", f.b, BASIS_B)
+    m = m + np.einsum("...kl,klij->...ij", f.C, BASIS_AB)
     return 0.25 * m
 
 
 def schlienz_mahler(f):
-    """Covariance-style correlation matrix M = C - a b^T."""
-    return f.C - np.outer(f.a, f.b)
+    """Covariance-style correlation matrix M = C - a b^T, shape (..., 3, 3)."""
+    return f.C - f.a[..., :, None] * f.b[..., None, :]
 
 
 @dataclass(frozen=True)

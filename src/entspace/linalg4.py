@@ -236,56 +236,63 @@ def exp_commuting_paulis(angles, generators):
 
 
 def partial_transpose(rho, subsystem="B"):
-    """Partial transpose of a two-qubit operator on one tensor factor.
+    """Partial transpose of a two-qubit operator, or of a (..., 4, 4) stack,
+    on one tensor factor.
 
     ``subsystem`` selects the transposed factor: "A" is the left (slow)
     factor, "B" the right (fast) one.  The operation is an involution and
     preserves trace and Hermiticity exactly.
     """
     rho = np.asarray(rho, dtype=complex)
-    r = rho.reshape(2, 2, 2, 2)
+    lead = rho.shape[:-2]
+    r = rho.reshape(-1, 2, 2, 2, 2)
     if subsystem == "B":
-        r = r.transpose(0, 3, 2, 1)
+        r = r.transpose(0, 1, 4, 3, 2)
     elif subsystem == "A":
-        r = r.transpose(2, 1, 0, 3)
+        r = r.transpose(0, 3, 2, 1, 4)
     else:
         raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return r.reshape(4, 4).copy()
+    return r.reshape(*lead, 4, 4)
 
 
 def partial_trace(rho, subsystem="B"):
-    """Trace out one qubit of a two-qubit operator.
+    """Trace out one qubit of a two-qubit operator or a (..., 4, 4) stack.
 
     ``subsystem`` names the factor that is traced *out*; the reduced 2x2
-    operator of the other factor is returned.
+    operator of the other factor is returned, shape (..., 2, 2).
     """
     rho = np.asarray(rho, dtype=complex)
-    r = rho.reshape(2, 2, 2, 2)
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if subsystem == "B":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if subsystem == "A":
-        return np.einsum("jijk->ik", r)
+        return np.einsum("...jijk->...ik", r)
     raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
 def char_poly_coeffs(h):
-    """Elementary symmetric functions (S2, S3, S4) of a Hermitian 4x4 matrix.
+    """Elementary symmetric functions (S2, S3, S4) of a Hermitian 4x4 matrix
+    or of each matrix of a (..., 4, 4) stack.
 
     With eigenvalues l_i, the characteristic polynomial is
     det(x I - H) = x^4 - S1 x^3 + S2 x^2 - S3 x + S4.  The coefficients are
     obtained from the power traces p_k = tr(H^k) through Newton's
-    identities, so no eigendecomposition is performed.
+    identities, so no eigendecomposition is performed.  Each coefficient
+    has the leading shape of ``h`` (a scalar for one matrix), and a stacked
+    call repeats each single call bit for bit.
     """
     h = np.asarray(h, dtype=complex)
+    lead = h.shape[:-2]
+    h = h.reshape(-1, 4, 4)
     h2 = h @ h
-    p1 = np.trace(h).real
-    p2 = np.trace(h2).real
-    p3 = np.trace(h2 @ h).real
-    p4 = np.trace(h2 @ h2).real
+    p1 = np.einsum("nii->n", h).real
+    p2 = np.einsum("nii->n", h2).real
+    p3 = np.einsum("nij,nji->n", h2, h).real
+    p4 = np.einsum("nij,nji->n", h2, h2).real
     s2 = (p1 * p1 - p2) / 2.0
-    s3 = (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    s4 = (p1 ** 4 - 6.0 * p1 * p1 * p2 + 3.0 * p2 * p2 + 8.0 * p1 * p3 - 6.0 * p4) / 24.0
-    return s2, s3, s4
+    s3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6.0
+    s4 = (p1 ** 4 - 6 * p1 ** 2 * p2 + 3 * p2 ** 2 + 8 * p1 * p3 - 6 * p4) / 24.0
+    return tuple(s.reshape(lead)[()] for s in (s2, s3, s4))
 
 
 def unitarity_defect(u):

@@ -1,4 +1,4 @@
-"""Monte-Carlo harness: batched verdict kernels, scans and sample records.
+"""Monte-Carlo harness: scans and sample records over the batched kernels.
 
 The scan pipeline keeps the criterion route (characteristic coefficients
 of the partial transpose) and the oracle route (smallest PT eigenvalue
@@ -12,8 +12,9 @@ import numpy as np
 
 from .errors import DomainError, check_band, check_seed
 from . import tolerances as tol
-from .linalg4 import herm_eigenvalues
-from .sampling import ENSEMBLES, ensemble_chunks, ensemble_state
+from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues
+from .linalg4 import partial_transpose as pt_batch
+from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
     BOUNDARY,
     ENTANGLED,
@@ -22,35 +23,8 @@ from .separability import (
     SEPARABLE,
     analyze,
     verdict_from_coeffs,
+    verdict_masks,
 )
-
-
-def pt_batch(rhos):
-    """Partial transpose on subsystem B of a stack of 4x4 matrices."""
-    n = rhos.shape[0]
-    return rhos.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
-
-
-def char_poly_batch(h):
-    """Vectorized (S2, S3, S4) of a stack of Hermitian matrices via
-    Newton's identities on the power traces."""
-    h2 = h @ h
-    p1 = np.einsum("nii->n", h).real
-    p2 = np.einsum("nii->n", h2).real
-    p3 = np.einsum("nij,nji->n", h2, h).real
-    p4 = np.einsum("nij,nji->n", h2, h2).real
-    s2 = (p1 * p1 - p2) / 2.0
-    s3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6.0
-    s4 = (p1 ** 4 - 6 * p1 ** 2 * p2 + 3 * p2 ** 2 + 8 * p1 * p3 - 6 * p4) / 24.0
-    return s2, s3, s4
-
-
-def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
-    """Boolean (separable, entangled, boundary) masks from PT coefficients."""
-    separable = (s3 >= band) & (s4 >= band)
-    entangled = (s3 < -band) | (s4 < -band)
-    boundary = ~(separable | entangled)
-    return separable, entangled, boundary
 
 
 def oracle_masks(min_eig, band=tol.MINEIG_BAND):
@@ -74,10 +48,7 @@ class RunConfig:
     band: float = tol.VERDICT_TOL
 
     def __post_init__(self):
-        if self.ensemble not in ENSEMBLES:
-            raise DomainError(
-                f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}"
-            )
+        check_ensemble(self.ensemble)
         if self.samples < 1:
             raise DomainError(f"sample count must be positive, got {self.samples}")
         check_seed(self.seed)
@@ -205,10 +176,11 @@ def sample_records(config):
         _, s3, s4 = char_poly_batch(pts)
         min_eig = np.linalg.eigvalsh(pts)[:, 0]
         spectra = herm_eigenvalues(states)
+        verdicts = verdict_from_coeffs(s3, s4, config.band)
         for i in range(states.shape[0]):
             yield SampleRecord(
                 index=start + i,
-                verdict=verdict_from_coeffs(s3[i], s4[i], config.band),
+                verdict=verdicts[i],
                 lhs3=float(s3[i]),
                 lhs4=float(s4[i]),
                 min_pt_eig=float(min_eig[i]),
@@ -225,9 +197,7 @@ def reanalyze_record(config, record):
         verdict=report.verdict,
         lhs3=report.s3_pt,
         lhs4=report.s4_pt,
-        min_pt_eig=float(
-            np.linalg.eigvalsh(pt_batch(rho[None, :, :]))[0, 0]
-        ),
+        min_pt_eig=float(np.linalg.eigvalsh(pt_batch(rho))[0]),
         spectrum=tuple(herm_eigenvalues(rho)),
     )
 

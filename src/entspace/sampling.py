@@ -10,7 +10,7 @@ stream layout independent of the requested sample count.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_seed
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
@@ -27,12 +27,13 @@ _INDEX_BITS = 56
 
 
 def philox_stream(seed, tag, index=0):
-    """A numpy Generator on the Philox stream keyed by (seed, tag, index)."""
+    """A numpy Generator on the Philox stream keyed by (seed, tag, index);
+    DomainError unless 0 <= seed < 2^64 and 0 <= index < 2^56."""
+    check_seed(seed)
     if not 0 <= index < (1 << _INDEX_BITS):
         raise DomainError(f"stream index out of range: {index}")
     key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((tag << _INDEX_BITS) | index)],
-        dtype=np.uint64,
+        [np.uint64(seed), np.uint64((tag << _INDEX_BITS) | index)], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -156,15 +157,31 @@ def random_antihermitian(g, dim=4, scale=1.0):
 
 # -- chunked iteration ---------------------------------------------------------
 
-ENSEMBLES = ("hs", "product", "chart")
+def _chart_state(seed, index):
+    return representative_state(sample_chart_point(seed, index))
 
 
-def _chart_chunk(seed, chunk, m):
-    states = [
-        representative_state(sample_chart_point(seed, chunk * tol.CHUNK + i))
-        for i in range(m)
-    ]
-    return np.stack(states)
+#: Ensemble name -> (the first m states of chunk c, the state of one index).
+_ENSEMBLE_TABLE = {
+    "hs": (lambda seed, c, m: _hs_chunk(seed, c)[:m], sample_hs_state),
+    "product": (lambda seed, c, m: _product_chunk(seed, c)[:m], sample_product_state),
+    "chart": (
+        lambda seed, c, m: np.stack([_chart_state(seed, c * tol.CHUNK + i) for i in range(m)]),
+        _chart_state,
+    ),
+}
+
+ENSEMBLES = tuple(_ENSEMBLE_TABLE)
+
+
+def check_ensemble(ensemble):
+    """The table entry of ``ensemble``; DomainError for an unknown name."""
+    try:
+        return _ENSEMBLE_TABLE[ensemble]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}"
+        ) from None
 
 
 def ensemble_chunks(ensemble, seed, n):
@@ -174,28 +191,14 @@ def ensemble_chunks(ensemble, seed, n):
     streams are unaffected by the truncation (chunk-level streams are
     always drawn in full, per-index streams do not interact).
     """
-    if ensemble not in ENSEMBLES:
-        raise DomainError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
+    chunk_states, _ = check_ensemble(ensemble)
     if n < 1:
         raise DomainError(f"sample count must be positive, got {n}")
     for chunk in range((n + tol.CHUNK - 1) // tol.CHUNK):
         start = chunk * tol.CHUNK
-        m = min(tol.CHUNK, n - start)
-        if ensemble == "hs":
-            states = _hs_chunk(seed, chunk)[:m]
-        elif ensemble == "product":
-            states = _product_chunk(seed, chunk)[:m]
-        else:
-            states = _chart_chunk(seed, chunk, m)
-        yield start, states
+        yield start, chunk_states(seed, chunk, min(tol.CHUNK, n - start))
 
 
 def ensemble_state(ensemble, seed, index):
     """Reconstruct a single ensemble member by its index."""
-    if ensemble == "hs":
-        return sample_hs_state(seed, index)
-    if ensemble == "product":
-        return sample_product_state(seed, index)
-    if ensemble == "chart":
-        return representative_state(sample_chart_point(seed, index))
-    raise DomainError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
+    return check_ensemble(ensemble)[1](seed, index)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, check_band
 from . import tolerances as tol
-from .chart import ChartPoint, SimplexPoint, representative_state, xyz_from_eigenvalues
+from .chart import ChartPoint, representative_state, xyz_from_eigenvalues
 from .fano import from_fano, schlienz_mahler, to_fano
 from .linalg4 import char_poly_coeffs, partial_transpose
 
@@ -60,28 +60,34 @@ def werner_state(p):
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
     return p * BELL_PHI_PLUS + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
-
 
 def s_coeffs_pt(rho):
     """Characteristic coefficients (S2, S3, S4) of the partial transpose."""
-    return char_poly_coeffs(partial_transpose(np.asarray(rho, dtype=complex), "B"))
+    return char_poly_coeffs(partial_transpose(rho, "B"))
 
 
-def verdict_from_coeffs(s3, s4, band=tol.VERDICT_TOL):
-    """Classify a state from the PT coefficients with a boundary band.
+def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
+    """Boolean (separable, entangled, boundary) masks from PT coefficients.
 
     Separable when both coefficients clear +band, entangled when either
     falls below -band, boundary otherwise.
     """
-    if s3 >= band and s4 >= band:
-        return SEPARABLE
-    if s3 < -band or s4 < -band:
-        return ENTANGLED
-    return BOUNDARY
+    separable = (s3 >= band) & (s4 >= band)
+    entangled = (s3 < -band) | (s4 < -band)
+    boundary = ~(separable | entangled)
+    return separable, entangled, boundary
+
+
+#: Verdict labels indexed by separable + 2 * entangled; separable wins
+#: where the masks of a band outside (0, 1) overlap.
+_LABELS = np.array([BOUNDARY, SEPARABLE, ENTANGLED, SEPARABLE])
+
+
+def verdict_from_coeffs(s3, s4, band=tol.VERDICT_TOL):
+    """Verdict label of verdict_masks(): a string for scalar coefficients,
+    a string array of the same shape for arrays."""
+    separable, entangled, _ = verdict_masks(np.asarray(s3), np.asarray(s4), band)
+    return _LABELS[separable + 2 * entangled]
 
 
 def ppt_verdict(rho, band=tol.VERDICT_TOL):
@@ -91,20 +97,27 @@ def ppt_verdict(rho, band=tol.VERDICT_TOL):
 
 
 def det_correlation(f):
-    """Determinant of the 3x3 correlation matrix C."""
-    return float(np.linalg.det(f.C))
+    """Determinant of the correlation matrix C (one per stacked state)."""
+    return np.linalg.det(f.C)[()]
 
 
 def det_schlienz_mahler(f):
     """Determinant of the Schlienz-Mahler matrix M = C - a b^T."""
-    return float(np.linalg.det(schlienz_mahler(f)))
+    return np.linalg.det(schlienz_mahler(f))[()]
+
+
+#: Cyclic successors i+1 and i+2 (mod 3), as row and column indices.
+_NEXT1, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def quesne_c112(f):
-    """The degree-(1,1,2) invariant eps_ijk eps_abc a_i b_a C_jb C_kc."""
-    return float(
-        np.einsum("ijk,abc,i,a,jb,kc->", _EPS3, _EPS3, f.a, f.b, f.C, f.C)
-    )
+    """The degree-(1,1,2) invariant eps_ijk eps_abc a_i b_a C_jb C_kc, as
+    2 a^T cof(C) b with cof(C)_ij = C[i+1,j+1] C[i+2,j+2] - C[i+1,j+2] C[i+2,j+1]
+    (indices mod 3); the matrix determinant lemma gives det|M| = det|C| - C112/2.
+    """
+    c, r1, r2 = f.C, _NEXT1[:, None], _NEXT2[:, None]
+    cof = c[..., r1, _NEXT1] * c[..., r2, _NEXT2] - c[..., r1, _NEXT2] * c[..., r2, _NEXT1]
+    return 2.0 * np.einsum("...i,...ij,...j->...", f.a, cof, f.b)[()]
 
 
 def p201(alpha3, beta):
@@ -250,6 +263,35 @@ def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
     )
 
 
+def _invariants(rho, f, band):
+    """The SeparabilityReport of ``rho`` with Fano coefficients ``f``, each
+    quantity computed once; one stacked call gives the coefficients of rho
+    and rho^TB.  NumericalError unless the routes agree to DUAL_PATH_TOL."""
+    (_, s2_pt), (s3, s3_pt), (s4, s4_pt) = char_poly_coeffs(
+        np.stack([rho, partial_transpose(rho, "B")])
+    )
+    det_c = det_correlation(f)
+    det_m = det_schlienz_mahler(f)
+    lhs3 = s3 + 0.25 * det_c
+    lhs4 = s4 + det_m / 16.0
+    if abs(lhs3 - s3_pt) > tol.DUAL_PATH_TOL or abs(lhs4 - s4_pt) > tol.DUAL_PATH_TOL:
+        raise NumericalError(
+            f"inequality routes disagree: |d3| = {abs(lhs3 - s3_pt):.3e}, "
+            f"|d4| = {abs(lhs4 - s4_pt):.3e}"
+        )
+    return SeparabilityReport(
+        s2_pt=s2_pt,
+        s3_pt=s3_pt,
+        s4_pt=s4_pt,
+        det_c=det_c,
+        det_m=det_m,
+        c112=quesne_c112(f),
+        lhs3=lhs3,
+        lhs4=lhs4,
+        verdict=verdict_from_coeffs(s3_pt, s4_pt, band),
+    )
+
+
 def separability_inequalities(f, band=tol.VERDICT_TOL):
     """Evaluate both separability inequalities along both routes.
 
@@ -260,20 +302,9 @@ def separability_inequalities(f, band=tol.VERDICT_TOL):
     ``within_bounds`` is true when 0 <= lhs3 <= 1/16 and
     0 <= lhs4 <= 1/256, all within ``band``.
     """
-    rho = from_fano(f)
-    _, s3_pt, s4_pt = s_coeffs_pt(rho)
-    _, s3, s4 = char_poly_coeffs(rho)
-    lhs3 = s3 + 0.25 * det_correlation(f)
-    lhs4 = s4 + det_schlienz_mahler(f) / 16.0
-    if abs(lhs3 - s3_pt) > tol.DUAL_PATH_TOL or abs(lhs4 - s4_pt) > tol.DUAL_PATH_TOL:
-        raise NumericalError(
-            f"inequality routes disagree: |d3| = {abs(lhs3 - s3_pt):.3e}, "
-            f"|d4| = {abs(lhs4 - s4_pt):.3e}"
-        )
-    within = (
-        -band <= lhs3 <= S3_BOUND + band and -band <= lhs4 <= S4_BOUND + band
-    )
-    return lhs3, lhs4, within
+    r = _invariants(from_fano(f), f, band)
+    within = -band <= r.lhs3 <= S3_BOUND + band and -band <= r.lhs4 <= S4_BOUND + band
+    return r.lhs3, r.lhs4, within
 
 
 @dataclass(frozen=True)
@@ -315,17 +346,4 @@ def analyze(rho, band=tol.VERDICT_TOL):
     """
     check_band(band)
     rho = np.asarray(rho, dtype=complex)
-    f = to_fano(rho)
-    s2_pt, s3_pt, s4_pt = s_coeffs_pt(rho)
-    lhs3, lhs4, _ = separability_inequalities(f, band)
-    return SeparabilityReport(
-        s2_pt=s2_pt,
-        s3_pt=s3_pt,
-        s4_pt=s4_pt,
-        det_c=det_correlation(f),
-        det_m=det_schlienz_mahler(f),
-        c112=quesne_c112(f),
-        lhs3=lhs3,
-        lhs4=lhs4,
-        verdict=verdict_from_coeffs(s3_pt, s4_pt, band),
-    )
+    return _invariants(rho, to_fano(rho), band)

@@ -45,7 +45,7 @@ def _render(obj, indent):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return fmt_float(obj) if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -54,7 +54,8 @@ def _render(obj, indent):
 
 
 def to_json(obj):
-    """Render a nested dict/list structure as deterministic JSON text."""
+    """Render a nested dict/list structure as deterministic JSON text;
+    a non-finite float (a failed check's residual) becomes null."""
     return _render(obj, 0) + "\n"
 
 

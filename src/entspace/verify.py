@@ -8,7 +8,7 @@ dense eigensolver.  Checks are grouped into suites ("identities",
 aborts the others, and reports its worst residual against its tolerance.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .chart import (
     ALPHA_WORDS,
     BETA_WORDS,
     ChartPoint,
-    SimplexPoint,
     a_factor,
     eigenvalues_from_xyz,
     representative_state,
@@ -34,18 +33,18 @@ from .fano import (
 from .linalg4 import (
     I4,
     SIGMA,
-    char_poly_coeffs,
+    char_poly_coeffs as char_poly_batch,
     dag,
     exp_antihermitian,
     exp_commuting_paulis,
     herm_eigensystem,
     herm_eigenvalues,
     partial_trace,
-    partial_transpose,
+    partial_transpose as pt_batch,
     tensor_product,
     unitarity_defect,
 )
-from .montecarlo import char_poly_batch, oracle_masks, pt_batch, verdict_masks
+from .montecarlo import oracle_masks
 from .sampling import (
     ensemble_chunks,
     random_antihermitian,
@@ -71,6 +70,7 @@ from .separability import (
     ppt_verdict,
     quesne_c112,
     s_coeffs_pt,
+    verdict_masks,
     werner_state,
 )
 
@@ -86,15 +86,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "group": self.group,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _result(name, group, samples, residual, tolerance, detail=""):
@@ -128,15 +120,15 @@ def _check_eigensolver_reconstruction(n, seed, band):
     g = verify_stream(seed, 1)
     hs = np.stack([random_hermitian(g) for _ in range(m)])
     ws, vs = herm_eigensystem(hs)
-    worst = 0.0
-    for h, w, v in zip(hs, ws, vs):
-        worst = max(worst, np.max(np.abs(v @ np.diag(w) @ dag(v) - h)))
-        worst = max(worst, np.max(np.abs(dag(v) @ v - I4)))
-        if np.any(np.diff(w) > 0):
-            return _result(
-                "eigensolver_reconstruction", "identities", m, np.inf,
-                tol.EIG_RECONSTRUCT_TOL, "eigenvalues not sorted descending",
-            )
+    if np.any(np.diff(ws, axis=1) > 0):
+        return _result(
+            "eigensolver_reconstruction", "identities", m, np.inf,
+            tol.EIG_RECONSTRUCT_TOL, "eigenvalues not sorted descending",
+        )
+    worst = max(
+        np.max(np.abs((vs * ws[:, None, :]) @ dag(vs) - hs)),
+        np.max(np.abs(dag(vs) @ vs - I4)),
+    )
     return _result(
         "eigensolver_reconstruction", "identities", m, worst, tol.EIG_RECONSTRUCT_TOL
     )
@@ -146,19 +138,18 @@ def _check_charpoly_vs_spectrum(n, seed, band):
     m = min(n, 1500)
     g = verify_stream(seed, 2)
     hs = np.stack([random_hermitian(g) for _ in range(m)])
-    worst = 0.0
-    for h, w in zip(hs, herm_eigenvalues(hs)):
-        s2, s3, s4 = char_poly_coeffs(h)
-        e2 = sum(w[i] * w[j] for i in range(4) for j in range(i + 1, 4))
-        e3 = sum(
-            w[i] * w[j] * w[k]
-            for i in range(4)
-            for j in range(i + 1, 4)
-            for k in range(j + 1, 4)
-        )
-        e4 = np.prod(w)
-        worst = max(worst, abs(s2 - e2), abs(s3 - e3), abs(s4 - e4))
-        worst = max(worst, abs(s4 - np.linalg.det(h).real))
+    w = herm_eigenvalues(hs).T
+    s2, s3, s4 = char_poly_batch(hs)
+    e2 = sum(w[i] * w[j] for i in range(4) for j in range(i + 1, 4))
+    e3 = sum(
+        w[i] * w[j] * w[k]
+        for i in range(4)
+        for j in range(i + 1, 4)
+        for k in range(j + 1, 4)
+    )
+    e4 = np.prod(w, axis=0)
+    gaps = (s2 - e2, s3 - e3, s4 - e4, s4 - np.linalg.det(hs).real)
+    worst = max(np.max(np.abs(gap)) for gap in gaps)
     return _result("charpoly_vs_spectrum", "identities", m, worst, 1e-10)
 
 
@@ -185,27 +176,21 @@ def _check_fano_roundtrip(n, seed, band):
     m = min(n, 4096)
     worst = 0.0
     for _, states in ensemble_chunks("hs", seed, m):
-        for rho in states:
-            f = to_fano(rho)
-            worst = max(worst, np.max(np.abs(from_fano(f) - rho)))
+        worst = max(worst, np.max(np.abs(from_fano(to_fano(states)) - states)))
     return _result("fano_roundtrip", "identities", m, worst, 1e-13)
 
 
 def _check_partial_transpose_trace(n, seed, band):
     m = min(n, 2000)
-    g = verify_stream(seed, 5)
     worst = 0.0
     for _, states in ensemble_chunks("hs", seed, m):
-        for rho in states:
-            pt = partial_transpose(rho, "B")
-            worst = max(worst, np.max(np.abs(partial_transpose(pt, "B") - rho)))
-            worst = max(worst, abs(np.trace(pt).real - np.trace(rho).real))
-            f = to_fano(rho)
-            reduced = partial_trace(rho, "B")
-            bloch_a = np.array(
-                [np.trace(reduced @ s).real for s in SIGMA]
-            )
-            worst = max(worst, np.max(np.abs(f.a - bloch_a)))
+        pts = pt_batch(states, "B")
+        worst = max(worst, np.max(np.abs(pt_batch(pts, "B") - states)))
+        trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
+        worst = max(worst, np.max(np.abs(trace_gap)))
+        reduced = partial_trace(states, "B")
+        bloch_a = np.einsum("nij,kji->nk", reduced, SIGMA).real
+        worst = max(worst, np.max(np.abs(to_fano(states).a - bloch_a)))
     return _result("partial_transpose_trace", "identities", m, worst, 1e-12)
 
 
@@ -253,11 +238,10 @@ def _check_chart_spectrum_roundtrip(n, seed, band):
 def _check_det_m_identity(n, seed, band):
     worst = 0.0
     for _, states in ensemble_chunks("hs", seed, n):
-        for rho in states:
-            f = to_fano(rho)
-            lhs = det_schlienz_mahler(f)
-            rhs = det_correlation(f) - 0.5 * quesne_c112(f)
-            worst = max(worst, abs(lhs - rhs))
+        f = to_fano(states)
+        lhs = det_schlienz_mahler(f)
+        rhs = det_correlation(f) - 0.5 * quesne_c112(f)
+        worst = max(worst, np.max(np.abs(lhs - rhs)))
     return _result("det_m_identity", "identities", n, worst, tol.DET_IDENTITY_TOL)
 
 
@@ -378,12 +362,11 @@ def _check_dual_path_agreement(n, seed, band):
     m = min(n, 2000)
     worst = 0.0
     for _, states in ensemble_chunks("hs", seed, m):
-        for rho in states:
-            f = to_fano(rho)
-            _, s3_pt, s4_pt = s_coeffs_pt(rho)
-            _, s3, s4 = char_poly_coeffs(rho)
-            worst = max(worst, abs(s3 + det_correlation(f) / 4.0 - s3_pt))
-            worst = max(worst, abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt))
+        f = to_fano(states)
+        _, s3_pt, s4_pt = s_coeffs_pt(states)
+        _, s3, s4 = char_poly_batch(states)
+        worst = max(worst, np.max(np.abs(s3 + det_correlation(f) / 4.0 - s3_pt)))
+        worst = max(worst, np.max(np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt)))
     return _result("dual_path_agreement", "ppt", m, worst, tol.DUAL_PATH_TOL)
 
 
@@ -414,9 +397,10 @@ def _check_product_states_separable(n, seed, band):
         _, s3, s4 = char_poly_batch(pts)
         _, ent, _ = verdict_masks(s3, s4, band)
         entangled += int(ent.sum())
-        for rho in states[:: max(1, len(states) // 64)]:
-            f = to_fano(rho)
-            worst = max(worst, np.max(np.abs(schlienz_mahler(f))), abs(quesne_c112(f)))
+        f = to_fano(states[:: max(1, len(states) // 64)])
+        worst = max(
+            worst, np.max(np.abs(schlienz_mahler(f))), np.max(np.abs(quesne_c112(f)))
+        )
     if entangled:
         return _result(
             "product_states_separable", "ppt", m, np.inf, 1e-12,

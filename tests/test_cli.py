@@ -270,3 +270,16 @@ def test_p111_sign_flip_fails_exactly_the_closed_form_check(monkeypatch):
     assert report["passed"] is False
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["det_c_closed_form"]["max_residual"] > 1e-4
+
+
+def test_verify_report_with_a_crashing_check_is_valid_json(monkeypatch, capsys):
+    def boom(p):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(verify, "werner_state", boom)
+    assert main(["verify", "--suite", "ppt", "-n", "120", "--seed", "5"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    by_name = {c["name"]: c for c in out["checks"]}
+    assert by_name["werner_verdicts"]["passed"] is False
+    assert by_name["werner_verdicts"]["max_residual"] is None
+    assert by_name["dual_path_agreement"]["max_residual"] is not None

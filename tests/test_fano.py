@@ -173,3 +173,36 @@ def test_partial_trace_bloch_consistency():
         bloch_b = [np.trace(rb @ s).real for s in SIGMA]
         assert np.max(np.abs(f.a - bloch_a)) < 1e-12
         assert np.max(np.abs(f.b - bloch_b)) < 1e-12
+
+
+def test_stacked_fano_is_bitwise_per_index():
+    from entspace.sampling import ensemble_chunks
+
+    _, states = next(ensemble_chunks("hs", 12, 300))
+    f = to_fano(states)
+    assert f.a.shape == f.b.shape == (300, 3) and f.C.shape == (300, 3, 3)
+    back = from_fano(f)
+    m = schlienz_mahler(f)
+    for i, rho in enumerate(states):
+        fi = to_fano(rho)
+        assert np.array_equal(fi.a, f.a[i])
+        assert np.array_equal(fi.b, f.b[i])
+        assert np.array_equal(fi.C, f.C[i])
+        assert np.array_equal(from_fano(fi), back[i])
+        assert np.array_equal(schlienz_mahler(fi), m[i])
+    assert np.max(np.abs(back - states)) < 1e-13
+    grid = to_fano(states.reshape(3, 100, 4, 4))
+    assert np.array_equal(grid.C.reshape(300, 3, 3), f.C)
+
+
+def test_stacked_fano_state_names_the_offending_index():
+    a = np.zeros((4, 3))
+    c = np.zeros((4, 3, 3))
+    a[2] = [1.2, 0.8, 0.0]
+    with pytest.raises(DomainError, match=r"Bloch vector norm out of range at stack index 2:"):
+        FanoState(a=a, b=np.zeros((4, 3)), C=c)
+    c[3, 1, 1] = -1.5
+    with pytest.raises(DomainError, match=r"correlation entry out of range at stack index 3:"):
+        FanoState(a=np.zeros((4, 3)), b=np.zeros((4, 3)), C=c)
+    with pytest.raises(DomainError, match=r"at stack index \(1, 1\)"):
+        FanoState(a=np.zeros((2, 2, 3)), b=np.zeros((2, 2, 3)), C=c.reshape(2, 2, 3, 3))

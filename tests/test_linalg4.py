@@ -341,3 +341,46 @@ def test_char_poly_s2_pt_invariant():
         s2 = char_poly_coeffs(h)[0]
         s2_pt = char_poly_coeffs(partial_transpose(h, "B"))[0]
         assert abs(s2 - s2_pt) < 1e-12
+
+
+def test_stacked_pt_char_poly_and_trace_are_bitwise_per_index_calls():
+    hs = _hs_and_hermitian_stack(24, 60)
+    s2, s3, s4 = char_poly_coeffs(hs)
+    assert s2.shape == s3.shape == s4.shape == (120,)
+    for sub in ("A", "B"):
+        pts = partial_transpose(hs, sub)
+        reduced = partial_trace(hs, sub)
+        for i, h in enumerate(hs):
+            assert np.array_equal(pts[i], partial_transpose(h, sub))
+            assert np.array_equal(reduced[i], partial_trace(h, sub))
+    for i, h in enumerate(hs):
+        assert char_poly_coeffs(h) == (s2[i], s3[i], s4[i])
+    # extra leading axes are flattened and restored
+    grid = char_poly_coeffs(hs.reshape(12, 10, 4, 4))
+    assert all(np.array_equal(g.reshape(120), s) for g, s in zip(grid, (s2, s3, s4)))
+    assert partial_transpose(hs.reshape(12, 10, 4, 4)).shape == (12, 10, 4, 4)
+
+
+def test_stacked_char_poly_against_faddeev_leverrier():
+    _, hs = next(ensemble_chunks("hs", 25, 400))
+    coeffs = np.stack(char_poly_coeffs(partial_transpose(hs)), axis=1)
+    for h, mine in zip(hs, coeffs):
+        ref = faddeev_leverrier(partial_transpose(h))
+        assert np.max(np.abs(mine - np.array(ref))) < 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    re=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(4), st.just(4)), elements=_entries),
+    im_scale=st.sampled_from([0.0, 1e-3, 1.0]),
+    sub=st.sampled_from(["A", "B"]),
+)
+def test_stacked_pt_property(re, im_scale, sub):
+    raw = re + 1j * im_scale * re[:, ::-1, :]
+    stack = 0.5 * (raw + dag(raw))
+    pts = partial_transpose(stack, sub)
+    assert np.array_equal(partial_transpose(pts, sub), stack)
+    coeffs = char_poly_coeffs(pts)
+    for h, pt, i in zip(stack, pts, range(len(stack))):
+        assert np.array_equal(partial_transpose(h, sub), pt)
+        assert char_poly_coeffs(pt) == tuple(c[i] for c in coeffs)

@@ -150,3 +150,31 @@ def test_ensemble_chunks_validation():
         list(ensemble_chunks("hs", 0, 0))
     with pytest.raises(DomainError, match="ensemble"):
         ensemble_state("haar", 0, 1)
+
+
+def test_out_of_range_seeds_are_rejected_not_aliased():
+    with pytest.raises(DomainError, match="seed"):
+        ensemble_state("hs", -1, 0)
+    with pytest.raises(DomainError, match="seed"):
+        philox_stream(1 << 64, 1)
+    with pytest.raises(DomainError, match="seed"):
+        sample_chart_point(-3, 0)
+    top = (1 << 64) - 1
+    assert np.array_equal(
+        philox_stream(top, 1).standard_normal(4), philox_stream(top, 1).standard_normal(4)
+    )
+
+
+def test_unknown_ensemble_message_is_shared():
+    from entspace.montecarlo import RunConfig
+
+    messages = set()
+    for call in (
+        lambda: list(ensemble_chunks("haar", 0, 10)),
+        lambda: ensemble_state("haar", 0, 1),
+        lambda: RunConfig(ensemble="haar"),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"unknown ensemble 'haar'; choose from ('hs', 'product', 'chart')"}

@@ -251,3 +251,62 @@ def test_dual_route_guard_fires(monkeypatch):
     monkeypatch.setattr(sep, "det_correlation", lambda _: 123.0)
     with pytest.raises(NumericalError, match="routes disagree"):
         sep.separability_inequalities(f)
+
+
+def test_stacked_invariants_are_bitwise_per_index():
+    _, states = next(ensemble_chunks("hs", 310, 300))
+    f = to_fano(states)
+    det_c, det_m, c112 = det_correlation(f), det_schlienz_mahler(f), quesne_c112(f)
+    assert det_c.shape == det_m.shape == c112.shape == (300,)
+    for i, rho in enumerate(states):
+        fi = to_fano(rho)
+        assert det_correlation(fi) == det_c[i]
+        assert det_schlienz_mahler(fi) == det_m[i]
+        assert quesne_c112(fi) == c112[i]
+    assert np.max(np.abs(det_m - (det_c - 0.5 * c112))) < tol.DET_IDENTITY_TOL
+
+
+def test_stacked_c112_against_epsilon_and_adjugate():
+    _, states = next(ensemble_chunks("hs", 311, 200))
+    f = to_fano(states)
+    c112 = quesne_c112(f)
+    for i, rho in enumerate(states):
+        fi = to_fano(rho)
+        assert abs(c112[i] - c112_epsilon_oracle(fi)) < 1e-13
+        assert abs(c112[i] - 2.0 * fi.b @ adjugate3(fi.C) @ fi.a) < 1e-12
+
+
+def test_verdict_labels_of_arrays_match_scalar_labels():
+    g = philox_stream(312, 63)
+    s3 = np.concatenate([g.normal(0, 1e-3, 200), [1e-12, -1e-12, 1e-9, -1e-9]])
+    s4 = np.concatenate([g.normal(0, 1e-3, 200), [1e-6, 1e-6, 1e-9, 1e-6]])
+    labels = verdict_from_coeffs(s3, s4)
+    assert labels.shape == s3.shape
+    assert set(labels) == {SEPARABLE, ENTANGLED, BOUNDARY}
+    for i in range(len(s3)):
+        assert labels[i] == verdict_from_coeffs(s3[i], s4[i])
+        assert labels[i] == verdict_from_coeffs(float(s3[i]), float(s4[i]))
+    grid = verdict_from_coeffs(s3.reshape(4, 51), s4.reshape(4, 51), band=1e-4)
+    assert np.array_equal(grid.reshape(-1), verdict_from_coeffs(s3, s4, band=1e-4))
+
+
+def test_analyze_computes_each_invariant_once(monkeypatch):
+    import entspace.separability as sep
+
+    calls = {}
+    for name in ("to_fano", "det_correlation", "det_schlienz_mahler", "quesne_c112",
+                 "char_poly_coeffs", "from_fano"):
+        original = getattr(sep, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sep, name, counted)
+    rho = sample_hs_state(313, 0)
+    report = sep.analyze(rho)
+    assert calls == {"to_fano": 1, "det_correlation": 1, "det_schlienz_mahler": 1,
+                     "quesne_c112": 1, "char_poly_coeffs": 1}
+    monkeypatch.undo()
+    _, s3_pt, s4_pt = s_coeffs_pt(rho)
+    assert (report.s3_pt, report.s4_pt) == (s3_pt, s4_pt)

@@ -176,3 +176,10 @@ def test_records_to_csv_lines():
     # identical stream, identical bytes
     again = list(records_to_csv_lines(sample_records(config)))
     assert again == lines
+
+
+def test_to_json_renders_non_finite_floats_as_null():
+    obj = {"inf": float("inf"), "nan": np.nan, "vec": [1.0, -np.inf, np.float64(0.5)]}
+    text = to_json(obj)
+    assert json.loads(text) == {"inf": None, "nan": None, "vec": [1.0, None, 0.5]}
+    assert "[1, null, 0.5]" in text
