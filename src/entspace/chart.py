@@ -30,6 +30,7 @@ from .linalg4 import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _stack_position,
     dag,
     exp_antihermitian,
     exp_commuting_paulis,
@@ -70,19 +71,25 @@ class DegenerateSpectrumWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Coordinates (x, y, z) of an ordered spectrum."""
+    """Coordinates (x, y, z) of an ordered spectrum, or of a stack of
+    spectra when x, y and z are arrays of one shape (...)."""
 
     x: float
     y: float
     z: float
 
     def as_array(self):
-        return np.array([self.x, self.y, self.z], dtype=float)
+        """The coordinates as a (3,) array, or (..., 3) for a stack."""
+        return np.moveaxis(np.array([self.x, self.y, self.z], dtype=float), 0, -1)
 
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A simplex point plus the two octahedron angle triples."""
+    """A simplex point plus the two octahedron angle triples.
+
+    A stack of points has simplex coordinates of shape (...) and alpha and
+    beta of shape (..., 3); a single triple is shared by every point.
+    """
 
     simplex: SimplexPoint
     alpha: np.ndarray
@@ -94,104 +101,151 @@ class ChartPoint:
 
 
 def _angle_triple(v, name):
+    """``v`` as a float triple or a (..., 3) stack of triples; DomainError
+    for another shape or for a non-finite angle."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise DomainError(f"{name} must be a triple of angles, got shape {v.shape}")
+    _check_finite(v, name, "angle")
     return v
+
+
+def _check_finite(v, name, noun):
+    """DomainError naming the first stack index of ``v`` (shape (..., k))
+    whose entries are not all finite."""
+    if not np.isfinite(v).all():
+        i = np.argmin(np.isfinite(v).all(axis=-1).reshape(-1))
+        raise DomainError(
+            f"{name}{_stack_position(v.shape[:-1], i)} has a non-finite {noun}: "
+            f"{v.reshape(-1, v.shape[-1])[i]}"
+        )
 
 
 _INEQUALITY_NAMES = ("r1 >= r2", "r2 >= r3", "r3 >= r4", "r4 >= 0")
 
 
-def eigenvalues_from_xyz(s, slack=tol.SIMPLEX_TOL):
-    """Ordered spectrum (r1, r2, r3, r4) of a simplex point.
+def _check_spectra(r, slack, kind, where):
+    """DomainError unless every (finite) spectrum of r, shape (..., 4), is
+    ordered and non-negative within ``slack``.  The message names the first
+    offending stack index, the first violated inequality there, and ends
+    with ``where(flat index)``."""
+    gaps = np.concatenate([r[..., :-1] - r[..., 1:], r[..., 3:]], axis=-1)
+    if (gaps >= -slack).all():
+        return
+    bad = gaps.reshape(-1, 4) < -slack
+    i = np.argmax(bad.any(axis=1))
+    k = np.argmax(bad[i])
+    raise DomainError(
+        f"{kind}: {_INEQUALITY_NAMES[k]} fails by {-gaps.reshape(-1, 4)[i, k]:.3e}"
+        f"{_stack_position(r.shape[:-1], i)}{where(i)}"
+    )
 
-    Raises DomainError naming the violated inequality when the point lies
-    outside the simplex (ordering or positivity fails by more than
-    ``slack``).
+
+def eigenvalues_from_xyz(s, slack=tol.SIMPLEX_TOL):
+    """Ordered spectrum (r1, r2, r3, r4) of a simplex point, shape (4,),
+    or of each point of a stack, shape (..., 4).
+
+    Raises DomainError for a non-finite coordinate, and naming the violated
+    inequality when the point lies outside the simplex (ordering or
+    positivity fails by more than ``slack``); for a stack the message
+    names the first offending index.
     """
-    x, y, z = float(s.x), float(s.y), float(s.z)
+    coords = np.array([s.x, s.y, s.z], dtype=float)
+    _check_finite(np.moveaxis(coords, 0, -1), "simplex point", "coordinate")
+    x, y, z = coords
     r = np.array(
         [
             (1.0 + x + y + z) / 4.0,
             (1.0 + x - y - z) / 4.0,
             (1.0 - x + y - z) / 4.0,
             (1.0 - x - y + z) / 4.0,
-        ]
+        ],
+        dtype=float,
     )
-    gaps = (r[0] - r[1], r[1] - r[2], r[2] - r[3], r[3])
-    for name, gap in zip(_INEQUALITY_NAMES, gaps):
-        if gap < -slack:
-            raise DomainError(
-                f"simplex inequality violated: {name} fails by {-gap:.3e} "
-                f"at (x, y, z) = ({x}, {y}, {z})"
-            )
+    r = np.moveaxis(r, 0, -1)
+    _check_spectra(
+        r, slack, "simplex inequality violated",
+        lambda i: " at (x, y, z) = ({}, {}, {})".format(*coords.reshape(3, -1)[:, i]),
+    )
     return r
 
 
 def xyz_from_eigenvalues(r, slack=tol.SIMPLEX_TOL):
-    """Simplex coordinates of an ordered unit-sum spectrum.
+    """Simplex coordinates of an ordered unit-sum spectrum, shape (4,), or
+    of a (..., 4) stack of them (coordinates of shape (...)).
 
     The inverse of eigenvalues_from_xyz: x = r1+r2-r3-r4, y = r1-r2+r3-r4,
     z = r1-r2-r3+r4.
     """
-    r = np.asarray(r, dtype=float).reshape(4)
-    if abs(r.sum() - 1.0) > tol.TRACE_TOL:
-        raise DomainError(f"spectrum must sum to 1, got {r.sum()!r}")
-    gaps = (r[0] - r[1], r[1] - r[2], r[2] - r[3], r[3])
-    for name, gap in zip(_INEQUALITY_NAMES, gaps):
-        if gap < -slack:
-            raise DomainError(f"spectrum not ordered: {name} fails by {-gap:.3e}")
-    return SimplexPoint(
-        x=r[0] + r[1] - r[2] - r[3],
-        y=r[0] - r[1] + r[2] - r[3],
-        z=r[0] - r[1] - r[2] + r[3],
-    )
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != (4,):
+        raise DomainError(f"spectrum must have 4 entries, got shape {r.shape}")
+    _check_finite(r, "spectrum", "entry")
+    total = r.sum(axis=-1)
+    if np.any(np.abs(total - 1.0) > tol.TRACE_TOL):
+        total = total.reshape(-1)
+        i = np.argmax(np.abs(total - 1.0) > tol.TRACE_TOL)
+        raise DomainError(
+            f"spectrum must sum to 1, got {total[i]!r}{_stack_position(r.shape[:-1], i)}"
+        )
+    _check_spectra(r, slack, "spectrum not ordered", lambda i: "")
+    r1, r2, r3, r4 = np.moveaxis(r, -1, 0)
+    return SimplexPoint(x=r1 + r2 - r3 - r4, y=r1 - r2 + r3 - r4, z=r1 - r2 - r3 + r4)
 
 
 def in_octahedron(v):
-    """Membership in the closed l1-ball of radius 2*pi."""
+    """Membership in the closed l1-ball of radius 2*pi; one boolean per
+    triple of a (..., 3) stack."""
     v = np.asarray(v, dtype=float)
-    return bool(np.sum(np.abs(v)) <= TWO_PI + tol.OCTAHEDRON_TOL)
+    return np.sum(np.abs(v), axis=-1) <= TWO_PI + tol.OCTAHEDRON_TOL
 
 
 def _warn_outside(v, name):
-    if not in_octahedron(v):
+    inside = in_octahedron(v)
+    if not np.all(inside):
+        i = np.argmin(np.reshape(inside, -1))
         warnings.warn(
-            f"{name} lies outside the closed octahedron (l1 norm "
-            f"{np.sum(np.abs(np.asarray(v, dtype=float))):.6f} > 2*pi); the chart "
-            "wraps around",
+            f"{name}{_stack_position(v.shape[:-1], i)} lies outside the closed "
+            f"octahedron (l1 norm {np.sum(np.abs(v.reshape(-1, 3)[i])):.6f} > 2*pi); "
+            "the chart wraps around",
             OctahedronWarning,
             stacklevel=3,
         )
 
 
-def _word_sum(angles, words):
-    return -0.5j * sum(t * w for t, w in zip(np.asarray(angles, dtype=float), words))
+def _series_exp(angles, words):
+    """exp of the summed generators by the generic series exponential, one
+    triple at a time (exp_antihermitian takes single matrices)."""
+    flat = [
+        exp_antihermitian(-0.5j * sum(t * w for t, w in zip(triple, words)))
+        for triple in angles.reshape(-1, 3)
+    ]
+    return np.stack(flat).reshape(*angles.shape[:-1], 4, 4)
 
 
 def a_factor(alpha, beta, method="closed"):
     """The eigenbasis factor A = exp-alpha-family * exp-beta-family.
 
-    ``method`` selects the evaluation route: "closed" uses the exact
-    half-angle product over each commuting family, "series" the generic
-    scaling-and-squaring exponential of the summed generators.  The two
-    agree to EXPM_PATH_TOL and exist for any angles; leaving the double
-    octahedron only triggers OctahedronWarning.
+    ``alpha`` and ``beta`` are triples or (..., 3) stacks (broadcast
+    against each other); the result is (4, 4) or (..., 4, 4), and a stacked
+    call repeats each single call bit for bit.  ``method`` selects the
+    evaluation route: "closed" uses the exact half-angle product over each
+    commuting family, "series" the generic scaling-and-squaring exponential
+    of the summed generators.  The two agree to EXPM_PATH_TOL and exist for
+    any angles; leaving the double octahedron only triggers
+    OctahedronWarning (naming the first offending stack index).
     """
     alpha = _angle_triple(alpha, "alpha")
     beta = _angle_triple(beta, "beta")
     _warn_outside(alpha, "alpha")
     _warn_outside(beta, "beta")
     if method == "closed":
-        return exp_commuting_paulis(alpha, ALPHA_WORDS) @ exp_commuting_paulis(
-            beta, BETA_WORDS
-        )
-    if method == "series":
-        return exp_antihermitian(_word_sum(alpha, ALPHA_WORDS)) @ exp_antihermitian(
-            _word_sum(beta, BETA_WORDS)
-        )
-    raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
+        factor = exp_commuting_paulis
+    elif method == "series":
+        factor = _series_exp
+    else:
+        raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
+    return factor(alpha, ALPHA_WORDS) @ factor(beta, BETA_WORDS)
 
 
 def torus_factor(t):
@@ -203,29 +257,35 @@ def torus_factor(t):
 
 
 def spectral_gap(r):
-    """Smallest gap between consecutive entries of an ordered spectrum."""
+    """Smallest gap between consecutive entries of an ordered spectrum
+    (one per spectrum of a (..., d) stack)."""
     r = np.asarray(r, dtype=float)
-    return float(np.min(r[:-1] - r[1:]))
+    return np.min(r[..., :-1] - r[..., 1:], axis=-1)[()]
 
 
 def representative_state(point, method="closed"):
-    """Density matrix A diag(r) A^dag of a chart point.
+    """Density matrix A diag(r) A^dag of a chart point, (4, 4), or of each
+    point of a stacked ChartPoint, (..., 4, 4).
 
-    The result has the spectrum prescribed by the simplex point exactly
-    (unitary conjugation), so it is positive semidefinite with unit trace
-    by construction.  A DegenerateSpectrumWarning is emitted when the
-    spectrum has a gap below GENERIC_GAP, where the chart stops being
-    one-to-one.
+    A stacked call repeats each single call bit for bit.  The result has
+    the spectrum prescribed by the simplex point exactly (unitary
+    conjugation), so it is positive semidefinite with unit trace by
+    construction.  A DegenerateSpectrumWarning, naming the first such
+    stack index, is emitted when a spectrum has a gap below GENERIC_GAP,
+    where the chart stops being one-to-one.
     """
     r = eigenvalues_from_xyz(point.simplex)
-    if spectral_gap(r) < tol.GENERIC_GAP:
+    degenerate = spectral_gap(r) < tol.GENERIC_GAP
+    if np.any(degenerate):
+        i = np.argmax(np.reshape(degenerate, -1))
         warnings.warn(
-            f"degenerate spectrum {tuple(r)}: chart point is non-generic",
+            f"degenerate spectrum {tuple(r.reshape(-1, 4)[i])}"
+            f"{_stack_position(r.shape[:-1], i)}: chart point is non-generic",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
     a = a_factor(point.alpha, point.beta, method=method)
-    return hermitize((a * r) @ dag(a))
+    return hermitize((a * r[..., None, :]) @ dag(a))
 
 
 def assemble_su4(k, alpha, beta, t):

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from .chart import _angle_triple
 from .errors import DomainError, NumericalError
 from . import tolerances as tol
 from .fano import density_matrix
@@ -115,13 +116,15 @@ def _cmd_check(args):
 
 
 def _cmd_coeffs(args):
-    alpha3 = float(args.alpha[2])
+    alpha = _angle_triple(args.alpha, "alpha")
+    beta = _angle_triple(args.beta, "beta")
+    alpha3 = float(alpha[2])
     closed = {
-        "p201": p201(alpha3, args.beta),
-        "p111": p111(alpha3, args.beta),
-        "p022": p022(alpha3, args.beta),
+        "p201": p201(alpha3, beta),
+        "p111": p111(alpha3, beta),
+        "p022": p022(alpha3, beta),
     }
-    table = fit_c112_coeffs(args.alpha, args.beta) if args.fit else None
+    table = fit_c112_coeffs(alpha, beta) if args.fit else None
     if args.format == "csv":
         rows = list(closed.items())
         if table is not None:
@@ -131,8 +134,8 @@ def _cmd_coeffs(args):
         sys.stdout.write(coeff_rows_to_csv(rows))
     else:
         out = {
-            "alpha": args.alpha.tolist(),
-            "beta": args.beta.tolist(),
+            "alpha": alpha.tolist(),
+            "beta": beta.tolist(),
             "closed_form": closed,
         }
         if table is not None:

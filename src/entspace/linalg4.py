@@ -226,12 +226,17 @@ def exp_commuting_paulis(angles, generators):
     Each generator must square to the identity and the family must commute
     pairwise; then the exponential factorises exactly into half-angle
     rotations cos(t/2) I - i sin(t/2) P.  No series truncation is involved.
+
+    ``angles`` holds one angle per generator along its last axis, so a
+    (..., k) stack gives a (..., n, n) stack; every value is computed
+    elementwise, so a stacked call repeats each single call bit for bit.
     """
-    angles = np.asarray(angles, dtype=float)
+    half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
+    cos, sin = np.cos(half), np.sin(half)
     n = generators[0].shape[0]
     u = np.eye(n, dtype=complex)
-    for t, g in zip(angles, generators):
-        u = u @ (np.cos(t / 2.0) * np.eye(n) - 1j * np.sin(t / 2.0) * g)
+    for k, g in enumerate(generators):
+        u = u @ (cos[..., k, :, :] * np.eye(n) - 1j * sin[..., k, :, :] * g)
     return u
 
 

@@ -4,8 +4,9 @@ All randomness flows through counter-based Philox streams keyed by
 (seed, tag, index), so any sample is addressable by its index alone:
 reproducing sample i never requires drawing samples 0..i-1, and results
 are independent of batching.  Matrix-valued ensembles are drawn in chunks
-of CHUNK samples; a chunk is always generated in full, which keeps the
-stream layout independent of the requested sample count.
+of CHUNK samples on one stream per chunk, laid out for the full chunk
+whatever is requested: a slice of a chunk draws the stream only as far as
+its last sample needs and builds only its own states.
 """
 
 import numpy as np
@@ -45,10 +46,12 @@ def verify_stream(seed, check_id, index=0):
 
 # -- Hilbert-Schmidt ensemble --------------------------------------------------
 
-def _hs_chunk(seed, chunk):
+def _hs_chunk(seed, chunk, lo, hi):
+    """States lo..hi-1 of HS chunk ``chunk``: the real parts of all CHUNK
+    Ginibre matrices come first on the stream, then the imaginary parts."""
     g = philox_stream(seed, TAG_HS, chunk)
-    x = g.standard_normal((tol.CHUNK, 4, 4))
-    y = g.standard_normal((tol.CHUNK, 4, 4))
+    x = g.standard_normal((tol.CHUNK, 4, 4))[lo:hi]
+    y = g.standard_normal((hi, 4, 4))[lo:]
     ginibre = x + 1j * y
     rho = ginibre @ np.conj(np.swapaxes(ginibre, 1, 2))
     traces = np.einsum("nii->n", rho).real
@@ -61,17 +64,19 @@ def sample_hs_state(seed, index):
     rho = G G^dag / tr(G G^dag) with G a 4x4 standard complex Ginibre
     matrix; full rank with probability one.
     """
-    return _hs_chunk(seed, index // tol.CHUNK)[index % tol.CHUNK]
+    chunk, i = divmod(index, tol.CHUNK)
+    return _hs_chunk(seed, chunk, i, i + 1)[0]
 
 
 # -- product-state ensemble ----------------------------------------------------
 
-def _bloch_ball_points(g, n):
-    """Uniform points of the solid Bloch ball: isotropic direction times
-    radius u^(1/3)."""
-    direction = g.standard_normal((n, 3))
+def _bloch_ball_points(g, lo, hi):
+    """Points lo..hi-1 of CHUNK uniform points of the solid Bloch ball:
+    isotropic direction times radius u^(1/3); all CHUNK directions come
+    first on the stream, then the radii."""
+    direction = g.standard_normal((tol.CHUNK, 3))[lo:hi]
     direction /= np.linalg.norm(direction, axis=1)[:, None]
-    radius = g.random(n) ** (1.0 / 3.0)
+    radius = g.random(tol.CHUNK)[lo:hi] ** (1.0 / 3.0)
     return direction * radius[:, None]
 
 
@@ -79,48 +84,68 @@ def _qubit_states(bloch):
     return 0.5 * (I2 + np.einsum("ni,ijk->njk", bloch, SIGMA))
 
 
-def _product_chunk(seed, chunk):
+def _product_chunk(seed, chunk, lo, hi):
+    """States lo..hi-1 of product chunk ``chunk``; the A factors of all
+    CHUNK states come first on the stream, then the B factors."""
     g = philox_stream(seed, TAG_PRODUCT, chunk)
-    rho_a = _qubit_states(_bloch_ball_points(g, tol.CHUNK))
-    rho_b = _qubit_states(_bloch_ball_points(g, tol.CHUNK))
-    return np.einsum("nab,ncd->nacbd", rho_a, rho_b).reshape(tol.CHUNK, 4, 4)
+    rho_a = _qubit_states(_bloch_ball_points(g, lo, hi))
+    rho_b = _qubit_states(_bloch_ball_points(g, lo, hi))
+    return np.einsum("nab,ncd->nacbd", rho_a, rho_b).reshape(hi - lo, 4, 4)
 
 
 def sample_product_state(seed, index):
     """Sample ``index`` of the product ensemble rho_A (x) rho_B with both
     factors uniform over the solid Bloch ball.  Separable by construction."""
-    return _product_chunk(seed, index // tol.CHUNK)[index % tol.CHUNK]
+    chunk, i = divmod(index, tol.CHUNK)
+    return _product_chunk(seed, chunk, i, i + 1)[0]
 
 
 # -- chart-point ensemble ------------------------------------------------------
 
-def _octahedron_point(g):
-    """Uniform point of the closed l1-ball of radius 2*pi, by rejection
-    from the enclosing cube (acceptance rate 1/6)."""
+#: Cube triples drawn at a time by the octahedron rejection; two of them
+#: are accepted with probability 1 - 1.2e-4.
+_OCTAHEDRON_BLOCK = 64
+
+
+def _chart_draws(seed, index):
+    """Spectrum, alpha and beta of chart sample ``index``, in stream order.
+
+    alpha and beta are the first two cube triples accepted by a rejection
+    into the l1-ball of radius 2*pi (acceptance rate 1/6).  They are the
+    last draws of the stream, so drawing the triples a block at a time
+    gives the same two as drawing them one by one.
+    """
+    g = philox_stream(seed, TAG_CHART, index)
     while True:
-        v = g.uniform(-TWO_PI, TWO_PI, 3)
-        if np.sum(np.abs(v)) <= TWO_PI:
-            return v
+        r = sorted(g.dirichlet(np.ones(4)).tolist(), reverse=True)
+        if r[0] > r[1] > r[2] > r[3] > 0:
+            break
+    accepted = []
+    while len(accepted) < 2:
+        v = g.uniform(-TWO_PI, TWO_PI, (_OCTAHEDRON_BLOCK, 3))
+        accepted.extend(v[np.sum(np.abs(v), axis=1) <= TWO_PI])
+    return r, accepted[0], accepted[1]
 
 
 def sample_chart_point(seed, index):
-    """Sample ``index`` of the chart ensemble.
+    """Sample ``index`` of the chart ensemble, or a stacked ChartPoint of
+    the samples of an integer array ``index`` (each on its own stream).
 
     The spectrum is a flat-Dirichlet simplex point sorted in decreasing
     order; alpha and beta are independent uniform points of the double
     octahedron.  Ties in the spectrum (probability zero) are redrawn so
     the point is always generic.
     """
-    g = philox_stream(seed, TAG_CHART, index)
-    while True:
-        r = np.sort(g.dirichlet(np.ones(4)))[::-1]
-        if np.min(r[:-1] - r[1:]) > 0 and r[-1] > 0:
-            break
-    return ChartPoint(
-        simplex=xyz_from_eigenvalues(r),
-        alpha=_octahedron_point(g),
-        beta=_octahedron_point(g),
+    check_seed(seed)
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise DomainError(f"chart sample indices must be integers, got dtype {index.dtype}")
+    draws = [_chart_draws(seed, int(i)) for i in index.reshape(-1)]
+    r, alpha, beta = (
+        np.array([d[k] for d in draws], dtype=float).reshape(*index.shape, width)
+        for k, width in enumerate((4, 3, 3))
     )
+    return ChartPoint(simplex=xyz_from_eigenvalues(r), alpha=alpha, beta=beta)
 
 
 # -- auxiliary ensembles -------------------------------------------------------
@@ -157,17 +182,17 @@ def random_antihermitian(g, dim=4, scale=1.0):
 
 # -- chunked iteration ---------------------------------------------------------
 
-def _chart_state(seed, index):
+def _chart_states(seed, index):
     return representative_state(sample_chart_point(seed, index))
 
 
 #: Ensemble name -> (the first m states of chunk c, the state of one index).
 _ENSEMBLE_TABLE = {
-    "hs": (lambda seed, c, m: _hs_chunk(seed, c)[:m], sample_hs_state),
-    "product": (lambda seed, c, m: _product_chunk(seed, c)[:m], sample_product_state),
+    "hs": (lambda seed, c, m: _hs_chunk(seed, c, 0, m), sample_hs_state),
+    "product": (lambda seed, c, m: _product_chunk(seed, c, 0, m), sample_product_state),
     "chart": (
-        lambda seed, c, m: np.stack([_chart_state(seed, c * tol.CHUNK + i) for i in range(m)]),
-        _chart_state,
+        lambda seed, c, m: _chart_states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m)),
+        _chart_states,
     ),
 }
 

@@ -224,7 +224,8 @@ class CoeffTable:
 
 
 def c112_of_chart_point(point):
-    """C112 of the representative state at a chart point (brute force)."""
+    """C112 of the representative state at a chart point, or at each point
+    of a stacked ChartPoint (brute force)."""
     return quesne_c112(to_fano(representative_state(point)))
 
 
@@ -234,30 +235,31 @@ def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
     C112 restricted to the fibre over (alpha, beta) is a homogeneous
     quartic in the simplex coordinates.  The table is recovered by solving
     the Vandermonde system over a deterministic grid of rational interior
-    spectra (>= 20 points).  Raises NumericalError when the system is
-    ill-conditioned (condition number above FIT_COND_CAP) or the residual
-    exceeds FIT_RESIDUAL_TOL.
+    spectra (>= 20 points), whose C112 values come from one stacked
+    representative_state -> to_fano -> quesne_c112 chain.  Raises
+    NumericalError when the system is ill-conditioned (condition number
+    above FIT_COND_CAP) or the residual exceeds FIT_RESIDUAL_TOL.
     """
     if len(spectra) < len(MONOMIALS):
         raise DomainError(
             f"need at least {len(MONOMIALS)} grid spectra, got {len(spectra)}"
         )
-    rows = []
-    targets = []
-    for r in spectra:
-        s = xyz_from_eigenvalues(np.asarray(r, dtype=float))
-        rows.append([s.x ** i * s.y ** j * s.z ** k for i, j, k in MONOMIALS])
-        targets.append(c112_of_chart_point(ChartPoint(s, alpha, beta)))
-    v = np.array(rows)
-    y = np.array(targets)
+    s = xyz_from_eigenvalues(np.asarray(spectra, dtype=float))
+    v = np.array(
+        [
+            [x ** i * y ** j * z ** k for i, j, k in MONOMIALS]
+            for x, y, z in zip(s.x, s.y, s.z)
+        ]
+    )
+    targets = c112_of_chart_point(ChartPoint(s, alpha, beta))
     condition = float(np.linalg.cond(v))
     if condition > tol.FIT_COND_CAP:
         raise NumericalError(
             f"fit grid is ill-conditioned: cond = {condition:.3e} > "
             f"{tol.FIT_COND_CAP:.1e}"
         )
-    coeffs, *_ = np.linalg.lstsq(v, y, rcond=None)
-    residual = float(np.max(np.abs(v @ coeffs - y)))
+    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+    residual = float(np.max(np.abs(v @ coeffs - targets)))
     return CoeffTable(
         values=coeffs, provenance="fitted", residual=residual, condition=condition
     )

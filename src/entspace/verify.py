@@ -18,6 +18,7 @@ from .chart import (
     ALPHA_WORDS,
     BETA_WORDS,
     ChartPoint,
+    SimplexPoint,
     a_factor,
     eigenvalues_from_xyz,
     representative_state,
@@ -210,28 +211,20 @@ def _check_local_unitary_invariance(n, seed, band):
 
 def _check_chart_spectrum_roundtrip(n, seed, band):
     m = min(n, 500)
-    points = [sample_chart_point(seed, i) for i in range(m)]
-    spectra = herm_eigenvalues(np.stack([representative_state(p) for p in points]))
-    worst = 0.0
-    for point, w in zip(points, spectra):
-        r = eigenvalues_from_xyz(point.simplex)
-        worst = max(worst, np.max(np.abs(w - r)))
-        worst = max(
-            worst,
-            np.max(
-                np.abs(
-                    a_factor(point.alpha, point.beta, "closed")
-                    - a_factor(point.alpha, point.beta, "series")
-                )
-            ),
-        )
-        back = xyz_from_eigenvalues(r)
-        worst = max(
-            worst,
-            abs(back.x - point.simplex.x),
-            abs(back.y - point.simplex.y),
-            abs(back.z - point.simplex.z),
-        )
+    points = sample_chart_point(seed, np.arange(m))
+    spectra = herm_eigenvalues(representative_state(points))
+    r = eigenvalues_from_xyz(points.simplex)
+    paths = a_factor(points.alpha, points.beta, "closed") - a_factor(
+        points.alpha, points.beta, "series"
+    )
+    back = xyz_from_eigenvalues(r)
+    worst = max(
+        np.max(np.abs(spectra - r)),
+        np.max(np.abs(paths)),
+        np.max(np.abs(back.x - points.simplex.x)),
+        np.max(np.abs(back.y - points.simplex.y)),
+        np.max(np.abs(back.z - points.simplex.z)),
+    )
     return _result("chart_spectrum_roundtrip", "identities", m, worst, 1e-12)
 
 
@@ -249,12 +242,14 @@ def _check_det_m_identity(n, seed, band):
 
 def _check_det_c_closed_form(n, seed, band):
     m = min(n, 2000)
-    worst = 0.0
-    for i in range(m):
-        point = sample_chart_point(seed, i)
-        brute = det_correlation(to_fano(representative_state(point)))
-        closed = det_c_closed_form(point.simplex, point.alpha[2], point.beta)
-        worst = max(worst, abs(brute - closed))
+    points = sample_chart_point(seed, np.arange(m))
+    brute = det_correlation(to_fano(representative_state(points)))
+    s = points.simplex
+    closed = [
+        det_c_closed_form(SimplexPoint(x, y, z), alpha[2], beta)
+        for x, y, z, alpha, beta in zip(s.x, s.y, s.z, points.alpha, points.beta)
+    ]
+    worst = np.max(np.abs(brute - closed))
     return _result("det_c_closed_form", "coeffs", m, worst, tol.CLOSED_FORM_TOL)
 
 
@@ -321,17 +316,15 @@ def _check_c112_quartic_predicts(n, seed, band):
     worst = 0.0
     for alpha, beta in _fit_points(seed, 23, fits):
         table = fit_c112_coeffs(alpha, beta)
-        for _ in range(40):
-            r = np.sort(g.dirichlet(np.ones(4)))[::-1]
-            s = xyz_from_eigenvalues(r)
-            predicted = sum(
-                c * s.x ** i * s.y ** j * s.z ** k
-                for c, (i, j, k) in zip(table.values, MONOMIALS)
-            )
-            actual = quesne_c112(
-                to_fano(representative_state(ChartPoint(s, alpha, beta)))
-            )
-            worst = max(worst, abs(predicted - actual))
+        s = xyz_from_eigenvalues(
+            np.stack([np.sort(g.dirichlet(np.ones(4)))[::-1] for _ in range(40)])
+        )
+        predicted = [
+            sum(c * x ** i * y ** j * z ** k for c, (i, j, k) in zip(table.values, MONOMIALS))
+            for x, y, z in zip(s.x, s.y, s.z)
+        ]
+        actual = quesne_c112(to_fano(representative_state(ChartPoint(s, alpha, beta))))
+        worst = max(worst, np.max(np.abs(predicted - actual)))
     return _result("c112_quartic_predicts", "coeffs", fits * 40, worst, 1e-9)
 
 

@@ -199,3 +199,120 @@ def test_full_orbit_spectrum_and_local_invariance():
         r2 = analyze(k.matrix() @ rho @ dag(k.matrix()))
         for name in ("s2_pt", "s3_pt", "s4_pt", "det_c", "det_m", "c112"):
             assert abs(getattr(r0, name) - getattr(r2, name)) < 1e-10
+
+
+# -- stacked chart kernels ------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_chart_kernels_are_bitwise_per_index_calls():
+    n = 40
+    points = sample_chart_point(91, np.arange(n))
+    r = eigenvalues_from_xyz(points.simplex)
+    back = xyz_from_eigenvalues(r)
+    closed = a_factor(points.alpha, points.beta)
+    rho = representative_state(points)
+    assert r.shape == (n, 4) and closed.shape == rho.shape == (n, 4, 4)
+    for i in range(n):
+        point = sample_chart_point(91, i)
+        s = point.simplex
+        assert _same_bits([s.x, s.y, s.z], [points.simplex.x[i], points.simplex.y[i],
+                                            points.simplex.z[i]])
+        assert _same_bits(point.alpha, points.alpha[i])
+        assert _same_bits(point.beta, points.beta[i])
+        ri = eigenvalues_from_xyz(s)
+        assert _same_bits(ri, r[i])
+        bi = xyz_from_eigenvalues(ri)
+        assert _same_bits([bi.x, bi.y, bi.z], [back.x[i], back.y[i], back.z[i]])
+        assert _same_bits(a_factor(point.alpha, point.beta), closed[i])
+        assert _same_bits(representative_state(point), rho[i])
+    # extra leading axes, and one angle pair shared by a stack of spectra
+    grid = sample_chart_point(91, np.arange(n).reshape(5, 8))
+    assert _same_bits(representative_state(grid).reshape(n, 4, 4), rho)
+    shared = representative_state(ChartPoint(points.simplex, points.alpha[3], points.beta[3]))
+    for i in range(n):
+        single = ChartPoint(sample_chart_point(91, i).simplex, points.alpha[3], points.beta[3])
+        assert _same_bits(representative_state(single), shared[i])
+
+
+def test_stacked_exp_commuting_paulis_is_bitwise_per_index_call():
+    from entspace.chart import ALPHA_WORDS, BETA_WORDS, TORUS_WORDS
+    from entspace.linalg4 import exp_commuting_paulis
+
+    g = philox_stream(92, 62)
+    angles = g.uniform(-2 * TWO_PI, 2 * TWO_PI, (3, 7, 3))
+    for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
+        stacked = exp_commuting_paulis(angles, words)
+        assert stacked.shape == (3, 7, 4, 4)
+        for i in range(3):
+            for j in range(7):
+                assert _same_bits(exp_commuting_paulis(angles[i, j], words), stacked[i, j])
+
+
+def test_stacked_closed_form_matches_series_exponential():
+    from entspace.chart import ALPHA_WORDS, BETA_WORDS
+    from entspace.linalg4 import exp_antihermitian
+
+    g = philox_stream(93, 62)
+    alpha = g.uniform(-2.0, 2.0, (60, 3))
+    beta = g.uniform(-2.0, 2.0, (60, 3))
+    closed = a_factor(alpha, beta, "closed")
+    for a, b, c in zip(alpha, beta, closed):
+        ea = exp_antihermitian(-0.5j * sum(t * w for t, w in zip(a, ALPHA_WORDS)))
+        eb = exp_antihermitian(-0.5j * sum(t * w for t, w in zip(b, BETA_WORDS)))
+        assert np.max(np.abs(c - ea @ eb)) < tol.EXPM_PATH_TOL
+    series = a_factor(alpha, beta, "series")
+    assert series.shape == (60, 4, 4)
+    assert np.max(np.abs(closed - series)) < tol.EXPM_PATH_TOL
+
+
+def test_stacked_checks_name_the_first_offending_index():
+    x = np.array([0.1, 0.2, 0.0, 0.0])
+    y = np.array([0.1, 0.1, 0.5, -0.2])
+    z = np.zeros(4)
+    with pytest.raises(DomainError, match=r"r2 >= r3 fails by .* at stack index 2"):
+        eigenvalues_from_xyz(SimplexPoint(x, y, z))
+    good = [0.4, 0.3, 0.2, 0.1]
+    with pytest.raises(DomainError, match="sum to 1.* at stack index 1"):
+        xyz_from_eigenvalues([good, [0.5, 0.4, 0.3, 0.2]])
+    with pytest.raises(DomainError, match="r4 >= 0 fails by .* at stack index 2"):
+        xyz_from_eigenvalues([good, good, [0.7, 0.4, 0.0, -0.1]])
+    angles = np.zeros((4, 3))
+    angles[2] = [TWO_PI, 0.5, 0.0]
+    with pytest.warns(OctahedronWarning, match="beta at stack index 2 lies outside"):
+        a_factor(np.zeros(3), angles)
+    assert list(in_octahedron(angles)) == [True, True, False, True]
+    flat = SimplexPoint(np.array([0.4, 0.0]), np.array([0.2, 0.0]), np.array([0.1, 0.0]))
+    with pytest.warns(DegenerateSpectrumWarning, match="at stack index 1"):
+        representative_state(ChartPoint(flat, np.zeros(3), np.zeros(3)))
+    assert list(spectral_gap(eigenvalues_from_xyz(flat))) == [
+        spectral_gap(eigenvalues_from_xyz(SimplexPoint(0.4, 0.2, 0.1))), 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_chart_input_is_rejected(bad):
+    with pytest.raises(DomainError, match="alpha has a non-finite angle"):
+        ChartPoint(SimplexPoint(0.4, 0.2, 0.1), [0.0, 0.0, bad], np.zeros(3))
+    stack = np.zeros((3, 3))
+    stack[1, 1] = bad
+    with pytest.raises(DomainError, match="beta at stack index 1 has a non-finite"):
+        a_factor(np.zeros(3), stack)
+    with pytest.raises(DomainError, match="simplex point has a non-finite coordinate"):
+        eigenvalues_from_xyz(SimplexPoint(bad, 0.0, 0.0))
+    with pytest.raises(DomainError, match="non-finite"):
+        representative_state(ChartPoint(SimplexPoint(0.0, bad, 0.0), np.zeros(3), np.zeros(3)))
+    with pytest.raises(DomainError):
+        xyz_from_eigenvalues([0.5, bad, 0.25, 0.25])
+    with pytest.raises(DomainError, match="spectrum at stack index 1 has a non-finite entry"):
+        xyz_from_eigenvalues([[0.4, 0.3, 0.2, 0.1], [0.5, 0.5, np.nan, 0.0]])
+
+
+def test_chart_point_indices_must_be_integers():
+    with pytest.raises(DomainError, match="integer"):
+        sample_chart_point(1, np.array([0.5, 1.0]))
+    empty = sample_chart_point(1, np.arange(0))
+    assert representative_state(empty).shape == (0, 4, 4)

@@ -164,6 +164,19 @@ def test_coeffs_rejects_bad_triple(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    ("0,0,nan", "0.1,0.2,0.3"),
+    ("0,0,0.9", "0.1,inf,0.3"),
+    ("0,-inf,0", "0.1,0.2,0.3"),
+])
+def test_coeffs_rejects_non_finite_angles(alpha, beta, capsys):
+    for extra in ([], ["--fit"], ["--format", "csv"]):
+        assert main(["coeffs", "--alpha", alpha, "--beta", beta, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite angle" in captured.err
+
+
 # -- sample ---------------------------------------------------------------------
 
 

@@ -178,3 +178,36 @@ def test_unknown_ensemble_message_is_shared():
             call()
         messages.add(str(info.value))
     assert messages == {"unknown ensemble 'haar'; choose from ('hs', 'product', 'chart')"}
+
+
+def test_chart_chunks_match_per_index_states_across_a_chunk_boundary():
+    from entspace.chart import representative_state
+
+    n = tol.CHUNK + 8
+    seen = np.concatenate([states for _, states in ensemble_chunks("chart", 41, n)])
+    assert seen.shape == (n, 4, 4)
+    for i in range(n):
+        single = representative_state(sample_chart_point(41, i))
+        assert seen[i].tobytes() == single.tobytes()
+    assert ensemble_state("chart", 41, n - 1).tobytes() == seen[-1].tobytes()
+
+
+def test_chart_point_index_array_repeats_per_index_draws():
+    index = np.array([[7, 0, 4100], [3, 3, 1 << 40]])
+    points = sample_chart_point(42, index)
+    assert points.simplex.x.shape == index.shape
+    assert points.alpha.shape == points.beta.shape == (*index.shape, 3)
+    for pos in np.ndindex(index.shape):
+        p = sample_chart_point(42, int(index[pos]))
+        assert (p.simplex.x, p.simplex.y, p.simplex.z) == (
+            points.simplex.x[pos], points.simplex.y[pos], points.simplex.z[pos])
+        assert p.alpha.tobytes() == points.alpha[pos].tobytes()
+        assert p.beta.tobytes() == points.beta[pos].tobytes()
+
+
+def test_single_index_states_match_their_chunks():
+    n = tol.CHUNK + 2
+    for ensemble in ("hs", "product"):
+        seen = np.concatenate([states for _, states in ensemble_chunks(ensemble, 43, n)])
+        for i in (0, tol.CHUNK - 1, tol.CHUNK, tol.CHUNK + 1):
+            assert ensemble_state(ensemble, 43, i).tobytes() == seen[i].tobytes()
