@@ -31,12 +31,19 @@ def dag(m):
 
 
 def tensor_product(a, b):
-    """Kronecker product a (x) b.
+    """Kronecker product a (x) b of two matrices, or of two stacks of them
+    (leading axes broadcast).
 
     The first factor is the slow index: row index of the product is
-    2*i_a + i_b for 2x2 factors.
+    2*i_a + i_b for 2x2 factors.  Each entry is one complex product
+    a[i, j] * b[k, l], the multiply np.kron makes, so a stacked call
+    repeats each single call bit for bit.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return product.reshape(*product.shape[:-4], m * p, n * q)
 
 
 def _stack_position(lead, flat_index):

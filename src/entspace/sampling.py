@@ -27,16 +27,41 @@ _TAG_VERIFY_BASE = 16  # tags >= 16 are reserved for verification checks
 _INDEX_BITS = 56
 
 
+def philox_streams(seed, tag, indices):
+    """Yield a numpy Generator on the Philox stream keyed by (seed, tag, i)
+    for each i of the integer array ``indices``, in flat order.
+
+    One Philox bit generator serves all of them: before each yield it is
+    re-keyed in place to counter 0 and key (seed, tag << 56 | i), so a
+    yielded generator is valid only until the next one is yielded.
+    DomainError unless 0 <= seed < 2^64 and every 0 <= i < 2^56, naming
+    the first offending index.
+    """
+    check_seed(seed)
+    indices = np.asarray(indices).reshape(-1)
+    # an object array holds Python ints beyond 64 bits; the range check names them
+    if indices.dtype.kind not in "iu" and not all(isinstance(i, int) for i in indices.tolist()):
+        raise DomainError(f"stream indices must be integers, got dtype {indices.dtype}")
+    bad = np.flatnonzero((indices < 0) | (indices >= (1 << _INDEX_BITS)))
+    if bad.size:
+        raise DomainError(f"stream index out of range: {indices[bad[0]]}")
+    words = np.uint64(tag << _INDEX_BITS) | indices.astype(np.uint64)
+    if not words.size:
+        return
+    bit_generator = np.random.Philox(key=np.array([seed, words[0]], dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state if words.size > 1 else None  # counter 0, empty buffer
+    yield generator
+    for word in words[1:]:
+        fresh["state"]["key"][1] = word
+        bit_generator.state = fresh
+        yield generator
+
+
 def philox_stream(seed, tag, index=0):
     """A numpy Generator on the Philox stream keyed by (seed, tag, index);
     DomainError unless 0 <= seed < 2^64 and 0 <= index < 2^56."""
-    check_seed(seed)
-    if not 0 <= index < (1 << _INDEX_BITS):
-        raise DomainError(f"stream index out of range: {index}")
-    key = np.array(
-        [np.uint64(seed), np.uint64((tag << _INDEX_BITS) | index)], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(philox_streams(seed, tag, [index]))
 
 
 def verify_stream(seed, check_id, index=0):
@@ -107,15 +132,22 @@ def sample_product_state(seed, index):
 _OCTAHEDRON_BLOCK = 64
 
 
-def _chart_draws(seed, index):
-    """Spectrum, alpha and beta of chart sample ``index``, in stream order.
+def _octahedron_accepts(v):
+    """Which cube triples of ``v`` (..., 3) lie in the l1-ball of radius
+    2*pi; the l1 norm is summed left to right."""
+    a = np.abs(v)
+    return (a[..., 0] + a[..., 1]) + a[..., 2] <= TWO_PI
+
+
+def _chart_draws(g):
+    """Spectrum, alpha and beta of one chart sample from its stream ``g``,
+    drawn one after another.
 
     alpha and beta are the first two cube triples accepted by a rejection
     into the l1-ball of radius 2*pi (acceptance rate 1/6).  They are the
     last draws of the stream, so drawing the triples a block at a time
     gives the same two as drawing them one by one.
     """
-    g = philox_stream(seed, TAG_CHART, index)
     while True:
         r = sorted(g.dirichlet(np.ones(4)).tolist(), reverse=True)
         if r[0] > r[1] > r[2] > r[3] > 0:
@@ -123,29 +155,52 @@ def _chart_draws(seed, index):
     accepted = []
     while len(accepted) < 2:
         v = g.uniform(-TWO_PI, TWO_PI, (_OCTAHEDRON_BLOCK, 3))
-        accepted.extend(v[np.sum(np.abs(v), axis=1) <= TWO_PI])
+        accepted.extend(v[_octahedron_accepts(v)])
     return r, accepted[0], accepted[1]
 
 
 def sample_chart_point(seed, index):
     """Sample ``index`` of the chart ensemble, or a stacked ChartPoint of
-    the samples of an integer array ``index`` (each on its own stream).
+    the samples of an integer array ``index``.
 
     The spectrum is a flat-Dirichlet simplex point sorted in decreasing
     order; alpha and beta are independent uniform points of the double
     octahedron.  Ties in the spectrum (probability zero) are redrawn so
     the point is always generic.
+
+    Sample i is drawn from its own Philox stream (seed, TAG_CHART, i),
+    whatever else is drawn in the same call: first the flat Dirichlet
+    spectrum (four standard exponentials scaled by the inverse of their
+    sum, numpy's ``dirichlet(ones(4))``), redrawn while it has a tie, then
+    blocks of _OCTAHEDRON_BLOCK uniform cube triples until two lie in the
+    octahedron.  Per index, only the first spectrum and block are drawn in
+    Python; the rest runs over the whole array.  An index whose first
+    spectrum ties or whose first block holds fewer than two accepted
+    triples is drawn again one step at a time on a fresh stream.
     """
-    check_seed(seed)
     index = np.asarray(index)
-    if index.dtype.kind not in "iu":
-        raise DomainError(f"chart sample indices must be integers, got dtype {index.dtype}")
-    draws = [_chart_draws(seed, int(i)) for i in index.reshape(-1)]
-    r, alpha, beta = (
-        np.array([d[k] for d in draws], dtype=float).reshape(*index.shape, width)
-        for k, width in enumerate((4, 3, 3))
+    flat = index.reshape(-1)
+    n, block = flat.size, _OCTAHEDRON_BLOCK
+    exponentials = np.empty((n, 4))
+    triples = np.empty((n, block, 3))
+    for k, g in enumerate(philox_streams(seed, TAG_CHART, flat)):
+        g.standard_exponential(out=exponentials[k])
+        triples[k] = g.uniform(-TWO_PI, TWO_PI, (block, 3))
+    e0, e1, e2, e3 = exponentials.T
+    r = np.sort(exponentials * (1.0 / (((e0 + e1) + e2) + e3))[:, None], axis=1)[:, ::-1]
+    accepted = np.cumsum(_octahedron_accepts(triples), axis=1)
+    first, second = np.argmax(accepted >= 1, axis=1), np.argmax(accepted >= 2, axis=1)
+    rows = np.arange(n)
+    alpha, beta = triples[rows, first], triples[rows, second]
+    generic = (r[:, 0] > r[:, 1]) & (r[:, 1] > r[:, 2]) & (r[:, 2] > r[:, 3]) & (r[:, 3] > 0)
+    for k in np.flatnonzero(~generic | (accepted[:, -1] < 2)):
+        r[k], alpha[k], beta[k] = _chart_draws(philox_stream(seed, TAG_CHART, flat[k]))
+    shape = index.shape
+    return ChartPoint(
+        simplex=xyz_from_eigenvalues(r.reshape(*shape, 4)),
+        alpha=alpha.reshape(*shape, 3),
+        beta=beta.reshape(*shape, 3),
     )
-    return ChartPoint(simplex=xyz_from_eigenvalues(r), alpha=alpha, beta=beta)
 
 
 # -- auxiliary ensembles -------------------------------------------------------
@@ -168,10 +223,13 @@ def sample_local_unitary(seed, index):
     return LocalUnitary(u=random_su2(g), v=random_su2(g))
 
 
-def random_hermitian(g, dim=4, scale=1.0):
-    """Gaussian Hermitian matrix (A + A^dag)/2, for exercising kernels."""
-    a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    return scale * 0.5 * (a + np.conj(a.T))
+def random_hermitian(g, dim=4, scale=1.0, shape=()):
+    """Gaussian Hermitian matrix (A + A^dag)/2, for exercising kernels; a
+    ``shape`` stack of them repeats that many single calls bit for bit
+    (each draws the real, then the imaginary part of its A)."""
+    x = g.standard_normal((*shape, 2, dim, dim))
+    a = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    return scale * 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def random_antihermitian(g, dim=4, scale=1.0):
@@ -212,9 +270,10 @@ def check_ensemble(ensemble):
 def ensemble_chunks(ensemble, seed, n):
     """Yield (start_index, states) arrays covering samples 0..n-1 in order.
 
-    The last chunk is truncated to the requested count; the underlying
-    streams are unaffected by the truncation (chunk-level streams are
-    always drawn in full, per-index streams do not interact).
+    The last chunk is truncated to the requested count without moving
+    any sample: a chunk-level stream is laid out for the full chunk and a
+    truncated chunk only stops drawing it earlier, and per-index streams
+    do not interact.
     """
     chunk_states, _ = check_ensemble(ensemble)
     if n < 1:

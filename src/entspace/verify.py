@@ -107,19 +107,17 @@ def _result(name, group, samples, residual, tolerance, detail=""):
 def _check_kron_mixed_product(n, seed, band):
     m = min(n, 2000)
     g = verify_stream(seed, 0)
-    worst = 0.0
-    for _ in range(m):
-        a, b, c, d = (random_hermitian(g, dim=2) for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        worst = max(worst, np.max(np.abs(lhs - rhs)))
+    a, b, c, d = np.moveaxis(random_hermitian(g, dim=2, shape=(m, 4)), 1, 0)
+    lhs = tensor_product(a, b) @ tensor_product(c, d)
+    rhs = tensor_product(a @ c, b @ d)
+    worst = np.max(np.abs(lhs - rhs))
     return _result("kron_mixed_product", "identities", m, worst, 1e-13)
 
 
 def _check_eigensolver_reconstruction(n, seed, band):
     m = min(n, 1500)
     g = verify_stream(seed, 1)
-    hs = np.stack([random_hermitian(g) for _ in range(m)])
+    hs = random_hermitian(g, shape=(m,))
     ws, vs = herm_eigensystem(hs)
     if np.any(np.diff(ws, axis=1) > 0):
         return _result(
@@ -138,7 +136,7 @@ def _check_eigensolver_reconstruction(n, seed, band):
 def _check_charpoly_vs_spectrum(n, seed, band):
     m = min(n, 1500)
     g = verify_stream(seed, 2)
-    hs = np.stack([random_hermitian(g) for _ in range(m)])
+    hs = random_hermitian(g, shape=(m,))
     w = herm_eigenvalues(hs).T
     s2, s3, s4 = char_poly_batch(hs)
     e2 = sum(w[i] * w[j] for i in range(4) for j in range(i + 1, 4))

@@ -1,6 +1,8 @@
 """Command-line interface and self-verification suite."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +298,13 @@ def test_verify_report_with_a_crashing_check_is_valid_json(monkeypatch, capsys):
     assert by_name["werner_verdicts"]["passed"] is False
     assert by_name["werner_verdicts"]["max_residual"] is None
     assert by_name["dual_path_agreement"]["max_residual"] is not None
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_chart_scan_stdout_matches_recorded_digest(seed, capsys):
+    # sample i of the chart ensemble is a fixed function of (seed, i): the
+    # digests recorded for the benchmark pin the scan bytes that follow
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())["chart"][seed]
+    assert main(["scan", "--ensemble", "chart", "-n", "256", "--seed", seed]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded

@@ -67,6 +67,30 @@ def test_tensor_product_mixed_product():
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def test_hermitian_stack_repeats_sequential_draws():
+    g, h = philox_stream(12, 60), philox_stream(12, 60)
+    stack = random_hermitian(g, dim=2, shape=(30, 4), scale=3.0)
+    for pos in np.ndindex(30, 4):
+        a = h.standard_normal((2, 2)) + 1j * h.standard_normal((2, 2))
+        assert stack[pos].tobytes() == (3.0 * 0.5 * (a + np.conj(a.T))).tobytes()
+
+
+def test_stacked_tensor_product_is_bitwise_np_kron():
+    g = philox_stream(13, 60)
+    a = random_hermitian(g, dim=2, shape=(50,))
+    b = random_hermitian(g, dim=2, shape=(50,))
+    stacked = tensor_product(a, b)
+    assert stacked.shape == (50, 4, 4)
+    for i in range(50):
+        assert stacked[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+        assert stacked[i].tobytes() == tensor_product(a[i], b[i]).tobytes()
+    left = tensor_product(SIGMA_Y, b.reshape(5, 10, 2, 2))
+    assert left.shape == (5, 10, 4, 4)
+    assert left.reshape(50, 4, 4)[17].tobytes() == np.kron(SIGMA_Y, b[17]).tobytes()
+    wide = np.arange(6.0).reshape(2, 3)
+    assert tensor_product(wide, a[0]).tobytes() == np.kron(wide.astype(complex), a[0]).tobytes()
+
+
 def test_hermitize_accepts_and_symmetrizes():
     g = philox_stream(12, 60)
     h = random_hermitian(g)

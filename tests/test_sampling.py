@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import entspace.sampling as sampling
 from entspace import tolerances as tol
-from entspace.chart import eigenvalues_from_xyz, in_octahedron
+from entspace.chart import TWO_PI, eigenvalues_from_xyz, in_octahedron, xyz_from_eigenvalues
 from entspace.errors import DomainError
 from entspace.linalg4 import dag, herm_eigenvalues
 from entspace.sampling import (
+    TAG_CHART,
     ensemble_chunks,
     ensemble_state,
     philox_stream,
@@ -211,3 +213,68 @@ def test_single_index_states_match_their_chunks():
         seen = np.concatenate([states for _, states in ensemble_chunks(ensemble, 43, n)])
         for i in (0, tol.CHUNK - 1, tol.CHUNK, tol.CHUNK + 1):
             assert ensemble_state(ensemble, 43, i).tobytes() == seen[i].tobytes()
+
+
+# -- chart stream contract ------------------------------------------------------
+
+def _reference_chart_draws(seed, index):
+    """Sample ``index`` of the chart ensemble drawn one step at a time on a
+    fresh stream: a flat Dirichlet spectrum, redrawn on a tie, then blocks
+    of 64 cube triples until two lie in the octahedron."""
+    g = philox_stream(seed, TAG_CHART, index)
+    while True:
+        r = np.sort(g.dirichlet(np.ones(4)))[::-1]
+        if r[0] > r[1] > r[2] > r[3] > 0:
+            break
+    accepted = []
+    while len(accepted) < 2:
+        v = g.uniform(-TWO_PI, TWO_PI, (64, 3))
+        accepted.extend(v[np.sum(np.abs(v), axis=1) <= TWO_PI])
+    return r, accepted[0], accepted[1]
+
+
+def _assert_chart_points_match_reference(points, seed, index):
+    index = np.asarray(index)
+    draws = [_reference_chart_draws(seed, int(i)) for i in index.reshape(-1)]
+    r, alpha, beta = (
+        np.array([d[k] for d in draws]).reshape(*index.shape, width)
+        for k, width in ((0, 4), (1, 3), (2, 3))
+    )
+    simplex = xyz_from_eigenvalues(r)
+    for name in ("x", "y", "z"):
+        assert getattr(points.simplex, name).tobytes() == getattr(simplex, name).tobytes()
+    assert points.alpha.tobytes() == alpha.tobytes()
+    assert points.beta.tobytes() == beta.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_chart_points_follow_the_per_index_stream_contract(seed):
+    index = np.arange(tol.CHUNK + 8)
+    _assert_chart_points_match_reference(sample_chart_point(seed, index), seed, index)
+    shuffled = np.random.default_rng(seed).permutation(index)[:300]
+    _assert_chart_points_match_reference(sample_chart_point(seed, shuffled), seed, shuffled)
+    grid = np.array([[5, tol.CHUNK + 3, 0], [1 << 40, 5, (1 << 56) - 1]])
+    _assert_chart_points_match_reference(sample_chart_point(seed, grid), seed, grid)
+
+
+def test_chart_points_redrawn_sequentially_keep_the_stream_contract(monkeypatch):
+    # two triples per block: an index keeps its batched draw only when both
+    # land in the octahedron (p = 1/36), all others take the sequential path
+    sequential = []
+    draws = sampling._chart_draws
+    monkeypatch.setattr(sampling, "_OCTAHEDRON_BLOCK", 2)
+    monkeypatch.setattr(sampling, "_chart_draws", lambda g: sequential.append(1) or draws(g))
+    index = np.arange(600)
+    _assert_chart_points_match_reference(sample_chart_point(3, index), 3, index)
+    assert len(sequential) > 500
+
+
+def test_chart_indices_out_of_stream_range_are_named():
+    with pytest.raises(DomainError, match="index out of range: -2"):
+        sample_chart_point(1, np.array([3, -2, 5]))
+    with pytest.raises(DomainError, match=f"index out of range: {1 << 56}"):
+        sample_chart_point(1, [0, 1 << 56])
+    with pytest.raises(DomainError, match="index out of range: -1"):
+        sample_chart_point(1, -1)
+    with pytest.raises(DomainError, match=f"index out of range: {1 << 64}"):
+        sample_chart_point(1, [7, 1 << 64])
