@@ -213,16 +213,6 @@ def _warn_outside(v, name):
         )
 
 
-def _series_exp(angles, words):
-    """exp of the summed generators by the generic series exponential, one
-    triple at a time (exp_antihermitian takes single matrices)."""
-    flat = [
-        exp_antihermitian(-0.5j * sum(t * w for t, w in zip(triple, words)))
-        for triple in angles.reshape(-1, 3)
-    ]
-    return np.stack(flat).reshape(*angles.shape[:-1], 4, 4)
-
-
 def a_factor(alpha, beta, method="closed"):
     """The eigenbasis factor A = exp-alpha-family * exp-beta-family.
 
@@ -242,7 +232,10 @@ def a_factor(alpha, beta, method="closed"):
     if method == "closed":
         factor = exp_commuting_paulis
     elif method == "series":
-        factor = _series_exp
+        def factor(angles, words):
+            # -i/2 sum_k t_k P_k, one stacked series exponential per family
+            gen = sum(angles[..., k, None, None] * w for k, w in enumerate(words))
+            return exp_antihermitian(-0.5j * gen)
     else:
         raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
     return factor(alpha, ALPHA_WORDS) @ factor(beta, BETA_WORDS)

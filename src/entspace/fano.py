@@ -15,7 +15,16 @@ import numpy as np
 
 from .errors import DomainError
 from . import tolerances as tol
-from .linalg4 import I2, I4, SIGMA, dag, herm_eigenvalues, hermitize, tensor_product
+from .linalg4 import (
+    I2,
+    I4,
+    SIGMA,
+    dag,
+    herm_eigenvalues,
+    hermitize,
+    tensor_product,
+    unitarity_defect,
+)
 from .linalg4 import _stack_position
 
 # Precomputed operator stacks: BASIS_A[i] = sigma_i (x) I, BASIS_B[j] = I (x) sigma_j,
@@ -123,7 +132,8 @@ def schlienz_mahler(f):
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """A pair (u, v) of SU(2) factors acting as u (x) v."""
+    """A pair (u, v) of SU(2) factors acting as u (x) v, or a stack of
+    pairs: u and v of shape (..., 2, 2)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -131,24 +141,29 @@ class LocalUnitary:
     def __post_init__(self):
         for name in ("u", "v"):
             m = np.asarray(getattr(self, name), dtype=complex)
-            if m.shape != (2, 2):
+            if m.shape[-2:] != (2, 2):
                 raise DomainError(f"{name} must be 2x2, got shape {m.shape}")
-            gram = np.max(np.abs(dag(m) @ m - I2))
-            det = abs(np.linalg.det(m) - 1.0)
-            if gram > tol.UNITARITY_TOL or det > tol.UNITARITY_TOL:
+            with np.errstate(invalid="ignore"):  # a NaN entry is rejected below
+                gram, det = (np.reshape(d, -1) for d in unitarity_defect(m))
+            bad = ~((gram <= tol.UNITARITY_TOL) & (det <= tol.UNITARITY_TOL))
+            if bad.any():
+                i = np.argmax(bad)
                 raise DomainError(
-                    f"{name} is not special unitary: |u^dag u - I| = {gram:.3e}, "
-                    f"|det - 1| = {det:.3e}"
+                    f"{name}{_stack_position(m.shape[:-2], i)} is not special unitary: "
+                    f"|u^dag u - I| = {gram[i]:.3e}, |det - 1| = {det[i]:.3e}"
                 )
             object.__setattr__(self, name, m)
 
     def matrix(self):
-        """The 4x4 product u (x) v."""
+        """The 4x4 product u (x) v, or the (..., 4, 4) stack of them."""
         return tensor_product(self.u, self.v)
 
 
 def local_unitary_action(rho, g):
-    """Conjugate rho by the local unitary g: (u(x)v) rho (u(x)v)^dag."""
+    """Conjugate rho by the local unitary g: (u(x)v) rho (u(x)v)^dag.
+
+    ``rho`` and ``g`` may be stacks whose leading shapes broadcast; each
+    conjugation is the same pair of matrix products as a single call."""
     k = g.matrix()
     return k @ np.asarray(rho, dtype=complex) @ dag(k)
 

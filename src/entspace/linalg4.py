@@ -55,6 +55,23 @@ def _stack_position(lead, flat_index):
     return f" at stack index {index[0] if len(index) == 1 else index}"
 
 
+def _square_stack(x):
+    """``x`` as a complex (k, n, n) stack with its leading shape; DomainError
+    unless it is one square matrix or a stack of them with finite entries,
+    naming the first stack index with a non-finite entry."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {x.shape}")
+    lead = x.shape[:-2]
+    flat = x.reshape(-1, *x.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(
+            f"matrix{_stack_position(lead, np.argmin(finite))} has a non-finite entry"
+        )
+    return flat, lead
+
+
 def hermitize(h, asym_tol=tol.HERMITICITY_TOL):
     """Return the Hermitian part (H + H^dag)/2 of an almost-Hermitian H.
 
@@ -64,14 +81,7 @@ def hermitize(h, asym_tol=tol.HERMITICITY_TOL):
     names the first offending stack index.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    lead = h.shape[:-2]
-    flat = h.reshape(-1, *h.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    if not finite.all():
-        where = _stack_position(lead, np.argmin(finite))
-        raise DomainError(f"matrix{where} has a non-finite entry")
+    flat, lead = _square_stack(h)
     defect = np.abs(flat - dag(flat)).max(axis=(1, 2), initial=0.0)
     over = defect > asym_tol
     if over.any():
@@ -196,35 +206,46 @@ def herm_eigenvalues(h, asym_tol=tol.HERMITICITY_TOL):
 
 
 def exp_antihermitian(x, asym_tol=tol.ANTIHERM_TOL):
-    """Matrix exponential of an anti-Hermitian X by scaling and squaring.
+    """Matrix exponential of an anti-Hermitian X by scaling and squaring,
+    for one (n, n) matrix or each matrix of a (..., n, n) stack.
 
-    X is halved until |X|_F / 2^s <= EXPM_SCALE_THETA, the exponential of
-    the scaled matrix is taken as a truncated Taylor series of order
-    EXPM_TAYLOR_ORDER (Horner form), and the result is squared s times.
-    The result of exp of an anti-Hermitian matrix is unitary.
+    Each X is halved until |X|_F / 2^s <= EXPM_SCALE_THETA, with its own
+    s; the exponential of the scaled matrix is taken as a truncated Taylor
+    series of order EXPM_TAYLOR_ORDER (Horner form) over the whole stack,
+    and each result is squared its own s times.  Every matrix goes through
+    the same matrix products as in a single call, so a stacked call
+    repeats each single call bit for bit.  The exponential of an
+    anti-Hermitian matrix is unitary.
 
-    Raises DomainError if max|X + X^dag| exceeds ``asym_tol``.
+    Raises DomainError for a non-square or non-finite input, or if
+    max|X + X^dag| exceeds ``asym_tol``; for a stack the message names the
+    first offending stack index.
     """
-    x = np.asarray(x, dtype=complex)
-    defect = np.max(np.abs(x + dag(x)))
-    if defect > asym_tol:
+    flat, lead = _square_stack(x)
+    defect = np.abs(flat + dag(flat)).max(axis=(1, 2), initial=0.0)
+    over = defect > asym_tol
+    if over.any():
+        i = np.argmax(over)
         raise DomainError(
-            f"matrix is not anti-Hermitian: max|X + X^dag| = {defect:.3e}"
+            f"matrix{_stack_position(lead, i)} is not anti-Hermitian: "
+            f"max|X + X^dag| = {defect[i]:.3e}"
         )
-    n = x.shape[0]
+    n = flat.shape[-1]
     eye = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(x)
-    s = 0
-    if norm > tol.EXPM_SCALE_THETA:
-        s = int(np.ceil(np.log2(norm / tol.EXPM_SCALE_THETA)))
-    y = x / (2.0 ** s)
+    norm = np.sqrt((flat.real ** 2 + flat.imag ** 2).reshape(len(flat), -1).sum(axis=1))
+    # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
+    m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
+    s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
+    y = flat / (2.0 ** s)[:, None, None]
     # Horner evaluation of sum_{k<=order} Y^k / k!
-    r = eye.copy()
+    r = np.empty_like(flat)
+    r[:] = eye
     for k in range(tol.EXPM_TAYLOR_ORDER, 0, -1):
         r = eye + (y @ r) / k
-    for _ in range(s):
-        r = r @ r
-    return r
+    for step in range(int(s.max(initial=0))):
+        squared = s > step
+        r[squared] = r[squared] @ r[squared]
+    return r.reshape(*lead, n, n)
 
 
 def exp_commuting_paulis(angles, generators):
@@ -308,10 +329,9 @@ def char_poly_coeffs(h):
 
 
 def unitarity_defect(u):
-    """Return (max|U^dag U - I|, |det U - 1|)."""
+    """Return (max|U^dag U - I|, |det U - 1|) of one matrix, or the two
+    per-matrix arrays, each of the leading shape, for a (..., n, n) stack."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    gram = np.max(np.abs(dag(u) @ u - np.eye(n)))
-    det = abs(np.linalg.det(u) - 1.0)
-    return gram, det
-
+    gram = np.abs(dag(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    det = np.abs(np.linalg.det(u) - 1.0)
+    return gram[()], det[()]

@@ -205,22 +205,34 @@ def sample_chart_point(seed, index):
 
 # -- auxiliary ensembles -------------------------------------------------------
 
+def _su2(q):
+    """SU(2) elements of the quaternions q, shape (..., 4): with p = q/|q|,
+    [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]].  |q|^2 is a dot
+    product per quaternion, so each element is the same in any stack."""
+    norm = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    p0, p1, p2, p3 = np.moveaxis(q / norm, -1, 0)
+    rows = (np.stack([p0 + 1j * p3, p2 + 1j * p1], axis=-1),
+            np.stack([-p2 + 1j * p1, p0 - 1j * p3], axis=-1))
+    return np.stack(rows, axis=-2)
+
+
 def random_su2(g):
     """Haar-random SU(2) element from a uniform unit quaternion."""
-    q = g.standard_normal(4)
-    q /= np.linalg.norm(q)
-    return np.array(
-        [
-            [q[0] + 1j * q[3], q[2] + 1j * q[1]],
-            [-q[2] + 1j * q[1], q[0] - 1j * q[3]],
-        ]
-    )
+    return _su2(g.standard_normal(4))
 
 
 def sample_local_unitary(seed, index):
-    """Haar-random local unitary pair (u, v)."""
-    g = philox_stream(seed, TAG_LOCAL_UNITARY, index)
-    return LocalUnitary(u=random_su2(g), v=random_su2(g))
+    """Haar-random local unitary pair (u, v) of sample ``index``, or the
+    stacked pairs of an integer array ``index``.
+
+    Sample i is drawn from its own Philox stream (seed, TAG_LOCAL_UNITARY,
+    i): the Gaussian quaternion of u, then that of v."""
+    index = np.asarray(index)
+    q = np.empty((index.size, 2, 4))
+    for k, g in enumerate(philox_streams(seed, TAG_LOCAL_UNITARY, index)):
+        g.standard_normal(out=q[k])
+    uv = _su2(q).reshape(*index.shape, 2, 2, 2)
+    return LocalUnitary(u=uv[..., 0, :, :], v=uv[..., 1, :, :])
 
 
 def random_hermitian(g, dim=4, scale=1.0, shape=()):

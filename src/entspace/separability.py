@@ -120,15 +120,24 @@ def quesne_c112(f):
     return 2.0 * np.einsum("...i,...ij,...j->...", f.a, cof, f.b)[()]
 
 
+def _beta_angles(beta):
+    """beta_1, beta_2, beta_3 of a triple or of a (..., 3) stack."""
+    return np.moveaxis(np.asarray(beta, dtype=float), -1, 0)
+
+
 def p201(alpha3, beta):
-    """Closed-form coefficient of z(x^2 + y^2) in det|C| on the chart."""
-    b1, b2, b3 = np.asarray(beta, dtype=float)
+    """Closed-form coefficient of z(x^2 + y^2) in det|C| on the chart.
+
+    ``alpha3`` has shape (...) and ``beta`` shape (..., 3), as do the
+    arguments of p111, p022 and det_c_closed_form; each value is computed
+    elementwise, so a stacked call repeats each single call bit for bit."""
+    b1, b2, b3 = _beta_angles(beta)
     return 0.25 * np.sin(2 * alpha3) * np.sin(2 * b2) * np.cos(b1) * np.cos(b3)
 
 
 def p111(alpha3, beta):
     """Closed-form coefficient of x*y*z in det|C| on the chart."""
-    b1, b2, b3 = np.asarray(beta, dtype=float)
+    b1, b2, b3 = _beta_angles(beta)
     sa, ca = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
     return -(
         sa * np.cos(b2) ** 2 * (np.cos(b1) ** 2 + np.sin(b1) ** 2 * np.cos(b3) ** 2)
@@ -139,7 +148,7 @@ def p111(alpha3, beta):
 
 def p022(alpha3, beta):
     """Closed-form coefficient of y^2 z^2 in the quartic expansion of C112."""
-    b1, b2, b3 = np.asarray(beta, dtype=float)
+    b1, b2, b3 = _beta_angles(beta)
     sa2, ca2 = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
     bracket = (
         np.cos(2 * (alpha3 - b1))
@@ -154,7 +163,8 @@ def p022(alpha3, beta):
 
 def det_c_closed_form(s, alpha3, beta):
     """det|C| of the representative state at a chart point, in closed form:
-    z * (p201 * (x^2 + y^2) + p111 * x * y)."""
+    z * (p201 * (x^2 + y^2) + p111 * x * y); one per point of a stacked
+    SimplexPoint with ``alpha3`` (...) and ``beta`` (..., 3)."""
     return s.z * (
         p201(alpha3, beta) * (s.x ** 2 + s.y ** 2) + p111(alpha3, beta) * s.x * s.y
     )

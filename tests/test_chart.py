@@ -270,6 +270,19 @@ def test_stacked_closed_form_matches_series_exponential():
     assert np.max(np.abs(closed - series)) < tol.EXPM_PATH_TOL
 
 
+def test_stacked_series_a_factor_is_bitwise_per_index_call():
+    g = philox_stream(98, 62)
+    alpha = g.uniform(-2.0, 2.0, (4, 6, 3))
+    beta = g.uniform(-2.0, 2.0, (4, 6, 3))
+    series = a_factor(alpha, beta, "series")
+    assert series.shape == (4, 6, 4, 4)
+    for pos in np.ndindex(4, 6):
+        assert _same_bits(a_factor(alpha[pos], beta[pos], "series"), series[pos])
+    # one alpha triple shared by a stack of beta triples
+    shared = a_factor(alpha[0, 0], beta, "series")
+    assert _same_bits(a_factor(alpha[0, 0], beta[2, 5], "series"), shared[2, 5])
+
+
 def test_stacked_checks_name_the_first_offending_index():
     x = np.array([0.1, 0.2, 0.0, 0.0])
     y = np.array([0.1, 0.1, 0.5, -0.2])

@@ -16,6 +16,7 @@ from entspace.fano import (
 )
 from entspace.linalg4 import I2, dag, herm_eigenvalues, tensor_product
 from entspace.sampling import (
+    ensemble_chunks,
     philox_stream,
     random_su2,
     sample_hs_state,
@@ -206,3 +207,29 @@ def test_stacked_fano_state_names_the_offending_index():
         FanoState(a=np.zeros((4, 3)), b=np.zeros((4, 3)), C=c)
     with pytest.raises(DomainError, match=r"at stack index \(1, 1\)"):
         FanoState(a=np.zeros((2, 2, 3)), b=np.zeros((2, 2, 3)), C=c.reshape(2, 2, 3, 3))
+
+
+def test_stacked_local_unitary_names_the_first_offending_factor():
+    k = sample_local_unitary(9, np.arange(6))
+    v = k.v.copy()
+    v[4] *= 1.1
+    with pytest.raises(DomainError, match="v at stack index 4 is not special unitary"):
+        LocalUnitary(u=k.u, v=v)
+    v[4] = np.nan
+    with pytest.raises(DomainError, match="v at stack index 4 is not special unitary"):
+        LocalUnitary(u=k.u, v=v)
+    with pytest.raises(DomainError, match="u must be 2x2"):
+        LocalUnitary(u=k.matrix(), v=k.v)
+
+
+def test_stacked_local_unitary_action_is_bitwise_per_index():
+    _, states = next(ensemble_chunks("hs", 10, 12))
+    k = sample_local_unitary(11, np.arange(12))
+    rotated = local_unitary_action(states, k)
+    for i, rho in enumerate(states):
+        ki = sample_local_unitary(11, i)
+        m = np.kron(ki.u, ki.v)
+        assert rotated[i].tobytes() == (m @ rho @ np.conj(m.T)).tobytes()
+    # one pair broadcast over a stack of states
+    shared = local_unitary_action(states, sample_local_unitary(11, 3))
+    assert shared[7].tobytes() == local_unitary_action(states[7], sample_local_unitary(11, 3)).tobytes()

@@ -408,3 +408,93 @@ def test_stacked_pt_property(re, im_scale, sub):
     for h, pt, i in zip(stack, pts, range(len(stack))):
         assert np.array_equal(partial_transpose(h, sub), pt)
         assert char_poly_coeffs(pt) == tuple(c[i] for c in coeffs)
+
+
+# -- stacked series exponential ---------------------------------------------------
+
+def _antihermitian_stack(seed, scales):
+    """One random anti-Hermitian 4x4 per scale, drawn independently of the
+    kernels under test."""
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((len(scales), 4, 4)) + 1j * g.standard_normal((len(scales), 4, 4))
+    return np.asarray(scales)[:, None, None] * 0.5 * (a - np.conj(np.swapaxes(a, 1, 2)))
+
+
+def test_stacked_exp_antihermitian_is_bitwise_per_index_call():
+    # |X|_F from ~0 to ~100: s = 0 and s from 1 to 8 interleaved, plus X = 0
+    scales = [0.0, 0.01, 20.0, 0.1, 1.0, 0.05, 5.0, 40.0, 0.2, 3.0, 0.0, 0.3]
+    xs = _antihermitian_stack(94, scales * 2)
+    stacked = exp_antihermitian(xs)
+    assert stacked.shape == xs.shape
+    for x, e in zip(xs, stacked):
+        assert exp_antihermitian(x).tobytes() == e.tobytes()
+    grid = exp_antihermitian(xs.reshape(2, 3, 4, 4, 4))
+    assert grid.shape == (2, 3, 4, 4, 4)
+    assert grid.reshape(xs.shape).tobytes() == stacked.tobytes()
+    # 2x2 generators take the same route
+    small = xs[:, :2, :2]
+    for x, e in zip(small, exp_antihermitian(small)):
+        assert exp_antihermitian(x).tobytes() == e.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    re=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(4), st.just(4)),
+              elements=st.floats(-30, 30, allow_nan=False, allow_infinity=False)),
+    im_scale=st.sampled_from([0.0, 1e-3, 1.0]),
+)
+def test_stacked_exp_antihermitian_property(re, im_scale):
+    raw = re + 1j * im_scale * re[:, ::-1, :]
+    xs = 0.5 * (raw - dag(raw))
+    stacked = exp_antihermitian(xs)
+    for x, e in zip(xs, stacked):
+        assert exp_antihermitian(x).tobytes() == e.tobytes()
+        scale = max(1.0, np.linalg.norm(x))
+        assert np.max(np.abs(e - scipy.linalg.expm(x))) <= 1e-13 * scale
+        assert np.max(np.abs(dag(e) @ e - I4)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_exp_antihermitian_rejects_non_finite_entries(bad):
+    x = np.zeros((4, 4), dtype=complex)
+    x[1, 2] = bad
+    with pytest.raises(DomainError, match="^matrix has a non-finite entry"):
+        exp_antihermitian(x)
+    stack = _antihermitian_stack(95, [1.0] * 6)
+    stack[4, 0, 3] = bad
+    with pytest.raises(DomainError, match="at stack index 4 has a non-finite"):
+        exp_antihermitian(stack)
+    with pytest.raises(DomainError, match=r"at stack index \(1, 1\) has a non-finite"):
+        exp_antihermitian(stack.reshape(2, 3, 4, 4))
+
+
+def test_exp_antihermitian_rejects_non_square_input():
+    for shape in ((2, 3), (4,), (), (5, 4, 3)):
+        with pytest.raises(DomainError, match="expected a square matrix"):
+            exp_antihermitian(np.zeros(shape))
+
+
+def test_exp_antihermitian_names_the_first_non_antihermitian_matrix():
+    stack = _antihermitian_stack(96, [1.0] * 5)
+    stack[2] += 1e-6 * I4
+    stack[3] += 1e-6 * I4
+    with pytest.raises(DomainError, match="at stack index 2 is not anti-Hermitian"):
+        exp_antihermitian(stack)
+    with pytest.raises(DomainError, match="^matrix is not anti-Hermitian"):
+        exp_antihermitian(stack[3])
+
+
+def test_stacked_unitarity_defect_matches_per_matrix_values():
+    us = np.stack([scipy.linalg.expm(x) for x in _antihermitian_stack(97, [0.5] * 12)])
+    us[5] *= 1.5
+    gram, det = unitarity_defect(us.reshape(3, 4, 4, 4))
+    assert gram.shape == det.shape == (3, 4)
+    for u, g_i, d_i in zip(us, gram.reshape(-1), det.reshape(-1)):
+        single = unitarity_defect(u)
+        assert np.ndim(single[0]) == np.ndim(single[1]) == 0
+        assert (single[0], single[1]) == (g_i, d_i)
+        # independent values: largest entry of U^dag U - I, and |det U - 1|
+        ref = max(abs(v) for v in (np.conj(u.T) @ u - np.eye(4)).reshape(-1))
+        assert g_i == ref
+        assert abs(d_i - abs(np.linalg.det(u) - 1.0)) <= 4 * EPS * max(1.0, d_i)
+    assert gram.reshape(-1)[5] > 1.0

@@ -278,3 +278,33 @@ def test_chart_indices_out_of_stream_range_are_named():
         sample_chart_point(1, -1)
     with pytest.raises(DomainError, match=f"index out of range: {1 << 64}"):
         sample_chart_point(1, [7, 1 << 64])
+
+
+# -- local unitary stream contract ------------------------------------------------
+
+def _reference_local_unitary(seed, index):
+    """(u, v) of one index drawn on a fresh stream: a Gaussian quaternion
+    for u, then one for v, each normalised and laid out as an SU(2) matrix."""
+    g = philox_stream(seed, sampling.TAG_LOCAL_UNITARY, index)
+    factors = []
+    for _ in range(2):
+        q = g.standard_normal(4)
+        q /= np.linalg.norm(q)
+        factors.append(np.array([[q[0] + 1j * q[3], q[2] + 1j * q[1]],
+                                 [-q[2] + 1j * q[1], q[0] - 1j * q[3]]]))
+    return factors
+
+
+def test_local_unitary_index_array_repeats_per_index_draws():
+    index = np.array([[0, 1, 4095], [4096, 1 << 40, 1]])
+    k = sample_local_unitary(37, index)
+    assert k.u.shape == k.v.shape == (2, 3, 2, 2)
+    assert k.matrix().shape == (2, 3, 4, 4)
+    for pos in np.ndindex(index.shape):
+        u, v = _reference_local_unitary(37, int(index[pos]))
+        assert k.u[pos].tobytes() == u.tobytes()
+        assert k.v[pos].tobytes() == v.tobytes()
+        single = sample_local_unitary(37, int(index[pos]))
+        assert single.u.tobytes() == u.tobytes() and single.v.tobytes() == v.tobytes()
+    with pytest.raises(DomainError, match="index out of range: -1"):
+        sample_local_unitary(37, [3, -1])

@@ -310,3 +310,22 @@ def test_analyze_computes_each_invariant_once(monkeypatch):
     monkeypatch.undo()
     _, s3_pt, s4_pt = s_coeffs_pt(rho)
     assert (report.s3_pt, report.s4_pt) == (s3_pt, s4_pt)
+
+
+def test_stacked_closed_forms_are_bitwise_per_point():
+    points = sample_chart_point(305, np.arange(60).reshape(6, 10))
+    s, alpha3, beta = points.simplex, points.alpha[..., 2], points.beta
+    stacked = [p(alpha3, beta) for p in (p201, p111, p022)]
+    stacked.append(det_c_closed_form(s, alpha3, beta))
+    assert all(v.shape == (6, 10) for v in stacked)
+    for pos in np.ndindex(6, 10):
+        a3, b = float(alpha3[pos]), [float(v) for v in beta[pos]]
+        single = SimplexPoint(float(s.x[pos]), float(s.y[pos]), float(s.z[pos]))
+        per_point = (p201(a3, b), p111(a3, b), p022(a3, b), det_c_closed_form(single, a3, b))
+        for value, stack in zip(per_point, stacked):
+            assert np.float64(value).tobytes() == stack[pos].tobytes()
+    # one angle pair shared by a stack of simplex points
+    shared = det_c_closed_form(s, alpha3[0, 0], beta[0, 0])
+    assert shared.shape == (6, 10)
+    single = SimplexPoint(float(s.x[2, 3]), float(s.y[2, 3]), float(s.z[2, 3]))
+    assert shared[2, 3] == det_c_closed_form(single, alpha3[0, 0], beta[0, 0])
