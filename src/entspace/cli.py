@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 on success (for ``check``: a separable verdict), 1 on a
-verification or verdict failure, 2 on malformed input.  All numeric
-output is decimal with 17 significant digits.
+verification or verdict failure, 2 on malformed input.  A reader that
+closes stdout early (``entspace sample ... | head``) ends the run with
+exit code 1 and nothing on stderr.  All numeric output is decimal with 17
+significant digits.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -205,7 +208,17 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit does not raise again (the recipe of the
+        # Python ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,41 +93,106 @@ def hermitize(h, asym_tol=tol.HERMITICITY_TOL):
     return 0.5 * (h + dag(h))
 
 
-def _off_norm(work, pairs):
-    """Off-diagonal Frobenius norm of the Hermitian blocks work[:, :d, :d],
-    summed in a fixed order so each entry depends on its own matrix only."""
-    total = sum(work[:, p, q].real ** 2 + work[:, p, q].imag ** 2 for p, q in pairs)
-    return np.sqrt(2.0 * total)
+def _off_norm(work, upper):
+    """Off-diagonal Frobenius norm of the Hermitian blocks work[:d, :d], one
+    per stack index (the last axis).  ``upper`` indexes the entries above
+    the diagonal in cyclic pair order; they are summed in that order, so
+    each norm depends on its own matrix only."""
+    off = work[upper]
+    return np.sqrt(2.0 * sum(off.real ** 2 + off.imag ** 2))
 
 
 def _rotate(work, p, q, mag):
     """Apply the Jacobi rotation zeroing A[p, q] to every matrix of ``work``.
 
-    ``work`` stacks A over V, shape (k, 2d, d); ``mag`` is |A[p, q]|.  The
+    ``work`` holds A, or A over V, with the stack axis last: shape (d, d, k)
+    or (2d, d, k), so work[:, p] is column p of every matrix and each entry
+    is a contiguous run over the stack.  ``mag`` is |A[p, q]|.  The
     rotation J = D R D^dag (R real, D a phase on q) updates columns p and q
-    of A and V; rows p and q of the Hermitian A follow by conjugation, and
+    of A (and V); rows p and q of the Hermitian A follow by conjugation, and
     the 2x2 pivot block is set to its diagonalized form.
     """
-    d = work.shape[2]
-    app = work[:, p, p].real
-    aqq = work[:, q, q].real
+    d = work.shape[1]
+    app = work[p, p].real
+    aqq = work[q, q].real
     tau = (aqq - app) / (2.0 * mag)
-    t = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
-    new_pp = app - t * mag
-    new_qq = aqq + t * mag
+    # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), and t = 1 at tau = 0: adding
+    # 0.0 turns tau = -0 (from aqq = -0, app = +0) into +0 for copysign
+    t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+    tm = t * mag
+    new_pp = app - tm
+    new_qq = aqq + tm
     c = 1.0 / np.sqrt(1.0 + t * t)
-    cs = t * c * (work[:, p, q] / mag)  # s e^{i phi} with s = t c
-    c, cs = c[:, None], cs[:, None]
-    col_p = work[:, :, p].copy()
-    col_q = work[:, :, q]
-    work[:, :, p] = c * col_p - np.conj(cs) * col_q
-    work[:, :, q] = cs * col_p + c * col_q
-    work[:, p, :] = np.conj(work[:, :d, p])
-    work[:, q, :] = np.conj(work[:, :d, q])
-    work[:, p, p] = new_pp
-    work[:, q, q] = new_qq
-    work[:, p, q] = 0.0
-    work[:, q, p] = 0.0
+    cs = t * c * (work[p, q] / mag)  # s e^{i phi} with s = t c
+    c = c.astype(complex)  # once: the cast each real-by-complex product would make
+    col_p = work[:, p]
+    col_q = work[:, q]
+    new_p = c * col_p - np.conj(cs) * col_q
+    new_q = cs * col_p + c * col_q
+    work[:, p] = new_p
+    work[:, q] = new_q
+    work[p] = np.conj(new_p[:d])
+    work[q] = np.conj(new_q[:d])
+    work[p, p] = new_pp
+    work[q, q] = new_qq
+    work[p, q] = 0.0
+    work[q, p] = 0.0
+
+
+def _jacobi(h, asym_tol, vectors):
+    """The cyclic Jacobi body of herm_eigensystem: (w, v) with v None unless
+    ``vectors``.  Without vectors the working set holds A alone; A's
+    rotations never read V, so w is the same to the bit either way."""
+    a = hermitize(h, asym_tol)
+    lead, d = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, d, d)
+    k = a.shape[0]
+    upper = np.triu_indices(d, 1)
+    pairs = list(zip(upper[0].tolist(), upper[1].tolist()))
+    work = np.empty((2 * d if vectors else d, d, k), dtype=complex)
+    work[:d] = a.transpose(1, 2, 0)
+    if vectors:
+        work[d:] = np.eye(d)[:, :, None]
+    fro2 = sum((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T)  # entry by entry, row-major
+    stop = tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2))
+    active = np.arange(k)
+    w = np.empty((k, d))
+    v = np.empty((k, d, d), dtype=complex) if vectors else None
+    diag = np.arange(d)
+    for _ in range(tol.JACOBI_MAX_SWEEPS):
+        done = _off_norm(work, upper) <= stop
+        if np.count_nonzero(done):
+            finished = work[..., done]
+            w[active[done]] = finished[diag, diag].real.T
+            if vectors:
+                v[active[done]] = finished[d:].transpose(2, 0, 1)
+            keep = ~done
+            work, active, stop = work[..., keep], active[keep], stop[keep]
+        if not active.size:
+            break
+        skip = stop / (d * d)
+        for p, q in pairs:
+            apq = work[p, q]
+            mag = np.hypot(apq.real, apq.imag)
+            rotate = mag > skip
+            rotated = np.count_nonzero(rotate)  # cheaper than all()/any() on small stacks
+            if rotated == rotate.size:
+                _rotate(work, p, q, mag)
+            elif rotated:
+                sub = work[..., rotate]
+                _rotate(sub, p, q, mag[rotate])
+                work[..., rotate] = sub
+    if active.size:
+        raise NumericalError(
+            f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
+            f"{_stack_position(lead, active[0])}, off-diagonal norm "
+            f"{_off_norm(work[..., :1], upper)[0]:.3e} > {stop[0]:.3e}"
+        )
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1).reshape(*lead, d)
+    if vectors:
+        v = np.take_along_axis(v, order[:, None, :], axis=2).reshape(*lead, d, d)
+    return w, v
 
 
 def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
@@ -156,53 +221,13 @@ def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
     NumericalError naming the first stack index whose off-diagonal norm is
     still above its stop after JACOBI_MAX_SWEEPS sweeps.
     """
-    a = hermitize(h, asym_tol)
-    lead, d = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, d, d)
-    pairs = [(p, q) for p in range(d - 1) for q in range(p + 1, d)]
-    fro2 = sum(a[:, i, j].real ** 2 + a[:, i, j].imag ** 2 for i in range(d) for j in range(d))
-    stop = tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2))
-    work = np.concatenate([a, np.broadcast_to(np.eye(d, dtype=complex), a.shape)], axis=1)
-    active = np.arange(a.shape[0])
-    w = np.empty((a.shape[0], d))
-    v = np.empty(a.shape, dtype=complex)
-    diag = np.arange(d)
-    for _ in range(tol.JACOBI_MAX_SWEEPS):
-        done = _off_norm(work, pairs) <= stop
-        if done.any():
-            finished = work[done]
-            w[active[done]] = finished[:, diag, diag].real
-            v[active[done]] = finished[:, d:, :]
-            work, active, stop = work[~done], active[~done], stop[~done]
-            if not active.size:
-                break
-        skip = stop / (d * d)
-        for p, q in pairs:
-            apq = work[:, p, q]
-            mag = np.hypot(apq.real, apq.imag)
-            rotate = mag > skip
-            if rotate.all():
-                _rotate(work, p, q, mag)
-            elif rotate.any():
-                sub = work[rotate]
-                _rotate(sub, p, q, mag[rotate])
-                work[rotate] = sub
-    if active.size:
-        raise NumericalError(
-            f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
-            f"{_stack_position(lead, active[0])}, off-diagonal norm "
-            f"{_off_norm(work[:1], pairs)[0]:.3e} > {stop[0]:.3e}"
-        )
-    order = np.argsort(-w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return w.reshape(*lead, d), v.reshape(*lead, d, d)
+    return _jacobi(h, asym_tol, vectors=True)
 
 
 def herm_eigenvalues(h, asym_tol=tol.HERMITICITY_TOL):
     """Descending eigenvalues of one Hermitian matrix or a (..., d, d)
     stack (cyclic Jacobi; see herm_eigensystem)."""
-    return herm_eigensystem(h, asym_tol)[0]
+    return _jacobi(h, asym_tol, vectors=False)[0]
 
 
 def exp_antihermitian(x, asym_tol=tol.ANTIHERM_TOL):

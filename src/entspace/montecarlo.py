@@ -161,13 +161,15 @@ class SampleRecord:
 
 
 def sample_records(config):
-    """Yield a SampleRecord per scanned state.
+    """Yield a SampleRecord per scanned state, in stream order.
 
-    The verdict and left-hand sides agree with a fresh analyze() call on
-    the reconstructed state; the spectrum is computed with the package
-    eigensolver, one stacked call per chunk, and equals the one a replay
-    of the single state gets; the minimal PT eigenvalue comes from the
-    oracle route.
+    Each chunk is analysed by stacked calls: the verdict and left-hand
+    sides come from the Newton coefficients of the partial transpose (the
+    values a fresh analyze() call on the replayed state gives), the minimal
+    PT eigenvalue from the oracle route, and the spectrum from the package
+    eigensolver, equal to the one a replay of the single state gets.  The
+    chunk is converted to Python floats and strings once (``tolist``), so
+    a record holds plain Python values.
     """
     for start, states in ensemble_chunks(
         config.ensemble, config.seed, config.samples
@@ -177,15 +179,11 @@ def sample_records(config):
         min_eig = np.linalg.eigvalsh(pts)[:, 0]
         spectra = herm_eigenvalues(states)
         verdicts = verdict_from_coeffs(s3, s4, config.band)
-        for i in range(states.shape[0]):
-            yield SampleRecord(
-                index=start + i,
-                verdict=verdicts[i],
-                lhs3=float(s3[i]),
-                lhs4=float(s4[i]),
-                min_pt_eig=float(min_eig[i]),
-                spectrum=tuple(spectra[i]),
-            )
+        rows = zip(
+            verdicts.tolist(), s3.tolist(), s4.tolist(), min_eig.tolist(), spectra.tolist()
+        )
+        for index, (verdict, lhs3, lhs4, min_pt_eig, spectrum) in enumerate(rows, start):
+            yield SampleRecord(index, verdict, lhs3, lhs4, min_pt_eig, tuple(spectrum))
 
 
 def reanalyze_record(config, record):

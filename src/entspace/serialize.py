@@ -197,15 +197,14 @@ def coeff_rows_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+#: One CSV row of a SampleRecord: index, verdict, then %.17g for each float.
+_RECORD_ROW = "%d,%s," + ",".join(["%.17g"] * (len(SampleRecord.FIELDS) - 2)) + "\n"
+
+
 def records_to_csv_lines(records):
-    """Yield CSV lines (with trailing newlines) for a record stream."""
+    """Yield CSV lines (with trailing newlines) for a record stream; each
+    row is one format of the record's fields, the same text as fmt_float
+    on every number."""
     yield ",".join(SampleRecord.FIELDS) + "\n"
     for r in records:
-        row = [
-            str(r.index),
-            r.verdict,
-            fmt_float(r.lhs3),
-            fmt_float(r.lhs4),
-            fmt_float(r.min_pt_eig),
-        ] + [fmt_float(v) for v in r.spectrum]
-        yield ",".join(row) + "\n"
+        yield _RECORD_ROW % (r.index, r.verdict, r.lhs3, r.lhs4, r.min_pt_eig, *r.spectrum)

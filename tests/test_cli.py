@@ -1,7 +1,11 @@
 """Command-line interface and self-verification suite."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +201,75 @@ def test_sample_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "records.csv"
     assert main(["sample", "-n", "5", "--seed", "11", "--out", str(out)]) == 0
     assert out.read_text() == stdout_text
+
+
+#: sha256 of ``sample --ensemble E -n 4104 --seed 1`` stdout.  4104 rows are
+#: one full chunk (tol.CHUNK = 4096) and 8 rows of the next, so the digest
+#: pins the stream across a chunk boundary.
+SAMPLE_DIGESTS = {
+    "hs": "5ee2a775aaad12057249c61eaee5bed1a8f22f485fba19f1c9c47db2b609aa2e",
+    "product": "6570e033c9101aeb75cf23626f9891b041d60c09f5d03e679ec8977dc7c00819",
+    "chart": "85759d0c2af7c6ad52505ed0e2e857d2f6d5432172efd9d806eece554c229646",
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(SAMPLE_DIGESTS))
+def test_sample_stdout_matches_recorded_digest(ensemble, capsys):
+    assert main(["sample", "--ensemble", ensemble, "-n", "4104", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 4105
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[ensemble]
+
+
+def test_sample_into_a_closed_pipe_exits_1_quietly():
+    # ``entspace sample ... | head -1``: the reader closes the pipe long
+    # before 20000 rows are written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entspace.cli", "sample", "-n", "20000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"index,verdict,lhs3,lhs4,min_pt_eig,r1,r2,r3,r4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert err == b""
+
+
+class _PipeClosedAtFlush(io.StringIO):
+    """A stdout whose reader has gone: output fits the buffer, the flush
+    fails.  fileno() is a real descriptor that main() may redirect."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_sample_whose_final_flush_breaks_exits_1_quietly(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _PipeClosedAtFlush(fd))
+        assert main(["sample", "-n", "3", "--seed", "1"]) == 1
+        os.write(fd, b"after")  # the descriptor now points at devnull
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == b""
 
 
 # -- scan -----------------------------------------------------------------------

@@ -212,6 +212,54 @@ def test_sweep_cap_names_the_failing_index(monkeypatch):
     assert np.array_equal(herm_eigenvalues(stack[:2]), [[0.4, 0.3, 0.2, 0.1]] * 2)
 
 
+def _eigenvalue_only_cases():
+    cases = {}
+    for ensemble in ("hs", "product", "chart"):
+        _, states = next(ensemble_chunks(ensemble, 24, 96))
+        cases[ensemble] = states
+    cases["pt_hs"] = partial_transpose(cases["hs"])
+    g = philox_stream(24, 60)
+    for dim in (2, 3):
+        cases[f"hermitian_d{dim}"] = random_hermitian(g, dim=dim, shape=(40,))
+    cases["single"] = cases["hs"][5]
+    cases["leading_axes"] = cases["hs"].reshape(4, 3, 8, 4, 4)
+    cases["empty"] = np.zeros((0, 4, 4))
+    return cases
+
+
+@pytest.mark.parametrize("name, stack", sorted(_eigenvalue_only_cases().items()))
+def test_eigenvalue_only_call_is_bitwise_full_call(name, stack):
+    w = herm_eigenvalues(stack)
+    full = herm_eigensystem(stack)[0]
+    assert w.shape == full.shape == stack.shape[:-1]
+    assert w.tobytes() == full.tobytes()
+
+
+def test_eigenvalue_only_sweep_cap_names_the_failing_index(monkeypatch):
+    g = philox_stream(25, 60)
+    diag = np.diag([0.4, 0.3, 0.2, 0.1])
+    stack = np.stack([diag, random_hermitian(g), diag, random_hermitian(g)])
+    monkeypatch.setattr(tol, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="sweep cap .* at stack index 1,") as only:
+        herm_eigenvalues(stack)
+    with pytest.raises(NumericalError) as full:
+        herm_eigensystem(stack)
+    assert str(only.value) == str(full.value)
+    # rows [diag, random], [diag, random]: the first unconverged is (0, 1)
+    with pytest.raises(NumericalError, match=r"at stack index \(0, 1\),"):
+        herm_eigenvalues(stack.reshape(2, 2, 4, 4)[::-1])
+
+
+def test_negative_zero_pivot_rotates_like_tau_zero():
+    # A[q, q] = -0 against A[p, p] = +0 gives tau = -0; the rotation takes
+    # t = 1 as at tau = +0, so both matrices give the same eigensystem
+    c = 1.0 / np.sqrt(2.0)
+    for corner in (0.0, -0.0):
+        w, v = herm_eigensystem(np.array([[0.0, 1.0], [1.0, corner]]))
+        assert w.tolist() == [1.0, -1.0]
+        assert np.array_equal(v, c * np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
 def test_hermitize_rejects_non_finite_entries():
     h = np.eye(4, dtype=complex)
     h[1, 2] = np.nan

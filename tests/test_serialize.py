@@ -7,7 +7,7 @@ import pytest
 
 from entspace.chart import ChartPoint, SimplexPoint
 from entspace.errors import DomainError
-from entspace.montecarlo import RunConfig, sample_records
+from entspace.montecarlo import RunConfig, SampleRecord, sample_records
 from entspace.sampling import philox_stream, sample_chart_point, sample_hs_state
 from entspace.separability import BELL_PHI_PLUS, MONOMIALS, analyze, fit_c112_coeffs
 from entspace.serialize import (
@@ -176,6 +176,27 @@ def test_records_to_csv_lines():
     # identical stream, identical bytes
     again = list(records_to_csv_lines(sample_records(config)))
     assert again == lines
+
+
+def test_records_to_csv_lines_matches_per_field_formatting():
+    # numpy and Python scalars, signed zeros and non-finite values give the
+    # text that formatting each field on its own gives
+    records = [
+        SampleRecord(np.int64(7), np.str_("entangled"), np.float64(-0.0), 0.1,
+                     float("nan"), (np.float64(1.0 / 3.0), 0.25, -0.0, np.float64(np.nan))),
+        SampleRecord(0, "separable", 1e-300, np.float64(-2.5e17), np.inf,
+                     (1.0, 2, np.float32(0.1), -np.inf)),
+        SampleRecord(2**40, "boundary", np.float64(5e-324), -1e-9, 0.0,
+                     tuple(np.array([0.7, 0.2, 0.1, 0.0]))),
+    ]
+    lines = list(records_to_csv_lines(records))
+    assert lines[0] == "index,verdict,lhs3,lhs4,min_pt_eig,r1,r2,r3,r4\n"
+    assert len(lines) == 1 + len(records)
+    for r, line in zip(records, lines[1:]):
+        fields = [str(r.index), str(r.verdict), fmt_float(r.lhs3), fmt_float(r.lhs4),
+                  fmt_float(r.min_pt_eig)] + [fmt_float(v) for v in r.spectrum]
+        assert line == ",".join(fields) + "\n"
+    assert lines[1] == "7,entangled,-0,0.10000000000000001,nan,0.33333333333333331,0.25,-0,nan\n"
 
 
 def test_to_json_renders_non_finite_floats_as_null():
