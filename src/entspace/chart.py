@@ -256,6 +256,29 @@ def spectral_gap(r):
     return np.min(r[..., :-1] - r[..., 1:], axis=-1)[()]
 
 
+def _checked_spectrum(simplex):
+    """eigenvalues_from_xyz(simplex), with a DegenerateSpectrumWarning
+    naming the first spectrum whose gap is below GENERIC_GAP, where the
+    chart stops being one-to-one."""
+    r = eigenvalues_from_xyz(simplex)
+    degenerate = spectral_gap(r) < tol.GENERIC_GAP
+    if np.any(degenerate):
+        i = np.argmax(np.reshape(degenerate, -1))
+        warnings.warn(
+            f"degenerate spectrum {tuple(r.reshape(-1, 4)[i])}"
+            f"{_stack_position(r.shape[:-1], i)}: chart point is non-generic",
+            DegenerateSpectrumWarning,
+            stacklevel=3,
+        )
+    return r
+
+
+def _conjugate(a, r):
+    """A diag(r) A^dag for factors ``a`` (..., 4, 4) and spectra ``r``
+    (..., 4), broadcast against each other."""
+    return hermitize((a * r[..., None, :]) @ dag(a))
+
+
 def representative_state(point, method="closed"):
     """Density matrix A diag(r) A^dag of a chart point, (4, 4), or of each
     point of a stacked ChartPoint, (..., 4, 4).
@@ -267,18 +290,8 @@ def representative_state(point, method="closed"):
     stack index, is emitted when a spectrum has a gap below GENERIC_GAP,
     where the chart stops being one-to-one.
     """
-    r = eigenvalues_from_xyz(point.simplex)
-    degenerate = spectral_gap(r) < tol.GENERIC_GAP
-    if np.any(degenerate):
-        i = np.argmax(np.reshape(degenerate, -1))
-        warnings.warn(
-            f"degenerate spectrum {tuple(r.reshape(-1, 4)[i])}"
-            f"{_stack_position(r.shape[:-1], i)}: chart point is non-generic",
-            DegenerateSpectrumWarning,
-            stacklevel=2,
-        )
-    a = a_factor(point.alpha, point.beta, method=method)
-    return hermitize((a * r[..., None, :]) @ dag(a))
+    r = _checked_spectrum(point.simplex)
+    return _conjugate(a_factor(point.alpha, point.beta, method=method), r)
 
 
 def assemble_su4(k, alpha, beta, t):

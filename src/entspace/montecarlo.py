@@ -187,16 +187,18 @@ def sample_records(config):
 
 
 def reanalyze_record(config, record):
-    """Recompute a record from scratch; used for spot re-verification."""
+    """Recompute a record from scratch; used for spot re-verification.
+
+    The record holds the same Python types as one from sample_records."""
     rho = ensemble_state(config.ensemble, config.seed, record.index)
     report = analyze(rho, config.band)
     return SampleRecord(
         index=record.index,
-        verdict=report.verdict,
-        lhs3=report.s3_pt,
-        lhs4=report.s4_pt,
+        verdict=str(report.verdict),
+        lhs3=float(report.s3_pt),
+        lhs4=float(report.s4_pt),
         min_pt_eig=float(np.linalg.eigvalsh(pt_batch(rho))[0]),
-        spectrum=tuple(herm_eigenvalues(rho)),
+        spectrum=tuple(herm_eigenvalues(rho).tolist()),
     )
 
 

@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, check_band
 from . import tolerances as tol
-from .chart import ChartPoint, representative_state, xyz_from_eigenvalues
+from .chart import (
+    _checked_spectrum,
+    _conjugate,
+    a_factor,
+    representative_state,
+    xyz_from_eigenvalues,
+)
 from .fano import from_fano, schlienz_mahler, to_fano
 from .linalg4 import char_poly_coeffs, partial_transpose
 
@@ -239,17 +245,11 @@ def c112_of_chart_point(point):
     return quesne_c112(to_fano(representative_state(point)))
 
 
-def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
-    """Fit the 15 quartic coefficients of C112 at fixed (alpha, beta).
-
-    C112 restricted to the fibre over (alpha, beta) is a homogeneous
-    quartic in the simplex coordinates.  The table is recovered by solving
-    the Vandermonde system over a deterministic grid of rational interior
-    spectra (>= 20 points), whose C112 values come from one stacked
-    representative_state -> to_fano -> quesne_c112 chain.  Raises
-    NumericalError when the system is ill-conditioned (condition number
-    above FIT_COND_CAP) or the residual exceeds FIT_RESIDUAL_TOL.
-    """
+def _fit_system(spectra):
+    """The half of a fit that depends on the grid only: the Vandermonde
+    matrix of the grid's simplex coordinates (one row of scalar products
+    per spectrum), its condition number and the validated spectra that the
+    representative states are built from (read-only arrays)."""
     if len(spectra) < len(MONOMIALS):
         raise DomainError(
             f"need at least {len(MONOMIALS)} grid spectra, got {len(spectra)}"
@@ -261,8 +261,31 @@ def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
             for x, y, z in zip(s.x, s.y, s.z)
         ]
     )
-    targets = c112_of_chart_point(ChartPoint(s, alpha, beta))
-    condition = float(np.linalg.cond(v))
+    r = _checked_spectrum(s)
+    v.setflags(write=False)
+    r.setflags(write=False)
+    return v, float(np.linalg.cond(v)), r
+
+
+#: The system of the default grid, built once.
+_FIT_SYSTEM = _fit_system(FIT_SPECTRA)
+
+
+def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
+    """Fit the 15 quartic coefficients of C112 at fixed (alpha, beta).
+
+    C112 restricted to the fibre over (alpha, beta) is a homogeneous
+    quartic in the simplex coordinates.  The table is recovered by solving
+    the Vandermonde system over a deterministic grid of rational interior
+    spectra (>= 20 points).  The system of FIT_SPECTRA is built once; a
+    caller's own grid is built on each call.  Per fibre, one A-factor
+    conjugates the grid's spectra and the C112 targets follow from one
+    stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
+    system is ill-conditioned (condition number above FIT_COND_CAP) or the
+    residual exceeds FIT_RESIDUAL_TOL.
+    """
+    v, condition, r = _FIT_SYSTEM if spectra is FIT_SPECTRA else _fit_system(spectra)
+    targets = quesne_c112(to_fano(_conjugate(a_factor(alpha, beta), r)))
     if condition > tol.FIT_COND_CAP:
         raise NumericalError(
             f"fit grid is ill-conditioned: cond = {condition:.3e} > "

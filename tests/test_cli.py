@@ -213,6 +213,23 @@ SAMPLE_DIGESTS = {
 }
 
 
+#: sha256 of ``coeffs --alpha A --beta 0.4,1.1,-0.6 --fit --format F`` stdout.
+COEFFS_FIT_DIGESTS = {
+    ("0.3,-0.7,0.9", "json"): "3876d65bcf35351975ad46125000beedb3c17b760618f881cd440fd40563f2e5",
+    ("0.3,-0.7,0.9", "csv"): "127b25c6b6e07464382fe2d31d264b5fad9e9236ce6ef2f6dbcd3f996559493e",
+    ("0,0,0.9", "json"): "f01b7cd6b57022ea899ab2c32a47c53ff8f724c11e8e543eae38d201b5554cd2",
+    ("0,0,0.9", "csv"): "81d6204af15f559b7642472b04725624678ab319ab6769e3fcb6de9a79e5ea75",
+}
+
+
+@pytest.mark.parametrize("alpha, fmt", sorted(COEFFS_FIT_DIGESTS))
+def test_coeffs_fit_stdout_matches_recorded_digest(alpha, fmt, capsys):
+    argv = ["coeffs", "--alpha", alpha, "--beta", "0.4,1.1,-0.6", "--fit", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_FIT_DIGESTS[alpha, fmt]
+
+
 @pytest.mark.parametrize("ensemble", sorted(SAMPLE_DIGESTS))
 def test_sample_stdout_matches_recorded_digest(ensemble, capsys):
     assert main(["sample", "--ensemble", ensemble, "-n", "4104", "--seed", "1"]) == 0

@@ -1,10 +1,21 @@
 """Quartic coefficient table of C112: fitting machinery and frozen facts."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from entspace import tolerances as tol
-from entspace.chart import ChartPoint, SimplexPoint, xyz_from_eigenvalues
+from entspace.chart import (
+    ChartPoint,
+    DegenerateSpectrumWarning,
+    OctahedronWarning,
+    SimplexPoint,
+    TWO_PI,
+    xyz_from_eigenvalues,
+)
 from entspace.errors import DomainError, NumericalError
 from entspace.fano import to_fano
 from entspace.chart import representative_state
@@ -14,6 +25,7 @@ from entspace.separability import (
     FIT_SPECTRA,
     MONOMIALS,
     CoeffTable,
+    _fit_spectra,
     c112_of_chart_point,
     fit_c112_coeffs,
     p022,
@@ -136,6 +148,61 @@ def test_fit_rejects_small_grids_and_bad_conditioning(monkeypatch):
     monkeypatch.setattr(tol, "FIT_COND_CAP", 1.0)
     with pytest.raises(NumericalError, match="ill-conditioned"):
         fit_c112_coeffs(np.zeros(3), np.zeros(3))
+
+
+def _reference_fit(alpha, beta, spectra):
+    # the whole fit rebuilt on every call: grid coordinates, scalar Vandermonde
+    # rows, condition number, brute-force C112 targets, least squares
+    s = xyz_from_eigenvalues(np.asarray(spectra, dtype=float))
+    v = np.array(
+        [
+            [x ** i * y ** j * z ** k for i, j, k in MONOMIALS]
+            for x, y, z in zip(s.x, s.y, s.z)
+        ]
+    )
+    condition = float(np.linalg.cond(v))
+    targets = c112_of_chart_point(ChartPoint(s, alpha, beta))
+    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+    return coeffs, float(np.max(np.abs(v @ coeffs - targets))), condition
+
+
+def test_fit_equals_a_per_call_reference_bit_for_bit():
+    g = philox_stream(405, 64)
+    fibres = [(np.zeros(3), np.zeros(3)), (np.array([0.0, 0.0, 0.9]), np.zeros(3))]
+    fibres += [(np.array([0.0, 0.0, g.uniform(-2.0, 2.0)]), g.uniform(-2.0, 2.0, 3))
+               for _ in range(8)]
+    fibres += [(g.uniform(-2.0, 2.0, 3), g.uniform(-2.0, 2.0, 3)) for _ in range(44)]
+    caller_grid = _fit_spectra(24)
+    assert len(caller_grid) == 47
+    cases = [(a, b, FIT_SPECTRA) for a, b in fibres]
+    cases += [(a, b, caller_grid) for a, b in fibres[:6]]
+    for alpha, beta, spectra in cases:
+        table = fit_c112_coeffs(alpha, beta, spectra=spectra)
+        values, residual, condition = _reference_fit(alpha, beta, spectra)
+        assert table.values.tobytes() == values.tobytes()
+        assert table.residual == residual
+        assert table.condition == condition
+
+
+def test_fit_warnings_are_per_call():
+    outside = np.array([TWO_PI, 0.5, 0.0])
+    for _ in range(2):
+        with pytest.warns(OctahedronWarning, match="alpha lies outside"):
+            fit_c112_coeffs(outside, np.zeros(3))
+    tied = FIT_SPECTRA + ((0.4, 0.3, 0.15, 0.15),)
+    for _ in range(2):
+        with pytest.warns(DegenerateSpectrumWarning, match="at stack index 23"):
+            fit_c112_coeffs(np.array([0.3, -0.7, 0.9]), np.array([0.4, 1.1, -0.6]), spectra=tied)
+
+
+def test_import_emits_no_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import entspace"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_coeff_table_validation():

@@ -1,5 +1,7 @@
 """Monte-Carlo harness: batched kernels, scans and record streams."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,20 @@ def test_sample_records_spectra_replay_exactly(ensemble, samples, indices):
         replay = herm_eigenvalues(ensemble_state(ensemble, 60, i))
         assert records[i].spectrum == tuple(replay)
         assert reanalyze_record(config, records[i]).spectrum == records[i].spectrum
+
+
+@pytest.mark.parametrize("ensemble", ["hs", "chart"])
+def test_replayed_record_has_the_streamed_field_types(ensemble):
+    config = RunConfig(ensemble=ensemble, samples=tol.CHUNK + 2, seed=61)
+    records = list(sample_records(config))
+    for i in (0, tol.CHUNK - 1, tol.CHUNK + 1):
+        streamed = records[i]
+        replay = reanalyze_record(config, streamed)
+        for f in fields(streamed):
+            assert type(getattr(replay, f.name)) is type(getattr(streamed, f.name)), f.name
+        assert [type(v) for v in replay.spectrum] == [type(v) for v in streamed.spectrum]
+        assert type(streamed.verdict) is str and type(streamed.lhs3) is float
+        assert type(streamed.spectrum[0]) is float
 
 
 def test_purity_mean_agrees_with_direct_average():
