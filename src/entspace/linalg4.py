@@ -9,6 +9,8 @@ elementwise arithmetic only, so a stacked call repeats each single call
 bit for bit.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import DomainError, NumericalError
@@ -278,7 +280,8 @@ def exp_commuting_paulis(angles, generators):
 
     Each generator must square to the identity and the family must commute
     pairwise; then the exponential factorises exactly into half-angle
-    rotations cos(t/2) I - i sin(t/2) P.  No series truncation is involved.
+    rotations cos(t/2) I - i sin(t/2) P, multiplied left to right starting
+    from the first factor.  No series truncation is involved.
 
     ``angles`` holds one angle per generator along its last axis, so a
     (..., k) stack gives a (..., n, n) stack; every value is computed
@@ -286,11 +289,10 @@ def exp_commuting_paulis(angles, generators):
     """
     half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
     cos, sin = np.cos(half), np.sin(half)
-    n = generators[0].shape[0]
-    u = np.eye(n, dtype=complex)
-    for k, g in enumerate(generators):
-        u = u @ (cos[..., k, :, :] * np.eye(n) - 1j * sin[..., k, :, :] * g)
-    return u
+    eye = np.eye(generators[0].shape[0])
+    factors = [cos[..., k, :, :] * eye - 1j * sin[..., k, :, :] * g
+               for k, g in enumerate(generators)]
+    return reduce(np.matmul, factors)
 
 
 def partial_transpose(rho, subsystem="B"):

@@ -3,10 +3,14 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, tag, index), so any sample is addressable by its index alone:
 reproducing sample i never requires drawing samples 0..i-1, and results
-are independent of batching.  Matrix-valued ensembles are drawn in chunks
-of CHUNK samples on one stream per chunk, laid out for the full chunk
-whatever is requested: a slice of a chunk draws the stream only as far as
-its last sample needs and builds only its own states.
+are independent of batching.  Every ensemble takes the sample indices
+0 <= i < 2^56.  Matrix-valued ensembles are drawn in chunks of CHUNK
+samples on one stream per chunk, laid out for the full chunk whatever is
+requested: a slice of a chunk draws the stream only as far as its last
+sample needs and builds only its own states.  Chart samples have a stream
+each: a spectrum, then uniform cube triples -2*pi + 4*pi * (u1, u2, u3)
+of unit draws until two lie in the octahedron; the block of triples drawn
+at a time sets the cost only.
 """
 
 import numpy as np
@@ -27,6 +31,27 @@ _TAG_VERIFY_BASE = 16  # tags >= 16 are reserved for verification checks
 _INDEX_BITS = 56
 
 
+def _check_indices(indices):
+    """``indices`` as a flat array; DomainError unless every entry is an
+    integer with 0 <= i < 2^56, naming the first offending index."""
+    indices = np.asarray(indices).reshape(-1)
+    # an object array holds Python ints beyond 64 bits; the range check names
+    # them.  A bool is no index: a mask would alias samples 0 and 1.
+    if indices.dtype.kind not in "iu" and not all(type(i) is int for i in indices.tolist()):
+        raise DomainError(f"stream indices must be integers, got dtype {indices.dtype}")
+    bad = np.flatnonzero((indices < 0) | (indices >= (1 << _INDEX_BITS)))
+    if bad.size:
+        raise DomainError(f"stream index out of range: {indices[bad[0]]}")
+    return indices
+
+
+def _chunk_position(index):
+    """(chunk, offset in the chunk) of sample ``index`` of a chunked
+    ensemble; DomainError naming ``index`` unless 0 <= index < 2^56."""
+    _check_indices(index)
+    return divmod(index, tol.CHUNK)
+
+
 def philox_streams(seed, tag, indices):
     """Yield a numpy Generator on the Philox stream keyed by (seed, tag, i)
     for each i of the integer array ``indices``, in flat order.
@@ -38,14 +63,7 @@ def philox_streams(seed, tag, indices):
     the first offending index.
     """
     check_seed(seed)
-    indices = np.asarray(indices).reshape(-1)
-    # an object array holds Python ints beyond 64 bits; the range check names them
-    if indices.dtype.kind not in "iu" and not all(isinstance(i, int) for i in indices.tolist()):
-        raise DomainError(f"stream indices must be integers, got dtype {indices.dtype}")
-    bad = np.flatnonzero((indices < 0) | (indices >= (1 << _INDEX_BITS)))
-    if bad.size:
-        raise DomainError(f"stream index out of range: {indices[bad[0]]}")
-    words = np.uint64(tag << _INDEX_BITS) | indices.astype(np.uint64)
+    words = np.uint64(tag << _INDEX_BITS) | _check_indices(indices).astype(np.uint64)
     if not words.size:
         return
     bit_generator = np.random.Philox(key=np.array([seed, words[0]], dtype=np.uint64))
@@ -89,7 +107,7 @@ def sample_hs_state(seed, index):
     rho = G G^dag / tr(G G^dag) with G a 4x4 standard complex Ginibre
     matrix; full rank with probability one.
     """
-    chunk, i = divmod(index, tol.CHUNK)
+    chunk, i = _chunk_position(index)
     return _hs_chunk(seed, chunk, i, i + 1)[0]
 
 
@@ -121,15 +139,26 @@ def _product_chunk(seed, chunk, lo, hi):
 def sample_product_state(seed, index):
     """Sample ``index`` of the product ensemble rho_A (x) rho_B with both
     factors uniform over the solid Bloch ball.  Separable by construction."""
-    chunk, i = divmod(index, tol.CHUNK)
+    chunk, i = _chunk_position(index)
     return _product_chunk(seed, chunk, i, i + 1)[0]
 
 
 # -- chart-point ensemble ------------------------------------------------------
 
 #: Cube triples drawn at a time by the octahedron rejection; two of them
-#: are accepted with probability 1 - 1.2e-4.
-_OCTAHEDRON_BLOCK = 64
+#: are accepted with probability 1 - 6.1e-3.  The triples are the last
+#: draws of a sample's stream, so the block size sets the cost only, never
+#: the values.
+_OCTAHEDRON_BLOCK = 40
+
+
+def _cube_triples(unit):
+    """Uniform cube triples in [-2*pi, 2*pi)^3 from the unit draws ``unit``
+    (..., 3) of ``Generator.random``, mapped in place by numpy's
+    ``uniform(-2*pi, 2*pi)`` formula -2*pi + 4*pi * u."""
+    unit *= TWO_PI - -TWO_PI
+    unit += -TWO_PI
+    return unit
 
 
 def _octahedron_accepts(v):
@@ -144,9 +173,11 @@ def _chart_draws(g):
     drawn one after another.
 
     alpha and beta are the first two cube triples accepted by a rejection
-    into the l1-ball of radius 2*pi (acceptance rate 1/6).  They are the
-    last draws of the stream, so drawing the triples a block at a time
-    gives the same two as drawing them one by one.
+    into the l1-ball of radius 2*pi (acceptance rate 1/6).  A cube triple
+    is -2*pi + 4*pi * u of three unit draws u (``_cube_triples``).  The
+    triples are the last draws of the stream, so drawing them
+    _OCTAHEDRON_BLOCK at a time gives the same two as drawing them one by
+    one: the block size changes the cost only.
     """
     while True:
         r = sorted(g.dirichlet(np.ones(4)).tolist(), reverse=True)
@@ -154,7 +185,7 @@ def _chart_draws(g):
             break
     accepted = []
     while len(accepted) < 2:
-        v = g.uniform(-TWO_PI, TWO_PI, (_OCTAHEDRON_BLOCK, 3))
+        v = _cube_triples(g.random((_OCTAHEDRON_BLOCK, 3)))
         accepted.extend(v[_octahedron_accepts(v)])
     return r, accepted[0], accepted[1]
 
@@ -172,20 +203,24 @@ def sample_chart_point(seed, index):
     whatever else is drawn in the same call: first the flat Dirichlet
     spectrum (four standard exponentials scaled by the inverse of their
     sum, numpy's ``dirichlet(ones(4))``), redrawn while it has a tie, then
-    blocks of _OCTAHEDRON_BLOCK uniform cube triples until two lie in the
-    octahedron.  Per index, only the first spectrum and block are drawn in
-    Python; the rest runs over the whole array.  An index whose first
-    spectrum ties or whose first block holds fewer than two accepted
-    triples is drawn again one step at a time on a fresh stream.
+    uniform cube triples -2*pi + 4*pi * (u1, u2, u3) of three unit draws
+    (numpy's ``uniform(-2*pi, 2*pi)``) until two lie in the octahedron.
+    Per index, Python only re-keys the stream and draws the first spectrum
+    and a block of _OCTAHEDRON_BLOCK unit triples into preallocated rows;
+    the mapping to the cube and the rejection run over the whole array.
+    An index whose first spectrum ties or whose first block holds fewer
+    than two accepted triples is drawn again one step at a time on a fresh
+    stream.  The block size changes the cost only, never the values.
     """
     index = np.asarray(index)
     flat = index.reshape(-1)
-    n, block = flat.size, _OCTAHEDRON_BLOCK
+    n = flat.size
     exponentials = np.empty((n, 4))
-    triples = np.empty((n, block, 3))
+    unit = np.empty((n, _OCTAHEDRON_BLOCK, 3))
     for k, g in enumerate(philox_streams(seed, TAG_CHART, flat)):
         g.standard_exponential(out=exponentials[k])
-        triples[k] = g.uniform(-TWO_PI, TWO_PI, (block, 3))
+        g.random(out=unit[k])
+    triples = _cube_triples(unit)
     e0, e1, e2, e3 = exponentials.T
     r = np.sort(exponentials * (1.0 / (((e0 + e1) + e2) + e3))[:, None], axis=1)[:, ::-1]
     accepted = np.cumsum(_octahedron_accepts(triples), axis=1)
@@ -296,5 +331,9 @@ def ensemble_chunks(ensemble, seed, n):
 
 
 def ensemble_state(ensemble, seed, index):
-    """Reconstruct a single ensemble member by its index."""
+    """Reconstruct a single ensemble member by its index.
+
+    Every ensemble takes the same indices, the integers 0 <= index < 2^56;
+    DomainError names any other ``index`` as given.
+    """
     return check_ensemble(ensemble)[1](seed, index)

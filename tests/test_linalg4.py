@@ -339,6 +339,36 @@ def test_exp_commuting_paulis_matches_series():
         assert np.max(np.abs(closed - exp_antihermitian(gen))) < tol.EXPM_PATH_TOL
 
 
+def _reference_exp_commuting_paulis(angles, words):
+    """The half-angle rotation product started from the identity: I @ f1 @ f2 @ ..."""
+    half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
+    u = np.eye(4, dtype=complex)
+    for k, w in enumerate(words):
+        u = u @ (np.cos(half[..., k, :, :]) * np.eye(4) - 1j * np.sin(half[..., k, :, :]) * w)
+    return u
+
+
+def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
+    from itertools import product
+
+    from entspace.chart import ALPHA_WORDS, BETA_WORDS, TORUS_WORDS
+
+    special = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300)
+    grid = np.array(list(product(special, repeat=3)))
+    g = philox_stream(18, 60)
+    mixed = np.where(g.random((200, 3)) < 0.3, g.choice(special, (200, 3)),
+                     g.uniform(-2 * np.pi, 2 * np.pi, (200, 3)))
+    stack = g.uniform(-4 * np.pi, 4 * np.pi, (5, 9, 3))
+    for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
+        for angles in np.concatenate([grid, mixed]):
+            assert (exp_commuting_paulis(angles, words).tobytes()
+                    == _reference_exp_commuting_paulis(angles, words).tobytes())
+        for angles in (grid, mixed, stack):
+            closed = exp_commuting_paulis(angles, words)
+            assert closed.shape == (*angles.shape[:-1], 4, 4)
+            assert closed.tobytes() == _reference_exp_commuting_paulis(angles, words).tobytes()
+
+
 def test_partial_transpose_diagonal_fixed_point():
     d = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert np.array_equal(partial_transpose(d, "B"), d)

@@ -207,6 +207,23 @@ def test_chart_point_index_array_repeats_per_index_draws():
         assert p.beta.tobytes() == points.beta[pos].tobytes()
 
 
+def test_every_ensemble_names_the_callers_out_of_range_index():
+    top = (1 << 56) - 1
+    for ensemble in ("hs", "product", "chart"):
+        for index in (-1, -5000, -9000, 1 << 56, (1 << 56) + 5, 1 << 64):
+            with pytest.raises(DomainError, match=f"stream index out of range: {index}$"):
+                ensemble_state(ensemble, 1, index)
+        for index in (2.5, True):
+            with pytest.raises(DomainError, match="integers"):
+                ensemble_state(ensemble, 1, index)
+        assert np.isfinite(ensemble_state(ensemble, 1, top)).all()
+    for sample in (sample_hs_state, sample_product_state):
+        with pytest.raises(DomainError, match="stream index out of range: -5000$"):
+            sample(1, -5000)
+    with pytest.raises(DomainError, match="integers"):
+        sample_chart_point(1, np.array([True, False]))
+
+
 def test_single_index_states_match_their_chunks():
     n = tol.CHUNK + 2
     for ensemble in ("hs", "product"):
@@ -220,7 +237,8 @@ def test_single_index_states_match_their_chunks():
 def _reference_chart_draws(seed, index):
     """Sample ``index`` of the chart ensemble drawn one step at a time on a
     fresh stream: a flat Dirichlet spectrum, redrawn on a tie, then blocks
-    of 64 cube triples until two lie in the octahedron."""
+    of 64 cube triples until two lie in the octahedron.  The triples are
+    the last draws, so any block size gives the same two."""
     g = philox_stream(seed, TAG_CHART, index)
     while True:
         r = np.sort(g.dirichlet(np.ones(4)))[::-1]
@@ -248,9 +266,24 @@ def _assert_chart_points_match_reference(points, seed, index):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 99])
-def test_chart_points_follow_the_per_index_stream_contract(seed):
+def test_uniform_is_the_affine_map_of_unit_draws_contract(seed):
+    # the chart sampler draws unit triples and maps them itself; numpy's
+    # uniform(low, high) must be low + (high - low) * random() bit for bit
+    for index in (0, 7, 1 << 40):
+        uniform = philox_stream(seed, TAG_CHART, index).uniform(-TWO_PI, TWO_PI, 300_000)
+        unit = philox_stream(seed, TAG_CHART, index).random(300_000)
+        assert uniform.tobytes() == (-TWO_PI + (TWO_PI - -TWO_PI) * unit).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_chart_points_follow_the_per_index_stream_contract(seed, monkeypatch):
+    sequential = []
+    draws = sampling._chart_draws
+    monkeypatch.setattr(sampling, "_chart_draws", lambda g: sequential.append(1) or draws(g))
     index = np.arange(tol.CHUNK + 8)
     _assert_chart_points_match_reference(sample_chart_point(seed, index), seed, index)
+    # at the real block size some rows hold fewer than two accepted triples
+    assert len(sequential) >= 1
     shuffled = np.random.default_rng(seed).permutation(index)[:300]
     _assert_chart_points_match_reference(sample_chart_point(seed, shuffled), seed, shuffled)
     grid = np.array([[5, tol.CHUNK + 3, 0], [1 << 40, 5, (1 << 56) - 1]])
