@@ -1,5 +1,7 @@
 """Exception types and the argument checks shared across the package."""
 
+from numbers import Integral
+
 
 class DomainError(ValueError):
     """Input violates a documented precondition (shape, domain, symmetry)."""
@@ -9,10 +11,24 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or lost too much accuracy."""
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed):
-    """Raise DomainError unless ``seed`` is a stream seed in [0, 2^64)."""
+    """Raise DomainError unless ``seed`` is an integer stream seed in
+    [0, 2^64); a bool or a float is rejected, not truncated."""
+    if not _is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < (1 << 64):
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
+
+
+def check_count(n):
+    """Raise DomainError unless ``n`` is a positive integer sample count."""
+    if not _is_integer(n) or n < 1:
+        raise DomainError(f"sample count must be a positive integer, got {n!r}")
 
 
 def check_band(band):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_band, check_seed
+from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues
 from .linalg4 import partial_transpose as pt_batch
@@ -49,8 +49,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_ensemble(self.ensemble)
-        if self.samples < 1:
-            raise DomainError(f"sample count must be positive, got {self.samples}")
+        check_count(self.samples)
         check_seed(self.seed)
         check_band(self.band)
 

@@ -15,7 +15,7 @@ at a time sets the cost only.
 
 import numpy as np
 
-from .errors import DomainError, check_seed
+from .errors import DomainError, check_count, check_seed
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
@@ -59,8 +59,8 @@ def philox_streams(seed, tag, indices):
     One Philox bit generator serves all of them: before each yield it is
     re-keyed in place to counter 0 and key (seed, tag << 56 | i), so a
     yielded generator is valid only until the next one is yielded.
-    DomainError unless 0 <= seed < 2^64 and every 0 <= i < 2^56, naming
-    the first offending index.
+    DomainError unless the seed is an integer 0 <= seed < 2^64 and every
+    0 <= i < 2^56, naming the first offending index.
     """
     check_seed(seed)
     words = np.uint64(tag << _INDEX_BITS) | _check_indices(indices).astype(np.uint64)
@@ -78,7 +78,8 @@ def philox_streams(seed, tag, indices):
 
 def philox_stream(seed, tag, index=0):
     """A numpy Generator on the Philox stream keyed by (seed, tag, index);
-    DomainError unless 0 <= seed < 2^64 and 0 <= index < 2^56."""
+    DomainError unless the seed is an integer 0 <= seed < 2^64 and
+    0 <= index < 2^56."""
     return next(philox_streams(seed, tag, [index]))
 
 
@@ -314,8 +315,9 @@ def check_ensemble(ensemble):
         ) from None
 
 
-def ensemble_chunks(ensemble, seed, n):
-    """Yield (start_index, states) arrays covering samples 0..n-1 in order.
+def ensemble_chunks(ensemble, seed, n, first=0):
+    """Yield (start_index, states) arrays covering samples 0..n-1 in order,
+    from chunk ``first`` on: the chunks before it are not drawn.
 
     The last chunk is truncated to the requested count without moving
     any sample: a chunk-level stream is laid out for the full chunk and a
@@ -323,9 +325,8 @@ def ensemble_chunks(ensemble, seed, n):
     do not interact.
     """
     chunk_states, _ = check_ensemble(ensemble)
-    if n < 1:
-        raise DomainError(f"sample count must be positive, got {n}")
-    for chunk in range((n + tol.CHUNK - 1) // tol.CHUNK):
+    check_count(n)
+    for chunk in range(first, (n + tol.CHUNK - 1) // tol.CHUNK):
         start = chunk * tol.CHUNK
         yield start, chunk_states(seed, chunk, min(tol.CHUNK, n - start))
 

@@ -4,26 +4,39 @@ Every load-bearing identity of the package is re-checked here at runtime
 against an independent route: closed forms against brute force, spectral
 routes against invariant routes, the algebraic PPT criterion against a
 dense eigensolver.  Checks are grouped into suites ("identities",
-"coeffs", "ppt"); each check consumes its own deterministic stream, never
-aborts the others, and reports its worst residual against its tolerance.
+"coeffs", "ppt"); each check never aborts the others and reports its
+worst residual against its tolerance.
+
+The checks of one suite run share their samples: the first Hilbert-Schmidt
+chunk with its Fano coefficients and the characteristic coefficients of
+its partial transposes, and a prefix of the chart ensemble with its
+representative states, each drawn or computed once, by the first check
+that needs it, and handed to the others as read-only prefixes.  Since
+every sample is a fixed function of (seed, index) and every kernel repeats
+each single call bit for bit in a stack, a check reports the same bytes
+in a suite as on its own.  Every other draw comes from a stream of the
+check's own.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import check_band, check_seed
+from .errors import DomainError, check_band, check_count, check_seed
 from .chart import (
     ALPHA_WORDS,
     BETA_WORDS,
     ChartPoint,
+    SimplexPoint,
     a_factor,
     eigenvalues_from_xyz,
     representative_state,
     xyz_from_eigenvalues,
 )
 from .fano import (
+    FanoState,
     from_fano,
     local_unitary_action,
     density_matrix,
@@ -101,9 +114,71 @@ def _result(name, group, samples, residual, tolerance, detail=""):
     )
 
 
+def _read_only(*arrays):
+    """The ``arrays``, each made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _SuiteSamples:
+    """The samples shared by the checks of one suite run.
+
+    Holds the first min(n, CHUNK) Hilbert-Schmidt states (chunk 0 of the
+    ensemble), their Fano coefficients and the characteristic coefficients
+    of their partial transposes, and chart points 0..k-1 with their
+    representative states.  Each is drawn or computed on first use, inside
+    the check that needs it; the chart prefix grows on demand, drawing only
+    the new indices.  A check takes a prefix; every array handed out is
+    read-only.
+    """
+
+    def __init__(self, seed, n):
+        self.seed = seed
+        self.size = min(n, tol.CHUNK)
+        self._hs = self._fano = self._pt_coeffs = None
+        self._chart = ()  # x, y, z, alpha, beta, representative states
+
+    def hs(self, m=None):
+        """HS states 0..m-1 (all ``size`` of them by default)."""
+        if self._hs is None:
+            _, states = next(ensemble_chunks("hs", self.seed, self.size))
+            (self._hs,) = _read_only(states)
+        return self._hs[:m]
+
+    def fano(self, m=None):
+        """Fano coefficients of hs(m)."""
+        if self._fano is None:
+            f = to_fano(self.hs())
+            _read_only(f.a, f.b, f.C)
+            self._fano = f
+        f = self._fano
+        return f if m is None else FanoState(f.a[:m], f.b[:m], f.C[:m])
+
+    def pt_coeffs(self, m=None):
+        """(S2, S3, S4) of the partial transposes of hs(m)."""
+        if self._pt_coeffs is None:
+            self._pt_coeffs = _read_only(*char_poly_batch(pt_batch(self.hs())))
+        return tuple(s[:m] for s in self._pt_coeffs)
+
+    def chart(self, m):
+        """Chart points 0..m-1 as a stacked ChartPoint, and their
+        representative states."""
+        have = len(self._chart[-1]) if self._chart else 0
+        if m > have:
+            points = sample_chart_point(self.seed, np.arange(have, m))
+            s = points.simplex
+            new = (s.x, s.y, s.z, points.alpha, points.beta, representative_state(points))
+            if self._chart:
+                new = tuple(np.concatenate(pair) for pair in zip(self._chart, new))
+            self._chart = _read_only(*new)
+        x, y, z, alpha, beta, states = (a[:m] for a in self._chart)
+        return ChartPoint(SimplexPoint(x, y, z), alpha, beta), states
+
+
 # -- identities -----------------------------------------------------------------
 
-def _check_kron_mixed_product(n, seed, band):
+def _check_kron_mixed_product(n, seed, band, store=None):
     m = min(n, 2000)
     g = verify_stream(seed, 0)
     a, b, c, d = np.moveaxis(random_hermitian(g, dim=2, shape=(m, 4)), 1, 0)
@@ -113,7 +188,7 @@ def _check_kron_mixed_product(n, seed, band):
     return _result("kron_mixed_product", "identities", m, worst, 1e-13)
 
 
-def _check_eigensolver_reconstruction(n, seed, band):
+def _check_eigensolver_reconstruction(n, seed, band, store=None):
     m = min(n, 1500)
     g = verify_stream(seed, 1)
     hs = random_hermitian(g, shape=(m,))
@@ -132,7 +207,7 @@ def _check_eigensolver_reconstruction(n, seed, band):
     )
 
 
-def _check_charpoly_vs_spectrum(n, seed, band):
+def _check_charpoly_vs_spectrum(n, seed, band, store=None):
     m = min(n, 1500)
     g = verify_stream(seed, 2)
     hs = random_hermitian(g, shape=(m,))
@@ -151,7 +226,7 @@ def _check_charpoly_vs_spectrum(n, seed, band):
     return _result("charpoly_vs_spectrum", "identities", m, worst, 1e-10)
 
 
-def _check_expm_paths(n, seed, band):
+def _check_expm_paths(n, seed, band, store=None):
     m = min(n, 600)
     g = verify_stream(seed, 3)
     angles = np.empty((m, 3))
@@ -176,44 +251,50 @@ def _check_expm_paths(n, seed, band):
     return _result("expm_paths", "identities", m, worst, tol.EXPM_PATH_TOL)
 
 
-def _check_fano_roundtrip(n, seed, band):
-    m = min(n, 4096)
-    worst = 0.0
-    for _, states in ensemble_chunks("hs", seed, m):
-        worst = max(worst, np.max(np.abs(from_fano(to_fano(states)) - states)))
-    return _result("fano_roundtrip", "identities", m, worst, 1e-13)
+def _check_fano_roundtrip(n, seed, band, store=None):
+    store = store or _SuiteSamples(seed, n)
+    worst = np.max(np.abs(from_fano(store.fano()) - store.hs()))
+    return _result("fano_roundtrip", "identities", store.size, worst, 1e-13)
 
 
-def _check_partial_transpose_trace(n, seed, band):
+def _check_partial_transpose_trace(n, seed, band, store=None):
     m = min(n, 2000)
-    worst = 0.0
-    for _, states in ensemble_chunks("hs", seed, m):
-        pts = pt_batch(states, "B")
-        worst = max(worst, np.max(np.abs(pt_batch(pts, "B") - states)))
-        trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
-        worst = max(worst, np.max(np.abs(trace_gap)))
-        reduced = partial_trace(states, "B")
-        bloch_a = np.einsum("nij,kji->nk", reduced, SIGMA).real
-        worst = max(worst, np.max(np.abs(to_fano(states).a - bloch_a)))
+    store = store or _SuiteSamples(seed, n)
+    states = store.hs(m)
+    pts = pt_batch(states, "B")
+    trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
+    reduced = partial_trace(states, "B")
+    bloch_a = np.einsum("nij,kji->nk", reduced, SIGMA).real
+    worst = max(
+        np.max(np.abs(pt_batch(pts, "B") - states)),
+        np.max(np.abs(trace_gap)),
+        np.max(np.abs(store.fano(m).a - bloch_a)),
+    )
     return _result("partial_transpose_trace", "identities", m, worst, 1e-12)
 
 
-def _check_local_unitary_invariance(n, seed, band):
+def _lu_invariants(pt_coeffs, f):
+    return (*pt_coeffs, det_correlation(f), det_schlienz_mahler(f), quesne_c112(f))
+
+
+def _check_local_unitary_invariance(n, seed, band, store=None):
     m = min(n, 300)
-    worst = 0.0
-    for start, states in ensemble_chunks("hs", seed, m):
-        g = sample_local_unitary(seed, start + np.arange(len(states)))
-        both = np.stack([states, local_unitary_action(states, g)])
-        f = to_fano(both)
-        for q in (*s_coeffs_pt(both), det_correlation(f), det_schlienz_mahler(f), quesne_c112(f)):
-            worst = max(worst, np.max(np.abs(q[0] - q[1])))
+    store = store or _SuiteSamples(seed, n)
+    rotated = local_unitary_action(store.hs(m), sample_local_unitary(seed, np.arange(m)))
+    worst = max(
+        np.max(np.abs(q0 - q1)) for q0, q1 in zip(
+            _lu_invariants(store.pt_coeffs(m), store.fano(m)),
+            _lu_invariants(s_coeffs_pt(rotated), to_fano(rotated)),
+        )
+    )
     return _result("local_unitary_invariance", "identities", m, worst, 1e-10)
 
 
-def _check_chart_spectrum_roundtrip(n, seed, band):
+def _check_chart_spectrum_roundtrip(n, seed, band, store=None):
     m = min(n, 500)
-    points = sample_chart_point(seed, np.arange(m))
-    spectra = herm_eigenvalues(representative_state(points))
+    store = store or _SuiteSamples(seed, n)
+    points, states = store.chart(m)
+    spectra = herm_eigenvalues(states)
     r = eigenvalues_from_xyz(points.simplex)
     paths = a_factor(points.alpha, points.beta, "closed") - a_factor(
         points.alpha, points.beta, "series"
@@ -229,10 +310,11 @@ def _check_chart_spectrum_roundtrip(n, seed, band):
     return _result("chart_spectrum_roundtrip", "identities", m, worst, 1e-12)
 
 
-def _check_det_m_identity(n, seed, band):
+def _check_det_m_identity(n, seed, band, store=None):
+    store = store or _SuiteSamples(seed, n)
+    later = (to_fano(states) for _, states in ensemble_chunks("hs", seed, n, first=1))
     worst = 0.0
-    for _, states in ensemble_chunks("hs", seed, n):
-        f = to_fano(states)
+    for f in chain([store.fano()], later):
         lhs = det_schlienz_mahler(f)
         rhs = det_correlation(f) - 0.5 * quesne_c112(f)
         worst = max(worst, np.max(np.abs(lhs - rhs)))
@@ -241,10 +323,11 @@ def _check_det_m_identity(n, seed, band):
 
 # -- coefficient table ------------------------------------------------------------
 
-def _check_det_c_closed_form(n, seed, band):
+def _check_det_c_closed_form(n, seed, band, store=None):
     m = min(n, 2000)
-    points = sample_chart_point(seed, np.arange(m))
-    brute = det_correlation(to_fano(representative_state(points)))
+    store = store or _SuiteSamples(seed, n)
+    points, states = store.chart(m)
+    brute = det_correlation(to_fano(states))
     closed = det_c_closed_form(points.simplex, points.alpha[..., 2], points.beta)
     worst = np.max(np.abs(brute - closed))
     return _result("det_c_closed_form", "coeffs", m, worst, tol.CLOSED_FORM_TOL)
@@ -261,7 +344,7 @@ def _fit_points(seed, check_id, count):
     return out
 
 
-def _check_fit_support_frozen(n, seed, band):
+def _check_fit_support_frozen(n, seed, band, store=None):
     fits = max(2, min(6, n // 1500))
     worst = 0.0
     detail = ""
@@ -277,7 +360,7 @@ def _check_fit_support_frozen(n, seed, band):
     )
 
 
-def _check_fit_alpha12_invariance(n, seed, band):
+def _check_fit_alpha12_invariance(n, seed, band, store=None):
     fits = max(2, min(5, n // 2000))
     g = verify_stream(seed, 11)
     worst = 0.0
@@ -294,7 +377,7 @@ def _check_fit_alpha12_invariance(n, seed, band):
     )
 
 
-def _check_fit_closed_form_entry(n, seed, band):
+def _check_fit_closed_form_entry(n, seed, band, store=None):
     fits = max(3, min(8, n // 1200))
     worst = 0.0
     for alpha, beta in _fit_points(seed, 12, fits):
@@ -307,7 +390,7 @@ def _check_fit_closed_form_entry(n, seed, band):
     )
 
 
-def _check_c112_quartic_predicts(n, seed, band):
+def _check_c112_quartic_predicts(n, seed, band, store=None):
     fits = max(2, min(4, n // 2500))
     g = verify_stream(seed, 13)
     worst = 0.0
@@ -327,12 +410,16 @@ def _check_c112_quartic_predicts(n, seed, band):
 
 # -- PPT criterion ------------------------------------------------------------------
 
-def _check_ppt_vs_eigenvalue_oracle(n, seed, band):
+def _check_ppt_vs_eigenvalue_oracle(n, seed, band, store=None):
+    store = store or _SuiteSamples(seed, n)
+    later = (pt_batch(states) for _, states in ensemble_chunks("hs", seed, n, first=1))
+    chunks = chain(
+        [(pt_batch(store.hs()), store.pt_coeffs())],
+        ((pts, char_poly_batch(pts)) for pts in later),
+    )
     mismatches = 0
     undecided = 0
-    for _, states in ensemble_chunks("hs", seed, n):
-        pts = pt_batch(states)
-        _, s3, s4 = char_poly_batch(pts)
+    for pts, (_, s3, s4) in chunks:
         sep, ent, bnd = verdict_masks(s3, s4, band)
         osep, oent, oundec = oracle_masks(np.linalg.eigvalsh(pts)[:, 0])
         decided = ~(bnd | oundec)
@@ -348,19 +435,20 @@ def _check_ppt_vs_eigenvalue_oracle(n, seed, band):
     )
 
 
-def _check_dual_path_agreement(n, seed, band):
+def _check_dual_path_agreement(n, seed, band, store=None):
     m = min(n, 2000)
-    worst = 0.0
-    for _, states in ensemble_chunks("hs", seed, m):
-        f = to_fano(states)
-        _, s3_pt, s4_pt = s_coeffs_pt(states)
-        _, s3, s4 = char_poly_batch(states)
-        worst = max(worst, np.max(np.abs(s3 + det_correlation(f) / 4.0 - s3_pt)))
-        worst = max(worst, np.max(np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt)))
+    store = store or _SuiteSamples(seed, n)
+    f = store.fano(m)
+    _, s3_pt, s4_pt = store.pt_coeffs(m)
+    _, s3, s4 = char_poly_batch(store.hs(m))
+    worst = max(
+        np.max(np.abs(s3 + det_correlation(f) / 4.0 - s3_pt)),
+        np.max(np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt)),
+    )
     return _result("dual_path_agreement", "ppt", m, worst, tol.DUAL_PATH_TOL)
 
 
-def _check_werner_verdicts(n, seed, band):
+def _check_werner_verdicts(n, seed, band, store=None):
     expected = ((0.2, SEPARABLE), (1.0 / 3.0, BOUNDARY), (0.5, ENTANGLED))
     bad = []
     for p, want in expected:
@@ -372,13 +460,13 @@ def _check_werner_verdicts(n, seed, band):
     )
 
 
-def _check_bounds_attained_at_i4(n, seed, band):
+def _check_bounds_attained_at_i4(n, seed, band, store=None):
     _, s3, s4 = s_coeffs_pt(I4 / 4.0)
     worst = max(abs(s3 - S3_BOUND), abs(s4 - S4_BOUND))
     return _result("bounds_attained_at_i4", "ppt", 1, worst, 1e-12)
 
 
-def _check_product_states_separable(n, seed, band):
+def _check_product_states_separable(n, seed, band, store=None):
     m = min(n, 5000)
     entangled = 0
     worst = 0.0
@@ -429,19 +517,23 @@ def run_suite(suite="all", samples=1000, seed=1, band=tol.VERDICT_TOL):
 
     Returns a JSON-ready dict with one entry per check; a check that
     raises is recorded as failed with the exception text, and the
-    remaining checks still run.  Raises DomainError on a seed outside
-    [0, 2^64) or a band outside (0, 1).
+    remaining checks still run.  The checks share one _SuiteSamples, which
+    lives for this call only.  Raises DomainError on an unknown suite, a
+    sample count that is not a positive integer, a seed that is not an
+    integer in [0, 2^64) or a band outside (0, 1).
     """
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
+    check_count(samples)
     check_seed(seed)
     check_band(band)
+    store = _SuiteSamples(seed, samples)
     results = []
     for group, fn in CHECKS:
         if suite != "all" and group != suite:
             continue
         try:
-            results.append(fn(samples, seed, band))
+            results.append(fn(samples, seed, band, store))
         except Exception as exc:  # noqa: BLE001 - the suite must never abort early
             name = fn.__name__.removeprefix("_check_")
             results.append(

@@ -18,7 +18,7 @@ from entspace.montecarlo import (
     separable_fraction,
     verdict_masks,
 )
-from entspace.sampling import ensemble_chunks, ensemble_state, sample_hs_state
+from entspace.sampling import ensemble_chunks, ensemble_state, philox_stream, sample_hs_state
 from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze, werner_state
 from entspace.verify import run_suite
 
@@ -48,6 +48,36 @@ def test_band_and_seed_are_checked_by_every_entry_point():
         with pytest.raises(DomainError, match="seed"):
             RunConfig(ensemble="hs", samples=1, seed=seed)
     assert analyze(rho, band=0.5).verdict == BOUNDARY
+
+
+def test_seed_must_be_an_integer_not_a_bool_or_a_float():
+    # 1.9 and 1.5 ran seed 1's stream, and True was seed 1
+    for seed in (1.9, 1.5, 2.0, np.float64(3.0), True, False, np.True_, "1", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            RunConfig(ensemble="hs", samples=1, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            philox_stream(seed, 1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            run_suite("ppt", 1, seed)
+    expected = philox_stream(5, 1).standard_normal(3)
+    for seed in (np.int64(5), np.uint64(5), np.int8(5)):
+        assert RunConfig(ensemble="hs", samples=1, seed=seed).seed == 5
+        assert philox_stream(seed, 1).standard_normal(3).tobytes() == expected.tobytes()
+        assert run_suite("ppt", 1, seed)["passed"]
+
+
+def test_sample_count_is_checked_in_one_place():
+    # 0 and -3 made 13 checks fail on empty arrays, 2.5 raised TypeError
+    # mid-scan and True ran one sample
+    for samples in (0, -3, 2.5, 3.0, True, np.float64(4.0), "10", None):
+        with pytest.raises(DomainError, match="sample count must be a positive integer"):
+            RunConfig(ensemble="hs", samples=samples, seed=0)
+        with pytest.raises(DomainError, match="sample count must be a positive integer"):
+            run_suite("all", samples, 1)
+    assert RunConfig(ensemble="hs", samples=np.int64(3), seed=0).samples == 3
+    assert run_suite("ppt", np.int32(3), 1)["passed"]
+    with pytest.raises(DomainError, match="unknown suite"):
+        run_suite("everything", 10, 1)
 
 
 def test_batched_kernels_match_scalar_routes():

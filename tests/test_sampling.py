@@ -182,6 +182,25 @@ def test_unknown_ensemble_message_is_shared():
     assert messages == {"unknown ensemble 'haar'; choose from ('hs', 'product', 'chart')"}
 
 
+def test_ensemble_chunks_from_a_later_chunk_skip_the_earlier_draws(monkeypatch):
+    n = 2 * tol.CHUNK + 5
+    full = list(ensemble_chunks("hs", 17, n))
+    drawn = []
+    original = sampling._hs_chunk
+
+    def counted(seed, chunk, lo, hi):
+        drawn.append(chunk)
+        return original(seed, chunk, lo, hi)
+
+    monkeypatch.setattr(sampling, "_hs_chunk", counted)
+    later = list(ensemble_chunks("hs", 17, n, first=1))
+    assert drawn == [1, 2]
+    assert [start for start, _ in later] == [tol.CHUNK, 2 * tol.CHUNK]
+    for (_, got), (_, want) in zip(later, full[1:]):
+        assert got.tobytes() == want.tobytes()
+    assert list(ensemble_chunks("hs", 17, tol.CHUNK, first=1)) == []
+
+
 def test_chart_chunks_match_per_index_states_across_a_chunk_boundary():
     from entspace.chart import representative_state
 

@@ -6,18 +6,30 @@ sample.  The stacked checks must agree with them to the last bits.
 """
 
 import numpy as np
+import pytest
 
-from entspace import verify
-from entspace.chart import ALPHA_WORDS, BETA_WORDS
-from entspace.fano import local_unitary_action
-from entspace.linalg4 import I4, dag, exp_antihermitian, exp_commuting_paulis
+from entspace import sampling, verify
+from entspace import tolerances as tol
+from entspace.chart import ALPHA_WORDS, BETA_WORDS, representative_state
+from entspace.fano import local_unitary_action, to_fano
+from entspace.linalg4 import (
+    I4,
+    char_poly_coeffs,
+    dag,
+    exp_antihermitian,
+    exp_commuting_paulis,
+    partial_transpose,
+)
 from entspace.sampling import (
+    _hs_chunk,
     ensemble_chunks,
     random_antihermitian,
+    sample_chart_point,
     sample_local_unitary,
     verify_stream,
 )
 from entspace.separability import analyze
+from entspace.serialize import to_json
 
 EPS = np.finfo(float).eps
 
@@ -63,3 +75,94 @@ def test_local_unitary_invariance_matches_the_per_point_loop():
         assert result.samples == min(n, 300) and result.passed
         ref = _reference_local_unitary_invariance(n, seed)
         assert abs(result.max_residual - ref) <= 4 * EPS * ref
+
+
+# -- the suite's shared samples ------------------------------------------------------
+
+def _standalone_bytes(n, seed):
+    return {
+        fn.__name__.removeprefix("_check_"): to_json(fn(n, seed, tol.VERDICT_TOL).to_dict())
+        for _, fn in verify.CHECKS
+    }
+
+
+def test_suite_results_equal_standalone_checks_byte_for_byte():
+    seed = 29
+    for n in (100, tol.CHUNK + 7):
+        alone = _standalone_bytes(n, seed)
+        for suite in verify.SUITES:
+            checks = verify.run_suite(suite, n, seed)["checks"]
+            assert checks and all(to_json(c) == alone[c["name"]] for c in checks), (suite, n)
+
+
+def test_shared_prefixes_are_bitwise_fresh_draws():
+    seed = 31
+    store = verify._SuiteSamples(seed, tol.CHUNK + 7)
+    assert store.hs().shape == (tol.CHUNK, 4, 4)
+    for m in (1, 300, 2000, tol.CHUNK):
+        fresh = _hs_chunk(seed, 0, 0, m)
+        assert store.hs(m).tobytes() == fresh.tobytes()
+        f = store.fano(m)
+        ref = to_fano(fresh)
+        assert all(getattr(f, k).tobytes() == getattr(ref, k).tobytes() for k in "abC")
+        for got, want in zip(store.pt_coeffs(m), char_poly_coeffs(partial_transpose(fresh))):
+            assert got.tobytes() == want.tobytes()
+    for m in (500, 2000):
+        points, states = store.chart(m)
+        fresh = sample_chart_point(seed, np.arange(m))
+        assert states.tobytes() == representative_state(fresh).tobytes()
+        for k in ("x", "y", "z"):
+            assert getattr(points.simplex, k).tobytes() == getattr(fresh.simplex, k).tobytes()
+        assert points.alpha.tobytes() == fresh.alpha.tobytes()
+        assert points.beta.tobytes() == fresh.beta.tobytes()
+
+
+def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
+    hs_draws, chart_indices, stores = [], [], []
+
+    def counted_hs_chunk(seed, chunk, lo, hi):
+        hs_draws.append((chunk, lo, hi))
+        return _hs_chunk(seed, chunk, lo, hi)
+
+    def counted_chart_point(seed, index):
+        chart_indices.extend(np.asarray(index).reshape(-1).tolist())
+        return sample_chart_point(seed, index)
+
+    class Recorded(verify._SuiteSamples):
+        def __init__(self, seed, n):
+            super().__init__(seed, n)
+            stores.append(self)
+
+    monkeypatch.setattr(sampling, "_hs_chunk", counted_hs_chunk)
+    monkeypatch.setattr(verify, "sample_chart_point", counted_chart_point)
+    monkeypatch.setattr(verify, "_SuiteSamples", Recorded)
+
+    assert verify.run_suite("coeffs", 3 * tol.CHUNK, 5)["passed"]
+    assert hs_draws == []
+    assert chart_indices == list(range(2000))
+
+    chart_indices.clear()
+    assert verify.run_suite("all", tol.CHUNK + 7, 5)["passed"]
+    assert [d for d in hs_draws if d[0] == 0] == [(0, 0, tol.CHUNK)]
+    # chunk 1 is drawn by each of the two full-count checks, outside the store
+    assert [d for d in hs_draws if d[0] != 0] == [(1, 0, 7), (1, 0, 7)]
+    assert chart_indices == list(range(2000))
+
+    assert verify.run_suite("all", 3 * tol.CHUNK, 5)["passed"]
+    assert len(stores) == 3
+    for store in stores[1:]:
+        assert len(store._hs) == tol.CHUNK and len(store._chart[-1]) == 2000
+
+
+def test_served_arrays_are_read_only():
+    store = verify._SuiteSamples(3, 600)
+    points, states = store.chart(20)
+    f, f_prefix = store.fano(), store.fano(10)
+    served = (
+        store.hs(), store.hs(10), f.a, f.b, f.C, f_prefix.a, f_prefix.C,
+        *store.pt_coeffs(), *store.pt_coeffs(10),
+        points.simplex.x, points.alpha, points.beta, states,
+    )
+    for a in served:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
