@@ -105,11 +105,12 @@ def to_fano(rho):
     a (..., 4, 4) stack of them.
 
     a_i = tr(rho s_i(x)I), b_j = tr(rho I(x)s_j), C_ij = tr(rho s_i(x)s_j);
-    all are real for Hermitian input.
+    all are real for Hermitian input.  a, b and C are copies that own their
+    memory: a held FanoState keeps no complex intermediate alive.
     """
     rho = np.asarray(rho, dtype=complex)
     v = np.einsum("kij,...ji->...k", BASIS, rho).real
-    return FanoState(a=v[..., :3], b=v[..., 3:6], C=v[..., 6:])
+    return FanoState(a=v[..., :3].copy(), b=v[..., 3:6].copy(), C=v[..., 6:].copy())
 
 
 def from_fano(f):

@@ -7,6 +7,7 @@ sample stream, so their verdicts are comparable sample by sample.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ def separable_fraction(config):
     )
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """One scanned state: index, verdict and its certifying quantities."""
 
     index: int
@@ -156,6 +156,7 @@ class SampleRecord:
     min_pt_eig: float
     spectrum: tuple
 
+    #: The CSV header: the fields, with the spectrum spread over r1..r4.
     FIELDS = ("index", "verdict", "lhs3", "lhs4", "min_pt_eig", "r1", "r2", "r3", "r4")
 
 

@@ -7,10 +7,11 @@ are independent of batching.  Every ensemble takes the sample indices
 0 <= i < 2^56.  Matrix-valued ensembles are drawn in chunks of CHUNK
 samples on one stream per chunk, laid out for the full chunk whatever is
 requested: a slice of a chunk draws the stream only as far as its last
-sample needs and builds only its own states.  Chart samples have a stream
-each: a spectrum, then uniform cube triples -2*pi + 4*pi * (u1, u2, u3)
-of unit draws until two lie in the octahedron; the block of triples drawn
-at a time sets the cost only.
+sample needs and builds only its own states; a single HS index keeps its
+chunk's real parts for the next single index of that chunk.  Chart samples
+have a stream each: a spectrum, then uniform cube triples -2*pi + 4*pi *
+(u1, u2, u3) of unit draws until two lie in the octahedron; the block of
+triples drawn at a time sets the cost only.
 """
 
 import numpy as np
@@ -90,16 +91,44 @@ def verify_stream(seed, check_id, index=0):
 
 # -- Hilbert-Schmidt ensemble --------------------------------------------------
 
+def _hs_states(x, y):
+    """rho = G G^dag / tr(G G^dag) of the Ginibre matrices G = x + i y,
+    x and y of shape (m, 4, 4)."""
+    ginibre = x + 1j * y
+    rho = ginibre @ np.conj(np.swapaxes(ginibre, 1, 2))
+    traces = np.einsum("nii->n", rho).real
+    return rho / traces[:, None, None]
+
+
 def _hs_chunk(seed, chunk, lo, hi):
     """States lo..hi-1 of HS chunk ``chunk``: the real parts of all CHUNK
     Ginibre matrices come first on the stream, then the imaginary parts."""
     g = philox_stream(seed, TAG_HS, chunk)
     x = g.standard_normal((tol.CHUNK, 4, 4))[lo:hi]
     y = g.standard_normal((hi, 4, 4))[lo:]
-    ginibre = x + 1j * y
-    rho = ginibre @ np.conj(np.swapaxes(ginibre, 1, 2))
-    traces = np.einsum("nii->n", rho).real
-    return rho / traces[:, None, None]
+    return _hs_states(x, y)
+
+
+#: The memo of sample_hs_state: (seed, chunk) -> the chunk's read-only real
+#: parts and the Philox state right after them; one chunk at most.
+_hs_memo = {}
+
+
+def _hs_real_parts(seed, chunk):
+    """The read-only (CHUNK, 4, 4) real parts of HS chunk ``chunk`` and the
+    Philox state right after them, where the imaginary parts begin.  The
+    normal sampler takes a variable number of words per draw, so that state
+    is only known by drawing the real parts; one chunk is memoised, and the
+    old one is dropped before the new one is drawn.  Threads that race on a
+    miss each draw the same values."""
+    parts = _hs_memo.get((seed, chunk))
+    if parts is None:
+        _hs_memo.clear()
+        g = philox_stream(seed, TAG_HS, chunk)
+        x = g.standard_normal((tol.CHUNK, 4, 4))
+        x.flags.writeable = False
+        parts = _hs_memo[seed, chunk] = x, g.bit_generator.state
+    return parts
 
 
 def sample_hs_state(seed, index):
@@ -107,9 +136,22 @@ def sample_hs_state(seed, index):
 
     rho = G G^dag / tr(G G^dag) with G a 4x4 standard complex Ginibre
     matrix; full rank with probability one.
+
+    One chunk is memoised: the real parts of the chunk of the last index
+    asked for here (512 KiB, read-only) and the Philox state right after
+    them.  An index of the same (seed, chunk) restores that state and draws
+    only its chunk's first i + 1 imaginary parts; any other index replaces
+    the memo.  The state is bitwise the one ``ensemble_chunks`` builds,
+    which never reads or fills the memo.  The seed and index are checked
+    before the lookup.
     """
     chunk, i = _chunk_position(index)
-    return _hs_chunk(seed, chunk, i, i + 1)[0]
+    check_seed(seed)
+    x, after = _hs_real_parts(seed, chunk)
+    g = philox_stream(seed, TAG_HS, chunk)
+    g.bit_generator.state = after
+    y = g.standard_normal((i + 1, 4, 4))[i:]
+    return _hs_states(x[i:i + 1], y)[0]
 
 
 # -- product-state ensemble ----------------------------------------------------

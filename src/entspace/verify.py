@@ -114,6 +114,16 @@ def _result(name, group, samples, residual, tolerance, detail=""):
     )
 
 
+def _worst(residuals):
+    """The largest entry of ``residuals`` (scalars or arrays, an iterable
+    of them), 0.0 for none; NaN as soon as any entry is NaN, so a NaN
+    residual fails its check wherever it occurs."""
+    worst = 0.0
+    for r in residuals:
+        worst = np.maximum(worst, np.max(r, initial=0.0))
+    return worst
+
+
 def _read_only(*arrays):
     """The ``arrays``, each made read-only in place."""
     for a in arrays:
@@ -198,10 +208,10 @@ def _check_eigensolver_reconstruction(n, seed, band, store=None):
             "eigensolver_reconstruction", "identities", m, np.inf,
             tol.EIG_RECONSTRUCT_TOL, "eigenvalues not sorted descending",
         )
-    worst = max(
-        np.max(np.abs((vs * ws[:, None, :]) @ dag(vs) - hs)),
-        np.max(np.abs(dag(vs) @ vs - I4)),
-    )
+    worst = _worst((
+        np.abs((vs * ws[:, None, :]) @ dag(vs) - hs),
+        np.abs(dag(vs) @ vs - I4),
+    ))
     return _result(
         "eigensolver_reconstruction", "identities", m, worst, tol.EIG_RECONSTRUCT_TOL
     )
@@ -222,7 +232,7 @@ def _check_charpoly_vs_spectrum(n, seed, band, store=None):
     )
     e4 = np.prod(w, axis=0)
     gaps = (s2 - e2, s3 - e3, s4 - e4, s4 - np.linalg.det(hs).real)
-    worst = max(np.max(np.abs(gap)) for gap in gaps)
+    worst = _worst(np.abs(gap) for gap in gaps)
     return _result("charpoly_vs_spectrum", "identities", m, worst, 1e-10)
 
 
@@ -243,11 +253,11 @@ def _check_expm_paths(n, seed, band, store=None):
         closed[family] = exp_commuting_paulis(t, words)
         gen[family] = -0.5j * sum(t[:, k, None, None] * w for k, w in enumerate(words))
     series, exp_x, exp_minus_x = exp_antihermitian(np.stack([gen, x, -x]))
-    worst = max(
-        np.max(np.abs(closed - series), initial=0.0),
-        *(np.max(d, initial=0.0) for d in unitarity_defect(series)),
-        np.max(np.abs(exp_x @ exp_minus_x - I4), initial=0.0),
-    )
+    worst = _worst((
+        np.abs(closed - series),
+        *unitarity_defect(series),
+        np.abs(exp_x @ exp_minus_x - I4),
+    ))
     return _result("expm_paths", "identities", m, worst, tol.EXPM_PATH_TOL)
 
 
@@ -265,11 +275,11 @@ def _check_partial_transpose_trace(n, seed, band, store=None):
     trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
     reduced = partial_trace(states, "B")
     bloch_a = np.einsum("nij,kji->nk", reduced, SIGMA).real
-    worst = max(
-        np.max(np.abs(pt_batch(pts, "B") - states)),
-        np.max(np.abs(trace_gap)),
-        np.max(np.abs(store.fano(m).a - bloch_a)),
-    )
+    worst = _worst((
+        np.abs(pt_batch(pts, "B") - states),
+        np.abs(trace_gap),
+        np.abs(store.fano(m).a - bloch_a),
+    ))
     return _result("partial_transpose_trace", "identities", m, worst, 1e-12)
 
 
@@ -281,8 +291,8 @@ def _check_local_unitary_invariance(n, seed, band, store=None):
     m = min(n, 300)
     store = store or _SuiteSamples(seed, n)
     rotated = local_unitary_action(store.hs(m), sample_local_unitary(seed, np.arange(m)))
-    worst = max(
-        np.max(np.abs(q0 - q1)) for q0, q1 in zip(
+    worst = _worst(
+        np.abs(q0 - q1) for q0, q1 in zip(
             _lu_invariants(store.pt_coeffs(m), store.fano(m)),
             _lu_invariants(s_coeffs_pt(rotated), to_fano(rotated)),
         )
@@ -300,24 +310,23 @@ def _check_chart_spectrum_roundtrip(n, seed, band, store=None):
         points.alpha, points.beta, "series"
     )
     back = xyz_from_eigenvalues(r)
-    worst = max(
-        np.max(np.abs(spectra - r)),
-        np.max(np.abs(paths)),
-        np.max(np.abs(back.x - points.simplex.x)),
-        np.max(np.abs(back.y - points.simplex.y)),
-        np.max(np.abs(back.z - points.simplex.z)),
-    )
+    worst = _worst((
+        np.abs(spectra - r),
+        np.abs(paths),
+        np.abs(back.x - points.simplex.x),
+        np.abs(back.y - points.simplex.y),
+        np.abs(back.z - points.simplex.z),
+    ))
     return _result("chart_spectrum_roundtrip", "identities", m, worst, 1e-12)
 
 
 def _check_det_m_identity(n, seed, band, store=None):
     store = store or _SuiteSamples(seed, n)
     later = (to_fano(states) for _, states in ensemble_chunks("hs", seed, n, first=1))
-    worst = 0.0
-    for f in chain([store.fano()], later):
-        lhs = det_schlienz_mahler(f)
-        rhs = det_correlation(f) - 0.5 * quesne_c112(f)
-        worst = max(worst, np.max(np.abs(lhs - rhs)))
+    worst = _worst(
+        np.abs(det_schlienz_mahler(f) - (det_correlation(f) - 0.5 * quesne_c112(f)))
+        for f in chain([store.fano()], later)
+    )
     return _result("det_m_identity", "identities", n, worst, tol.DET_IDENTITY_TOL)
 
 
@@ -346,15 +355,15 @@ def _fit_points(seed, check_id, count):
 
 def _check_fit_support_frozen(n, seed, band, store=None):
     fits = max(2, min(6, n // 1500))
-    worst = 0.0
+    residuals = []
     detail = ""
     for alpha, beta in _fit_points(seed, 10, fits):
         table = fit_c112_coeffs(alpha, beta)
-        worst = max(worst, table.residual)
+        residuals.append(table.residual)
         outside = [m for m in table.support() if m not in C112_SUPPORT]
         if outside or len(table.support()) > len(C112_SUPPORT):
             detail = f"support escaped the frozen set: {outside}"
-            worst = np.inf
+    worst = np.inf if detail else _worst([residuals])
     return _result(
         "fit_support_frozen", "coeffs", fits, worst, tol.FIT_RESIDUAL_TOL, detail
     )
@@ -363,7 +372,7 @@ def _check_fit_support_frozen(n, seed, band, store=None):
 def _check_fit_alpha12_invariance(n, seed, band, store=None):
     fits = max(2, min(5, n // 2000))
     g = verify_stream(seed, 11)
-    worst = 0.0
+    gaps = []
     for _ in range(fits):
         alpha = g.uniform(-2.0, 2.0, 3)
         beta = g.uniform(-2.0, 2.0, 3)
@@ -371,29 +380,29 @@ def _check_fit_alpha12_invariance(n, seed, band, store=None):
         other[0], other[1] = g.uniform(-2.0, 2.0, 2)
         t0 = fit_c112_coeffs(alpha, beta)
         t1 = fit_c112_coeffs(other, beta)
-        worst = max(worst, np.max(np.abs(t0.values - t1.values)))
+        gaps.append(np.abs(t0.values - t1.values))
     return _result(
-        "fit_alpha12_invariance", "coeffs", fits, worst, tol.FIT_RESIDUAL_TOL
+        "fit_alpha12_invariance", "coeffs", fits, _worst(gaps), tol.FIT_RESIDUAL_TOL
     )
 
 
 def _check_fit_closed_form_entry(n, seed, band, store=None):
     fits = max(3, min(8, n // 1200))
-    worst = 0.0
+    gaps = []
     for alpha, beta in _fit_points(seed, 12, fits):
         table = fit_c112_coeffs(alpha, beta)
-        worst = max(worst, abs(table.entry((0, 2, 2)) - p022(alpha[2], beta)))
+        gaps.append(table.entry((0, 2, 2)) - p022(alpha[2], beta))
         mirrored = beta[::-1].copy()
-        worst = max(worst, abs(table.entry((2, 0, 2)) - p022(alpha[2], mirrored)))
+        gaps.append(table.entry((2, 0, 2)) - p022(alpha[2], mirrored))
     return _result(
-        "fit_closed_form_entry", "coeffs", fits, worst, tol.FIT_RESIDUAL_TOL
+        "fit_closed_form_entry", "coeffs", fits, _worst([np.abs(gaps)]), tol.FIT_RESIDUAL_TOL
     )
 
 
 def _check_c112_quartic_predicts(n, seed, band, store=None):
     fits = max(2, min(4, n // 2500))
     g = verify_stream(seed, 13)
-    worst = 0.0
+    gaps = []
     for alpha, beta in _fit_points(seed, 23, fits):
         table = fit_c112_coeffs(alpha, beta)
         s = xyz_from_eigenvalues(
@@ -404,8 +413,8 @@ def _check_c112_quartic_predicts(n, seed, band, store=None):
             for x, y, z in zip(s.x, s.y, s.z)
         ]
         actual = quesne_c112(to_fano(representative_state(ChartPoint(s, alpha, beta))))
-        worst = max(worst, np.max(np.abs(predicted - actual)))
-    return _result("c112_quartic_predicts", "coeffs", fits * 40, worst, 1e-9)
+        gaps.append(np.abs(predicted - actual))
+    return _result("c112_quartic_predicts", "coeffs", fits * 40, _worst(gaps), 1e-9)
 
 
 # -- PPT criterion ------------------------------------------------------------------
@@ -441,10 +450,10 @@ def _check_dual_path_agreement(n, seed, band, store=None):
     f = store.fano(m)
     _, s3_pt, s4_pt = store.pt_coeffs(m)
     _, s3, s4 = char_poly_batch(store.hs(m))
-    worst = max(
-        np.max(np.abs(s3 + det_correlation(f) / 4.0 - s3_pt)),
-        np.max(np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt)),
-    )
+    worst = _worst((
+        np.abs(s3 + det_correlation(f) / 4.0 - s3_pt),
+        np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt),
+    ))
     return _result("dual_path_agreement", "ppt", m, worst, tol.DUAL_PATH_TOL)
 
 
@@ -462,29 +471,27 @@ def _check_werner_verdicts(n, seed, band, store=None):
 
 def _check_bounds_attained_at_i4(n, seed, band, store=None):
     _, s3, s4 = s_coeffs_pt(I4 / 4.0)
-    worst = max(abs(s3 - S3_BOUND), abs(s4 - S4_BOUND))
+    worst = _worst((abs(s3 - S3_BOUND), abs(s4 - S4_BOUND)))
     return _result("bounds_attained_at_i4", "ppt", 1, worst, 1e-12)
 
 
 def _check_product_states_separable(n, seed, band, store=None):
     m = min(n, 5000)
     entangled = 0
-    worst = 0.0
+    gaps = []
     for _, states in ensemble_chunks("product", seed, m):
         pts = pt_batch(states)
         _, s3, s4 = char_poly_batch(pts)
         _, ent, _ = verdict_masks(s3, s4, band)
         entangled += int(ent.sum())
         f = to_fano(states[:: max(1, len(states) // 64)])
-        worst = max(
-            worst, np.max(np.abs(schlienz_mahler(f))), np.max(np.abs(quesne_c112(f)))
-        )
+        gaps += [np.abs(schlienz_mahler(f)), np.abs(quesne_c112(f))]
     if entangled:
         return _result(
             "product_states_separable", "ppt", m, np.inf, 1e-12,
             f"{entangled} product states judged entangled",
         )
-    return _result("product_states_separable", "ppt", m, worst, 1e-12)
+    return _result("product_states_separable", "ppt", m, _worst(gaps), 1e-12)
 
 
 CHECKS = (

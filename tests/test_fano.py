@@ -5,6 +5,7 @@ import pytest
 
 from entspace.errors import DomainError
 from entspace.fano import (
+    BASIS,
     FanoState,
     LocalUnitary,
     density_matrix,
@@ -194,6 +195,26 @@ def test_stacked_fano_is_bitwise_per_index():
     assert np.max(np.abs(back - states)) < 1e-13
     grid = to_fano(states.reshape(3, 100, 4, 4))
     assert np.array_equal(grid.C.reshape(300, 3, 3), f.C)
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("shape", [(), (300,)])
+def test_fano_coefficients_own_their_memory(shape):
+    _, states = next(ensemble_chunks("hs", 13, 300))
+    rho = states[0] if shape == () else states
+    f = to_fano(rho)
+    v = np.einsum("kij,...ji->...k", BASIS, rho).real
+    for got, want in ((f.a, v[..., :3]), (f.b, v[..., 3:6]), (f.C, v[..., 6:])):
+        # the held array is all its buffer holds: no complex (..., 15) behind it
+        assert _root(got).nbytes == got.nbytes
+        assert not np.shares_memory(got, v)
+        assert got.reshape(want.shape).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not np.shares_memory(f.a, f.b) and not np.shares_memory(f.b, f.C)
 
 
 def test_stacked_fano_state_names_the_offending_index():

@@ -1,7 +1,5 @@
 """Monte-Carlo harness: batched kernels, scans and record streams."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from entspace.errors import DomainError
 from entspace.linalg4 import char_poly_coeffs, herm_eigenvalues, partial_transpose
 from entspace.montecarlo import (
     RunConfig,
+    SampleRecord,
     char_poly_batch,
     pt_batch,
     purity_mean,
@@ -189,11 +188,22 @@ def test_replayed_record_has_the_streamed_field_types(ensemble):
     for i in (0, tol.CHUNK - 1, tol.CHUNK + 1):
         streamed = records[i]
         replay = reanalyze_record(config, streamed)
-        for f in fields(streamed):
-            assert type(getattr(replay, f.name)) is type(getattr(streamed, f.name)), f.name
+        for name in streamed._fields:
+            assert type(getattr(replay, name)) is type(getattr(streamed, name)), name
         assert [type(v) for v in replay.spectrum] == [type(v) for v in streamed.spectrum]
         assert type(streamed.verdict) is str and type(streamed.lhs3) is float
         assert type(streamed.spectrum[0]) is float
+
+
+def test_sample_record_is_an_immutable_named_tuple():
+    spectrum = (0.4, 0.3, 0.2, 0.1)
+    r = SampleRecord(index=3, verdict="separable", lhs3=0.1, lhs4=0.2, min_pt_eig=0.3,
+                     spectrum=spectrum)
+    assert r == SampleRecord(3, "separable", 0.1, 0.2, 0.3, spectrum)
+    assert r._fields == ("index", "verdict", "lhs3", "lhs4", "min_pt_eig", "spectrum")
+    assert SampleRecord.FIELDS == r._fields[:-1] + ("r1", "r2", "r3", "r4")
+    with pytest.raises(AttributeError):
+        r.lhs3 = 0.0
 
 
 def test_purity_mean_agrees_with_direct_average():

@@ -251,6 +251,87 @@ def test_single_index_states_match_their_chunks():
             assert ensemble_state(ensemble, 43, i).tobytes() == seen[i].tobytes()
 
 
+# -- single-index HS memo --------------------------------------------------------
+
+def _count_hs_streams(monkeypatch):
+    opened = []
+    stream = sampling.philox_stream
+
+    def counted(seed, tag, index=0):
+        opened.append(tag == sampling.TAG_HS)
+        return stream(seed, tag, index)
+
+    monkeypatch.setattr(sampling, "philox_stream", counted)
+    return opened
+
+
+def test_hs_replays_match_fresh_chunks_across_hits_misses_and_evictions(monkeypatch):
+    n = tol.CHUNK + 2
+    fresh = {
+        seed: np.concatenate([states for _, states in ensemble_chunks("hs", seed, n)])
+        for seed in (3, 4)
+    }
+    indices = (0, tol.CHUNK - 1, tol.CHUNK, tol.CHUNK + 1)
+    # the same chunk twice running (hits), then the other chunk or seed (misses)
+    sequence = [(3, 0), (3, tol.CHUNK - 1), (4, tol.CHUNK - 1), (3, tol.CHUNK),
+                (3, tol.CHUNK + 1), (3, 0), (4, tol.CHUNK), (4, tol.CHUNK + 1),
+                (4, 0), (3, tol.CHUNK + 1), (4, tol.CHUNK - 1), (4, 0)]
+    assert {i for _, i in sequence} == set(indices)
+    sampling._hs_memo.clear()
+    opened = _count_hs_streams(monkeypatch)
+    for seed, i in sequence:
+        assert sample_hs_state(seed, i).tobytes() == fresh[seed][i].tobytes()
+        assert list(sampling._hs_memo) == [(seed, i // tol.CHUNK)]
+    # one stream per replay, one more per miss: 8 misses, 4 hits
+    assert opened == [True] * (len(sequence) + 8)
+
+
+def test_hs_memo_block_is_read_only():
+    sample_hs_state(5, 7)
+    x, _ = sampling._hs_memo[5, 0]
+    assert x.shape == (tol.CHUNK, 4, 4) and not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0, 0, 0] = 1.0
+
+
+def test_hs_chunk_scans_leave_the_memo_empty(monkeypatch):
+    sampling._hs_memo.clear()
+    opened = _count_hs_streams(monkeypatch)
+    for ensemble in ("hs", "product", "chart"):
+        for _ in ensemble_chunks(ensemble, 6, tol.CHUNK + 3):
+            pass
+    assert sampling._hs_memo == {}
+    assert opened.count(True) == 2  # the two HS chunks, drawn once each
+
+
+def test_hs_memo_does_not_bypass_seed_and_index_checks():
+    sample_hs_state(1, 0)
+    for seed in (True, 1.0, -1, 1 << 64):
+        with pytest.raises(DomainError, match="seed"):
+            sample_hs_state(seed, 0)
+    for index in (-1, 1 << 56):
+        with pytest.raises(DomainError, match=f"stream index out of range: {index}$"):
+            sample_hs_state(1, index)
+    assert list(sampling._hs_memo) == [(1, 0)]  # rejected before the lookup
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_philox_state_roundtrip_contract(seed):
+    # a replay restores the state saved after a chunk's real parts into a
+    # generator re-keyed to the same stream; the draws that follow must be
+    # those of the uninterrupted stream, bit for bit
+    for index in (0, 1, 1 << 40):
+        g = philox_stream(seed, sampling.TAG_HS, index)
+        g.standard_normal((tol.CHUNK, 4, 4))
+        saved = g.bit_generator.state
+        want = g.standard_normal(5000)
+        for _ in range(2):  # the saved state is not consumed by a restore
+            other = philox_stream(seed, sampling.TAG_HS, index + 1)
+            other.standard_normal(3)
+            other.bit_generator.state = saved
+            assert other.standard_normal(5000).tobytes() == want.tobytes()
+
+
 # -- chart stream contract ------------------------------------------------------
 
 def _reference_chart_draws(seed, index):

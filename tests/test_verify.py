@@ -8,7 +8,7 @@ sample.  The stacked checks must agree with them to the last bits.
 import numpy as np
 import pytest
 
-from entspace import sampling, verify
+from entspace import sampling, separability, verify
 from entspace import tolerances as tol
 from entspace.chart import ALPHA_WORDS, BETA_WORDS, representative_state
 from entspace.fano import local_unitary_action, to_fano
@@ -166,3 +166,42 @@ def test_served_arrays_are_read_only():
     for a in served:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def _nan_per_state(f):
+    return np.full(np.shape(f.a)[:-1], np.nan)
+
+
+_FOLDED_CHECKS = (
+    ("det_m_identity", 2 * tol.CHUNK),
+    ("product_states_separable", 5000),
+    ("fit_support_frozen", 10000),
+    ("fit_alpha12_invariance", 10000),
+    ("fit_closed_form_entry", 10000),
+    ("c112_quartic_predicts", 10000),
+)
+
+
+@pytest.mark.parametrize("name, n", _FOLDED_CHECKS)
+def test_a_nan_c112_kernel_fails_every_folded_check(name, n, monkeypatch):
+    # the checks fold residuals over several chunks or fits; a NaN in any
+    # of them must reach the reported residual, not be dropped by max()
+    for module in (verify, separability):  # the checks and the fit's targets
+        monkeypatch.setattr(module, "quesne_c112", _nan_per_state)
+    check = getattr(verify, f"_check_{name}")
+    result = check(n, 1, tol.VERDICT_TOL)
+    assert np.isnan(result.max_residual) and not result.passed, result
+
+
+def test_a_nan_in_the_second_chunk_fails_det_m_identity(monkeypatch):
+    chunks = []
+
+    def nan_after_the_first_chunk(f):
+        chunks.append(len(f.a))
+        det = separability.det_correlation(f)
+        return det if len(chunks) == 1 else np.full_like(det, np.nan)
+
+    monkeypatch.setattr(verify, "det_correlation", nan_after_the_first_chunk)
+    result = verify._check_det_m_identity(5000, 1, 1e-9)
+    assert chunks == [tol.CHUNK, 5000 - tol.CHUNK]
+    assert np.isnan(result.max_residual) and not result.passed
