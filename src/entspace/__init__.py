@@ -55,6 +55,7 @@ from .separability import (
     separability_inequalities,
     werner_state,
 )
+from .serialize import state_to_dict
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -97,6 +98,7 @@ __all__ = [
     "schlienz_mahler",
     "separability_inequalities",
     "separable_fraction",
+    "state_to_dict",
     "su2_to_so3",
     "tensor_product",
     "to_fano",

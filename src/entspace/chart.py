@@ -78,10 +78,6 @@ class SimplexPoint:
     y: float
     z: float
 
-    def as_array(self):
-        """The coordinates as a (3,) array, or (..., 3) for a stack."""
-        return np.moveaxis(np.array([self.x, self.y, self.z], dtype=float), 0, -1)
-
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -124,15 +120,15 @@ def _check_finite(v, name, noun):
 _INEQUALITY_NAMES = ("r1 >= r2", "r2 >= r3", "r3 >= r4", "r4 >= 0")
 
 
-def _check_spectra(r, slack, kind, where):
+def _check_spectra(r, kind, where):
     """DomainError unless every (finite) spectrum of r, shape (..., 4), is
-    ordered and non-negative within ``slack``.  The message names the first
+    ordered and non-negative within SIMPLEX_TOL.  The message names the first
     offending stack index, the first violated inequality there, and ends
     with ``where(flat index)``."""
     gaps = np.concatenate([r[..., :-1] - r[..., 1:], r[..., 3:]], axis=-1)
-    if (gaps >= -slack).all():
+    if (gaps >= -tol.SIMPLEX_TOL).all():
         return
-    bad = gaps.reshape(-1, 4) < -slack
+    bad = gaps.reshape(-1, 4) < -tol.SIMPLEX_TOL
     i = np.argmax(bad.any(axis=1))
     k = np.argmax(bad[i])
     raise DomainError(
@@ -141,13 +137,13 @@ def _check_spectra(r, slack, kind, where):
     )
 
 
-def eigenvalues_from_xyz(s, slack=tol.SIMPLEX_TOL):
+def eigenvalues_from_xyz(s):
     """Ordered spectrum (r1, r2, r3, r4) of a simplex point, shape (4,),
     or of each point of a stack, shape (..., 4).
 
     Raises DomainError for a non-finite coordinate, and naming the violated
     inequality when the point lies outside the simplex (ordering or
-    positivity fails by more than ``slack``); for a stack the message
+    positivity fails by more than SIMPLEX_TOL); for a stack the message
     names the first offending index.
     """
     coords = np.array([s.x, s.y, s.z], dtype=float)
@@ -164,13 +160,13 @@ def eigenvalues_from_xyz(s, slack=tol.SIMPLEX_TOL):
     )
     r = np.moveaxis(r, 0, -1)
     _check_spectra(
-        r, slack, "simplex inequality violated",
+        r, "simplex inequality violated",
         lambda i: " at (x, y, z) = ({}, {}, {})".format(*coords.reshape(3, -1)[:, i]),
     )
     return r
 
 
-def xyz_from_eigenvalues(r, slack=tol.SIMPLEX_TOL):
+def xyz_from_eigenvalues(r):
     """Simplex coordinates of an ordered unit-sum spectrum, shape (4,), or
     of a (..., 4) stack of them (coordinates of shape (...)).
 
@@ -188,7 +184,7 @@ def xyz_from_eigenvalues(r, slack=tol.SIMPLEX_TOL):
         raise DomainError(
             f"spectrum must sum to 1, got {total[i]!r}{_stack_position(r.shape[:-1], i)}"
         )
-    _check_spectra(r, slack, "spectrum not ordered", lambda i: "")
+    _check_spectra(r, "spectrum not ordered", lambda i: "")
     r1, r2, r3, r4 = np.moveaxis(r, -1, 0)
     return SimplexPoint(x=r1 + r2 - r3 - r4, y=r1 - r2 + r3 - r4, z=r1 - r2 - r3 + r4)
 
@@ -279,7 +275,7 @@ def _conjugate(a, r):
     return hermitize((a * r[..., None, :]) @ dag(a))
 
 
-def representative_state(point, method="closed"):
+def representative_state(point):
     """Density matrix A diag(r) A^dag of a chart point, (4, 4), or of each
     point of a stacked ChartPoint, (..., 4, 4).
 
@@ -291,7 +287,7 @@ def representative_state(point, method="closed"):
     where the chart stops being one-to-one.
     """
     r = _checked_spectrum(point.simplex)
-    return _conjugate(a_factor(point.alpha, point.beta, method=method), r)
+    return _conjugate(a_factor(point.alpha, point.beta), r)
 
 
 def assemble_su4(k, alpha, beta, t):

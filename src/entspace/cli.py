@@ -53,16 +53,6 @@ def _triple(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="entspace",
@@ -86,7 +76,7 @@ def build_parser():
 
     p_sample = sub.add_parser("sample", help="stream ensemble sample records as CSV")
     p_sample.add_argument("--ensemble", choices=ENSEMBLES, default="hs")
-    p_sample.add_argument("-n", type=_positive_int, default=100)
+    p_sample.add_argument("-n", type=int, default=100)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--tol", type=float, default=tol.VERDICT_TOL)
     p_sample.add_argument("--out", help="output path (default: stdout)")
@@ -95,13 +85,13 @@ def build_parser():
         "scan", help="Monte-Carlo separable fraction with oracle cross-check"
     )
     p_scan.add_argument("--ensemble", choices=ENSEMBLES, default="hs")
-    p_scan.add_argument("-n", type=_positive_int, default=10000)
+    p_scan.add_argument("-n", type=int, default=10000)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--tol", type=float, default=tol.VERDICT_TOL)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("-n", type=_positive_int, default=1000)
+    p_verify.add_argument("-n", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--tol", type=float, default=tol.VERDICT_TOL)
 

@@ -38,12 +38,12 @@ BASIS_AB = np.stack(
 BASIS = np.concatenate([BASIS_A, BASIS_B, BASIS_AB.reshape(9, 4, 4)])
 
 
-def density_matrix(m, trace_tol=tol.TRACE_TOL, positivity_tol=tol.POSITIVITY_TOL):
+def density_matrix(m):
     """Validate and normalize a candidate density matrix.
 
     The single positivity gate of the package: Hermiticity within
-    HERMITICITY_TOL, unit trace within ``trace_tol`` and minimal eigenvalue
-    >= -``positivity_tol``.  Returns the Hermitian part as a fresh array.
+    HERMITICITY_TOL, unit trace within TRACE_TOL and minimal eigenvalue
+    >= -POSITIVITY_TOL.  Returns the Hermitian part as a fresh array.
 
     Raises DomainError on any violation.
     """
@@ -52,10 +52,10 @@ def density_matrix(m, trace_tol=tol.TRACE_TOL, positivity_tol=tol.POSITIVITY_TOL
         raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
     h = hermitize(m)
     tr = np.trace(h).real
-    if abs(tr - 1.0) > trace_tol:
-        raise DomainError(f"trace {tr!r} deviates from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > tol.TRACE_TOL:
+        raise DomainError(f"trace {tr!r} deviates from 1 by more than {tol.TRACE_TOL:.1e}")
     w = herm_eigenvalues(h)
-    if w[-1] < -positivity_tol:
+    if w[-1] < -tol.POSITIVITY_TOL:
         raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue {w[-1]:.3e}"
         )
@@ -80,6 +80,13 @@ class FanoState:
         bound = 1.0 + tol.FANO_BOUND_TOL
         norm_a = np.sqrt(np.einsum("...i,...i->...", a, a)).reshape(-1)
         norm_b = np.sqrt(np.einsum("...i,...i->...", b, b)).reshape(-1)
+        entry = np.abs(c).reshape(-1, 9).max(axis=1)
+        nan = np.isnan(norm_a + norm_b + entry)  # a NaN passes no `> bound` test
+        if nan.any():
+            raise DomainError(
+                f"Fano coefficients{_stack_position(lead, np.argmax(nan))} "
+                "have a non-finite entry"
+            )
         over = (norm_a > bound) | (norm_b > bound)
         if over.any():
             i = np.argmax(over)
@@ -87,7 +94,6 @@ class FanoState:
                 f"Bloch vector norm out of range{_stack_position(lead, i)}: "
                 f"|a| = {norm_a[i]:.6f}, |b| = {norm_b[i]:.6f}"
             )
-        entry = np.abs(c).reshape(-1, 9).max(axis=1)
         over = entry > bound
         if over.any():
             i = np.argmax(over)

@@ -74,23 +74,23 @@ def _square_stack(x):
     return flat, lead
 
 
-def hermitize(h, asym_tol=tol.HERMITICITY_TOL):
+def hermitize(h):
     """Return the Hermitian part (H + H^dag)/2 of an almost-Hermitian H.
 
     ``h`` is one square matrix or a stack of them, shape (..., d, d).
     Raises DomainError if an entry is not finite or if the anti-Hermitian
-    defect max|H - H^dag| exceeds ``asym_tol``; for a stack the message
+    defect max|H - H^dag| exceeds HERMITICITY_TOL; for a stack the message
     names the first offending stack index.
     """
     h = np.asarray(h, dtype=complex)
     flat, lead = _square_stack(h)
     defect = np.abs(flat - dag(flat)).max(axis=(1, 2), initial=0.0)
-    over = defect > asym_tol
+    over = defect > tol.HERMITICITY_TOL
     if over.any():
         i = np.argmax(over)
         raise DomainError(
             f"matrix{_stack_position(lead, i)} is not Hermitian: "
-            f"max|H - H^dag| = {defect[i]:.3e} > {asym_tol:.1e}"
+            f"max|H - H^dag| = {defect[i]:.3e} > {tol.HERMITICITY_TOL:.1e}"
         )
     return 0.5 * (h + dag(h))
 
@@ -141,11 +141,11 @@ def _rotate(work, p, q, mag):
     work[q, p] = 0.0
 
 
-def _jacobi(h, asym_tol, vectors):
+def _jacobi(h, vectors):
     """The cyclic Jacobi body of herm_eigensystem: (w, v) with v None unless
     ``vectors``.  Without vectors the working set holds A alone; A's
     rotations never read V, so w is the same to the bit either way."""
-    a = hermitize(h, asym_tol)
+    a = hermitize(h)
     lead, d = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, d, d)
     k = a.shape[0]
@@ -197,7 +197,7 @@ def _jacobi(h, asym_tol, vectors):
     return w, v
 
 
-def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
+def herm_eigensystem(h):
     """Eigenvalues and eigenvectors of Hermitian matrices by cyclic Jacobi.
 
     One kernel for one matrix and for a stack: every value is computed by
@@ -210,7 +210,7 @@ def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
 
     Parameters
     ----------
-    h : (..., d, d) array_like, Hermitian within ``asym_tol``.
+    h : (..., d, d) array_like, Hermitian within HERMITICITY_TOL.
 
     Returns
     -------
@@ -223,16 +223,16 @@ def herm_eigensystem(h, asym_tol=tol.HERMITICITY_TOL):
     NumericalError naming the first stack index whose off-diagonal norm is
     still above its stop after JACOBI_MAX_SWEEPS sweeps.
     """
-    return _jacobi(h, asym_tol, vectors=True)
+    return _jacobi(h, vectors=True)
 
 
-def herm_eigenvalues(h, asym_tol=tol.HERMITICITY_TOL):
+def herm_eigenvalues(h):
     """Descending eigenvalues of one Hermitian matrix or a (..., d, d)
     stack (cyclic Jacobi; see herm_eigensystem)."""
-    return _jacobi(h, asym_tol, vectors=False)[0]
+    return _jacobi(h, vectors=False)[0]
 
 
-def exp_antihermitian(x, asym_tol=tol.ANTIHERM_TOL):
+def exp_antihermitian(x):
     """Matrix exponential of an anti-Hermitian X by scaling and squaring,
     for one (n, n) matrix or each matrix of a (..., n, n) stack.
 
@@ -245,12 +245,12 @@ def exp_antihermitian(x, asym_tol=tol.ANTIHERM_TOL):
     anti-Hermitian matrix is unitary.
 
     Raises DomainError for a non-square or non-finite input, or if
-    max|X + X^dag| exceeds ``asym_tol``; for a stack the message names the
+    max|X + X^dag| exceeds ANTIHERM_TOL; for a stack the message names the
     first offending stack index.
     """
     flat, lead = _square_stack(x)
     defect = np.abs(flat + dag(flat)).max(axis=(1, 2), initial=0.0)
-    over = defect > asym_tol
+    over = defect > tol.ANTIHERM_TOL
     if over.any():
         i = np.argmax(over)
         raise DomainError(

@@ -28,14 +28,14 @@ from .separability import (
 )
 
 
-def oracle_masks(min_eig, band=tol.MINEIG_BAND):
+def oracle_masks(min_eig):
     """Masks from the smallest PT eigenvalue, with an exclusion band.
 
-    States with |min_eig| <= band land in the third (undecided) mask and
-    are not counted against the criterion.
+    States with |min_eig| <= MINEIG_BAND land in the third (undecided) mask
+    and are not counted against the criterion.
     """
-    separable = min_eig > band
-    entangled = min_eig < -band
+    separable = min_eig > tol.MINEIG_BAND
+    entangled = min_eig < -tol.MINEIG_BAND
     return separable, entangled, ~(separable | entangled)
 
 
@@ -200,11 +200,3 @@ def reanalyze_record(config, record):
         min_pt_eig=float(np.linalg.eigvalsh(pt_batch(rho))[0]),
         spectrum=tuple(herm_eigenvalues(rho).tolist()),
     )
-
-
-def purity_mean(seed, n):
-    """Mean purity tr(rho^2) over the Hilbert-Schmidt ensemble."""
-    total = 0.0
-    for _, states in ensemble_chunks("hs", seed, n):
-        total += float(np.einsum("nij,nji->", states, states).real)
-    return total / n

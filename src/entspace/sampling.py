@@ -84,9 +84,9 @@ def philox_stream(seed, tag, index=0):
     return next(philox_streams(seed, tag, [index]))
 
 
-def verify_stream(seed, check_id, index=0):
+def verify_stream(seed, check_id):
     """Stream reserved for verification check ``check_id``."""
-    return philox_stream(seed, _TAG_VERIFY_BASE + check_id, index)
+    return philox_stream(seed, _TAG_VERIFY_BASE + check_id)
 
 
 # -- Hilbert-Schmidt ensemble --------------------------------------------------
@@ -292,11 +292,6 @@ def _su2(q):
     rows = (np.stack([p0 + 1j * p3, p2 + 1j * p1], axis=-1),
             np.stack([-p2 + 1j * p1, p0 - 1j * p3], axis=-1))
     return np.stack(rows, axis=-2)
-
-
-def random_su2(g):
-    """Haar-random SU(2) element from a uniform unit quaternion."""
-    return _su2(g.standard_normal(4))
 
 
 def sample_local_unitary(seed, index):

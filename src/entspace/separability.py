@@ -29,7 +29,7 @@ from .chart import (
     _checked_spectrum,
     _conjugate,
     a_factor,
-    representative_state,
+    representative_state,  # not called here; the benchmark tracer wraps it
     xyz_from_eigenvalues,
 )
 from .fano import from_fano, schlienz_mahler, to_fano
@@ -187,11 +187,11 @@ MONOMIALS = tuple(
 C112_SUPPORT = frozenset(m for m in MONOMIALS if m[2] % 2 == 0)
 
 
-def _fit_spectra(denominator=20):
+def _fit_spectra():
     """Deterministic rational interior spectra: strictly decreasing positive
-    integer 4-tuples over ``denominator``, descending lexicographically."""
+    integer 4-tuples over 20, descending lexicographically."""
     out = []
-    n = denominator
+    n = 20
     for a in range(n, 0, -1):
         for b in range(min(a - 1, n - a), 0, -1):
             for c in range(min(b - 1, n - a - b), 0, -1):
@@ -223,7 +223,7 @@ class CoeffTable:
         object.__setattr__(self, "values", v)
         if self.provenance not in ("fitted", "closed-form"):
             raise DomainError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "fitted" and self.residual > tol.FIT_RESIDUAL_TOL:
+        if self.provenance == "fitted" and not self.residual <= tol.FIT_RESIDUAL_TOL:
             raise NumericalError(
                 f"fit residual {self.residual:.3e} exceeds {tol.FIT_RESIDUAL_TOL:.1e}"
             )
@@ -231,18 +231,9 @@ class CoeffTable:
     def entry(self, monomial):
         return float(self.values[MONOMIALS.index(tuple(monomial))])
 
-    def support(self, eps=tol.COEFF_EPS):
-        """Monomials whose coefficient magnitude exceeds ``eps``."""
-        return tuple(m for m, v in zip(MONOMIALS, self.values) if abs(v) > eps)
-
-    def as_dict(self):
-        return {m: float(v) for m, v in zip(MONOMIALS, self.values)}
-
-
-def c112_of_chart_point(point):
-    """C112 of the representative state at a chart point, or at each point
-    of a stacked ChartPoint (brute force)."""
-    return quesne_c112(to_fano(representative_state(point)))
+    def support(self):
+        """Monomials whose coefficient magnitude exceeds COEFF_EPS."""
+        return tuple(m for m, v in zip(MONOMIALS, self.values) if abs(v) > tol.COEFF_EPS)
 
 
 def _fit_system(spectra):
@@ -267,24 +258,23 @@ def _fit_system(spectra):
     return v, float(np.linalg.cond(v)), r
 
 
-#: The system of the default grid, built once.
+#: The system of FIT_SPECTRA, built once, at import.
 _FIT_SYSTEM = _fit_system(FIT_SPECTRA)
 
 
-def fit_c112_coeffs(alpha, beta, spectra=FIT_SPECTRA):
+def fit_c112_coeffs(alpha, beta):
     """Fit the 15 quartic coefficients of C112 at fixed (alpha, beta).
 
     C112 restricted to the fibre over (alpha, beta) is a homogeneous
     quartic in the simplex coordinates.  The table is recovered by solving
-    the Vandermonde system over a deterministic grid of rational interior
-    spectra (>= 20 points).  The system of FIT_SPECTRA is built once; a
-    caller's own grid is built on each call.  Per fibre, one A-factor
-    conjugates the grid's spectra and the C112 targets follow from one
-    stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
+    the Vandermonde system over FIT_SPECTRA, a deterministic grid of 23
+    rational interior spectra whose system is built once, at import.  Per
+    fibre, one A-factor conjugates the grid's spectra and the C112 targets
+    follow from one stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
     system is ill-conditioned (condition number above FIT_COND_CAP) or the
     residual exceeds FIT_RESIDUAL_TOL.
     """
-    v, condition, r = _FIT_SYSTEM if spectra is FIT_SPECTRA else _fit_system(spectra)
+    v, condition, r = _FIT_SYSTEM
     targets = quesne_c112(to_fano(_conjugate(a_factor(alpha, beta), r)))
     if condition > tol.FIT_COND_CAP:
         raise NumericalError(
@@ -309,11 +299,9 @@ def _invariants(rho, f, band):
     det_m = det_schlienz_mahler(f)
     lhs3 = s3 + 0.25 * det_c
     lhs4 = s4 + det_m / 16.0
-    if abs(lhs3 - s3_pt) > tol.DUAL_PATH_TOL or abs(lhs4 - s4_pt) > tol.DUAL_PATH_TOL:
-        raise NumericalError(
-            f"inequality routes disagree: |d3| = {abs(lhs3 - s3_pt):.3e}, "
-            f"|d4| = {abs(lhs4 - s4_pt):.3e}"
-        )
+    d3, d4 = abs(lhs3 - s3_pt), abs(lhs4 - s4_pt)
+    if not (d3 <= tol.DUAL_PATH_TOL and d4 <= tol.DUAL_PATH_TOL):  # a NaN route fails
+        raise NumericalError(f"inequality routes disagree: |d3| = {d3:.3e}, |d4| = {d4:.3e}")
     return SeparabilityReport(
         s2_pt=s2_pt,
         s3_pt=s3_pt,
@@ -363,7 +351,7 @@ class SeparabilityReport:
 
     def __post_init__(self):
         gap = abs(self.det_m - (self.det_c - 0.5 * self.c112))
-        if gap > tol.DET_IDENTITY_TOL:
+        if not gap <= tol.DET_IDENTITY_TOL:
             raise NumericalError(
                 f"det|M| identity violated by {gap:.3e} "
                 f"(det_c = {self.det_c!r}, det_m = {self.det_m!r}, "

@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from .errors import DomainError
-from .chart import ChartPoint, SimplexPoint
 from .fano import FanoState, from_fano, to_fano
 from .montecarlo import SampleRecord
 from .separability import MONOMIALS
@@ -122,27 +121,6 @@ def load_state(path):
     except json.JSONDecodeError as exc:
         raise DomainError(f"state file is not valid JSON: {exc}") from exc
     return state_from_dict(record)
-
-
-# -- chart records ----------------------------------------------------------------
-
-def chart_to_dict(point):
-    return {
-        "xyz": [point.simplex.x, point.simplex.y, point.simplex.z],
-        "alpha": point.alpha.tolist(),
-        "beta": point.beta.tolist(),
-    }
-
-
-def chart_from_dict(record):
-    if not isinstance(record, dict):
-        raise DomainError("chart record must be a JSON object")
-    xyz = _matrix_from(record, "xyz", (3,))
-    return ChartPoint(
-        simplex=SimplexPoint(*xyz),
-        alpha=_matrix_from(record, "alpha", (3,)),
-        beta=_matrix_from(record, "beta", (3,)),
-    )
 
 
 # -- reports and tables -------------------------------------------------------------

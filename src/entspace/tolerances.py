@@ -3,6 +3,9 @@
 Every comparison threshold used by the library lives here so that the
 contracts stay consistent between the runtime checks, the verification
 suite and the test-suite.  Values are absolute unless noted otherwise.
+Functions read a threshold from this module when they are called, and no
+function takes a per-call override; the verdict band, which the CLI's
+``--tol`` sets, is the one threshold passed as an argument.
 """
 
 # -- hermiticity / unitarity gates -------------------------------------------

@@ -150,14 +150,6 @@ def test_representative_state_spectrum_preserved():
         assert w[-1] > -1e-14
 
 
-def test_representative_state_methods_agree():
-    for i in range(50):
-        point = sample_chart_point(78, i)
-        closed = representative_state(point, "closed")
-        series = representative_state(point, "series")
-        assert np.max(np.abs(closed - series)) < 1e-12
-
-
 def test_representative_state_degenerate_warning():
     point = ChartPoint(SimplexPoint(0, 0, 0), np.array([0.3, 0.1, 0.2]), np.zeros(3))
     with pytest.warns(DegenerateSpectrumWarning):

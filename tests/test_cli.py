@@ -325,6 +325,14 @@ def test_verify_cli_passes(capsys):
         assert check["max_residual"] <= check["tolerance"]
 
 
+@pytest.mark.parametrize("command", ["scan", "sample", "verify"])
+def test_zero_sample_count_is_rejected_by_the_library_check(command, capsys):
+    assert main([command, "-n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sample count must be a positive integer, got 0\n"
+
+
 def test_verify_rejects_bad_seed_and_tol(capsys):
     for argv in (["--seed", "-5"], ["--tol", "-1"]):
         assert main(["verify", "--suite", "ppt", "-n", "10", *argv]) == 2

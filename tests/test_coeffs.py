@@ -19,18 +19,23 @@ from entspace.chart import (
 from entspace.errors import DomainError, NumericalError
 from entspace.fano import to_fano
 from entspace.chart import representative_state
-from entspace.sampling import philox_stream, sample_chart_point
+from entspace.sampling import philox_stream
 from entspace.separability import (
     C112_SUPPORT,
     FIT_SPECTRA,
     MONOMIALS,
     CoeffTable,
-    _fit_spectra,
-    c112_of_chart_point,
+    _fit_system,
     fit_c112_coeffs,
     p022,
     quesne_c112,
 )
+
+
+def c112_of_chart_point(point):
+    """C112 of the representative state at a chart point, or at each point
+    of a stacked ChartPoint (brute force)."""
+    return quesne_c112(to_fano(representative_state(point)))
 
 
 def test_monomials_order_and_count():
@@ -143,17 +148,18 @@ def test_c112_is_even_in_z():
 
 
 def test_fit_rejects_small_grids_and_bad_conditioning(monkeypatch):
+    # the grid checks run once, when the default grid's system is built
     with pytest.raises(DomainError, match="grid"):
-        fit_c112_coeffs(np.zeros(3), np.zeros(3), spectra=FIT_SPECTRA[:10])
+        _fit_system(FIT_SPECTRA[:10])
     monkeypatch.setattr(tol, "FIT_COND_CAP", 1.0)
     with pytest.raises(NumericalError, match="ill-conditioned"):
         fit_c112_coeffs(np.zeros(3), np.zeros(3))
 
 
-def _reference_fit(alpha, beta, spectra):
+def _reference_fit(alpha, beta):
     # the whole fit rebuilt on every call: grid coordinates, scalar Vandermonde
     # rows, condition number, brute-force C112 targets, least squares
-    s = xyz_from_eigenvalues(np.asarray(spectra, dtype=float))
+    s = xyz_from_eigenvalues(np.asarray(FIT_SPECTRA, dtype=float))
     v = np.array(
         [
             [x ** i * y ** j * z ** k for i, j, k in MONOMIALS]
@@ -172,13 +178,9 @@ def test_fit_equals_a_per_call_reference_bit_for_bit():
     fibres += [(np.array([0.0, 0.0, g.uniform(-2.0, 2.0)]), g.uniform(-2.0, 2.0, 3))
                for _ in range(8)]
     fibres += [(g.uniform(-2.0, 2.0, 3), g.uniform(-2.0, 2.0, 3)) for _ in range(44)]
-    caller_grid = _fit_spectra(24)
-    assert len(caller_grid) == 47
-    cases = [(a, b, FIT_SPECTRA) for a, b in fibres]
-    cases += [(a, b, caller_grid) for a, b in fibres[:6]]
-    for alpha, beta, spectra in cases:
-        table = fit_c112_coeffs(alpha, beta, spectra=spectra)
-        values, residual, condition = _reference_fit(alpha, beta, spectra)
+    for alpha, beta in fibres:
+        table = fit_c112_coeffs(alpha, beta)
+        values, residual, condition = _reference_fit(alpha, beta)
         assert table.values.tobytes() == values.tobytes()
         assert table.residual == residual
         assert table.condition == condition
@@ -190,9 +192,8 @@ def test_fit_warnings_are_per_call():
         with pytest.warns(OctahedronWarning, match="alpha lies outside"):
             fit_c112_coeffs(outside, np.zeros(3))
     tied = FIT_SPECTRA + ((0.4, 0.3, 0.15, 0.15),)
-    for _ in range(2):
-        with pytest.warns(DegenerateSpectrumWarning, match="at stack index 23"):
-            fit_c112_coeffs(np.array([0.3, -0.7, 0.9]), np.array([0.4, 1.1, -0.6]), spectra=tied)
+    with pytest.warns(DegenerateSpectrumWarning, match="at stack index 23"):
+        _fit_system(tied)
 
 
 def test_import_emits_no_warning():
@@ -210,7 +211,8 @@ def test_coeff_table_validation():
         CoeffTable(values=np.zeros(15), provenance="guessed")
     with pytest.raises(NumericalError, match="residual"):
         CoeffTable(values=np.zeros(15), provenance="fitted", residual=1e-3)
+    with pytest.raises(NumericalError, match="fit residual nan exceeds"):
+        CoeffTable(values=np.zeros(15), provenance="fitted", residual=np.nan)
     table = CoeffTable(values=np.arange(15.0), provenance="closed-form")
     assert table.entry((4, 0, 0)) == 0.0
     assert table.entry((0, 0, 4)) == 14.0
-    assert len(table.as_dict()) == 15

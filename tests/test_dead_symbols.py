@@ -1,0 +1,73 @@
+"""Dead-symbol guard: every top-level name of the package has a user.
+
+A name defined at the top level of a module under ``src/entspace`` is in
+use when the package refers to it outside its own definition (in its own
+module or in another one), when ``entspace.__all__`` exports it, or when
+the benchmark under ``perfbench/`` uses it (by name, attribute or the
+string its tracer hooks).  A helper that only tests call belongs in the
+tests.
+"""
+
+import ast
+from pathlib import Path
+
+import entspace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(tree):
+    """(name, node) of each function, class and assigned name at the top
+    level of a module, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                        yield n.id, node
+
+
+def _references(nodes, strings=False):
+    """Names the ``nodes`` refer to: loaded names, attribute names, imported
+    names and, with ``strings``, identifier-like string constants."""
+    found = set()
+    for root in nodes:
+        for n in ast.walk(root):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                found.add(n.attr)
+            elif isinstance(n, ast.alias):
+                found.add(n.name.rpartition(".")[2])
+            elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found.update(n.value.split("."))
+    return found
+
+
+def dead_symbols(src, bench):
+    """Sorted 'module.name' of every top-level name under ``src`` that has
+    no user (see the module docstring); ``bench`` is the benchmark directory."""
+    modules = {p.stem: _parse(p) for p in sorted(src.glob("*.py"))}
+    used_by_bench = _references(
+        (_parse(p) for p in sorted(bench.glob("*.py"))), strings=True
+    )
+    exported = set(entspace.__all__)
+    dead = []
+    for stem, tree in modules.items():
+        elsewhere = _references(t for s, t in modules.items() if s != stem)
+        for name, node in _definitions(tree):
+            at_home = _references(n for n in tree.body if n is not node)
+            if not ({name} & (elsewhere | at_home | exported | used_by_bench)):
+                dead.append(f"{stem}.{name}")
+    return sorted(dead)
+
+
+def test_every_top_level_name_has_a_user():
+    assert dead_symbols(ROOT / "src" / "entspace", ROOT / "perfbench") == []

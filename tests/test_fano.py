@@ -15,11 +15,9 @@ from entspace.fano import (
     su2_to_so3,
     to_fano,
 )
-from entspace.linalg4 import I2, dag, herm_eigenvalues, tensor_product
+from entspace.linalg4 import dag, herm_eigenvalues
 from entspace.sampling import (
     ensemble_chunks,
-    philox_stream,
-    random_su2,
     sample_hs_state,
     sample_local_unitary,
     sample_product_state,
@@ -80,6 +78,14 @@ def test_fano_state_bounds_enforced():
         FanoState(a=[1.2, 0.8, 0], b=np.zeros(3), C=np.zeros((3, 3)))
     with pytest.raises(DomainError, match="correlation"):
         FanoState(a=np.zeros(3), b=np.zeros(3), C=1.5 * np.eye(3))
+    # a NaN fails no `> bound` comparison, so it has a check of its own
+    zero = (np.zeros(3), np.zeros(3), np.zeros((3, 3)))
+    for k, bad in ((0, [np.nan, 0.0, 0.0]), (1, [0.0, np.nan, 0.0]),
+                   (2, np.diag([0.5, np.nan, 0.5]))):
+        with pytest.raises(DomainError, match="non-finite"):
+            FanoState(*zero[:k], bad, *zero[k + 1:])
+    with pytest.raises(DomainError, match="non-finite"):
+        to_fano(np.full((4, 4), np.nan))
 
 
 def test_schlienz_mahler_vanishes_on_products():
@@ -134,9 +140,7 @@ def test_local_unitary_action_spectrum_and_rotation_law():
 
 
 def test_su2_to_so3_is_rotation():
-    g = philox_stream(9, 61)
-    for _ in range(50):
-        u = random_su2(g)
+    for u in sample_local_unitary(9, np.arange(50)).u:
         r = su2_to_so3(u)
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-13
         assert abs(np.linalg.det(r) - 1.0) < 1e-13

@@ -11,13 +11,12 @@ from entspace.montecarlo import (
     SampleRecord,
     char_poly_batch,
     pt_batch,
-    purity_mean,
     reanalyze_record,
     sample_records,
     separable_fraction,
     verdict_masks,
 )
-from entspace.sampling import ensemble_chunks, ensemble_state, philox_stream, sample_hs_state
+from entspace.sampling import ensemble_state, philox_stream, sample_hs_state
 from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze, werner_state
 from entspace.verify import run_suite
 
@@ -204,11 +203,3 @@ def test_sample_record_is_an_immutable_named_tuple():
     assert SampleRecord.FIELDS == r._fields[:-1] + ("r1", "r2", "r3", "r4")
     with pytest.raises(AttributeError):
         r.lhs3 = 0.0
-
-
-def test_purity_mean_agrees_with_direct_average():
-    n = 2000
-    direct = np.mean(
-        [np.trace(s @ s).real for _, st in ensemble_chunks("hs", 59, n) for s in st]
-    )
-    assert abs(purity_mean(59, n) - direct) < 1e-12

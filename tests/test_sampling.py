@@ -13,7 +13,6 @@ from entspace.sampling import (
     ensemble_chunks,
     ensemble_state,
     philox_stream,
-    random_su2,
     sample_chart_point,
     sample_hs_state,
     sample_local_unitary,
@@ -114,16 +113,17 @@ def test_chart_spectrum_first_moment():
 
 
 def test_hs_purity_moment():
-    from entspace.montecarlo import purity_mean
-
     # E[tr rho^2] = 8/17 for the 4x4 Hilbert-Schmidt (Ginibre) ensemble
-    assert abs(purity_mean(34, 200000) - 8.0 / 17.0) < 1e-3
+    n = 200000
+    total = 0.0
+    for _, states in ensemble_chunks("hs", 34, n):
+        total += float(np.einsum("nij,nji->", states, states).real)
+    assert abs(total / n - 8.0 / 17.0) < 1e-3
 
 
 def test_random_su2_is_special_unitary():
-    g = philox_stream(35, 65)
-    for _ in range(100):
-        u = random_su2(g)
+    pairs = sample_local_unitary(35, np.arange(50))
+    for u in (*pairs.u, *pairs.v):
         assert np.max(np.abs(dag(u) @ u - np.eye(2))) < 1e-14
         assert abs(np.linalg.det(u) - 1.0) < 1e-14
     k = sample_local_unitary(36, 4)

@@ -219,18 +219,19 @@ def test_analyze_reports():
 
 
 def test_report_checks_det_identity_at_construction():
-    with pytest.raises(NumericalError, match="identity"):
-        SeparabilityReport(
-            s2_pt=0.3,
-            s3_pt=0.01,
-            s4_pt=0.001,
-            det_c=0.5,
-            det_m=0.2,
-            c112=0.0,
-            lhs3=0.01,
-            lhs4=0.001,
-            verdict=SEPARABLE,
-        )
+    for det_m in (0.2, np.nan):
+        with pytest.raises(NumericalError, match="identity"):
+            SeparabilityReport(
+                s2_pt=0.3,
+                s3_pt=0.01,
+                s4_pt=0.001,
+                det_c=0.5,
+                det_m=det_m,
+                c112=0.0,
+                lhs3=0.01,
+                lhs4=0.001,
+                verdict=SEPARABLE,
+            )
 
 
 def test_ppt_verdict_matches_eigenvalue_oracle():
@@ -248,9 +249,10 @@ def test_dual_route_guard_fires(monkeypatch):
     import entspace.separability as sep
 
     f = to_fano(sample_hs_state(309, 0))
-    monkeypatch.setattr(sep, "det_correlation", lambda _: 123.0)
-    with pytest.raises(NumericalError, match="routes disagree"):
-        sep.separability_inequalities(f)
+    for sabotaged in (123.0, np.nan):
+        monkeypatch.setattr(sep, "det_correlation", lambda _: sabotaged)
+        with pytest.raises(NumericalError, match="routes disagree"):
+            sep.separability_inequalities(f)
 
 
 def test_stacked_invariants_are_bitwise_per_index():

@@ -5,15 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from entspace.chart import ChartPoint, SimplexPoint
 from entspace.errors import DomainError
 from entspace.montecarlo import RunConfig, SampleRecord, sample_records
 from entspace.sampling import philox_stream, sample_chart_point, sample_hs_state
 from entspace.separability import BELL_PHI_PLUS, MONOMIALS, analyze, fit_c112_coeffs
 from entspace.serialize import (
     REPORT_FIELDS,
-    chart_from_dict,
-    chart_to_dict,
     coeff_rows_to_csv,
     coeff_table_to_dict,
     fmt_float,
@@ -111,20 +108,6 @@ def test_load_state(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DomainError, match="valid JSON"):
         load_state(str(bad))
-
-
-def test_chart_record_roundtrip():
-    point = sample_chart_point(82, 0)
-    record = chart_to_dict(point)
-    assert set(record) == {"xyz", "alpha", "beta"}
-    back = chart_from_dict(json.loads(to_json(record)))
-    assert back.simplex == point.simplex
-    assert np.array_equal(back.alpha, point.alpha)
-    assert np.array_equal(back.beta, point.beta)
-    with pytest.raises(DomainError, match="JSON object"):
-        chart_from_dict("nope")
-    with pytest.raises(DomainError, match="shape"):
-        chart_from_dict({"xyz": [0.0, 0.0], "alpha": [0.0] * 3, "beta": [0.0] * 3})
 
 
 def test_report_serialization():
