@@ -95,24 +95,48 @@ def hermitize(h):
     return 0.5 * (h + dag(h))
 
 
+def _pair_tables(d):
+    """The entries above the diagonal of a d x d matrix as index arrays, and
+    as the pairs (p, q), both in cyclic pair order."""
+    upper = np.triu_indices(d, 1)
+    return upper, tuple(zip(upper[0].tolist(), upper[1].tolist()))
+
+
+#: _pair_tables(d) of a qubit and of a qubit pair, built once; any other d
+#: builds its tables per call.
+_PAIR_TABLES = {d: _pair_tables(d) for d in (2, 4)}
+
+
+def _lone(x):
+    """``x`` without its stack axis (the last) when that axis has length 1.
+
+    A lone matrix is swept on its (d, d) or (2d, d) view, with numpy scalars
+    for its pivots: the same elementwise arithmetic as on a length-1 stack,
+    without the per-call cost of length-1 arrays."""
+    return x[..., 0] if x.shape[-1] == 1 else x
+
+
 def _off_norm(work, upper):
     """Off-diagonal Frobenius norm of the Hermitian blocks work[:d, :d], one
-    per stack index (the last axis).  ``upper`` indexes the entries above
-    the diagonal in cyclic pair order; they are summed in that order, so
-    each norm depends on its own matrix only."""
+    per stack index (the last axis), or a scalar for a lone matrix's view.
+    ``upper`` indexes the entries above the diagonal in cyclic pair order;
+    they are summed in that order, so each norm depends on its own matrix
+    only."""
     off = work[upper]
     return np.sqrt(2.0 * sum(off.real ** 2 + off.imag ** 2))
 
 
-def _rotate(work, p, q, mag):
+def _rotate(work, p, q, apq, mag):
     """Apply the Jacobi rotation zeroing A[p, q] to every matrix of ``work``.
 
     ``work`` holds A, or A over V, with the stack axis last: shape (d, d, k)
     or (2d, d, k), so work[:, p] is column p of every matrix and each entry
-    is a contiguous run over the stack.  ``mag`` is |A[p, q]|.  The
-    rotation J = D R D^dag (R real, D a phase on q) updates columns p and q
-    of A (and V); rows p and q of the Hermitian A follow by conjugation, and
-    the 2x2 pivot block is set to its diagonalized form.
+    is a contiguous run over the stack; a lone matrix's (d, d) or (2d, d)
+    view takes the same steps with scalar pivots.  ``apq`` is A[p, q] and
+    ``mag`` its modulus.  The rotation J = D R D^dag (R real, D a phase on
+    q) updates columns p and q of A (and V); rows p and q of the Hermitian
+    A follow by conjugation, and the 2x2 pivot block is set to its
+    diagonalized form.
     """
     d = work.shape[1]
     app = work[p, p].real
@@ -120,21 +144,21 @@ def _rotate(work, p, q, mag):
     tau = (aqq - app) / (2.0 * mag)
     # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), and t = 1 at tau = 0: adding
     # 0.0 turns tau = -0 (from aqq = -0, app = +0) into +0 for copysign
-    t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+    t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
     tm = t * mag
     new_pp = app - tm
     new_qq = aqq + tm
     c = 1.0 / np.sqrt(1.0 + t * t)
-    cs = t * c * (work[p, q] / mag)  # s e^{i phi} with s = t c
-    c = c.astype(complex)  # once: the cast each real-by-complex product would make
+    cs = t * c * (apq / mag)  # s e^{i phi} with s = t c
+    c = np.complex128(c)  # once: the cast each real-by-complex product would make
     col_p = work[:, p]
     col_q = work[:, q]
     new_p = c * col_p - np.conj(cs) * col_q
     new_q = cs * col_p + c * col_q
     work[:, p] = new_p
     work[:, q] = new_q
-    work[p] = np.conj(new_p[:d])
-    work[q] = np.conj(new_q[:d])
+    np.conjugate(new_p[:d], out=work[p])
+    np.conjugate(new_q[:d], out=work[q])
     work[p, p] = new_pp
     work[q, q] = new_qq
     work[p, q] = 0.0
@@ -149,8 +173,7 @@ def _jacobi(h, vectors):
     lead, d = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, d, d)
     k = a.shape[0]
-    upper = np.triu_indices(d, 1)
-    pairs = list(zip(upper[0].tolist(), upper[1].tolist()))
+    upper, pairs = _PAIR_TABLES[d] if d in _PAIR_TABLES else _pair_tables(d)
     work = np.empty((2 * d if vectors else d, d, k), dtype=complex)
     work[:d] = a.transpose(1, 2, 0)
     if vectors:
@@ -162,7 +185,7 @@ def _jacobi(h, vectors):
     v = np.empty((k, d, d), dtype=complex) if vectors else None
     diag = np.arange(d)
     for _ in range(tol.JACOBI_MAX_SWEEPS):
-        done = _off_norm(work, upper) <= stop
+        done = _off_norm(_lone(work), upper) <= stop
         if np.count_nonzero(done):
             finished = work[..., done]
             w[active[done]] = finished[diag, diag].real.T
@@ -172,17 +195,18 @@ def _jacobi(h, vectors):
             work, active, stop = work[..., keep], active[keep], stop[keep]
         if not active.size:
             break
-        skip = stop / (d * d)
+        sweep, skip = _lone(work), _lone(stop) / (d * d)
         for p, q in pairs:
-            apq = work[p, q]
+            apq = sweep[p, q]
             mag = np.hypot(apq.real, apq.imag)
             rotate = mag > skip
-            rotated = np.count_nonzero(rotate)  # cheaper than all()/any() on small stacks
+            # cheaper than all()/any() on small stacks; a lone test is one bool
+            rotated = np.count_nonzero(rotate) if rotate.ndim else rotate
             if rotated == rotate.size:
-                _rotate(work, p, q, mag)
+                _rotate(sweep, p, q, apq, mag)
             elif rotated:
                 sub = work[..., rotate]
-                _rotate(sub, p, q, mag[rotate])
+                _rotate(sub, p, q, apq[rotate], mag[rotate])
                 work[..., rotate] = sub
     if active.size:
         raise NumericalError(
@@ -191,9 +215,11 @@ def _jacobi(h, vectors):
             f"{_off_norm(work[..., :1], upper)[0]:.3e} > {stop[0]:.3e}"
         )
     order = np.argsort(-w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1).reshape(*lead, d)
+    # plain indexing: np.take_along_axis costs more per call
+    rows = np.arange(k)[:, None]
+    w = w[rows, order].reshape(*lead, d)
     if vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2).reshape(*lead, d, d)
+        v = v[rows[:, None], diag[:, None], order[:, None, :]].reshape(*lead, d, d)
     return w, v
 
 
@@ -206,7 +232,10 @@ def herm_eigensystem(h):
     (p, q) in cyclic order until its off-diagonal norm is at most
     JACOBI_OFF_TOL * max(1, |H|_F); a rotation is skipped while |H[p, q]|
     is at most that stop over d^2, and a matrix drops out of the stack at
-    the start of the first sweep it no longer needs.
+    the start of the first sweep it no longer needs.  A sweep that starts
+    with one matrix left rotates that matrix's (d, d) view, (2d, d) with V,
+    with numpy-scalar pivots: the same steps on a different shape.  The
+    pair tables of d = 2 and d = 4 are built once, at import.
 
     Parameters
     ----------

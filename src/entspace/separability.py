@@ -33,7 +33,7 @@ from .chart import (
     xyz_from_eigenvalues,
 )
 from .fano import from_fano, schlienz_mahler, to_fano
-from .linalg4 import char_poly_coeffs, partial_transpose
+from .linalg4 import _square_stack, _stack_position, char_poly_coeffs, partial_transpose
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -76,8 +76,16 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
     """Boolean (separable, entangled, boundary) masks from PT coefficients.
 
     Separable when both coefficients clear +band, entangled when either
-    falls below -band, boundary otherwise.
+    falls below -band, boundary otherwise.  DomainError names the first
+    stack index with a non-finite coefficient, which no comparison would
+    place under either test, so it would read as boundary.
     """
+    finite = np.isfinite(s3) & np.isfinite(s4)
+    if not finite.all():
+        raise DomainError(
+            f"PT coefficients{_stack_position(np.shape(finite), np.argmin(finite))} "
+            "are not finite"
+        )
     separable = (s3 >= band) & (s4 >= band)
     entangled = (s3 < -band) | (s4 < -band)
     boundary = ~(separable | entangled)
@@ -97,7 +105,11 @@ def verdict_from_coeffs(s3, s4, band=tol.VERDICT_TOL):
 
 
 def ppt_verdict(rho, band=tol.VERDICT_TOL):
-    """Separability verdict of a two-qubit state by the PPT criterion."""
+    """Separability verdict of a two-qubit state by the PPT criterion.
+
+    DomainError for a non-square or non-finite matrix, naming the first
+    stack index with a non-finite entry."""
+    _square_stack(rho)
     _, s3, s4 = s_coeffs_pt(rho)
     return verdict_from_coeffs(s3, s4, band)
 

@@ -1,5 +1,7 @@
 """Kernel tests: every routine checked against an independent route."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -258,6 +260,54 @@ def test_negative_zero_pivot_rotates_like_tau_zero():
         w, v = herm_eigensystem(np.array([[0.0, 1.0], [1.0, corner]]))
         assert w.tolist() == [1.0, -1.0]
         assert np.array_equal(v, c * np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+def _frozen_eigensolver_stacks():
+    """The fixed stacks of the eigensolver digest, one stack per d and kind."""
+    g = philox_stream(41, 61)
+    diagonal = np.zeros((16, 4, 4), dtype=complex)
+    diagonal[:, range(4), range(4)] = g.standard_normal((16, 4))
+    diagonal[8:, 2, 2] = diagonal[8:, 1, 1]  # a repeated eigenvalue
+    near_degenerate = np.eye(4) + 1e-9 * random_hermitian(g, shape=(16,))
+    near_diagonal = diagonal + 1e-13 * random_hermitian(g, shape=(16,))
+    pivots = np.array([[[0.0, 1.0], [1.0, corner]] for corner in (0.0, -0.0)], dtype=complex)
+    _, straggler = next(ensemble_chunks("hs", 31, 6))  # indices 0-4 take 4 sweeps, 5 takes 5
+    return [
+        next(ensemble_chunks("hs", 41, 4096))[1],
+        random_hermitian(g, shape=(1024,)),
+        diagonal,
+        np.zeros((4, 4, 4)),
+        near_diagonal,
+        near_degenerate,
+        np.concatenate([random_hermitian(g, dim=2, shape=(62,)), pivots]),
+        straggler,
+    ]
+
+
+#: sha256 of w.tobytes() + v.tobytes() of herm_eigensystem over each stack of
+#: _frozen_eigensolver_stacks() in turn.  Every matrix is also one lone call,
+#: so this pins the one-matrix path to the stacked one; a change of the
+#: solver's bits has to change this value on purpose.
+FROZEN_EIGENSOLVER_DIGEST = "c6b29a0954d60fc3f6507348d57aeb854f28f19345d74459c487d4344ca5b61f"
+
+
+def test_eigensolver_digest_contract(monkeypatch):
+    stacks = _frozen_eigensolver_stacks()
+    per_index, stacked, values_only = (hashlib.sha256() for _ in range(3))
+    for stack in stacks:
+        singles = [herm_eigensystem(h) for h in stack]
+        per_index.update(np.stack([w for w, _ in singles]).tobytes())
+        per_index.update(np.stack([v for _, v in singles]).tobytes())
+        ws, vs = herm_eigensystem(stack)
+        stacked.update(ws.tobytes() + vs.tobytes())
+        values_only.update(herm_eigenvalues(stack).tobytes() + vs.tobytes())
+    for digest in (per_index, stacked, values_only):
+        assert digest.hexdigest() == FROZEN_EIGENSOLVER_DIGEST
+    # the straggler stack is one: all but its last matrix converge a sweep early
+    monkeypatch.setattr(tol, "JACOBI_MAX_SWEEPS", 5)
+    herm_eigenvalues(stacks[-1][:5])
+    with pytest.raises(NumericalError, match="at stack index 5,"):
+        herm_eigenvalues(stacks[-1])
 
 
 def test_hermitize_rejects_non_finite_entries():

@@ -38,6 +38,7 @@ from entspace.separability import (
     s_coeffs_pt,
     separability_inequalities,
     verdict_from_coeffs,
+    verdict_masks,
     werner_state,
 )
 
@@ -107,6 +108,19 @@ def test_verdict_band():
     assert verdict_from_coeffs(1e-6, 1e-12) == BOUNDARY
     assert verdict_from_coeffs(1e-12, -1e-12) == BOUNDARY
     assert verdict_from_coeffs(1e-12, -1e-6, band=1e-3) == BOUNDARY
+
+
+def test_non_finite_input_is_no_verdict():
+    with pytest.raises(DomainError, match="non-finite"):
+        ppt_verdict(np.full((4, 4), np.nan))
+    with pytest.raises(DomainError, match="not finite"):
+        verdict_from_coeffs(np.nan, 0.1)
+    s3, s4 = np.full(6, 0.01), np.full(6, 0.001)
+    s4[3] = np.nan
+    with pytest.raises(DomainError, match="at stack index 3 are not finite"):
+        verdict_from_coeffs(s3, s4)
+    with pytest.raises(DomainError, match="at stack index 3 are not finite"):
+        verdict_masks(s4, s3)
 
 
 def test_quesne_c112_against_epsilon_and_adjugate():
