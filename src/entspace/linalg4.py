@@ -9,7 +9,7 @@ elementwise arithmetic only, so a stacked call repeats each single call
 bit for bit.
 """
 
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -95,16 +95,12 @@ def hermitize(h):
     return 0.5 * (h + dag(h))
 
 
+@cache
 def _pair_tables(d):
     """The entries above the diagonal of a d x d matrix as index arrays, and
-    as the pairs (p, q), both in cyclic pair order."""
+    as the pairs (p, q), both in cyclic pair order; built once per d."""
     upper = np.triu_indices(d, 1)
     return upper, tuple(zip(upper[0].tolist(), upper[1].tolist()))
-
-
-#: _pair_tables(d) of a qubit and of a qubit pair, built once; any other d
-#: builds its tables per call.
-_PAIR_TABLES = {d: _pair_tables(d) for d in (2, 4)}
 
 
 def _lone(x):
@@ -173,7 +169,7 @@ def _jacobi(h, vectors):
     lead, d = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, d, d)
     k = a.shape[0]
-    upper, pairs = _PAIR_TABLES[d] if d in _PAIR_TABLES else _pair_tables(d)
+    upper, pairs = _pair_tables(d)
     work = np.empty((2 * d if vectors else d, d, k), dtype=complex)
     work[:d] = a.transpose(1, 2, 0)
     if vectors:
@@ -235,7 +231,7 @@ def herm_eigensystem(h):
     the start of the first sweep it no longer needs.  A sweep that starts
     with one matrix left rotates that matrix's (d, d) view, (2d, d) with V,
     with numpy-scalar pivots: the same steps on a different shape.  The
-    pair tables of d = 2 and d = 4 are built once, at import.
+    pair tables are built once per d.
 
     Parameters
     ----------

@@ -33,7 +33,7 @@ from .chart import (
     xyz_from_eigenvalues,
 )
 from .fano import from_fano, schlienz_mahler, to_fano
-from .linalg4 import _square_stack, _stack_position, char_poly_coeffs, partial_transpose
+from .linalg4 import _stack_position, char_poly_coeffs, partial_transpose
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -107,9 +107,8 @@ def verdict_from_coeffs(s3, s4, band=tol.VERDICT_TOL):
 def ppt_verdict(rho, band=tol.VERDICT_TOL):
     """Separability verdict of a two-qubit state by the PPT criterion.
 
-    DomainError for a non-square or non-finite matrix, naming the first
-    stack index with a non-finite entry."""
-    _square_stack(rho)
+    A non-finite entry makes S3 or S4 non-finite, so verdict_masks raises
+    DomainError for it."""
     _, s3, s4 = s_coeffs_pt(rho)
     return verdict_from_coeffs(s3, s4, band)
 

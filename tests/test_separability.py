@@ -111,7 +111,7 @@ def test_verdict_band():
 
 
 def test_non_finite_input_is_no_verdict():
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="not finite"):
         ppt_verdict(np.full((4, 4), np.nan))
     with pytest.raises(DomainError, match="not finite"):
         verdict_from_coeffs(np.nan, 0.1)
