@@ -320,6 +320,15 @@ def exp_commuting_paulis(angles, generators):
     return reduce(np.matmul, factors)
 
 
+def _two_qubit(x):
+    """``x`` as a complex array; DomainError naming its shape unless that
+    is (..., 4, 4).  The shape only: entries are not read."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (4, 4):
+        raise DomainError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {x.shape}")
+    return x
+
+
 def partial_transpose(rho, subsystem="B"):
     """Partial transpose of a two-qubit operator, or of a (..., 4, 4) stack,
     on one tensor factor.
@@ -328,7 +337,7 @@ def partial_transpose(rho, subsystem="B"):
     factor, "B" the right (fast) one.  The operation is an involution and
     preserves trace and Hermiticity exactly.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _two_qubit(rho)
     lead = rho.shape[:-2]
     r = rho.reshape(-1, 2, 2, 2, 2)
     if subsystem == "B":
@@ -346,7 +355,7 @@ def partial_trace(rho, subsystem="B"):
     ``subsystem`` names the factor that is traced *out*; the reduced 2x2
     operator of the other factor is returned, shape (..., 2, 2).
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _two_qubit(rho)
     r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if subsystem == "B":
         return np.einsum("...ijkj->...ik", r)
@@ -366,7 +375,7 @@ def char_poly_coeffs(h):
     has the leading shape of ``h`` (a scalar for one matrix), and a stacked
     call repeats each single call bit for bit.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _two_qubit(h)
     lead = h.shape[:-2]
     h = h.reshape(-1, 4, 4)
     h2 = h @ h

@@ -308,18 +308,18 @@ def sample_local_unitary(seed, index):
     return LocalUnitary(u=uv[..., 0, :, :], v=uv[..., 1, :, :])
 
 
-def random_hermitian(g, dim=4, scale=1.0, shape=()):
+def random_hermitian(g, dim=4, shape=()):
     """Gaussian Hermitian matrix (A + A^dag)/2, for exercising kernels; a
     ``shape`` stack of them repeats that many single calls bit for bit
     (each draws the real, then the imaginary part of its A)."""
     x = g.standard_normal((*shape, 2, dim, dim))
     a = x[..., 0, :, :] + 1j * x[..., 1, :, :]
-    return scale * 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def random_antihermitian(g, dim=4, scale=1.0):
-    """Gaussian anti-Hermitian matrix (A - A^dag)/2."""
-    a = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+def random_antihermitian(g, scale=1.0):
+    """Gaussian anti-Hermitian 4x4 matrix scale * (A - A^dag)/2."""
+    a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     return scale * 0.5 * (a - np.conj(a.T))
 
 

@@ -376,8 +376,11 @@ def analyze(rho, band=tol.VERDICT_TOL):
     Computes the PT characteristic coefficients, the three correlation
     invariants and the dual-route left-hand sides, checks the routes
     against each other to DUAL_PATH_TOL and returns a SeparabilityReport.
-    Raises DomainError unless ``band`` lies in (0, 1).
+    Raises DomainError unless ``rho`` is one 4x4 matrix and ``band`` lies
+    in (0, 1).
     """
     check_band(band)
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DomainError(f"analyze takes one 4x4 matrix, got shape {rho.shape}")
     return _invariants(rho, to_fano(rho), band)

@@ -3,23 +3,24 @@
 Every load-bearing identity of the package is re-checked here at runtime
 against an independent route: closed forms against brute force, spectral
 routes against invariant routes, the algebraic PPT criterion against a
-dense eigensolver.  Checks are grouped into suites ("identities",
-"coeffs", "ppt"); each check never aborts the others and reports its
-worst residual against its tolerance.
+dense eigensolver.  CHECKS lists the checks and groups them into suites
+("identities", "coeffs", "ppt").
 
-The checks of one suite run share their samples: the first Hilbert-Schmidt
-chunk with its Fano coefficients and the characteristic coefficients of
-its partial transposes, and a prefix of the chart ensemble with its
-representative states, each drawn or computed once, by the first check
-that needs it, and handed to the others as read-only prefixes.  Since
-every sample is a fixed function of (seed, index) and every kernel repeats
-each single call bit for bit in a stack, a check reports the same bytes
-in a suite as on its own.  Every other draw comes from a stream of the
-check's own.
+A check takes one argument, the run: the sample count, seed and verdict
+band, and the samples the checks of one run share (see _Run), each drawn
+or computed once, by the first check that needs it, and handed out as
+read-only prefixes.  A check returns only what it measured; run_suite
+builds one run per call and names, groups and records each check, so a
+check that raises is recorded as failed and never aborts the others.
+Since every sample is a fixed function of (seed, index) and every kernel
+repeats each single call bit for bit in a stack, a check reports the same
+bytes in a suite as on a fresh run of its own.  Every other draw comes
+from a stream of the check's own.
 """
 
 from dataclasses import asdict, dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,16 +103,14 @@ class CheckResult:
         return asdict(self)
 
 
-def _result(name, group, samples, residual, tolerance, detail=""):
-    return CheckResult(
-        name=name,
-        group=group,
-        samples=samples,
-        max_residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-        detail=detail,
-    )
+class _Measured(NamedTuple):
+    """What one check measured; the check passes when ``residual`` is at
+    most ``tolerance`` (a NaN residual fails)."""
+
+    samples: int
+    residual: float
+    tolerance: float
+    detail: str = ""
 
 
 def _worst(residuals):
@@ -131,20 +130,21 @@ def _read_only(*arrays):
     return arrays
 
 
-class _SuiteSamples:
-    """The samples shared by the checks of one suite run.
+class _Run:
+    """One run of the suite: the sample count ``n``, the ``seed`` and the
+    verdict ``band`` every check reads, and the samples its checks share.
 
-    Holds the first min(n, CHUNK) Hilbert-Schmidt states (chunk 0 of the
-    ensemble), their Fano coefficients and the characteristic coefficients
-    of their partial transposes, and chart points 0..k-1 with their
-    representative states.  Each is drawn or computed on first use, inside
-    the check that needs it; the chart prefix grows on demand, drawing only
-    the new indices.  A check takes a prefix; every array handed out is
-    read-only.
+    The shared samples are the first min(n, CHUNK) Hilbert-Schmidt states
+    (chunk 0 of the ensemble), their Fano coefficients and the
+    characteristic coefficients of their partial transposes, and chart
+    points 0..k-1 with their representative states.  Each is drawn or
+    computed on first use, inside the check that needs it; the chart
+    prefix grows on demand, drawing only the new indices.  A check takes a
+    prefix; every array handed out is read-only.
     """
 
-    def __init__(self, seed, n):
-        self.seed = seed
+    def __init__(self, n, seed, band):
+        self.n, self.seed, self.band = n, seed, band
         self.size = min(n, tol.CHUNK)
         self._hs = self._fano = self._pt_coeffs = None
         self._chart = ()  # x, y, z, alpha, beta, representative states
@@ -188,38 +188,35 @@ class _SuiteSamples:
 
 # -- identities -----------------------------------------------------------------
 
-def _check_kron_mixed_product(n, seed, band, store=None):
-    m = min(n, 2000)
-    g = verify_stream(seed, 0)
+def _check_kron_mixed_product(run):
+    m = min(run.n, 2000)
+    g = verify_stream(run.seed, 0)
     a, b, c, d = np.moveaxis(random_hermitian(g, dim=2, shape=(m, 4)), 1, 0)
     lhs = tensor_product(a, b) @ tensor_product(c, d)
     rhs = tensor_product(a @ c, b @ d)
     worst = np.max(np.abs(lhs - rhs))
-    return _result("kron_mixed_product", "identities", m, worst, 1e-13)
+    return _Measured(m, worst, 1e-13)
 
 
-def _check_eigensolver_reconstruction(n, seed, band, store=None):
-    m = min(n, 1500)
-    g = verify_stream(seed, 1)
+def _check_eigensolver_reconstruction(run):
+    m = min(run.n, 1500)
+    g = verify_stream(run.seed, 1)
     hs = random_hermitian(g, shape=(m,))
     ws, vs = herm_eigensystem(hs)
     if np.any(np.diff(ws, axis=1) > 0):
-        return _result(
-            "eigensolver_reconstruction", "identities", m, np.inf,
-            tol.EIG_RECONSTRUCT_TOL, "eigenvalues not sorted descending",
+        return _Measured(
+            m, np.inf, tol.EIG_RECONSTRUCT_TOL, "eigenvalues not sorted descending"
         )
     worst = _worst((
         np.abs((vs * ws[:, None, :]) @ dag(vs) - hs),
         np.abs(dag(vs) @ vs - I4),
     ))
-    return _result(
-        "eigensolver_reconstruction", "identities", m, worst, tol.EIG_RECONSTRUCT_TOL
-    )
+    return _Measured(m, worst, tol.EIG_RECONSTRUCT_TOL)
 
 
-def _check_charpoly_vs_spectrum(n, seed, band, store=None):
-    m = min(n, 1500)
-    g = verify_stream(seed, 2)
+def _check_charpoly_vs_spectrum(run):
+    m = min(run.n, 1500)
+    g = verify_stream(run.seed, 2)
     hs = random_hermitian(g, shape=(m,))
     w = herm_eigenvalues(hs).T
     s2, s3, s4 = char_poly_batch(hs)
@@ -233,12 +230,12 @@ def _check_charpoly_vs_spectrum(n, seed, band, store=None):
     e4 = np.prod(w, axis=0)
     gaps = (s2 - e2, s3 - e3, s4 - e4, s4 - np.linalg.det(hs).real)
     worst = _worst(np.abs(gap) for gap in gaps)
-    return _result("charpoly_vs_spectrum", "identities", m, worst, 1e-10)
+    return _Measured(m, worst, 1e-10)
 
 
-def _check_expm_paths(n, seed, band, store=None):
-    m = min(n, 600)
-    g = verify_stream(seed, 3)
+def _check_expm_paths(run):
+    m = min(run.n, 600)
+    g = verify_stream(run.seed, 3)
     angles = np.empty((m, 3))
     alpha_family = np.empty(m, dtype=bool)
     x = np.empty((m, 4, 4), dtype=complex)
@@ -258,19 +255,17 @@ def _check_expm_paths(n, seed, band, store=None):
         *unitarity_defect(series),
         np.abs(exp_x @ exp_minus_x - I4),
     ))
-    return _result("expm_paths", "identities", m, worst, tol.EXPM_PATH_TOL)
+    return _Measured(m, worst, tol.EXPM_PATH_TOL)
 
 
-def _check_fano_roundtrip(n, seed, band, store=None):
-    store = store or _SuiteSamples(seed, n)
-    worst = np.max(np.abs(from_fano(store.fano()) - store.hs()))
-    return _result("fano_roundtrip", "identities", store.size, worst, 1e-13)
+def _check_fano_roundtrip(run):
+    worst = np.max(np.abs(from_fano(run.fano()) - run.hs()))
+    return _Measured(run.size, worst, 1e-13)
 
 
-def _check_partial_transpose_trace(n, seed, band, store=None):
-    m = min(n, 2000)
-    store = store or _SuiteSamples(seed, n)
-    states = store.hs(m)
+def _check_partial_transpose_trace(run):
+    m = min(run.n, 2000)
+    states = run.hs(m)
     pts = pt_batch(states, "B")
     trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
     reduced = partial_trace(states, "B")
@@ -278,32 +273,30 @@ def _check_partial_transpose_trace(n, seed, band, store=None):
     worst = _worst((
         np.abs(pt_batch(pts, "B") - states),
         np.abs(trace_gap),
-        np.abs(store.fano(m).a - bloch_a),
+        np.abs(run.fano(m).a - bloch_a),
     ))
-    return _result("partial_transpose_trace", "identities", m, worst, 1e-12)
+    return _Measured(m, worst, 1e-12)
 
 
 def _lu_invariants(pt_coeffs, f):
     return (*pt_coeffs, det_correlation(f), det_schlienz_mahler(f), quesne_c112(f))
 
 
-def _check_local_unitary_invariance(n, seed, band, store=None):
-    m = min(n, 300)
-    store = store or _SuiteSamples(seed, n)
-    rotated = local_unitary_action(store.hs(m), sample_local_unitary(seed, np.arange(m)))
+def _check_local_unitary_invariance(run):
+    m = min(run.n, 300)
+    rotated = local_unitary_action(run.hs(m), sample_local_unitary(run.seed, np.arange(m)))
     worst = _worst(
         np.abs(q0 - q1) for q0, q1 in zip(
-            _lu_invariants(store.pt_coeffs(m), store.fano(m)),
+            _lu_invariants(run.pt_coeffs(m), run.fano(m)),
             _lu_invariants(s_coeffs_pt(rotated), to_fano(rotated)),
         )
     )
-    return _result("local_unitary_invariance", "identities", m, worst, 1e-10)
+    return _Measured(m, worst, 1e-10)
 
 
-def _check_chart_spectrum_roundtrip(n, seed, band, store=None):
-    m = min(n, 500)
-    store = store or _SuiteSamples(seed, n)
-    points, states = store.chart(m)
+def _check_chart_spectrum_roundtrip(run):
+    m = min(run.n, 500)
+    points, states = run.chart(m)
     spectra = herm_eigenvalues(states)
     r = eigenvalues_from_xyz(points.simplex)
     paths = a_factor(points.alpha, points.beta, "closed") - a_factor(
@@ -317,29 +310,27 @@ def _check_chart_spectrum_roundtrip(n, seed, band, store=None):
         np.abs(back.y - points.simplex.y),
         np.abs(back.z - points.simplex.z),
     ))
-    return _result("chart_spectrum_roundtrip", "identities", m, worst, 1e-12)
+    return _Measured(m, worst, 1e-12)
 
 
-def _check_det_m_identity(n, seed, band, store=None):
-    store = store or _SuiteSamples(seed, n)
-    later = (to_fano(states) for _, states in ensemble_chunks("hs", seed, n, first=1))
+def _check_det_m_identity(run):
+    later = (to_fano(states) for _, states in ensemble_chunks("hs", run.seed, run.n, first=1))
     worst = _worst(
         np.abs(det_schlienz_mahler(f) - (det_correlation(f) - 0.5 * quesne_c112(f)))
-        for f in chain([store.fano()], later)
+        for f in chain([run.fano()], later)
     )
-    return _result("det_m_identity", "identities", n, worst, tol.DET_IDENTITY_TOL)
+    return _Measured(run.n, worst, tol.DET_IDENTITY_TOL)
 
 
 # -- coefficient table ------------------------------------------------------------
 
-def _check_det_c_closed_form(n, seed, band, store=None):
-    m = min(n, 2000)
-    store = store or _SuiteSamples(seed, n)
-    points, states = store.chart(m)
+def _check_det_c_closed_form(run):
+    m = min(run.n, 2000)
+    points, states = run.chart(m)
     brute = det_correlation(to_fano(states))
     closed = det_c_closed_form(points.simplex, points.alpha[..., 2], points.beta)
     worst = np.max(np.abs(brute - closed))
-    return _result("det_c_closed_form", "coeffs", m, worst, tol.CLOSED_FORM_TOL)
+    return _Measured(m, worst, tol.CLOSED_FORM_TOL)
 
 
 def _fit_points(seed, check_id, count):
@@ -353,25 +344,23 @@ def _fit_points(seed, check_id, count):
     return out
 
 
-def _check_fit_support_frozen(n, seed, band, store=None):
-    fits = max(2, min(6, n // 1500))
+def _check_fit_support_frozen(run):
+    fits = max(2, min(6, run.n // 1500))
     residuals = []
     detail = ""
-    for alpha, beta in _fit_points(seed, 10, fits):
+    for alpha, beta in _fit_points(run.seed, 10, fits):
         table = fit_c112_coeffs(alpha, beta)
         residuals.append(table.residual)
         outside = [m for m in table.support() if m not in C112_SUPPORT]
         if outside or len(table.support()) > len(C112_SUPPORT):
             detail = f"support escaped the frozen set: {outside}"
     worst = np.inf if detail else _worst([residuals])
-    return _result(
-        "fit_support_frozen", "coeffs", fits, worst, tol.FIT_RESIDUAL_TOL, detail
-    )
+    return _Measured(fits, worst, tol.FIT_RESIDUAL_TOL, detail)
 
 
-def _check_fit_alpha12_invariance(n, seed, band, store=None):
-    fits = max(2, min(5, n // 2000))
-    g = verify_stream(seed, 11)
+def _check_fit_alpha12_invariance(run):
+    fits = max(2, min(5, run.n // 2000))
+    g = verify_stream(run.seed, 11)
     gaps = []
     for _ in range(fits):
         alpha = g.uniform(-2.0, 2.0, 3)
@@ -381,29 +370,25 @@ def _check_fit_alpha12_invariance(n, seed, band, store=None):
         t0 = fit_c112_coeffs(alpha, beta)
         t1 = fit_c112_coeffs(other, beta)
         gaps.append(np.abs(t0.values - t1.values))
-    return _result(
-        "fit_alpha12_invariance", "coeffs", fits, _worst(gaps), tol.FIT_RESIDUAL_TOL
-    )
+    return _Measured(fits, _worst(gaps), tol.FIT_RESIDUAL_TOL)
 
 
-def _check_fit_closed_form_entry(n, seed, band, store=None):
-    fits = max(3, min(8, n // 1200))
+def _check_fit_closed_form_entry(run):
+    fits = max(3, min(8, run.n // 1200))
     gaps = []
-    for alpha, beta in _fit_points(seed, 12, fits):
+    for alpha, beta in _fit_points(run.seed, 12, fits):
         table = fit_c112_coeffs(alpha, beta)
         gaps.append(table.entry((0, 2, 2)) - p022(alpha[2], beta))
         mirrored = beta[::-1].copy()
         gaps.append(table.entry((2, 0, 2)) - p022(alpha[2], mirrored))
-    return _result(
-        "fit_closed_form_entry", "coeffs", fits, _worst([np.abs(gaps)]), tol.FIT_RESIDUAL_TOL
-    )
+    return _Measured(fits, _worst([np.abs(gaps)]), tol.FIT_RESIDUAL_TOL)
 
 
-def _check_c112_quartic_predicts(n, seed, band, store=None):
-    fits = max(2, min(4, n // 2500))
-    g = verify_stream(seed, 13)
+def _check_c112_quartic_predicts(run):
+    fits = max(2, min(4, run.n // 2500))
+    g = verify_stream(run.seed, 13)
     gaps = []
-    for alpha, beta in _fit_points(seed, 23, fits):
+    for alpha, beta in _fit_points(run.seed, 23, fits):
         table = fit_c112_coeffs(alpha, beta)
         s = xyz_from_eigenvalues(
             np.stack([np.sort(g.dirichlet(np.ones(4)))[::-1] for _ in range(40)])
@@ -414,84 +399,70 @@ def _check_c112_quartic_predicts(n, seed, band, store=None):
         ]
         actual = quesne_c112(to_fano(representative_state(ChartPoint(s, alpha, beta))))
         gaps.append(np.abs(predicted - actual))
-    return _result("c112_quartic_predicts", "coeffs", fits * 40, _worst(gaps), 1e-9)
+    return _Measured(fits * 40, _worst(gaps), 1e-9)
 
 
 # -- PPT criterion ------------------------------------------------------------------
 
-def _check_ppt_vs_eigenvalue_oracle(n, seed, band, store=None):
-    store = store or _SuiteSamples(seed, n)
-    later = (pt_batch(states) for _, states in ensemble_chunks("hs", seed, n, first=1))
+def _check_ppt_vs_eigenvalue_oracle(run):
+    later = (pt_batch(states) for _, states in ensemble_chunks("hs", run.seed, run.n, first=1))
     chunks = chain(
-        [(pt_batch(store.hs()), store.pt_coeffs())],
+        [(pt_batch(run.hs()), run.pt_coeffs())],
         ((pts, char_poly_batch(pts)) for pts in later),
     )
     mismatches = 0
     undecided = 0
     for pts, (_, s3, s4) in chunks:
-        sep, ent, bnd = verdict_masks(s3, s4, band)
+        sep, ent, bnd = verdict_masks(s3, s4, run.band)
         osep, oent, oundec = oracle_masks(np.linalg.eigvalsh(pts)[:, 0])
         decided = ~(bnd | oundec)
         mismatches += int(np.sum(decided & (sep != osep)))
         undecided += int(np.sum(~decided))
-    return _result(
-        "ppt_vs_eigenvalue_oracle",
-        "ppt",
-        n,
-        float(mismatches),
-        0.0,
-        f"undecided(band)={undecided}",
-    )
+    return _Measured(run.n, float(mismatches), 0.0, f"undecided(band)={undecided}")
 
 
-def _check_dual_path_agreement(n, seed, band, store=None):
-    m = min(n, 2000)
-    store = store or _SuiteSamples(seed, n)
-    f = store.fano(m)
-    _, s3_pt, s4_pt = store.pt_coeffs(m)
-    _, s3, s4 = char_poly_batch(store.hs(m))
+def _check_dual_path_agreement(run):
+    m = min(run.n, 2000)
+    f = run.fano(m)
+    _, s3_pt, s4_pt = run.pt_coeffs(m)
+    _, s3, s4 = char_poly_batch(run.hs(m))
     worst = _worst((
         np.abs(s3 + det_correlation(f) / 4.0 - s3_pt),
         np.abs(s4 + det_schlienz_mahler(f) / 16.0 - s4_pt),
     ))
-    return _result("dual_path_agreement", "ppt", m, worst, tol.DUAL_PATH_TOL)
+    return _Measured(m, worst, tol.DUAL_PATH_TOL)
 
 
-def _check_werner_verdicts(n, seed, band, store=None):
+def _check_werner_verdicts(run):
     expected = ((0.2, SEPARABLE), (1.0 / 3.0, BOUNDARY), (0.5, ENTANGLED))
     bad = []
     for p, want in expected:
         got = ppt_verdict(density_matrix(werner_state(p)))
         if got != want:
             bad.append(f"p={p}: got {got}, want {want}")
-    return _result(
-        "werner_verdicts", "ppt", len(expected), float(len(bad)), 0.0, "; ".join(bad)
-    )
+    return _Measured(len(expected), float(len(bad)), 0.0, "; ".join(bad))
 
 
-def _check_bounds_attained_at_i4(n, seed, band, store=None):
+def _check_bounds_attained_at_i4(run):
     _, s3, s4 = s_coeffs_pt(I4 / 4.0)
     worst = _worst((abs(s3 - S3_BOUND), abs(s4 - S4_BOUND)))
-    return _result("bounds_attained_at_i4", "ppt", 1, worst, 1e-12)
+    return _Measured(1, worst, 1e-12)
 
 
-def _check_product_states_separable(n, seed, band, store=None):
-    m = min(n, 5000)
+def _check_product_states_separable(run):
+    m = min(run.n, 5000)
     entangled = 0
     gaps = []
-    for _, states in ensemble_chunks("product", seed, m):
+    for _, states in ensemble_chunks("product", run.seed, m):
         pts = pt_batch(states)
         _, s3, s4 = char_poly_batch(pts)
-        _, ent, _ = verdict_masks(s3, s4, band)
+        _, ent, _ = verdict_masks(s3, s4, run.band)
         entangled += int(ent.sum())
         f = to_fano(states[:: max(1, len(states) // 64)])
         gaps += [np.abs(schlienz_mahler(f)), np.abs(quesne_c112(f))]
     if entangled:
-        return _result(
-            "product_states_separable", "ppt", m, np.inf, 1e-12,
-            f"{entangled} product states judged entangled",
-        )
-    return _result("product_states_separable", "ppt", m, _worst(gaps), 1e-12)
+        return _Measured(m, np.inf, 1e-12, f"{entangled} product states judged entangled")
+    return _Measured(m, _worst(gaps), 1e-12)
 
 
 CHECKS = (
@@ -519,42 +490,43 @@ CHECKS = (
 SUITES = ("all", "identities", "coeffs", "ppt")
 
 
+def _run_check(run, group, fn):
+    """The CheckResult of check ``fn``, of ``group``, on ``run``, named
+    after the function.  A check that raises is recorded as failed with
+    the exception text, so the suite never aborts early."""
+    try:
+        samples, residual, tolerance, detail = fn(run)
+    except Exception as exc:  # noqa: BLE001 - the suite must never abort early
+        samples, residual, tolerance = 0, np.inf, 0.0
+        detail = f"{type(exc).__name__}: {exc}"
+    return CheckResult(
+        name=fn.__name__.removeprefix("_check_"),
+        group=group,
+        samples=samples,
+        max_residual=float(residual),
+        tolerance=float(tolerance),
+        passed=bool(residual <= tolerance),
+        detail=detail,
+    )
+
+
 def run_suite(suite="all", samples=1000, seed=1, band=tol.VERDICT_TOL):
     """Run the selected verification suite.
 
-    Returns a JSON-ready dict with one entry per check; a check that
-    raises is recorded as failed with the exception text, and the
-    remaining checks still run.  The checks share one _SuiteSamples, which
-    lives for this call only.  Raises DomainError on an unknown suite, a
-    sample count that is not a positive integer, a seed that is not an
-    integer in [0, 2^64) or a band outside (0, 1).
+    Returns a JSON-ready dict with one entry per check of the suite, in
+    CHECKS order; a check that raises is recorded as failed with the
+    exception text, and the remaining checks still run.  The checks share
+    one run, built for this call only.  Raises DomainError on an unknown
+    suite, a sample count that is not a positive integer, a seed that is
+    not an integer in [0, 2^64) or a band outside (0, 1).
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     check_count(samples)
     check_seed(seed)
     check_band(band)
-    store = _SuiteSamples(seed, samples)
-    results = []
-    for group, fn in CHECKS:
-        if suite != "all" and group != suite:
-            continue
-        try:
-            results.append(fn(samples, seed, band, store))
-        except Exception as exc:  # noqa: BLE001 - the suite must never abort early
-            name = fn.__name__.removeprefix("_check_")
-            results.append(
-                CheckResult(
-                    name=name,
-                    group=group,
-                    samples=0,
-                    max_residual=float("inf"),
-                    tolerance=0.0,
-                    passed=False,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    passed = all(r.passed for r in results)
+    run = _Run(samples, seed, band)
+    results = [_run_check(run, group, fn) for group, fn in CHECKS if suite in ("all", group)]
     return {
         "suite": suite,
         "samples": samples,
@@ -563,5 +535,5 @@ def run_suite(suite="all", samples=1000, seed=1, band=tol.VERDICT_TOL):
         "checks": [r.to_dict() for r in results],
         "passed_count": sum(r.passed for r in results),
         "failed_count": sum(not r.passed for r in results),
-        "passed": passed,
+        "passed": all(r.passed for r in results),
     }

@@ -5,7 +5,8 @@ use when the package refers to it outside its own definition (in its own
 module or in another one), when ``entspace.__all__`` exports it, or when
 the benchmark under ``perfbench/`` uses it (by name, attribute or the
 string its tracer hooks).  A helper that only tests call belongs in the
-tests.
+tests.  Likewise every parameter with a default value is read by its
+function's body: a knob that changes nothing is dead too.
 """
 
 import ast
@@ -71,3 +72,31 @@ def dead_symbols(src, bench):
 
 def test_every_top_level_name_has_a_user():
     assert dead_symbols(ROOT / "src" / "entspace", ROOT / "perfbench") == []
+
+
+def unread_defaults(src):
+    """Sorted 'module.function(parameter)' of every parameter under ``src``
+    that has a default value and that its function's body never reads;
+    a read inside a nested function counts."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for root in body for n in ast.walk(root)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}({a.arg})" for a in defaulted if a.arg not in read]
+    return sorted(unread)
+
+
+def test_every_defaulted_parameter_is_read():
+    assert unread_defaults(ROOT / "src" / "entspace") == []

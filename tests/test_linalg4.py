@@ -1,6 +1,7 @@
 """Kernel tests: every routine checked against an independent route."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_tensor_product_mixed_product():
 
 def test_hermitian_stack_repeats_sequential_draws():
     g, h = philox_stream(12, 60), philox_stream(12, 60)
-    stack = random_hermitian(g, dim=2, shape=(30, 4), scale=3.0)
+    stack = 3.0 * random_hermitian(g, dim=2, shape=(30, 4))
     for pos in np.ndindex(30, 4):
         a = h.standard_normal((2, 2)) + 1j * h.standard_normal((2, 2))
         assert stack[pos].tobytes() == (3.0 * 0.5 * (a + np.conj(a.T))).tobytes()
@@ -464,6 +465,15 @@ def test_partial_trace():
         assert np.max(np.abs(partial_trace(prod, "A") - b)) < 1e-15
     with pytest.raises(DomainError):
         partial_trace(prod, "ab")
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 3), (16,), (5, 2, 8)])
+@pytest.mark.parametrize("kernel", [partial_transpose, partial_trace, char_poly_coeffs])
+def test_two_qubit_kernels_reject_a_shape_that_is_not_a_4x4_stack(kernel, shape):
+    # 16 entries in the wrong shape would otherwise reshape into a 4x4
+    # matrix silently; the message names the shape it was given
+    with pytest.raises(DomainError, match=f"got shape {re.escape(str(shape))}"):
+        kernel(np.ones(shape) / 8.0)
 
 
 def test_char_poly_maximally_mixed_exact():

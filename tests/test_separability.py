@@ -1,6 +1,7 @@
 """Separability criteria: verdicts, invariants and closed forms."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,18 @@ def test_analyze_reports():
         rep = analyze(rho)
         assert rep.verdict in (SEPARABLE, BOUNDARY)
         assert abs(rep.c112) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (2, 8), (3, 3)])
+def test_analyze_takes_exactly_one_4x4_matrix(shape):
+    rho = np.broadcast_to(np.eye(4) / 4.0, shape) if shape[-2:] == (4, 4) else np.ones(shape)
+    with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+        analyze(rho)
+
+
+def test_ppt_verdict_rejects_sixteen_entries_in_the_wrong_shape():
+    with pytest.raises(DomainError, match=re.escape("got shape (2, 8)")):
+        ppt_verdict(np.ones((2, 8)) / 8.0)
 
 
 def test_report_checks_det_identity_at_construction():

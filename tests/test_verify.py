@@ -62,9 +62,15 @@ def _reference_local_unitary_invariance(n, seed):
     return worst
 
 
+def _alone(fn, n, seed):
+    """The CheckResult of check ``fn`` on a fresh run of its own."""
+    group = {f: g for g, f in verify.CHECKS}[fn]
+    return verify._run_check(verify._Run(n, seed, tol.VERDICT_TOL), group, fn)
+
+
 def test_expm_paths_matches_the_per_point_loop():
     for n, seed in ((10000, 1), (37, 5)):
-        result = verify._check_expm_paths(n, seed, 1e-9)
+        result = _alone(verify._check_expm_paths, n, seed)
         assert result.samples == min(n, 600) and result.passed
         ref = _reference_expm_paths(n, seed)
         assert abs(result.max_residual - ref) <= 4 * EPS * ref
@@ -72,7 +78,7 @@ def test_expm_paths_matches_the_per_point_loop():
 
 def test_local_unitary_invariance_matches_the_per_point_loop():
     for n, seed in ((10000, 1), (23, 5)):
-        result = verify._check_local_unitary_invariance(n, seed, 1e-9)
+        result = _alone(verify._check_local_unitary_invariance, n, seed)
         assert result.samples == min(n, 300) and result.passed
         ref = _reference_local_unitary_invariance(n, seed)
         assert abs(result.max_residual - ref) <= 4 * EPS * ref
@@ -82,7 +88,7 @@ def test_local_unitary_invariance_matches_the_per_point_loop():
 
 def _standalone_bytes(n, seed):
     return {
-        fn.__name__.removeprefix("_check_"): to_json(fn(n, seed, tol.VERDICT_TOL).to_dict())
+        fn.__name__.removeprefix("_check_"): to_json(_alone(fn, n, seed).to_dict())
         for _, fn in verify.CHECKS
     }
 
@@ -96,9 +102,25 @@ def test_suite_results_equal_standalone_checks_byte_for_byte():
             assert checks and all(to_json(c) == alone[c["name"]] for c in checks), (suite, n)
 
 
+def test_each_suite_is_exactly_its_checks_group_and_together_they_are_all():
+    # n >= 2000: a coeffs run on its own draws the 2000-point chart prefix
+    # without the 500-point one that the identities checks draw first in "all"
+    n, seed = tol.CHUNK + 7, 11
+    groups = list(dict.fromkeys(g for g, _ in verify.CHECKS))
+    assert groups == [s for s in verify.SUITES if s != "all"]
+    parts = []
+    for group in groups:
+        checks = verify.run_suite(group, n, seed)["checks"]
+        want = [fn.__name__.removeprefix("_check_") for g, fn in verify.CHECKS if g == group]
+        assert [c["name"] for c in checks] == want
+        assert all(c["group"] == group for c in checks)
+        parts += checks
+    assert to_json(parts) == to_json(verify.run_suite("all", n, seed)["checks"])
+
+
 def test_shared_prefixes_are_bitwise_fresh_draws():
     seed = 31
-    store = verify._SuiteSamples(seed, tol.CHUNK + 7)
+    store = verify._Run(tol.CHUNK + 7, seed, tol.VERDICT_TOL)
     assert store.hs().shape == (tol.CHUNK, 4, 4)
     for m in (1, 300, 2000, tol.CHUNK):
         fresh = _hs_chunk(seed, 0, 0, m)
@@ -129,14 +151,14 @@ def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
         chart_indices.extend(np.asarray(index).reshape(-1).tolist())
         return sample_chart_point(seed, index)
 
-    class Recorded(verify._SuiteSamples):
-        def __init__(self, seed, n):
-            super().__init__(seed, n)
+    class Recorded(verify._Run):
+        def __init__(self, n, seed, band):
+            super().__init__(n, seed, band)
             stores.append(self)
 
     monkeypatch.setattr(sampling, "_hs_chunk", counted_hs_chunk)
     monkeypatch.setattr(verify, "sample_chart_point", counted_chart_point)
-    monkeypatch.setattr(verify, "_SuiteSamples", Recorded)
+    monkeypatch.setattr(verify, "_Run", Recorded)
 
     assert verify.run_suite("coeffs", 3 * tol.CHUNK, 5)["passed"]
     assert hs_draws == []
@@ -156,7 +178,7 @@ def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
 
 
 def test_served_arrays_are_read_only():
-    store = verify._SuiteSamples(3, 600)
+    store = verify._Run(600, 3, tol.VERDICT_TOL)
     points, states = store.chart(20)
     f, f_prefix = store.fano(), store.fano(10)
     served = (
@@ -201,9 +223,9 @@ def test_a_nan_c112_kernel_fails_every_folded_check(name, n, monkeypatch):
     check = getattr(verify, f"_check_{name}")
     if name in _FITTING_CHECKS:
         with pytest.raises(NumericalError, match="fit residual nan exceeds"):
-            check(n, 1, tol.VERDICT_TOL)
+            check(verify._Run(n, 1, tol.VERDICT_TOL))
         return
-    result = check(n, 1, tol.VERDICT_TOL)
+    result = _alone(check, n, 1)
     assert np.isnan(result.max_residual) and not result.passed, result
 
 
@@ -216,6 +238,6 @@ def test_a_nan_in_the_second_chunk_fails_det_m_identity(monkeypatch):
         return det if len(chunks) == 1 else np.full_like(det, np.nan)
 
     monkeypatch.setattr(verify, "det_correlation", nan_after_the_first_chunk)
-    result = verify._check_det_m_identity(5000, 1, 1e-9)
+    result = _alone(verify._check_det_m_identity, 5000, 1)
     assert chunks == [tol.CHUNK, 5000 - tol.CHUNK]
     assert np.isnan(result.max_residual) and not result.passed
