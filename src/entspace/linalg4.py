@@ -174,8 +174,9 @@ def _jacobi(h, vectors):
     work[:d] = a.transpose(1, 2, 0)
     if vectors:
         work[d:] = np.eye(d)[:, :, None]
-    fro2 = sum((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T)  # entry by entry, row-major
-    stop = tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2))
+    # entry by entry, row-major; a lone matrix adds d * d scalars
+    fro2 = sum(_lone((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T))
+    stop = np.reshape(tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2)), k)
     active = np.arange(k)
     w = np.empty((k, d))
     v = np.empty((k, d, d), dtype=complex) if vectors else None
