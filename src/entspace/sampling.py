@@ -7,13 +7,13 @@ are independent of batching.  Every ensemble takes the sample indices
 0 <= i < 2^56.  Matrix-valued ensembles are drawn in chunks of CHUNK
 samples on one stream per chunk, laid out for the full chunk whatever is
 requested: a slice of a chunk draws the stream only as far as its last
-sample needs and builds only its own states.  A single index builds only
-its own state and keeps what its chunk's stream drew for the next single
-index of that chunk (the HS real parts and imaginary-part prefix, the
-product draws), so a replay never draws the same thing twice.
-Chart samples have a stream each: a spectrum, then uniform cube triples
--2*pi + 4*pi * (u1, u2, u3) of unit draws until two lie in the
-octahedron; the block of triples drawn at a time sets the cost only.
+sample needs and builds only its own states.  A single HS index builds
+only its own state and keeps its chunk's real parts and imaginary-part
+prefix for the next single index of that chunk, so an HS replay never
+draws the same thing twice.  Chart samples have a stream each: a
+spectrum, then uniform cube triples -2*pi + 4*pi * (u1, u2, u3) of unit
+draws until two lie in the octahedron; the block of triples drawn at a
+time sets the cost only.
 """
 
 import numpy as np
@@ -111,21 +111,10 @@ def _hs_chunk(seed, chunk, lo, hi):
     return _hs_states(x, y)
 
 
-#: The memo of single-index replays: stream tag -> ((seed, chunk), draws...)
-#: for the chunk of the last index replayed in that ensemble, so one chunk
-#: per chunked ensemble at most.  An entry is swapped in as one tuple.
-_memo = {}
-
-
-def _memo_entry(tag, seed, chunk):
-    """The draws memoised for (seed, chunk) of the ensemble of ``tag``, or
-    None after dropping that ensemble's entry, so the old chunk is gone
-    before the new one is drawn."""
-    entry = _memo.get(tag)
-    if entry is not None and entry[0] == (seed, chunk):
-        return entry[1:]
-    _memo.pop(tag, None)
-    return None
+#: The memo of sample_hs_state: ((seed, chunk), real parts, imaginary-part
+#: buffer, rows of it drawn, Philox state after them) of the chunk of the
+#: last index replayed, or None.  An entry is swapped in as one tuple.
+_hs_memo = None
 
 
 def _hs_draws(seed, chunk, i):
@@ -135,13 +124,16 @@ def _hs_draws(seed, chunk, i):
     The normal sampler takes a variable number of words per draw, so where
     the imaginary parts begin is only known by drawing the real parts.  The
     memo keeps them with the imaginary parts drawn so far, their count and
-    the Philox state after them: a miss draws the real parts, then
-    imaginary parts 0..i on the same stream; an index below the count
-    draws nothing; any other restores the state and draws only the rows
-    that are missing.
+    the Philox state after them: a miss drops the old entry, draws the real
+    parts, then imaginary parts 0..i on the same stream; an index below the
+    count draws nothing; any other restores the state and draws only the
+    rows that are missing.
     """
-    entry = _memo_entry(TAG_HS, seed, chunk)
-    if entry is None:
+    global _hs_memo
+    entry = _hs_memo
+    if entry is None or entry[0] != (seed, chunk):
+        # the old chunk is freed before the new one is drawn
+        entry = _hs_memo = None
         # one block for both: it is freed at once on eviction, and rows of
         # y that are never drawn need not become resident
         x, y = np.empty((2, tol.CHUNK, 4, 4))
@@ -150,13 +142,13 @@ def _hs_draws(seed, chunk, i):
         x.flags.writeable = False
         drawn = 0
     else:
-        x, y, drawn, after = entry
+        _, x, y, drawn, after = entry
         if i < drawn:
             return x, y
         g = philox_stream(seed, TAG_HS, chunk)
         g.bit_generator.state = after
     g.standard_normal(out=y[drawn:i + 1])
-    _memo[TAG_HS] = (seed, chunk), x, y, i + 1, g.bit_generator.state
+    _hs_memo = (seed, chunk), x, y, i + 1, g.bit_generator.state
     return x, y
 
 
@@ -186,44 +178,27 @@ def sample_hs_state(seed, index):
 
 # -- product-state ensemble ----------------------------------------------------
 
-def _bloch_ball_draws(g):
-    """The draws of CHUNK uniform points of the solid Bloch ball: all CHUNK
-    isotropic directions come first on the stream, then the unit draws u of
-    the radii u^(1/3)."""
-    return g.standard_normal((tol.CHUNK, 3)), g.random(tol.CHUNK)
-
-
-def _bloch_ball_points(direction, unit):
-    """Bloch-ball points of the draws ``direction`` (m, 3) and ``unit``
-    (m,), row by row."""
-    points = direction / np.linalg.norm(direction, axis=1)[:, None]
-    points *= (unit ** (1.0 / 3.0))[:, None]
-    return points
+def _bloch_ball_points(g, lo, hi):
+    """Points lo..hi-1 of CHUNK uniform points of the solid Bloch ball:
+    isotropic direction times radius u^(1/3); all CHUNK directions come
+    first on the stream, then the radii."""
+    direction = g.standard_normal((tol.CHUNK, 3))[lo:hi]
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radius = g.random(tol.CHUNK)[lo:hi] ** (1.0 / 3.0)
+    return direction * radius[:, None]
 
 
 def _qubit_states(bloch):
     return 0.5 * (I2 + np.einsum("ni,ijk->njk", bloch, SIGMA))
 
 
-def _product_draws(seed, chunk):
-    """The Bloch-ball draws of product chunk ``chunk``: those of the A
-    factors of all CHUNK states come first on the stream, then those of the
-    B factors."""
+def _product_chunk(seed, chunk, lo, hi):
+    """States lo..hi-1 of product chunk ``chunk``; the A factors of all
+    CHUNK states come first on the stream, then the B factors."""
     g = philox_stream(seed, TAG_PRODUCT, chunk)
-    return _bloch_ball_draws(g) + _bloch_ball_draws(g)
-
-
-def _product_states(draws, lo, hi):
-    """States lo..hi-1 of the product chunk with the draws ``draws``."""
-    a_direction, a_unit, b_direction, b_unit = draws
-    rho_a = _qubit_states(_bloch_ball_points(a_direction[lo:hi], a_unit[lo:hi]))
-    rho_b = _qubit_states(_bloch_ball_points(b_direction[lo:hi], b_unit[lo:hi]))
+    rho_a = _qubit_states(_bloch_ball_points(g, lo, hi))
+    rho_b = _qubit_states(_bloch_ball_points(g, lo, hi))
     return np.einsum("nab,ncd->nacbd", rho_a, rho_b).reshape(hi - lo, 4, 4)
-
-
-def _product_chunk(seed, chunk, m):
-    """The first m states of product chunk ``chunk``."""
-    return _product_states(_product_draws(seed, chunk), 0, m)
 
 
 def sample_product_state(seed, index):
@@ -231,23 +206,11 @@ def sample_product_state(seed, index):
     factors uniform over the solid Bloch ball.  Separable by construction.
 
     The radii follow all CHUNK directions on the stream, and the normal
-    sampler takes a variable number of words per draw, so one index needs
-    its whole chunk drawn.  The read-only draws of the chunk of the last
-    index asked for here (the A and B directions and radius unit draws,
-    256 KiB) are memoised; a later index of the same (seed, chunk) draws
-    nothing, any other replaces the memo.  Only state ``index`` is built,
-    from its own draws, bitwise the one ``ensemble_chunks`` builds.  The
-    seed and index are checked before the lookup.
+    sampler takes a variable number of words per draw, so each index draws
+    its whole chunk again; nothing is memoised.
     """
     chunk, i = _chunk_position(index)
-    check_seed(seed)
-    draws = _memo_entry(TAG_PRODUCT, seed, chunk)
-    if draws is None:
-        draws = _product_draws(seed, chunk)
-        for d in draws:
-            d.flags.writeable = False
-        _memo[TAG_PRODUCT] = (seed, chunk), *draws
-    return _product_states(draws, i, i + 1)[0]
+    return _product_chunk(seed, chunk, i, i + 1)[0]
 
 
 # -- chart-point ensemble ------------------------------------------------------
@@ -396,7 +359,7 @@ def _chart_states(seed, index):
 #: Ensemble name -> (the first m states of chunk c, the state of one index).
 _ENSEMBLE_TABLE = {
     "hs": (lambda seed, c, m: _hs_chunk(seed, c, 0, m), sample_hs_state),
-    "product": (_product_chunk, sample_product_state),
+    "product": (lambda seed, c, m: _product_chunk(seed, c, 0, m), sample_product_state),
     "chart": (
         lambda seed, c, m: _chart_states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m)),
         _chart_states,

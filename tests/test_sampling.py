@@ -266,17 +266,17 @@ def _count_streams(monkeypatch):
     return opened
 
 
-def _memo_key(tag):
-    return sampling._memo[tag][0]
+def _forget_hs_memo():
+    sampling._hs_memo = None
 
 
-def _fresh(ensemble, seed, n):
-    return np.concatenate([states for _, states in ensemble_chunks(ensemble, seed, n)])
+def _fresh(seed, n):
+    return np.concatenate([states for _, states in ensemble_chunks("hs", seed, n)])
 
 
 def test_hs_replays_match_fresh_chunks_across_hits_misses_and_evictions(monkeypatch):
     n = tol.CHUNK + 2
-    fresh = {seed: _fresh("hs", seed, n) for seed in (3, 4)}
+    fresh = {seed: _fresh(seed, n) for seed in (3, 4)}
     top, last = tol.CHUNK - 1, tol.CHUNK + 1
     # (seed, index, streams opened): 1 per miss, 1 per extension of the
     # imaginary-part prefix, 0 for an index below it
@@ -284,78 +284,74 @@ def test_hs_replays_match_fresh_chunks_across_hits_misses_and_evictions(monkeypa
                 (3, tol.CHUNK, 1), (3, last, 1), (3, tol.CHUNK, 0), (3, 0, 1),
                 (4, tol.CHUNK, 1), (4, last, 1), (4, 0, 1), (3, last, 1),
                 (4, top, 1), (4, 0, 0)]
-    sampling._memo.clear()
+    _forget_hs_memo()
     opened = _count_streams(monkeypatch)
     for seed, i, streams in sequence:
         before = len(opened)
         assert sample_hs_state(seed, i).tobytes() == fresh[seed][i].tobytes()
         assert opened[before:] == [sampling.TAG_HS] * streams
-        assert list(sampling._memo) == [sampling.TAG_HS]
-        assert _memo_key(sampling.TAG_HS) == (seed, i // tol.CHUNK)
+        assert sampling._hs_memo[0] == (seed, i // tol.CHUNK)
 
 
-def test_a_new_chunk_drops_the_old_entry_before_it_is_drawn(monkeypatch):
+def test_a_new_hs_chunk_frees_the_old_block_before_it_is_drawn(monkeypatch):
+    import weakref
+
+    _forget_hs_memo()
+    sample_hs_state(1, 0)
+    blocks = []
+    alive = []
     stream = sampling.philox_stream
-    for sample, tag in ((sample_hs_state, sampling.TAG_HS),
-                        (sample_product_state, sampling.TAG_PRODUCT)):
-        sampling._memo.clear()
-        sample(1, 0)
-        held = []
 
-        def counted(seed, t, index=0):
-            held.append(tag in sampling._memo)
-            return stream(seed, t, index)
+    def counted(seed, tag, index=0):
+        alive.append(blocks[-1]() is not None)
+        return stream(seed, tag, index)
 
-        monkeypatch.setattr(sampling, "philox_stream", counted)
-        sample(1, tol.CHUNK)  # another chunk
-        sample(2, tol.CHUNK)  # another seed
-        monkeypatch.undo()
-        assert held == [False, False]
-        assert _memo_key(tag) == (2, 1)
+    monkeypatch.setattr(sampling, "philox_stream", counted)
+    for seed, i in ((1, tol.CHUNK), (2, tol.CHUNK)):  # another chunk, another seed
+        blocks.append(weakref.ref(sampling._hs_memo[1].base))
+        sample_hs_state(seed, i)
+    assert alive == [False, False]
+    assert sampling._hs_memo[0] == (2, 1)
 
 
-def test_replays_never_open_more_streams_than_a_redraw(monkeypatch):
-    # the bound is a memo of the HS real parts alone (2 streams on a new
-    # (seed, chunk), 1 otherwise) and a product chunk redrawn every time (1)
+def test_hs_replays_never_open_more_streams_than_a_redraw(monkeypatch):
+    # the bound is a memo of the real parts alone: 2 streams on a new
+    # (seed, chunk), 1 otherwise
     rng = np.random.default_rng(8)
     sequence = [(int(s), int(i)) for s, i in zip(
         rng.integers(1, 3, 200), rng.integers(0, 2 * tol.CHUNK, 200))]
     opened = _count_streams(monkeypatch)
-    for sample in (sample_hs_state, sample_product_state):
-        sampling._memo.clear()
-        key = None
-        for seed, i in sequence:
-            before = len(opened)
-            sample(seed, i)
-            redraw = 1 + (sample is sample_hs_state and key != (seed, i // tol.CHUNK))
-            assert len(opened) - before <= redraw
-            key = (seed, i // tol.CHUNK)
+    _forget_hs_memo()
+    key = None
+    for seed, i in sequence:
+        before = len(opened)
+        sample_hs_state(seed, i)
+        assert len(opened) - before <= 1 + (key != (seed, i // tol.CHUNK))
+        key = (seed, i // tol.CHUNK)
 
 
-@pytest.mark.parametrize("ensemble", ["hs", "product"])
-def test_replays_in_any_order_match_their_chunks(ensemble):
-    sample = {"hs": sample_hs_state, "product": sample_product_state}[ensemble]
+def test_hs_replays_in_any_order_match_their_chunks():
     rng = np.random.default_rng(9)
     for seed in (21, 22):
-        fresh = _fresh(ensemble, seed, 2 * tol.CHUNK)
+        fresh = _fresh(seed, 2 * tol.CHUNK)
         for chunk in (0, 1):
             picks = np.sort(rng.choice(tol.CHUNK - 1, 40, replace=False))
             ascending = list(chunk * tol.CHUNK + np.append(picks, tol.CHUNK - 1))
             orders = (ascending, ascending[::-1], list(rng.permutation(ascending)),
                       [ascending[-1], *ascending[:-1]])
             for order in orders:
-                sampling._memo.clear()
+                _forget_hs_memo()
                 for i in order:
-                    assert sample(seed, int(i)).tobytes() == fresh[i].tobytes(), (seed, i)
+                    assert sample_hs_state(seed, int(i)).tobytes() == fresh[i].tobytes(), (seed, i)
 
 
 def test_hs_replays_racing_in_two_threads_match_their_chunk():
     import threading
 
-    fresh = _fresh("hs", 23, tol.CHUNK)
+    fresh = _fresh(23, tol.CHUNK)
     order = list(np.random.default_rng(10).permutation(tol.CHUNK)[:400])
     for _ in range(3):
-        sampling._memo.clear()
+        _forget_hs_memo()
         barrier = threading.Barrier(2)
         wrong = []
 
@@ -374,9 +370,9 @@ def test_hs_replays_racing_in_two_threads_match_their_chunk():
 
 
 def test_hs_memo_block_is_read_only():
-    sampling._memo.clear()
+    _forget_hs_memo()
     sample_hs_state(5, 7)
-    key, x, y, drawn, _ = sampling._memo[sampling.TAG_HS]
+    key, x, y, drawn, _ = sampling._hs_memo
     assert key == (5, 0) and drawn == 8
     assert x.shape == y.shape == (tol.CHUNK, 4, 4) and not x.flags.writeable
     with pytest.raises(ValueError):
@@ -386,55 +382,30 @@ def test_hs_memo_block_is_read_only():
     assert y[:drawn].tobytes() == g.standard_normal((drawn, 4, 4)).tobytes()
 
 
-def test_product_memo_draws_are_read_only():
-    sampling._memo.clear()
-    sample_product_state(5, tol.CHUNK + 7)
-    key, *draws = sampling._memo[sampling.TAG_PRODUCT]
-    assert key == (5, 1)
-    assert [d.shape for d in draws] == [(tol.CHUNK, 3), (tol.CHUNK,)] * 2
-    for d in draws:
-        with pytest.raises(ValueError):
-            d[0] = 1.0
-    g = philox_stream(5, sampling.TAG_PRODUCT, 1)
-    for d in draws:
-        want = g.standard_normal(d.shape) if d.ndim == 2 else g.random(d.shape)
-        assert d.tobytes() == want.tobytes()
-
-
 def test_hs_chunk_scans_leave_the_memo_empty(monkeypatch):
-    sampling._memo.clear()
+    _forget_hs_memo()
     opened = _count_streams(monkeypatch)
     for ensemble in ("hs", "product", "chart"):
         for _ in ensemble_chunks(ensemble, 6, tol.CHUNK + 3):
             pass
-    assert sampling._memo == {}
+    assert sampling._hs_memo is None
     # the two chunks of each, drawn once each (chart streams are per index)
     chunked = [tag for tag in opened if tag != TAG_CHART]
     assert chunked == [sampling.TAG_HS] * 2 + [sampling.TAG_PRODUCT] * 2
 
 
-def _assert_checks_come_before_the_lookup(sample):
-    sampling._memo.clear()
-    sample(1, 0)
-    memo = dict(sampling._memo)
+def test_hs_memo_does_not_bypass_seed_and_index_checks():
+    _forget_hs_memo()
+    sample_hs_state(1, 0)
+    entry = sampling._hs_memo
+    # (1.0, c) and (True, c) hash and compare equal to (1, c)
     for seed in (True, 1.0, -1, 1 << 64):
         with pytest.raises(DomainError, match="seed"):
-            sample(seed, 0)
+            sample_hs_state(seed, 0)
     for index in (-1, 1 << 56):
         with pytest.raises(DomainError, match=f"stream index out of range: {index}$"):
-            sample(1, index)
-    # rejected before the lookup: the same entries, not redrawn ones
-    assert sampling._memo.keys() == memo.keys()
-    assert all(sampling._memo[tag] is entry for tag, entry in memo.items())
-
-
-def test_hs_memo_does_not_bypass_seed_and_index_checks():
-    _assert_checks_come_before_the_lookup(sample_hs_state)
-
-
-def test_product_memo_does_not_bypass_seed_and_index_checks():
-    # (1.0, c) and (True, c) hash and compare equal to (1, c)
-    _assert_checks_come_before_the_lookup(sample_product_state)
+            sample_hs_state(1, index)
+    assert sampling._hs_memo is entry  # rejected before the lookup, not redrawn
 
 
 @pytest.mark.parametrize("seed", [1, 2, 99])
