@@ -52,6 +52,8 @@ BETA_WORDS = (
     tensor_product(SIGMA_Y, SIGMA_Y),
     tensor_product(SIGMA_X, SIGMA_Z),
 )
+#: The alpha and beta words as one (2, 3, 4, 4) stack of families.
+_AB_WORDS = np.array([ALPHA_WORDS, BETA_WORDS])
 #: Diagonal words generating the maximal torus.
 TORUS_WORDS = (
     tensor_product(SIGMA_Z, I2),
@@ -192,8 +194,7 @@ def xyz_from_eigenvalues(r):
 def in_octahedron(v):
     """Membership in the closed l1-ball of radius 2*pi; one boolean per
     triple of a (..., 3) stack."""
-    v = np.asarray(v, dtype=float)
-    return np.sum(np.abs(v), axis=-1) <= TWO_PI + tol.OCTAHEDRON_TOL
+    return np.abs(np.asarray(v, dtype=float)).sum(axis=-1) <= TWO_PI + tol.OCTAHEDRON_TOL
 
 
 def _warn_outside(v, name):
@@ -217,24 +218,32 @@ def a_factor(alpha, beta, method="closed"):
     call repeats each single call bit for bit.  ``method`` selects the
     evaluation route: "closed" uses the exact half-angle product over each
     commuting family, "series" the generic scaling-and-squaring exponential
-    of the summed generators.  The two agree to EXPM_PATH_TOL and exist for
-    any angles; leaving the double octahedron only triggers
-    OctahedronWarning (naming the first offending stack index).
+    of the summed generators.  Either route takes both families in one
+    stacked kernel call (one exp_commuting_paulis over the two word
+    families, or one exp_antihermitian over the two generator sums), then
+    multiplies the alpha family's exponential by the beta family's.  The
+    two routes agree to EXPM_PATH_TOL and exist for any angles; leaving
+    the double octahedron only triggers OctahedronWarning (alpha first,
+    each naming its first offending stack index).
     """
     alpha = _angle_triple(alpha, "alpha")
     beta = _angle_triple(beta, "beta")
-    _warn_outside(alpha, "alpha")
-    _warn_outside(beta, "beta")
+    angles = np.empty(np.broadcast(alpha, beta).shape[:-1] + (2, 3))
+    angles[..., 0, :] = alpha
+    angles[..., 1, :] = beta
+    if not in_octahedron(angles).all():
+        _warn_outside(alpha, "alpha")
+        _warn_outside(beta, "beta")
     if method == "closed":
-        factor = exp_commuting_paulis
+        families = exp_commuting_paulis(angles, _AB_WORDS)
     elif method == "series":
-        def factor(angles, words):
-            # -i/2 sum_k t_k P_k, one stacked series exponential per family
-            gen = sum(angles[..., k, None, None] * w for k, w in enumerate(words))
-            return exp_antihermitian(-0.5j * gen)
+        # -i/2 sum_k t_k P_k of each family, one stacked series exponential
+        families = exp_antihermitian(
+            -0.5j * sum(angles[..., k, None, None] * _AB_WORDS[:, k] for k in range(3))
+        )
     else:
         raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
-    return factor(alpha, ALPHA_WORDS) @ factor(beta, BETA_WORDS)
+    return families[..., 0, :, :] @ families[..., 1, :, :]
 
 
 def torus_factor(t):

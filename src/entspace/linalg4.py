@@ -9,7 +9,7 @@ elementwise arithmetic only, so a stacked call repeats each single call
 bit for bit.
 """
 
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -84,7 +84,8 @@ def hermitize(h):
     """
     h = np.asarray(h, dtype=complex)
     flat, lead = _square_stack(h)
-    defect = np.abs(flat - dag(flat)).max(axis=(1, 2), initial=0.0)
+    h_dag = dag(h)
+    defect = np.abs(flat - h_dag.reshape(flat.shape)).max(axis=(1, 2), initial=0.0)
     over = defect > tol.HERMITICITY_TOL
     if over.any():
         i = np.argmax(over)
@@ -92,7 +93,7 @@ def hermitize(h):
             f"matrix{_stack_position(lead, i)} is not Hermitian: "
             f"max|H - H^dag| = {defect[i]:.3e} > {tol.HERMITICITY_TOL:.1e}"
         )
-    return 0.5 * (h + dag(h))
+    return 0.5 * (h + h_dag)
 
 
 @cache
@@ -301,24 +302,49 @@ def exp_antihermitian(x):
     return r.reshape(*lead, n, n)
 
 
-def exp_commuting_paulis(angles, generators):
-    """exp(sum_k (angles[k]/2i) * generators[k]) for commuting Pauli words.
+@cache
+def _real_eye(n):
+    """The real n x n identity, read-only; built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
-    Each generator must square to the identity and the family must commute
-    pairwise; then the exponential factorises exactly into half-angle
+
+def exp_commuting_paulis(angles, generators):
+    """exp(sum_k (angles[k]/2i) * generators[k]) for commuting Pauli words,
+    for one family of k words or a stack of m families.
+
+    Each generator must square to the identity and each family must commute
+    pairwise; then its exponential factorises exactly into half-angle
     rotations cos(t/2) I - i sin(t/2) P, multiplied left to right starting
     from the first factor.  No series truncation is involved.
 
-    ``angles`` holds one angle per generator along its last axis, so a
-    (..., k) stack gives a (..., n, n) stack; every value is computed
-    elementwise, so a stacked call repeats each single call bit for bit.
+    ``generators`` is one family, shape (k, n, n), with ``angles`` of shape
+    (..., k) giving (..., n, n); or m families, shape (m, k, n, n), with
+    ``angles`` of shape (..., m, k) giving one exponential per family,
+    (..., m, n, n).  The half angles take one cos and one sin.  Word by
+    word, the factors of every family are one broadcast expression,
+    subtracted in place, and multiply the running products of all families
+    in one stacked product: k - 1 products in all, and one factor per
+    family alive at a time.  Every value is computed elementwise or by a
+    stacked product, so a stacked call repeats each single call, and each
+    family of a stack of families its own one-family call, bit for bit.
     """
-    half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    eye = np.eye(generators[0].shape[0])
-    factors = [cos[..., k, :, :] * eye - 1j * sin[..., k, :, :] * g
-               for k, g in enumerate(generators)]
-    return reduce(np.matmul, factors)
+    words = np.asarray(generators, dtype=complex)
+    angles = np.asarray(angles, dtype=float)
+    one_family = words.ndim == 3
+    if one_family:
+        words, angles = words[None], angles[..., None, :]
+    half = angles[..., None, None] / 2.0
+    cos = np.cos(half)
+    sin = np.sin(half, out=half)  # in place: two angle-sized arrays, not three
+    eye = _real_eye(words.shape[-1])
+    for k in range(words.shape[1]):
+        factor = (1j * sin[..., k, :, :]) * words[:, k]
+        np.subtract(cos[..., k, :, :] * eye, factor, out=factor)
+        product = factor if k == 0 else product @ factor
+        del factor  # freed before the next word's factors are built
+    return product[..., 0, :, :] if one_family else product
 
 
 def _two_qubit(x):

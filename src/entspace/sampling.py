@@ -71,9 +71,14 @@ def philox_streams(seed, tag, indices):
         return
     bit_generator = np.random.Philox(key=np.array([seed, words[0]], dtype=np.uint64))
     generator = np.random.Generator(bit_generator)
-    fresh = bit_generator.state if words.size > 1 else None  # counter 0, empty buffer
+    if words.size > 1:
+        # counter 0 and an empty buffer, held as Python ints: the state
+        # setter reads them in half the time it takes for uint64 arrays
+        state = bit_generator.state
+        fresh = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+                 "buffer": state["buffer"].tolist()}
     yield generator
-    for word in words[1:]:
+    for word in words[1:].tolist():
         fresh["state"]["key"][1] = word
         bit_generator.state = fresh
         yield generator

@@ -123,8 +123,12 @@ def det_schlienz_mahler(f):
     return np.linalg.det(schlienz_mahler(f))[()]
 
 
-#: Cyclic successors i+1 and i+2 (mod 3), as row and column indices.
+#: Cyclic successors i+1 and i+2 (mod 3).
 _NEXT1, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+#: Row and column indices that gather the four cofactor operands
+#: C[i+1, j+1], C[i+2, j+2], C[i+1, j+2] and C[i+2, j+1], each (3, 3) over (i, j).
+_COF_ROWS = np.array([_NEXT1, _NEXT2, _NEXT1, _NEXT2])[:, :, None]
+_COF_COLS = np.array([_NEXT1, _NEXT2, _NEXT2, _NEXT1])[:, None, :]
 
 
 def quesne_c112(f):
@@ -132,8 +136,8 @@ def quesne_c112(f):
     2 a^T cof(C) b with cof(C)_ij = C[i+1,j+1] C[i+2,j+2] - C[i+1,j+2] C[i+2,j+1]
     (indices mod 3); the matrix determinant lemma gives det|M| = det|C| - C112/2.
     """
-    c, r1, r2 = f.C, _NEXT1[:, None], _NEXT2[:, None]
-    cof = c[..., r1, _NEXT1] * c[..., r2, _NEXT2] - c[..., r1, _NEXT2] * c[..., r2, _NEXT1]
+    g = f.C[..., _COF_ROWS, _COF_COLS]
+    cof = g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
     return 2.0 * np.einsum("...i,...ij,...j->...", f.a, cof, f.b)[()]
 
 

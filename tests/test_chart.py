@@ -321,3 +321,106 @@ def test_chart_point_indices_must_be_integers():
         sample_chart_point(1, np.array([0.5, 1.0]))
     empty = sample_chart_point(1, np.arange(0))
     assert representative_state(empty).shape == (0, 4, 4)
+
+
+# -- the A-factor over both angle families ---------------------------------------
+
+
+def _reference_a_factor(alpha, beta, method):
+    """One point's A-factor, one family and one word at a time: the closed
+    route multiplies cos(t/2) I - i sin(t/2) P left to right, the series
+    route exponentiates each family's generator sum on its own."""
+    from functools import reduce
+
+    from entspace.chart import ALPHA_WORDS, BETA_WORDS
+    from entspace.linalg4 import exp_antihermitian
+
+    families = []
+    for angles, words in ((alpha, ALPHA_WORDS), (beta, BETA_WORDS)):
+        half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
+        if method == "closed":
+            cos, sin = np.cos(half), np.sin(half)
+            factors = [cos[k] * np.eye(4) - 1j * sin[k] * w for k, w in enumerate(words)]
+            families.append(reduce(np.matmul, factors))
+        else:
+            gen = sum(angles[k, None, None] * w for k, w in enumerate(words))
+            families.append(exp_antihermitian(-0.5j * gen))
+    return families[0] @ families[1]
+
+
+def test_a_factor_factor_stack_contract():
+    from entspace.linalg4 import hermitize
+    from entspace.separability import (
+        _FIT_SYSTEM,
+        _NEXT1,
+        _NEXT2,
+        fit_c112_coeffs,
+    )
+    from entspace.fano import to_fano
+
+    points = sample_chart_point(94, np.arange(256))
+    zero = np.zeros(3)
+    vertices = [s * TWO_PI * e for e in np.eye(3) for s in (1.0, -1.0)]
+    alpha = [*points.alpha, zero, -zero] + [v for v in vertices for _ in vertices]
+    beta = [*points.beta, zero, -zero] + [w for _ in vertices for w in vertices]
+    alpha, beta = np.array(alpha), np.array(beta)
+    assert in_octahedron(alpha).all() and in_octahedron(beta).all()
+    assert np.signbit(alpha[257]).all() and not np.signbit(alpha[256]).any()
+    for method in ("closed", "series"):
+        stacked = a_factor(alpha, beta, method)
+        for i, (a, b) in enumerate(zip(alpha, beta)):
+            reference = _reference_a_factor(a, b, method)
+            assert _same_bits(a_factor(a, b, method), reference), (method, i)
+            assert _same_bits(stacked[i], reference), (method, i)
+    # the fit's targets from the reference factor, its own conjugation and
+    # the cofactor entries gathered one by one
+    a, b = np.array([0.0, 0.0, 0.9]), np.array([0.4, 1.1, -0.6])
+    v, _, r = _FIT_SYSTEM
+    u = _reference_a_factor(a, b, "closed")
+    rho = (u * r[:, None, :]) @ dag(u)
+    assert _same_bits(hermitize(rho), 0.5 * (rho + dag(rho)))
+    c = to_fano(0.5 * (rho + dag(rho)))
+    r1, r2 = _NEXT1[:, None], _NEXT2[:, None]
+    cof = c.C[..., r1, _NEXT1] * c.C[..., r2, _NEXT2] - c.C[..., r1, _NEXT2] * c.C[..., r2, _NEXT1]
+    targets = 2.0 * np.einsum("...i,...ij,...j->...", c.a, cof, c.b)
+    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+    assert _same_bits(fit_c112_coeffs(a, b).values, coeffs)
+
+
+def test_a_factor_warns_once_per_family_alpha_first():
+    import warnings
+
+    alpha, beta = np.zeros((4, 3)), np.zeros((4, 3))
+    alpha[1] = [TWO_PI, 0.5, 0.0]
+    beta[2] = [3.0, 3.0, 3.0]
+    for method in ("closed", "series"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a_factor(alpha, beta, method)
+        assert [w.category for w in caught] == [OctahedronWarning] * 2
+        assert "alpha at stack index 1 lies outside" in str(caught[0].message)
+        assert "beta at stack index 2 lies outside" in str(caught[1].message)
+        assert all(w.filename == __file__ for w in caught)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a_factor(alpha[[0, 2, 3]], beta[[0, 1, 3]], method)
+            a_factor(alpha[0], beta[3], method)
+        assert caught == []
+
+
+def test_a_factor_stack_peak_memory():
+    import tracemalloc
+
+    # tracemalloc peak of one closed call over 4096 points when each of the
+    # six factors was built on its own (numpy 2.4): 6.28 MiB
+    bound = 1.15 * 6.28 * 2 ** 20
+    g = philox_stream(95, 62)
+    alpha, beta = g.uniform(-1.5, 1.5, (2, 4096, 3))
+    a_factor(alpha, beta)
+    tracemalloc.start()
+    try:
+        a_factor(alpha, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB"
