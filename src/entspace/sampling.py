@@ -8,12 +8,11 @@ are independent of batching.  Every ensemble takes the sample indices
 samples on one stream per chunk, laid out for the full chunk whatever is
 requested: a slice of a chunk draws the stream only as far as its last
 sample needs and builds only its own states.  A single HS index builds
-only its own state and keeps its chunk's real parts and imaginary-part
-prefix for the next single index of that chunk, so an HS replay never
-draws the same thing twice.  Chart samples have a stream each: a
-spectrum, then uniform cube triples -2*pi + 4*pi * (u1, u2, u3) of unit
-draws until two lie in the octahedron; the block of triples drawn at a
-time sets the cost only.
+only its own state and keeps its chunk's whole draw, read-only, for the
+next single index of that chunk, so HS replays of one chunk draw it once.
+Chart samples have a stream each: a spectrum, then uniform cube triples
+-2*pi + 4*pi * (u1, u2, u3) of unit draws until two lie in the
+octahedron; the block of triples drawn at a time sets the cost only.
 """
 
 import numpy as np
@@ -107,54 +106,20 @@ def _hs_states(x, y):
     return rho / traces[:, None, None]
 
 
-def _hs_chunk(seed, chunk, lo, hi):
-    """States lo..hi-1 of HS chunk ``chunk``: the real parts of all CHUNK
+def _hs_chunk(seed, chunk, m):
+    """The first m states of HS chunk ``chunk``: the real parts of all CHUNK
     Ginibre matrices come first on the stream, then the imaginary parts."""
     g = philox_stream(seed, TAG_HS, chunk)
-    x = g.standard_normal((tol.CHUNK, 4, 4))[lo:hi]
-    y = g.standard_normal((hi, 4, 4))[lo:]
+    x = g.standard_normal((tol.CHUNK, 4, 4))[:m]
+    y = g.standard_normal((m, 4, 4))
     return _hs_states(x, y)
 
 
-#: The memo of sample_hs_state: ((seed, chunk), real parts, imaginary-part
-#: buffer, rows of it drawn, Philox state after them) of the chunk of the
-#: last index replayed, or None.  An entry is swapped in as one tuple.
+#: The memo of sample_hs_state: ((seed, chunk), draws) of the chunk of the
+#: last index replayed, or None.  ``draws`` is the chunk's whole stream as
+#: one read-only (2, CHUNK, 4, 4) block, real parts first, then imaginary
+#: parts.  An entry is never changed, only replaced as one tuple.
 _hs_memo = None
-
-
-def _hs_draws(seed, chunk, i):
-    """The real parts of HS chunk ``chunk`` (read-only, CHUNK of them) and a
-    buffer whose first i + 1 rows hold its first imaginary parts.
-
-    The normal sampler takes a variable number of words per draw, so where
-    the imaginary parts begin is only known by drawing the real parts.  The
-    memo keeps them with the imaginary parts drawn so far, their count and
-    the Philox state after them: a miss drops the old entry, draws the real
-    parts, then imaginary parts 0..i on the same stream; an index below the
-    count draws nothing; any other restores the state and draws only the
-    rows that are missing.
-    """
-    global _hs_memo
-    entry = _hs_memo
-    if entry is None or entry[0] != (seed, chunk):
-        # the old chunk is freed before the new one is drawn
-        entry = _hs_memo = None
-        # one block for both: it is freed at once on eviction, and rows of
-        # y that are never drawn need not become resident
-        x, y = np.empty((2, tol.CHUNK, 4, 4))
-        g = philox_stream(seed, TAG_HS, chunk)
-        g.standard_normal(out=x)
-        x.flags.writeable = False
-        drawn = 0
-    else:
-        _, x, y, drawn, after = entry
-        if i < drawn:
-            return x, y
-        g = philox_stream(seed, TAG_HS, chunk)
-        g.bit_generator.state = after
-    g.standard_normal(out=y[drawn:i + 1])
-    _hs_memo = (seed, chunk), x, y, i + 1, g.bit_generator.state
-    return x, y
 
 
 def sample_hs_state(seed, index):
@@ -163,21 +128,27 @@ def sample_hs_state(seed, index):
     rho = G G^dag / tr(G G^dag) with G a 4x4 standard complex Ginibre
     matrix; full rank with probability one.
 
-    One chunk is memoised (``_hs_draws``): the real parts of the chunk of
-    the last index asked for here (512 KiB, read-only), the imaginary parts
-    drawn so far (a 512 KiB buffer, filled as far as the highest index
-    asked for) and the Philox state after them.  A later index of the same
-    (seed, chunk) below that prefix draws nothing, and one above it draws
-    only the rows up to itself; any other index replaces the memo.  Only
-    state ``index`` is built.  It is bitwise the one ``ensemble_chunks``
-    builds, which never reads or fills the memo.  The seed and index are
-    checked before the lookup.  Threads that race on the memo draw the same
-    values into the same rows, and each swaps in an entry whose count and
-    state agree with the rows below that count.
+    The normal sampler takes a variable number of words per draw, so where
+    the imaginary parts begin is only known by drawing the real parts, and
+    one chunk is memoised: the real and imaginary parts of the chunk of the last
+    index asked for here, drawn at once as one read-only 1 MiB block.  A
+    later index of the same (seed, chunk) draws nothing; any other index
+    drops the memo, then draws and keeps its own chunk.  Only state
+    ``index`` is built.  It is bitwise the one ``ensemble_chunks`` builds,
+    which never reads or fills the memo.  The seed and index are checked
+    before the lookup.
     """
+    global _hs_memo
     chunk, i = _chunk_position(index)
     check_seed(seed)
-    x, y = _hs_draws(seed, chunk, i)
+    entry = _hs_memo
+    if entry is None or entry[0] != (seed, chunk):
+        # the old chunk is freed before the new one is drawn
+        entry = _hs_memo = None
+        draws = philox_stream(seed, TAG_HS, chunk).standard_normal((2, tol.CHUNK, 4, 4))
+        draws.flags.writeable = False
+        entry = _hs_memo = (seed, chunk), draws
+    x, y = entry[1]
     return _hs_states(x[i:i + 1], y[i:i + 1])[0]
 
 
@@ -363,7 +334,7 @@ def _chart_states(seed, index):
 
 #: Ensemble name -> (the first m states of chunk c, the state of one index).
 _ENSEMBLE_TABLE = {
-    "hs": (lambda seed, c, m: _hs_chunk(seed, c, 0, m), sample_hs_state),
+    "hs": (lambda seed, c, m: _hs_chunk(seed, c, m), sample_hs_state),
     "product": (lambda seed, c, m: _product_chunk(seed, c, 0, m), sample_product_state),
     "chart": (
         lambda seed, c, m: _chart_states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m)),

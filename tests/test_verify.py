@@ -123,7 +123,7 @@ def test_shared_prefixes_are_bitwise_fresh_draws():
     store = verify._Run(tol.CHUNK + 7, seed, tol.VERDICT_TOL)
     assert store.hs().shape == (tol.CHUNK, 4, 4)
     for m in (1, 300, 2000, tol.CHUNK):
-        fresh = _hs_chunk(seed, 0, 0, m)
+        fresh = _hs_chunk(seed, 0, m)
         assert store.hs(m).tobytes() == fresh.tobytes()
         f = store.fano(m)
         ref = to_fano(fresh)
@@ -143,9 +143,9 @@ def test_shared_prefixes_are_bitwise_fresh_draws():
 def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
     hs_draws, chart_indices, stores = [], [], []
 
-    def counted_hs_chunk(seed, chunk, lo, hi):
-        hs_draws.append((chunk, lo, hi))
-        return _hs_chunk(seed, chunk, lo, hi)
+    def counted_hs_chunk(seed, chunk, m):
+        hs_draws.append((chunk, m))
+        return _hs_chunk(seed, chunk, m)
 
     def counted_chart_point(seed, index):
         chart_indices.extend(np.asarray(index).reshape(-1).tolist())
@@ -166,9 +166,9 @@ def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
 
     chart_indices.clear()
     assert verify.run_suite("all", tol.CHUNK + 7, 5)["passed"]
-    assert [d for d in hs_draws if d[0] == 0] == [(0, 0, tol.CHUNK)]
+    assert [d for d in hs_draws if d[0] == 0] == [(0, tol.CHUNK)]
     # chunk 1 is drawn by each of the two full-count checks, outside the store
-    assert [d for d in hs_draws if d[0] != 0] == [(1, 0, 7), (1, 0, 7)]
+    assert [d for d in hs_draws if d[0] != 0] == [(1, 7), (1, 7)]
     assert chart_indices == list(range(2000))
 
     assert verify.run_suite("all", 3 * tol.CHUNK, 5)["passed"]
