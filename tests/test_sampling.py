@@ -410,6 +410,52 @@ def test_hs_memo_does_not_bypass_seed_and_index_checks():
     assert sampling._hs_memo is entry  # rejected before the lookup, not redrawn
 
 
+def test_hs_memo_entry_is_replaced_never_changed():
+    _forget_hs_memo()
+    sample_hs_state(7, 3)
+    entry = sampling._hs_memo
+    kept = entry[1].tobytes()
+    for i in (0, 3, tol.CHUNK - 1, 1234):  # hits keep the very same entry
+        sample_hs_state(7, i)
+        assert sampling._hs_memo is entry
+    sample_hs_state(7, tol.CHUNK)  # a miss swaps in a new tuple
+    assert sampling._hs_memo is not entry and sampling._hs_memo[0] == (7, 1)
+    # a reader still holding the old entry sees its chunk's bytes
+    assert entry[0] == (7, 0) and entry[1].tobytes() == kept
+
+
+@pytest.mark.parametrize("index", [12345 * tol.CHUNK + 3, (1 << 40) + 5, (1 << 56) - 1])
+def test_hs_replays_far_from_zero_match_their_chunk(index):
+    _forget_hs_memo()
+    chunk, i = divmod(index, tol.CHUNK)
+    want = sampling._hs_chunk(31, chunk, i + 1)[i]
+    assert sample_hs_state(31, index).tobytes() == want.tobytes()
+    assert sampling._hs_memo[0] == (31, chunk)
+    # a second index of the same far chunk is a hit on the same block
+    entry = sampling._hs_memo
+    other = (i + 1) % tol.CHUNK
+    assert sample_hs_state(31, chunk * tol.CHUNK + other).tobytes() == \
+        sampling._hs_chunk(31, chunk, other + 1)[other].tobytes()
+    assert sampling._hs_memo is entry
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_standard_normal_one_block_contract(seed):
+    # the HS memo draws a chunk's real and imaginary parts in one
+    # (2, CHUNK, 4, 4) call, while _hs_chunk draws the real parts and then
+    # only the first m imaginary parts; the two must agree bit for bit
+    for index in (0, 1 << 40):
+        block = philox_stream(seed, sampling.TAG_HS, index).standard_normal(
+            (2, tol.CHUNK, 4, 4))
+        g = philox_stream(seed, sampling.TAG_HS, index)
+        assert block[0].tobytes() == g.standard_normal((tol.CHUNK, 4, 4)).tobytes()
+        assert block[1].tobytes() == g.standard_normal((tol.CHUNK, 4, 4)).tobytes()
+        for m in (1, 11, 700, 3001):
+            g = philox_stream(seed, sampling.TAG_HS, index)
+            g.standard_normal((tol.CHUNK, 4, 4))
+            assert block[1, :m].tobytes() == g.standard_normal((m, 4, 4)).tobytes()
+
+
 # -- chart stream contract ------------------------------------------------------
 
 def _reference_chart_draws(seed, index):
