@@ -176,13 +176,10 @@ def local_unitary_action(rho, g):
 
 
 def su2_to_so3(u):
-    """Rotation matrix R_ij = (1/2) tr(s_i u s_j u^dag) of an SU(2) element.
+    """Rotation matrix R_ij = (1/2) tr(s_i u s_j u^dag) of an SU(2) element,
+    or the (..., 3, 3) stack of them for a (..., 2, 2) stack.
 
     Under conjugation by u the Bloch vector transforms as n -> R n.
     """
     u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * np.trace(SIGMA[i] @ u @ SIGMA[j] @ dag(u)).real
-    return r
+    return 0.5 * np.einsum("iab,...bc,jcd,...ad->...ij", SIGMA, u, SIGMA, u.conj()).real

@@ -3,7 +3,7 @@
 The scan pipeline keeps the criterion route (characteristic coefficients
 of the partial transpose) and the oracle route (smallest PT eigenvalue
 from a dense eigensolver) strictly separate; both consume the identical
-sample stream, so their verdicts are comparable sample by sample.
+sample stream, and tally_routes alone compares them sample by sample.
 """
 
 from dataclasses import dataclass, field
@@ -17,11 +17,8 @@ from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues
 from .linalg4 import partial_transpose as pt_batch
 from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
-    BOUNDARY,
-    ENTANGLED,
     S3_BOUND,
     S4_BOUND,
-    SEPARABLE,
     analyze,
     verdict_from_coeffs,
     verdict_masks,
@@ -96,54 +93,52 @@ class ScanResult:
         return float(np.sqrt(f * (1.0 - f) / self.config.samples))
 
 
+#: The raw bound violations lhs3 < 0, lhs3 > 1/16, lhs4 < 0, lhs4 > 1/256.
+_VIOLATIONS = ("lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256")
+
+
+def tally_routes(chunks, band):
+    """Count the verdicts of both PPT routes over ``chunks``, which yields
+    ``(pts, (S2, S3, S4))`` per chunk: the partial transposes and their
+    Newton coefficients.
+
+    Returns a dict of counts summed over the chunks, named as ScanResult
+    names them: the criterion's separable / entangled / boundary
+    (``verdict_masks`` of S3, S4), the oracle's oracle_separable /
+    oracle_entangled / oracle_undecided (``oracle_masks`` of the smallest
+    eigenvalue of ``pts``), ``mismatches`` (both routes decide, and they
+    disagree), ``undecided`` (at least one route does not decide) and the
+    _VIOLATIONS.
+    """
+    names = (
+        "separable", "entangled", "boundary",
+        "oracle_separable", "oracle_entangled", "oracle_undecided",
+        "mismatches", "undecided",
+    ) + _VIOLATIONS
+    total = np.zeros(len(names), dtype=np.int64)
+    for pts, (_, s3, s4) in chunks:
+        sep, ent, bnd = verdict_masks(s3, s4, band)
+        osep, oent, oundec = oracle_masks(np.linalg.eigvalsh(pts)[:, 0])
+        undecided = bnd | oundec
+        mismatched = ~undecided & (sep != osep)
+        masks = (sep, ent, bnd, osep, oent, oundec, mismatched, undecided,
+                 s3 < 0, s3 > S3_BOUND, s4 < 0, s4 > S4_BOUND)
+        total += [np.count_nonzero(m) for m in masks]
+    return dict(zip(names, total.tolist()))
+
+
 def separable_fraction(config):
     """Scan an ensemble, counting verdicts along both routes.
 
     Returns a ScanResult whose criterion and oracle counts come from the
     same deterministic stream.
     """
-    counts = {SEPARABLE: 0, ENTANGLED: 0, BOUNDARY: 0}
-    oracle = [0, 0, 0]
-    mismatches = 0
-    violations = np.zeros(4, dtype=int)
-    for _, states in ensemble_chunks(config.ensemble, config.seed, config.samples):
-        pts = pt_batch(states)
-        _, s3, s4 = char_poly_batch(pts)
-        sep, ent, bnd = verdict_masks(s3, s4, config.band)
-        counts[SEPARABLE] += int(sep.sum())
-        counts[ENTANGLED] += int(ent.sum())
-        counts[BOUNDARY] += int(bnd.sum())
-        min_eig = np.linalg.eigvalsh(pts)[:, 0]
-        osep, oent, oundec = oracle_masks(min_eig)
-        oracle[0] += int(osep.sum())
-        oracle[1] += int(oent.sum())
-        oracle[2] += int(oundec.sum())
-        decided = ~(bnd | oundec)
-        mismatches += int(np.sum(decided & (sep != osep)))
-        violations += np.array(
-            [
-                np.sum(s3 < 0),
-                np.sum(s3 > S3_BOUND),
-                np.sum(s4 < 0),
-                np.sum(s4 > S4_BOUND),
-            ]
-        )
-    return ScanResult(
-        config=config,
-        separable=counts[SEPARABLE],
-        entangled=counts[ENTANGLED],
-        boundary=counts[BOUNDARY],
-        oracle_separable=oracle[0],
-        oracle_entangled=oracle[1],
-        oracle_undecided=oracle[2],
-        mismatches=mismatches,
-        bound_violations={
-            "lhs3_below_0": int(violations[0]),
-            "lhs3_above_1_16": int(violations[1]),
-            "lhs4_below_0": int(violations[2]),
-            "lhs4_above_1_256": int(violations[3]),
-        },
-    )
+    chunks = ensemble_chunks(config.ensemble, config.seed, config.samples)
+    pts_chunks = (pt_batch(states) for _, states in chunks)
+    counts = tally_routes(((pts, char_poly_batch(pts)) for pts in pts_chunks), config.band)
+    violations = {name: counts.pop(name) for name in _VIOLATIONS}
+    del counts["undecided"]  # not a ScanResult field
+    return ScanResult(config=config, bound_violations=violations, **counts)
 
 
 class SampleRecord(NamedTuple):

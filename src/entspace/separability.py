@@ -338,8 +338,16 @@ def separability_inequalities(f, band=tol.VERDICT_TOL):
     the partial transpose) and through the invariant identities; the two
     routes must agree to DUAL_PATH_TOL or NumericalError is raised.
     ``within_bounds`` is true when 0 <= lhs3 <= 1/16 and
-    0 <= lhs4 <= 1/256, all within ``band``.
+    0 <= lhs4 <= 1/256, all within ``band``.  Raises DomainError unless
+    ``f`` holds the coefficients of one state, not a stack, and ``band``
+    lies in (0, 1).
     """
+    check_band(band)
+    if f.a.shape != (3,):
+        raise DomainError(
+            "separability_inequalities takes the Fano form of one state, "
+            f"got a stack of shape {f.a.shape[:-1]}"
+        )
     r = _invariants(from_fano(f), f, band)
     within = -band <= r.lhs3 <= S3_BOUND + band and -band <= r.lhs4 <= S4_BOUND + band
     return r.lhs3, r.lhs4, within

@@ -58,7 +58,10 @@ from .linalg4 import (
     tensor_product,
     unitarity_defect,
 )
-from .montecarlo import oracle_masks
+from .montecarlo import (
+    oracle_masks,  # not called here; the benchmark tracer wraps verify.oracle_masks
+    tally_routes,
+)
 from .sampling import (
     ensemble_chunks,
     random_antihermitian,
@@ -410,15 +413,9 @@ def _check_ppt_vs_eigenvalue_oracle(run):
         [(pt_batch(run.hs()), run.pt_coeffs())],
         ((pts, char_poly_batch(pts)) for pts in later),
     )
-    mismatches = 0
-    undecided = 0
-    for pts, (_, s3, s4) in chunks:
-        sep, ent, bnd = verdict_masks(s3, s4, run.band)
-        osep, oent, oundec = oracle_masks(np.linalg.eigvalsh(pts)[:, 0])
-        decided = ~(bnd | oundec)
-        mismatches += int(np.sum(decided & (sep != osep)))
-        undecided += int(np.sum(~decided))
-    return _Measured(run.n, float(mismatches), 0.0, f"undecided(band)={undecided}")
+    counts = tally_routes(chunks, run.band)
+    detail = f"undecided(band)={counts['undecided']}"
+    return _Measured(run.n, float(counts["mismatches"]), 0.0, detail)
 
 
 def _check_dual_path_agreement(run):

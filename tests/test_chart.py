@@ -20,7 +20,7 @@ from entspace.chart import (
     xyz_from_eigenvalues,
 )
 from entspace.errors import DomainError
-from entspace.fano import LocalUnitary
+from entspace.fano import FanoState, LocalUnitary, from_fano, to_fano
 from entspace.linalg4 import (
     I4,
     dag,
@@ -28,6 +28,7 @@ from entspace.linalg4 import (
     unitarity_defect,
 )
 from entspace.sampling import (
+    ensemble_chunks,
     philox_stream,
     sample_chart_point,
     sample_local_unitary,
@@ -191,6 +192,77 @@ def test_full_orbit_spectrum_and_local_invariance():
         r2 = analyze(k.matrix() @ rho @ dag(k.matrix()))
         for name in ("s2_pt", "s3_pt", "s4_pt", "det_c", "det_m", "c112"):
             assert abs(getattr(r0, name) - getattr(r2, name)) < 1e-10
+
+
+# -- reach of the chart ----------------------------------------------------------
+
+
+def _lu_invariants(a, b, c):
+    """16 polynomial local-unitary invariants of Fano coefficients, stacked
+    along the last axis: tr rho^k (k = 2..4), |a|^2, |b|^2, tr K^k (k = 1..3)
+    with K = C^T C, det C and seven contractions of a and b through C."""
+    rho = from_fano(FanoState(a, b, c))
+    ct = np.swapaxes(c, -1, -2)
+    k, cct = ct @ c, c @ ct
+
+    def form(u, m, v):
+        return np.einsum("...i,...ij,...j->...", u, m, v)
+
+    def trace(m):
+        return np.trace(m, axis1=-2, axis2=-1).real
+
+    return np.stack([
+        trace(rho @ rho), trace(rho @ rho @ rho), trace(rho @ rho @ rho @ rho),
+        form(a, np.eye(3), a), form(b, np.eye(3), b),
+        trace(k), trace(k @ k), trace(k @ k @ k), np.linalg.det(c),
+        form(a, c, b), form(a, cct, a), form(b, k, b), form(a, cct @ cct, a),
+        form(b, k @ k, b), form(a, cct @ c, b), form(a, c @ k @ k, b),
+    ], axis=-1)
+
+
+def _jacobian_ranks(fano_of, x0, h=1e-6):
+    """Rank of the central-difference Jacobian of the LU invariants of
+    ``fano_of(x)`` at each row of ``x0``: the singular values above
+    1e-7 times the largest."""
+    steps = h * np.eye(x0.shape[-1])
+    plus = _lu_invariants(*fano_of(x0[:, None, :] + steps))
+    minus = _lu_invariants(*fano_of(x0[:, None, :] - steps))
+    sigma = np.linalg.svd((plus - minus) / (2 * h), compute_uv=False)
+    return [int(np.sum(s > 1e-7 * s[0])) for s in sigma]
+
+
+def test_chart_reaches_7_of_the_9_local_unitary_dimensions():
+    # a generic state has 15 - 6 = 9 parameters up to local unitaries; the
+    # invariants see all 9 over the 15 Fano directions at HS states
+    _, states = next(ensemble_chunks("hs", 27, 5))
+    f = to_fano(states)
+    fano = np.concatenate([f.a, f.b, f.C.reshape(-1, 9)], axis=-1)
+
+    def split(v):
+        return v[..., :3], v[..., 3:6], v[..., 6:].reshape(*v.shape[:-1], 3, 3)
+
+    assert _jacobian_ranks(split, fano) == [9] * 5
+
+    # the chart's 9 coordinates (x, y, z, alpha, beta) reach only 7: the
+    # alpha family's X(x)I and I(x)X are local, so a generic state is not a
+    # chart state up to local unitaries.  At some points the seventh
+    # singular value is small but real (the same for h = 1e-4 .. 1e-6) and
+    # falls below the cut; over 30 seeds of 20 points, 18 to 20 points
+    # reached 7 and none more.
+    points = sample_chart_point(27, np.arange(20))
+    s = points.simplex
+    coords = np.concatenate(
+        [np.stack([s.x, s.y, s.z], axis=-1), points.alpha, points.beta], axis=-1
+    )
+
+    def chart(v):
+        point = ChartPoint(SimplexPoint(v[..., 0], v[..., 1], v[..., 2]), v[..., 3:6], v[..., 6:])
+        f = to_fano(representative_state(point))
+        return f.a, f.b, f.C
+
+    ranks = _jacobian_ranks(chart, coords)
+    assert max(ranks) == 7
+    assert ranks.count(7) >= 18, ranks
 
 
 # -- stacked chart kernels ------------------------------------------------------

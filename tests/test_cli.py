@@ -406,3 +406,35 @@ def test_chart_scan_stdout_matches_recorded_digest(seed, capsys):
     recorded = json.loads(digests.read_text())["chart"][seed]
     assert main(["scan", "--ensemble", "chart", "-n", "256", "--seed", seed]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_hs_scan_stdout_matches_recorded_digest(seed, capsys):
+    # the benchmark's 16384-state HS scan: four full chunks through both routes
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())["scan-hs"][seed]
+    assert main(["scan", "--ensemble", "hs", "-n", "16384", "--seed", seed]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+#: sha256 of ``scan --ensemble product -n 8200 --seed 1`` stdout: three
+#: chunks (the last one of 8 states) with 74 ``boundary`` states, which
+#: an HS scan never has, so this pins the boundary count and the
+#: undecided side of the mismatch rule.
+PRODUCT_SCAN_DIGEST = "ffa9e9d1264af7e8160d36480dd4dfbdc5f90de71548756fe70e80d614f22759"
+
+#: sha256 of ``verify --suite ppt -n 10000 --seed 1`` stdout.  The oracle
+#: check takes chunk 0 from the run's shared samples and draws chunks 1-2.
+VERIFY_PPT_DIGEST = "87de361b1bd233ef66e016bffe7a34ce3743e8cc28f9dd110171060021bae2c2"
+
+
+def test_product_scan_stdout_matches_recorded_digest(capsys):
+    assert main(["scan", "--ensemble", "product", "-n", "8200", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["boundary"] == 74
+    assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_SCAN_DIGEST
+
+
+def test_verify_ppt_stdout_matches_recorded_digest(capsys):
+    assert main(["verify", "--suite", "ppt", "-n", "10000", "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_PPT_DIGEST

@@ -15,7 +15,7 @@ from entspace.fano import (
     su2_to_so3,
     to_fano,
 )
-from entspace.linalg4 import dag, herm_eigenvalues
+from entspace.linalg4 import SIGMA, dag, herm_eigenvalues
 from entspace.sampling import (
     ensemble_chunks,
     sample_hs_state,
@@ -144,6 +144,18 @@ def test_su2_to_so3_is_rotation():
         r = su2_to_so3(u)
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-13
         assert abs(np.linalg.det(r) - 1.0) < 1e-13
+
+
+def test_su2_to_so3_stack_repeats_each_single_call():
+    us = sample_local_unitary(10, np.arange(24)).u
+    stacked = su2_to_so3(us.reshape(4, 6, 2, 2))
+    assert stacked.shape == (4, 6, 3, 3)
+    for u, r in zip(us, stacked.reshape(24, 3, 3)):
+        assert np.array_equal(r, su2_to_so3(u))
+        # against the definition R_ij = (1/2) tr(s_i u s_j u^dag), entry by entry
+        for i, j in np.ndindex(3, 3):
+            want = 0.5 * np.trace(SIGMA[i] @ u @ SIGMA[j] @ dag(u)).real
+            assert abs(r[i, j] - want) < 1e-15
 
 
 def test_density_matrix_gate_accepts_states():

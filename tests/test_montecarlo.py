@@ -14,9 +14,10 @@ from entspace.montecarlo import (
     reanalyze_record,
     sample_records,
     separable_fraction,
+    tally_routes,
     verdict_masks,
 )
-from entspace.sampling import ensemble_state, philox_stream, sample_hs_state
+from entspace.sampling import ensemble_chunks, ensemble_state, philox_stream, sample_hs_state
 from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze, werner_state
 from entspace.verify import run_suite
 
@@ -138,6 +139,85 @@ def test_chart_ensemble_scan_runs():
     res = separable_fraction(RunConfig(ensemble="chart", samples=600, seed=56))
     assert res.separable + res.entangled + res.boundary == 600
     assert res.mismatches == 0
+
+
+def _route_chunk(states):
+    pts = pt_batch(states)
+    return pts, char_poly_batch(pts)
+
+
+def _tally_by_loop(chunks, band):
+    """The counts of tally_routes, one state at a time with scalar tests."""
+    counts = dict.fromkeys((
+        "separable", "entangled", "boundary",
+        "oracle_separable", "oracle_entangled", "oracle_undecided",
+        "mismatches", "undecided",
+        "lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256",
+    ), 0)
+    for pts, (_, s3, s4) in chunks:
+        for pt, lhs3, lhs4 in zip(pts, s3.tolist(), s4.tolist()):
+            if lhs3 >= band and lhs4 >= band:
+                verdict = "separable"
+            elif lhs3 < -band or lhs4 < -band:
+                verdict = "entangled"
+            else:
+                verdict = "boundary"
+            min_eig = np.linalg.eigvalsh(pt)[0]
+            if min_eig > tol.MINEIG_BAND:
+                oracle = "separable"
+            elif min_eig < -tol.MINEIG_BAND:
+                oracle = "entangled"
+            else:
+                oracle = "undecided"
+            counts[verdict] += 1
+            counts["oracle_" + oracle] += 1
+            if verdict == "boundary" or oracle == "undecided":
+                counts["undecided"] += 1
+            elif verdict != oracle:
+                counts["mismatches"] += 1
+            counts["lhs3_below_0"] += lhs3 < 0
+            counts["lhs3_above_1_16"] += lhs3 > 1 / 16
+            counts["lhs4_below_0"] += lhs4 < 0
+            counts["lhs4_above_1_256"] += lhs4 > 1 / 256
+    return counts
+
+
+def _tally_inputs():
+    (_, hs), = ensemble_chunks("hs", 61, tol.CHUNK)
+    (_, product), = ensemble_chunks("product", 61, tol.CHUNK)
+    werner = np.stack([werner_state(1 / 3 + d) for d in (-1e-8, 0.0, 1e-8)])
+    hs_pts, hs_coeffs = _route_chunk(hs)
+    werner_pts, werner_coeffs = _route_chunk(werner)
+    # partial transposes against other states' coefficients, scaled by 4:
+    # the routes disagree on many states, the oracle alone is undecided on
+    # the Werner ones, and some coefficients pass the upper bounds 1/16 and
+    # 1/256 that no state's do
+    crossed = (
+        np.concatenate([hs_pts[:512], werner_pts]),
+        tuple(4.0 * c[512:1027] for c in hs_coeffs),
+    )
+    return {
+        "hs": [(hs_pts, hs_coeffs)],
+        "product": [_route_chunk(product)],
+        "werner": [(werner_pts, werner_coeffs)],
+        "crossed": [crossed],
+    }
+
+
+def test_tally_routes_matches_a_per_state_loop():
+    inputs = _tally_inputs()
+    band = tol.VERDICT_TOL
+    for name, chunks in inputs.items():
+        assert tally_routes(chunks, band) == _tally_by_loop(chunks, band), name
+    # summed over the chunks of a one-pass iterable
+    everything = [c for chunks in inputs.values() for c in chunks]
+    counts = tally_routes(iter(everything), band)
+    assert counts == _tally_by_loop(everything, band)
+    assert min(counts.values()) > 0  # the inputs reach every count
+    werner = tally_routes(inputs["werner"], band)
+    assert werner["boundary"] == werner["oracle_undecided"] == werner["undecided"] == 3
+    assert tally_routes(inputs["hs"], band)["mismatches"] == 0
+    assert tally_routes(inputs["product"], band)["boundary"] > 0
 
 
 def test_sample_records_consistent_with_fresh_analysis():

@@ -240,6 +240,25 @@ def test_analyze_takes_exactly_one_4x4_matrix(shape):
         analyze(rho)
 
 
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
+def test_separability_inequalities_takes_one_state_not_a_stack(lead):
+    # a stack used to reach the scalar dual-route gate and fail there with
+    # numpy's "truth value of an array is ambiguous"
+    _, states = next(ensemble_chunks("hs", 311, int(np.prod(lead))))
+    f = to_fano(states.reshape(*lead, 4, 4))
+    with pytest.raises(DomainError, match=re.escape(f"got a stack of shape {lead}")):
+        separability_inequalities(f)
+
+
+def test_separability_inequalities_checks_the_band_as_analyze_does():
+    # an unchecked band of -1 or NaN read I/4, which attains both bounds,
+    # as out of bounds
+    f = to_fano(np.eye(4) / 4.0)
+    for band in (-1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(DomainError, match="band"):
+            separability_inequalities(f, band)
+
+
 def test_ppt_verdict_rejects_sixteen_entries_in_the_wrong_shape():
     with pytest.raises(DomainError, match=re.escape("got shape (2, 8)")):
         ppt_verdict(np.ones((2, 8)) / 8.0)
