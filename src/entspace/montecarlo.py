@@ -31,6 +31,7 @@ def oracle_masks(min_eig):
     States with |min_eig| <= MINEIG_BAND land in the third (undecided) mask
     and are not counted against the criterion.
     """
+    min_eig = np.asarray(min_eig)
     separable = min_eig > tol.MINEIG_BAND
     entangled = min_eig < -tol.MINEIG_BAND
     return separable, entangled, ~(separable | entangled)
@@ -49,7 +50,7 @@ class RunConfig:
         check_ensemble(self.ensemble)
         check_count(self.samples)
         check_seed(self.seed)
-        check_band(self.band)
+        check_band(self.band)  # before a sample stream writes its CSV header
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,19 @@ def _check_indices(indices):
     return indices
 
 
+def _check_index(index):
+    """``index``; DomainError unless it is one integer, not an array of any
+    shape, with 0 <= index < 2^56."""
+    if np.ndim(index):
+        raise DomainError(f"a stream index is one integer, got shape {np.shape(index)}")
+    _check_indices(index)
+    return index
+
+
 def _chunk_position(index):
     """(chunk, offset in the chunk) of sample ``index`` of a chunked
     ensemble; DomainError naming ``index`` unless 0 <= index < 2^56."""
-    _check_indices(index)
-    return divmod(index, tol.CHUNK)
+    return divmod(_check_index(index), tol.CHUNK)
 
 
 def philox_streams(seed, tag, indices):
@@ -338,7 +346,7 @@ _ENSEMBLE_TABLE = {
     "product": (lambda seed, c, m: _product_chunk(seed, c, 0, m), sample_product_state),
     "chart": (
         lambda seed, c, m: _chart_states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m)),
-        _chart_states,
+        lambda seed, i: _chart_states(seed, _check_index(i)),
     ),
 }
 

@@ -76,10 +76,13 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
     """Boolean (separable, entangled, boundary) masks from PT coefficients.
 
     Separable when both coefficients clear +band, entangled when either
-    falls below -band, boundary otherwise.  DomainError names the first
-    stack index with a non-finite coefficient, which no comparison would
-    place under either test, so it would read as boundary.
+    falls below -band, boundary otherwise.  DomainError unless ``band``
+    lies in (0, 1), where the masks cannot overlap; it also names the
+    first stack index with a non-finite coefficient, which no comparison
+    would place under either test, so it would read as boundary.
     """
+    s3, s4 = np.asarray(s3), np.asarray(s4)
+    check_band(band)
     finite = np.isfinite(s3) & np.isfinite(s4)
     if not finite.all():
         raise DomainError(
@@ -92,15 +95,14 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
     return separable, entangled, boundary
 
 
-#: Verdict labels indexed by separable + 2 * entangled; separable wins
-#: where the masks of a band outside (0, 1) overlap.
-_LABELS = np.array([BOUNDARY, SEPARABLE, ENTANGLED, SEPARABLE])
+#: Verdict labels indexed by separable + 2 * entangled.
+_LABELS = np.array([BOUNDARY, SEPARABLE, ENTANGLED])
 
 
 def verdict_from_coeffs(s3, s4, band=tol.VERDICT_TOL):
     """Verdict label of verdict_masks(): a string for scalar coefficients,
     a string array of the same shape for arrays."""
-    separable, entangled, _ = verdict_masks(np.asarray(s3), np.asarray(s4), band)
+    separable, entangled, _ = verdict_masks(s3, s4, band)
     return _LABELS[separable + 2 * entangled]
 
 
@@ -342,7 +344,6 @@ def separability_inequalities(f, band=tol.VERDICT_TOL):
     ``f`` holds the coefficients of one state, not a stack, and ``band``
     lies in (0, 1).
     """
-    check_band(band)
     if f.a.shape != (3,):
         raise DomainError(
             "separability_inequalities takes the Fano form of one state, "
@@ -391,7 +392,6 @@ def analyze(rho, band=tol.VERDICT_TOL):
     Raises DomainError unless ``rho`` is one 4x4 matrix and ``band`` lies
     in (0, 1).
     """
-    check_band(band)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DomainError(f"analyze takes one 4x4 matrix, got shape {rho.shape}")

@@ -72,6 +72,8 @@ def state_to_dict(rho):
 
 
 def _matrix_from(record, key, shape):
+    if key not in record:
+        raise DomainError(f"field {key!r} is missing")
     try:
         m = np.asarray(record[key], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -114,10 +116,12 @@ def state_from_dict(record):
 def load_state(path):
     """Read a state record from a JSON file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read state file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"state file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"state file is not valid JSON: {exc}") from exc
     return state_from_dict(record)

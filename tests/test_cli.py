@@ -82,6 +82,21 @@ def test_check_rejects_malformed_record(tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
 
 
+def test_check_rejects_missing_fields_and_undecodable_files(tmp_path, capsys):
+    # each of these raised a traceback and exited 1
+    path = tmp_path / "bad.json"
+    for text in (
+        json.dumps({"rho_im": np.zeros((4, 4)).tolist()}).encode(),
+        json.dumps({"fano": {"a": [0.0] * 3, "b": [0.0] * 3}}).encode(),
+        b"\xff\xfe",
+    ):
+        path.write_bytes(text)
+        assert main(["check", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_check_rejects_non_state(tmp_path, capsys):
     # valid record syntax, but trace 4 is not a density matrix
     path = tmp_path / "eye.json"

@@ -10,15 +10,25 @@ from entspace.montecarlo import (
     RunConfig,
     SampleRecord,
     char_poly_batch,
+    oracle_masks,
     pt_batch,
     reanalyze_record,
     sample_records,
     separable_fraction,
     tally_routes,
+    verdict_from_coeffs,
     verdict_masks,
 )
 from entspace.sampling import ensemble_chunks, ensemble_state, philox_stream, sample_hs_state
-from entspace.separability import BOUNDARY, ENTANGLED, SEPARABLE, analyze, werner_state
+from entspace.separability import (
+    BELL_PHI_PLUS,
+    BOUNDARY,
+    ENTANGLED,
+    SEPARABLE,
+    analyze,
+    ppt_verdict,
+    werner_state,
+)
 from entspace.verify import run_suite
 
 
@@ -41,12 +51,29 @@ def test_band_and_seed_are_checked_by_every_entry_point():
             analyze(rho, band=band)
         with pytest.raises(DomainError, match="band"):
             run_suite("ppt", 1, 1, band)
+        # the kernels check the band themselves: -1 read "separable" here
+        with pytest.raises(DomainError, match="band"):
+            ppt_verdict(BELL_PHI_PLUS, band)
+        with pytest.raises(DomainError, match="band"):
+            verdict_from_coeffs(0.01, 0.001, band)
+        with pytest.raises(DomainError, match="band"):
+            verdict_masks(np.array([0.01, -0.2]), np.array([0.001, 0.0]), band)
+        pts = pt_batch(np.stack([rho, BELL_PHI_PLUS]))
+        with pytest.raises(DomainError, match="band"):
+            tally_routes([(pts, char_poly_batch(pts))], band)
     for seed in (-5, 1 << 64):
         with pytest.raises(DomainError, match="seed"):
             run_suite("ppt", 1, seed)
         with pytest.raises(DomainError, match="seed"):
             RunConfig(ensemble="hs", samples=1, seed=seed)
     assert analyze(rho, band=0.5).verdict == BOUNDARY
+
+
+def test_scalar_masks_are_three_numpy_booleans():
+    # a Python-scalar input made the third mask ~True, the int -2
+    for masks in (verdict_masks(0.1, 0.1), oracle_masks(0.5)):
+        assert [type(m) for m in masks] == [np.bool_] * 3
+        assert masks == (True, False, False)
 
 
 def test_seed_must_be_an_integer_not_a_bool_or_a_float():

@@ -1,5 +1,7 @@
 """Ensemble samplers: determinism, addressability and distributions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -235,10 +237,17 @@ def test_every_ensemble_names_the_callers_out_of_range_index():
         for index in (2.5, True):
             with pytest.raises(DomainError, match="integers"):
                 ensemble_state(ensemble, 1, index)
+        # a one-entry list raised TypeError from divmod, or made "chart" a stack
+        for index in ([5], np.array([5]), [5, 6], np.array([[5]])):
+            shape = re.escape(str(np.shape(index)))
+            with pytest.raises(DomainError, match=f"one integer, got shape {shape}$"):
+                ensemble_state(ensemble, 1, index)
         assert np.isfinite(ensemble_state(ensemble, 1, top)).all()
     for sample in (sample_hs_state, sample_product_state):
         with pytest.raises(DomainError, match="stream index out of range: -5000$"):
             sample(1, -5000)
+        with pytest.raises(DomainError, match=r"one integer, got shape \(2,\)"):
+            sample(1, [5, 6])
     with pytest.raises(DomainError, match="integers"):
         sample_chart_point(1, np.array([True, False]))
 

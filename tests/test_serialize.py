@@ -95,6 +95,14 @@ def test_state_record_rejects_malformed():
         state_from_dict({"fano": [1, 2]})
     with pytest.raises(DomainError, match="shape"):
         state_from_dict({"fano": {"a": [0.0], "b": [0.0] * 3, "C": [[0.0] * 3] * 3}})
+    # a missing field raised KeyError
+    with pytest.raises(DomainError, match="'rho_re' is missing"):
+        state_from_dict({"rho_im": [[0.0] * 4] * 4})
+    fano = {"a": [0.0] * 3, "b": [0.0] * 3, "C": [[0.0] * 3] * 3}
+    for key in fano:
+        partial = {k: v for k, v in fano.items() if k != key}
+        with pytest.raises(DomainError, match=f"'{key}' is missing"):
+            state_from_dict({"fano": partial})
 
 
 def test_load_state(tmp_path):
@@ -107,6 +115,10 @@ def test_load_state(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(DomainError, match="valid JSON"):
+        load_state(str(bad))
+    # bytes that are not UTF-8 raised UnicodeDecodeError
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(DomainError, match="UTF-8"):
         load_state(str(bad))
 
 
