@@ -110,7 +110,7 @@ def _cmd_check(args):
 
 def _cmd_coeffs(args):
     alpha = _angle_triple(args.alpha, "alpha")
-    beta = _angle_triple(args.beta, "beta")
+    beta = args.beta  # p201 checks it, as every chart kernel does
     alpha3 = float(alpha[2])
     closed = {
         "p201": p201(alpha3, beta),

@@ -286,7 +286,7 @@ def exp_antihermitian(x):
         )
     n = flat.shape[-1]
     eye = np.eye(n, dtype=complex)
-    norm = np.sqrt((flat.real ** 2 + flat.imag ** 2).reshape(len(flat), -1).sum(axis=1))
+    norm = np.sqrt((flat.real ** 2 + flat.imag ** 2).reshape(len(flat), n * n).sum(axis=1))
     # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
     m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
     s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, check_band
 from . import tolerances as tol
 from .chart import (
+    _angle_triple,
     _checked_spectrum,
     _conjugate,
     a_factor,
@@ -144,8 +145,9 @@ def quesne_c112(f):
 
 
 def _beta_angles(beta):
-    """beta_1, beta_2, beta_3 of a triple or of a (..., 3) stack."""
-    return np.moveaxis(np.asarray(beta, dtype=float), -1, 0)
+    """beta_1, beta_2, beta_3 of a triple or of a (..., 3) stack;
+    DomainError for another shape or a non-finite angle."""
+    return np.moveaxis(_angle_triple(beta, "beta"), -1, 0)
 
 
 def p201(alpha3, beta):
@@ -153,7 +155,9 @@ def p201(alpha3, beta):
 
     ``alpha3`` has shape (...) and ``beta`` shape (..., 3), as do the
     arguments of p111, p022 and det_c_closed_form; each value is computed
-    elementwise, so a stacked call repeats each single call bit for bit."""
+    elementwise, so a stacked call repeats each single call bit for bit.
+    A beta of another shape, or with a non-finite angle, raises
+    DomainError, as in every chart kernel."""
     b1, b2, b3 = _beta_angles(beta)
     return 0.25 * np.sin(2 * alpha3) * np.sin(2 * b2) * np.cos(b1) * np.cos(b3)
 
@@ -236,8 +240,12 @@ class CoeffTable:
     condition: float = float("nan")
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(len(MONOMIALS))
-        object.__setattr__(self, "values", v)
+        v = np.asarray(self.values, dtype=float)
+        if v.size != len(MONOMIALS):
+            raise DomainError(
+                f"a coefficient table takes {len(MONOMIALS)} values, got shape {v.shape}"
+            )
+        object.__setattr__(self, "values", v.reshape(len(MONOMIALS)))
         if self.provenance not in ("fitted", "closed-form"):
             raise DomainError(f"unknown provenance {self.provenance!r}")
         if self.provenance == "fitted" and not self.residual <= tol.FIT_RESIDUAL_TOL:
@@ -289,8 +297,14 @@ def fit_c112_coeffs(alpha, beta):
     fibre, one A-factor conjugates the grid's spectra and the C112 targets
     follow from one stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
     system is ill-conditioned (condition number above FIT_COND_CAP) or the
-    residual exceeds FIT_RESIDUAL_TOL.
+    residual exceeds FIT_RESIDUAL_TOL; DomainError unless ``alpha`` and
+    ``beta`` are single triples (one fibre per fit).
     """
+    shapes = np.shape(alpha), np.shape(beta)
+    if shapes != ((3,), (3,)):
+        raise DomainError(
+            f"a fit takes one alpha and one beta triple, got shapes {shapes[0]} and {shapes[1]}"
+        )
     v, condition, r = _FIT_SYSTEM
     targets = quesne_c112(to_fano(_conjugate(a_factor(alpha, beta), r)))
     if condition > tol.FIT_COND_CAP:

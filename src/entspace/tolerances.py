@@ -1,11 +1,13 @@
 """Central numeric tolerances and algorithm knobs.
 
-Every comparison threshold used by the library lives here so that the
-contracts stay consistent between the runtime checks, the verification
-suite and the test-suite.  Values are absolute unless noted otherwise.
+The shared gates live here: every threshold the library's kernels apply,
+and every bound that the runtime checks, the verification suite and the
+test-suite must agree on.  Values are absolute unless noted otherwise.
 Functions read a threshold from this module when they are called, and no
 function takes a per-call override; the verdict band, which the CLI's
-``--tol`` sets, is the one threshold passed as an argument.
+``--tol`` sets, is the one threshold passed as an argument.  A verification
+check whose residual bound is its own (nine checks, at 1e-13, 1e-12, 1e-10
+or 1e-9) states that bound in the check itself.
 """
 
 # -- hermiticity / unitarity gates -------------------------------------------

@@ -9,9 +9,11 @@ dense eigensolver.  CHECKS lists the checks and groups them into suites
 A check takes one argument, the run: the sample count, seed and verdict
 band, and the samples the checks of one run share (see _Run), each drawn
 or computed once, by the first check that needs it, and handed out as
-read-only prefixes.  A check returns only what it measured; run_suite
-builds one run per call and names, groups and records each check, so a
-check that raises is recorded as failed and never aborts the others.
+read-only prefixes: the head (HS chunk 0 with its Fano coefficients and
+partial-transpose coefficients, built together) and the chart prefix.  A
+check returns only what it measured; run_suite builds one run per call
+and names, groups and records each check, so a check that raises is
+recorded as failed and never aborts the others.
 Since every sample is a fixed function of (seed, index) and every kernel
 repeats each single call bit for bit in a stack, a check reports the same
 bytes in a suite as on a fresh run of its own.  Every other draw comes
@@ -19,6 +21,7 @@ from a stream of the check's own.
 """
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -27,8 +30,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DomainError, check_band, check_count, check_seed
 from .chart import (
-    ALPHA_WORDS,
-    BETA_WORDS,
+    _AB_WORDS,
     ChartPoint,
     SimplexPoint,
     a_factor,
@@ -136,54 +138,54 @@ class _Run:
     """One run of the suite: the sample count ``n``, the ``seed`` and the
     verdict ``band`` every check reads, and the samples its checks share.
 
-    The shared samples are the first min(n, CHUNK) Hilbert-Schmidt states
-    (chunk 0 of the ensemble), their Fano coefficients and the
-    characteristic coefficients of their partial transposes, and chart
-    points 0..k-1 with their representative states.  Each is drawn or
-    computed on first use, inside the check that needs it; the chart
-    prefix grows on demand, drawing only the new indices.  A check takes a
-    prefix; every array handed out is read-only.
+    The shared samples are the head, and the chart prefix.  The head is the
+    first min(n, CHUNK) Hilbert-Schmidt states (chunk 0 of the ensemble),
+    their Fano coefficients and the characteristic coefficients of their
+    partial transposes, all three computed together by the first check that
+    reads any of them (a suite that reads one reads all three).  The chart
+    prefix is chart points 0..k-1 with their representative states; it
+    starts empty and grows on demand, drawing only the new indices.  A
+    check takes a prefix; every array handed out is read-only.
     """
 
     def __init__(self, n, seed, band):
         self.n, self.seed, self.band = n, seed, band
         self.size = min(n, tol.CHUNK)
-        self._hs = self._fano = self._pt_coeffs = None
-        self._chart = ()  # x, y, z, alpha, beta, representative states
+        # x, y, z, alpha, beta, representative states of chart points 0..k-1
+        self._chart = (*np.empty((3, 0)), *np.empty((2, 0, 3)), np.empty((0, 4, 4), complex))
+
+    @cached_property
+    def _head(self):
+        """HS states 0..size-1, their FanoState and the (S2, S3, S4) of
+        their partial transposes, read-only."""
+        _, states = next(ensemble_chunks("hs", self.seed, self.size))
+        f = to_fano(states)
+        coeffs = char_poly_batch(pt_batch(states))
+        _read_only(states, f.a, f.b, f.C, *coeffs)
+        return states, f, coeffs
 
     def hs(self, m=None):
         """HS states 0..m-1 (all ``size`` of them by default)."""
-        if self._hs is None:
-            _, states = next(ensemble_chunks("hs", self.seed, self.size))
-            (self._hs,) = _read_only(states)
-        return self._hs[:m]
+        return self._head[0][:m]
 
     def fano(self, m=None):
         """Fano coefficients of hs(m)."""
-        if self._fano is None:
-            f = to_fano(self.hs())
-            _read_only(f.a, f.b, f.C)
-            self._fano = f
-        f = self._fano
+        f = self._head[1]
         return f if m is None else FanoState(f.a[:m], f.b[:m], f.C[:m])
 
     def pt_coeffs(self, m=None):
         """(S2, S3, S4) of the partial transposes of hs(m)."""
-        if self._pt_coeffs is None:
-            self._pt_coeffs = _read_only(*char_poly_batch(pt_batch(self.hs())))
-        return tuple(s[:m] for s in self._pt_coeffs)
+        return tuple(s[:m] for s in self._head[2])
 
     def chart(self, m):
         """Chart points 0..m-1 as a stacked ChartPoint, and their
         representative states."""
-        have = len(self._chart[-1]) if self._chart else 0
+        have = len(self._chart[0])
         if m > have:
             points = sample_chart_point(self.seed, np.arange(have, m))
             s = points.simplex
             new = (s.x, s.y, s.z, points.alpha, points.beta, representative_state(points))
-            if self._chart:
-                new = tuple(np.concatenate(pair) for pair in zip(self._chart, new))
-            self._chart = _read_only(*new)
+            self._chart = _read_only(*map(np.concatenate, zip(self._chart, new)))
         x, y, z, alpha, beta, states = (a[:m] for a in self._chart)
         return ChartPoint(SimplexPoint(x, y, z), alpha, beta), states
 
@@ -239,18 +241,15 @@ def _check_expm_paths(run):
     m = min(run.n, 600)
     g = verify_stream(run.seed, 3)
     angles = np.empty((m, 3))
-    alpha_family = np.empty(m, dtype=bool)
+    family = np.empty(m, dtype=int)  # 0: the alpha words, 1: the beta words
     x = np.empty((m, 4, 4), dtype=complex)
     for i in range(m):
         angles[i] = g.uniform(-2 * np.pi, 2 * np.pi, 3)
-        alpha_family[i] = g.random() < 0.5
-        x[i] = random_antihermitian(g, scale=2.0)
-    closed = np.empty((m, 4, 4), dtype=complex)
-    gen = np.empty((m, 4, 4), dtype=complex)
-    for family, words in ((alpha_family, ALPHA_WORDS), (~alpha_family, BETA_WORDS)):
-        t = angles[family]
-        closed[family] = exp_commuting_paulis(t, words)
-        gen[family] = -0.5j * sum(t[:, k, None, None] * w for k, w in enumerate(words))
+        family[i] = g.random() >= 0.5
+        x[i] = random_antihermitian(g)
+    words = _AB_WORDS[family]
+    closed = exp_commuting_paulis(angles, words)
+    gen = -0.5j * sum(angles[:, k, None, None] * words[:, k] for k in range(3))
     series, exp_x, exp_minus_x = exp_antihermitian(np.stack([gen, x, -x]))
     worst = _worst((
         np.abs(closed - series),
@@ -336,14 +335,9 @@ def _check_det_c_closed_form(run):
 
 
 def _fit_points(seed, check_id, count):
-    # draws stay inside the double octahedron (l1 <= 6 < 2*pi per triple)
-    g = verify_stream(seed, check_id)
-    out = []
-    for _ in range(count):
-        alpha = g.uniform(-2.0, 2.0, 3)
-        beta = g.uniform(-2.0, 2.0, 3)
-        out.append((alpha, beta))
-    return out
+    """``count`` rows of (alpha, beta); the draws stay inside the double
+    octahedron (l1 <= 6 < 2*pi per triple)."""
+    return verify_stream(seed, check_id).uniform(-2.0, 2.0, (count, 2, 3))
 
 
 def _check_fit_support_frozen(run):
@@ -362,13 +356,10 @@ def _check_fit_support_frozen(run):
 
 def _check_fit_alpha12_invariance(run):
     fits = max(2, min(5, run.n // 2000))
-    g = verify_stream(run.seed, 11)
     gaps = []
-    for _ in range(fits):
-        alpha = g.uniform(-2.0, 2.0, 3)
-        beta = g.uniform(-2.0, 2.0, 3)
-        other = alpha.copy()
-        other[0], other[1] = g.uniform(-2.0, 2.0, 2)
+    # per fit: alpha, beta, then new alpha_1 and alpha_2, in stream order
+    for row in verify_stream(run.seed, 11).uniform(-2.0, 2.0, (fits, 8)):
+        alpha, beta, other = row[:3], row[3:6], row[[6, 7, 2]]
         t0 = fit_c112_coeffs(alpha, beta)
         t1 = fit_c112_coeffs(other, beta)
         gaps.append(np.abs(t0.values - t1.values))
@@ -392,9 +383,7 @@ def _check_c112_quartic_predicts(run):
     gaps = []
     for alpha, beta in _fit_points(run.seed, 23, fits):
         table = fit_c112_coeffs(alpha, beta)
-        s = xyz_from_eigenvalues(
-            np.stack([np.sort(g.dirichlet(np.ones(4)))[::-1] for _ in range(40)])
-        )
+        s = xyz_from_eigenvalues(np.sort(g.dirichlet(np.ones(4), 40))[:, ::-1])
         predicted = [
             sum(c * x ** i * y ** j * z ** k for c, (i, j, k) in zip(table.values, MONOMIALS))
             for x, y, z in zip(s.x, s.y, s.z)

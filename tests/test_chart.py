@@ -1,5 +1,7 @@
 """Chart tests: simplex maps, octahedron membership, group factors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from entspace.sampling import (
     sample_chart_point,
     sample_local_unitary,
 )
-from entspace.separability import analyze
+from entspace.separability import analyze, det_c_closed_form, p022, p111, p201
 
 
 def test_eigenvalues_from_xyz_examples():
@@ -345,6 +347,9 @@ def test_stacked_series_a_factor_is_bitwise_per_index_call():
     # one alpha triple shared by a stack of beta triples
     shared = a_factor(alpha[0, 0], beta, "series")
     assert _same_bits(a_factor(alpha[0, 0], beta[2, 5], "series"), shared[2, 5])
+    # an empty stack gives an empty result on either route
+    for method in ("closed", "series"):
+        assert a_factor(np.zeros((0, 3)), np.zeros(3), method).shape == (0, 4, 4)
 
 
 def test_stacked_checks_name_the_first_offending_index():
@@ -386,6 +391,22 @@ def test_non_finite_chart_input_is_rejected(bad):
         xyz_from_eigenvalues([0.5, bad, 0.25, 0.25])
     with pytest.raises(DomainError, match="spectrum at stack index 1 has a non-finite entry"):
         xyz_from_eigenvalues([[0.4, 0.3, 0.2, 0.1], [0.5, 0.5, np.nan, 0.0]])
+    for kernel in (p201, p111, p022):
+        with pytest.raises(DomainError, match="beta has a non-finite angle"):
+            kernel(0.1, [bad, 0.0, 0.0])
+    with pytest.raises(DomainError, match="beta at stack index 1 has a non-finite"):
+        det_c_closed_form(SimplexPoint(0.4, 0.2, 0.1), 0.1, stack)
+
+
+def test_chart_input_of_the_wrong_shape_is_rejected():
+    not_a_triple = re.escape("must be a triple of angles, got shape (2,)")
+    with pytest.raises(DomainError, match="alpha " + not_a_triple):
+        a_factor([0.1, 0.2], np.zeros(3))
+    for kernel in (p201, p111, p022):
+        with pytest.raises(DomainError, match="beta " + not_a_triple):
+            kernel(0.1, [0.1, 0.2])
+    with pytest.raises(DomainError, match=re.escape("must have 4 entries, got shape (2, 3)")):
+        xyz_from_eigenvalues(np.full((2, 3), 1.0 / 3.0))
 
 
 def test_chart_point_indices_must_be_integers():

@@ -13,6 +13,7 @@ import pytest
 
 import entspace.separability as sep
 import entspace.verify as verify
+from entspace import tolerances as tol
 from entspace.cli import main
 from entspace.separability import (
     fit_c112_coeffs,
@@ -180,9 +181,22 @@ def test_coeffs_csv(capsys):
 
 
 def test_coeffs_rejects_bad_triple(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--alpha", "1,2", "--beta", "0,0,0"])
-    assert exc.value.code == 2
+    for alpha, message in (("1,2", "expected three comma-separated numbers, got '1,2'"),
+                           ("a,b,c", "could not convert string to float: 'a'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--alpha", alpha, "--beta", "0,0,0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --alpha: {message}" in captured.err
+
+
+def test_a_numerical_failure_exits_1_with_its_message(monkeypatch, capsys):
+    monkeypatch.setattr(tol, "FIT_COND_CAP", 1.0)
+    assert main(["coeffs", "--alpha", "0,0,0", "--beta", "0,0,0", "--fit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: fit grid is ill-conditioned")
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -216,6 +230,15 @@ def test_sample_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "records.csv"
     assert main(["sample", "-n", "5", "--seed", "11", "--out", str(out)]) == 0
     assert out.read_text() == stdout_text
+
+
+def test_sample_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "records.csv"
+    assert main(["sample", "-n", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert str(out) in captured.err
 
 
 #: sha256 of ``sample --ensemble E -n 4104 --seed 1`` stdout.  4104 rows are

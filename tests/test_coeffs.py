@@ -1,5 +1,6 @@
 """Quartic coefficient table of C112: fitting machinery and frozen facts."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,11 @@ def test_fit_rejects_small_grids_and_bad_conditioning(monkeypatch):
     # the grid checks run once, when the default grid's system is built
     with pytest.raises(DomainError, match="grid"):
         _fit_system(FIT_SPECTRA[:10])
+    # one fibre per fit: a stack of triples is named, not broadcast
+    for alpha, beta in ((np.zeros((2, 3)), np.zeros(3)), (np.zeros(3), np.zeros(4))):
+        shapes = f"got shapes {np.shape(alpha)} and {np.shape(beta)}"
+        with pytest.raises(DomainError, match=re.escape(shapes)):
+            fit_c112_coeffs(alpha, beta)
     monkeypatch.setattr(tol, "FIT_COND_CAP", 1.0)
     with pytest.raises(NumericalError, match="ill-conditioned"):
         fit_c112_coeffs(np.zeros(3), np.zeros(3))
@@ -209,6 +215,9 @@ def test_import_emits_no_warning():
 def test_coeff_table_validation():
     with pytest.raises(DomainError, match="provenance"):
         CoeffTable(values=np.zeros(15), provenance="guessed")
+    for shape in ((14,), (4, 4)):
+        with pytest.raises(DomainError, match=re.escape(f"takes 15 values, got shape {shape}")):
+            CoeffTable(np.zeros(shape), "fitted")
     with pytest.raises(NumericalError, match="residual"):
         CoeffTable(values=np.zeros(15), provenance="fitted", residual=1e-3)
     with pytest.raises(NumericalError, match="fit residual nan exceeds"):

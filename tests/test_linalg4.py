@@ -358,7 +358,7 @@ def test_exp_antihermitian_against_scipy():
     g = philox_stream(15, 60)
     for scale in (0.3, 1.0, 4.0, 20.0):
         for _ in range(40):
-            x = random_antihermitian(g, scale=scale)
+            x = scale * 0.5 * random_antihermitian(g)
             mine = exp_antihermitian(x)
             ref = scipy.linalg.expm(x)
             assert np.max(np.abs(mine - ref)) < 1e-11
@@ -576,6 +576,9 @@ def test_stacked_exp_antihermitian_is_bitwise_per_index_call():
     small = xs[:, :2, :2]
     for x, e in zip(small, exp_antihermitian(small)):
         assert exp_antihermitian(x).tobytes() == e.tobytes()
+    # an empty stack gives an empty result, as the other stacked kernels do
+    for shape in ((0, 4, 4), (2, 0, 4, 4), (0, 2, 2)):
+        assert exp_antihermitian(np.zeros(shape)).shape == shape
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

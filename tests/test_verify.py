@@ -5,6 +5,8 @@ time: same stream, same draws in the same order, one kernel call per
 sample.  The stacked checks must agree with them to the last bits.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from entspace.linalg4 import (
     dag,
     exp_antihermitian,
     exp_commuting_paulis,
+    herm_eigensystem,
     partial_transpose,
 )
 from entspace.sampling import (
@@ -46,7 +49,7 @@ def _reference_expm_paths(n, seed):
         worst = max(worst, np.max(np.abs(closed - series)))
         gram = np.max(np.abs(dag(series) @ series - I4))
         worst = max(worst, gram, abs(np.linalg.det(series) - 1.0))
-        x = random_antihermitian(g, scale=2.0)
+        x = random_antihermitian(g)
         worst = max(worst, np.max(np.abs(exp_antihermitian(x) @ exp_antihermitian(-x) - I4)))
     return worst
 
@@ -174,7 +177,7 @@ def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
     assert verify.run_suite("all", 3 * tol.CHUNK, 5)["passed"]
     assert len(stores) == 3
     for store in stores[1:]:
-        assert len(store._hs) == tol.CHUNK and len(store._chart[-1]) == 2000
+        assert len(store.hs()) == tol.CHUNK and len(store._chart[-1]) == 2000
 
 
 def test_served_arrays_are_read_only():
@@ -241,3 +244,30 @@ def test_a_nan_in_the_second_chunk_fails_det_m_identity(monkeypatch):
     result = _alone(verify._check_det_m_identity, 5000, 1)
     assert chunks == [tol.CHUNK, 5000 - tol.CHUNK]
     assert np.isnan(result.max_residual) and not result.passed
+
+
+def _ascending_eigensystem(h):
+    w, v = herm_eigensystem(h)
+    return w[:, ::-1], v[:, :, ::-1]
+
+
+#: (check, the name in verify it reads, a broken stand-in, the detail it must report)
+_BROKEN_INPUTS = (
+    ("eigensolver_reconstruction", "herm_eigensystem", _ascending_eigensystem,
+     r"^eigenvalues not sorted descending$"),
+    ("fit_support_frozen", "C112_SUPPORT", frozenset(),
+     r"^support escaped the frozen set: \[\(\d, \d, \d\)"),
+    ("werner_verdicts", "werner_state", lambda p: separability.werner_state(0.2),
+     r"^p=0\.3333333333333333: got separable, want boundary; "
+     r"p=0\.5: got separable, want entangled$"),
+    ("product_states_separable", "ensemble_chunks",
+     lambda _, seed, m, **kw: ensemble_chunks("hs", seed, m, **kw),
+     r"^\d+ product states judged entangled$"),
+)
+
+
+@pytest.mark.parametrize("name, target, stand_in, detail", _BROKEN_INPUTS)
+def test_a_broken_input_fails_its_check_with_a_detail(name, target, stand_in, detail, monkeypatch):
+    monkeypatch.setattr(verify, target, stand_in)
+    result = _alone(getattr(verify, f"_check_{name}"), 2000, 1)
+    assert not result.passed and re.search(detail, result.detail), result
