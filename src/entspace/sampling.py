@@ -328,12 +328,6 @@ def random_hermitian(g, dim=4, shape=()):
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def random_antihermitian(g):
-    """Gaussian anti-Hermitian 4x4 matrix A - A^dag."""
-    a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
-    return a - np.conj(a.T)
-
-
 # -- chunked iteration ---------------------------------------------------------
 
 def _chart_states(seed, index):

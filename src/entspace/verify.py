@@ -66,7 +66,6 @@ from .montecarlo import (
 )
 from .sampling import (
     ensemble_chunks,
-    random_antihermitian,
     random_hermitian,
     sample_chart_point,
     sample_local_unitary,
@@ -240,14 +239,18 @@ def _check_charpoly_vs_spectrum(run):
 def _check_expm_paths(run):
     m = min(run.n, 600)
     g = verify_stream(run.seed, 3)
-    angles = np.empty((m, 3))
-    family = np.empty(m, dtype=int)  # 0: the alpha words, 1: the beta words
-    x = np.empty((m, 4, 4), dtype=complex)
+    # Sample i draws 3 angles and its family, then Re A and Im A of its
+    # Gaussian A, in that stream order.
+    u = np.empty((m, 4))
+    z = np.empty((m, 2, 4, 4))
     for i in range(m):
-        angles[i] = g.uniform(-2 * np.pi, 2 * np.pi, 3)
-        family[i] = g.random() >= 0.5
-        x[i] = random_antihermitian(g)
-    words = _AB_WORDS[family]
+        g.random(out=u[i])
+        g.standard_normal(out=z[i])
+    lo, hi = -2 * np.pi, 2 * np.pi
+    angles = lo + (hi - lo) * u[:, :3]  # uniform(lo, hi) = lo + (hi - lo) * random()
+    words = _AB_WORDS[(u[:, 3] >= 0.5).astype(int)]  # 0: the alpha words, 1: the beta words
+    a = z[:, 0] + 1j * z[:, 1]
+    x = a - np.conj(a.swapaxes(-1, -2))  # anti-Hermitian A - A^dag
     closed = exp_commuting_paulis(angles, words)
     gen = -0.5j * sum(angles[:, k, None, None] * words[:, k] for k in range(3))
     series, exp_x, exp_minus_x = exp_antihermitian(np.stack([gen, x, -x]))

@@ -476,3 +476,20 @@ def test_product_scan_stdout_matches_recorded_digest(capsys):
 def test_verify_ppt_stdout_matches_recorded_digest(capsys):
     assert main(["verify", "--suite", "ppt", "-n", "10000", "--seed", "1"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_PPT_DIGEST
+
+
+#: sha256 of ``verify --suite all -n N --seed S`` stdout.  These pin the
+#: checks that read the Fano maps (fano_roundtrip, det_m_identity,
+#: local_unitary_invariance, det_c_closed_form and the fit checks) along
+#: with the rest; 4200 states also walk HS chunk 1 beyond the shared head.
+VERIFY_ALL_DIGESTS = {
+    (10000, 1): "970eb787d0adfab73fa02e4b05086dc40a79493f88dbbeb0b0bf5eebc3d49ce9",
+    (4200, 2): "7a83e35947a8ba7a833f38a56f74206113d2f5f6d2544a4baabf3028e44dcead",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_stdout_matches_recorded_digest(n, seed, capsys):
+    assert main(["verify", "--suite", "all", "-n", str(n), "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[n, seed]

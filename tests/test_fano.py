@@ -1,5 +1,8 @@
 """Fano parameterization: extraction, reconstruction, local actions."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,13 @@ def test_fano_state_bounds_enforced():
             FanoState(*zero[:k], bad, *zero[k + 1:])
     with pytest.raises(DomainError, match="non-finite"):
         to_fano(np.full((4, 4), np.nan))
+    # an infinite entry is non-finite too, not an out-of-range norm
+    with pytest.raises(DomainError, match="non-finite"):
+        FanoState(a=[np.inf, 0.0, 0.0], b=np.zeros(3), C=np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf times a zero warns no more than the einsum
+        with pytest.raises(DomainError, match="non-finite"):
+            to_fano(np.diag([np.inf, 0.0, 0.0, 0.0]))
 
 
 def test_schlienz_mahler_vanishes_on_products():
@@ -270,3 +280,104 @@ def test_stacked_local_unitary_action_is_bitwise_per_index():
     # one pair broadcast over a stack of states
     shared = local_unitary_action(states, sample_local_unitary(11, 3))
     assert shared[7].tobytes() == local_unitary_action(states[7], sample_local_unitary(11, 3)).tobytes()
+
+
+def test_fano_state_shapes_are_checked():
+    # a is (..., 3), b has a's shape and C is a.shape[:-1] + (3, 3); nothing
+    # is reshaped into place
+    for a, b, c in (
+        ((2, 3), (6,), (18,)),
+        ((4,), (4,), (3, 3)),
+        ((), (), ()),
+        ((3,), (3,), (9,)),
+        ((2, 3), (3,), (2, 3, 3)),
+        ((2, 3), (2, 3), (3, 3)),
+        ((2, 3), (2, 3), (2, 9)),
+    ):
+        with pytest.raises(DomainError, match=re.escape(f"got {a}, {b} and {c}")):
+            FanoState(np.zeros(a), np.zeros(b), np.zeros(c))
+    f = FanoState(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    assert from_fano(f).shape == (0, 4, 4)
+
+
+def test_to_fano_rejects_shapes_other_than_4x4_stacks():
+    for shape in ((3, 3), (4, 4, 1), (2, 8), (16,), (4,), ()):
+        with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+            to_fano(np.zeros(shape))
+    f = to_fano(np.zeros((0, 4, 4)))
+    assert f.a.shape == f.b.shape == (0, 3) and f.C.shape == (0, 3, 3)
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _einsum_to_fano(rho):
+    """a, b, C by the einsum definition over the 15 Pauli products."""
+    i2 = np.eye(2)
+    basis = np.array(
+        [np.kron(s, i2) for s in _PAULIS]
+        + [np.kron(i2, s) for s in _PAULIS]
+        + [np.kron(s, t) for s in _PAULIS for t in _PAULIS]
+    )
+    v = np.einsum("kij,...ji->...k", basis, rho).real
+    return v[..., :3], v[..., 3:6], v[..., 6:].reshape(*v.shape[:-1], 3, 3)
+
+
+def _einsum_from_fano(a, b, c):
+    """(I4 + sum a_k s_k(x)I + sum b_k I(x)s_k + sum C_kl s_k(x)s_l) / 4 by
+    the einsum definition, one family at a time."""
+    i2 = np.eye(2)
+    m = np.eye(4, dtype=complex)
+    m = m + np.einsum("...k,kij->...ij", a, np.array([np.kron(s, i2) for s in _PAULIS]))
+    m = m + np.einsum("...k,kij->...ij", b, np.array([np.kron(i2, s) for s in _PAULIS]))
+    ab = np.array([[np.kron(s, t) for t in _PAULIS] for s in _PAULIS])
+    m = m + np.einsum("...kl,klij->...ij", c, ab)
+    return 0.25 * m
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_fano_maps_match_einsum_contract():
+    """to_fano and from_fano give the bytes of their einsum definitions.
+
+    Every product is exact, so only the summation order decides the bits.
+    Non-Hermitian input pins to_fano's order (a product that sums all four
+    terms at once agrees only on Hermitian input), signed zeros pin its
+    +0.0 for an exactly zero sum, and coefficients spread over many
+    magnitudes exercise from_fano's rounding."""
+    g = np.random.default_rng(2024)
+    # parts within 0.1 keep every coefficient within 0.4, so FanoState
+    # accepts them; magnitudes spread over 12 decades make the sums round
+    parts = g.uniform(-0.1, 0.1, (2, 500, 4, 4)) * 10.0 ** g.integers(-11, 1, (2, 500, 4, 4))
+    general = parts[0] + 1j * parts[1]
+    zeros = np.zeros((2, 4, 4), dtype=complex)
+    zeros[1] = -0.0 - 0.0j
+    stacks = [states for _, states in (next(ensemble_chunks(e, 14, 300))
+                                       for e in ("hs", "product", "chart"))]
+    inputs = stacks + [
+        stacks[0][0],                           # one matrix
+        stacks[0].reshape(3, 100, 4, 4),        # a grid
+        general,
+        general[7],
+        zeros,
+    ]
+    for rho in inputs:
+        f = to_fano(rho)
+        want = _einsum_to_fano(rho)
+        for got, ref in zip((f.a, f.b, f.C), want):
+            assert _same_bytes(got, ref)
+        if np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2))):
+            assert _same_bytes(from_fano(f), _einsum_from_fano(*want))
+    # coefficients within the bounds, not states, over many magnitudes
+    scale = 10.0 ** g.integers(-12, 1, (500, 15))
+    v = g.uniform(-1, 1, (500, 15)) * scale / np.sqrt(3)
+    coeffs = (v[:, :3], v[:, 3:6], v[:, 6:].reshape(500, 3, 3))
+    assert _same_bytes(from_fano(FanoState(*coeffs)), _einsum_from_fano(*coeffs))
+    one = tuple(c[11] for c in coeffs)
+    assert _same_bytes(from_fano(FanoState(*one)), _einsum_from_fano(*one))

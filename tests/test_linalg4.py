@@ -32,11 +32,16 @@ from entspace.linalg4 import (
 from entspace.sampling import (
     ensemble_chunks,
     philox_stream,
-    random_antihermitian,
     random_hermitian,
 )
 
 EPS = np.finfo(float).eps
+
+
+def random_antihermitian(g):
+    """Gaussian anti-Hermitian 4x4 matrix A - A^dag (Re A, then Im A)."""
+    a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    return a - np.conj(a.T)
 
 
 def faddeev_leverrier(h):

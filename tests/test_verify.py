@@ -27,7 +27,6 @@ from entspace.linalg4 import (
 from entspace.sampling import (
     _hs_chunk,
     ensemble_chunks,
-    random_antihermitian,
     sample_chart_point,
     sample_local_unitary,
     verify_stream,
@@ -36,6 +35,12 @@ from entspace.separability import analyze
 from entspace.serialize import to_json
 
 EPS = np.finfo(float).eps
+
+
+def random_antihermitian(g):
+    """Gaussian anti-Hermitian 4x4 matrix A - A^dag (Re A, then Im A)."""
+    a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    return a - np.conj(a.T)
 
 
 def _reference_expm_paths(n, seed):
