@@ -98,14 +98,35 @@ class ChartPoint:
         object.__setattr__(self, "beta", _angle_triple(self.beta, "beta"))
 
 
+#: Largest angle magnitude accepted: the closed forms add up to four times
+#: an angle (2 * (alpha3 + beta1) in p022), which must not overflow.
+ANGLE_LIMIT = float(np.finfo(float).max) / 4
+
+
 def _angle_triple(v, name):
     """``v`` as a float triple or a (..., 3) stack of triples; DomainError
-    for another shape or for a non-finite angle."""
+    for another shape (see _check_angles for the values)."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise DomainError(f"{name} must be a triple of angles, got shape {v.shape}")
-    _check_finite(v, name, "angle")
+    _check_angles(v, name)
     return v
+
+
+def _check_angles(v, name):
+    """DomainError naming the first stack index of ``v`` (shape (..., k))
+    with a non-finite angle or one beyond ANGLE_LIMIT."""
+    if np.abs(v).max(initial=0.0) <= ANGLE_LIMIT:  # False for NaN as well
+        return
+    _check_finite(v, name, "angle")
+    within = (np.abs(v) <= ANGLE_LIMIT).all(axis=-1)
+    if not within.all():
+        i = np.argmin(within.reshape(-1))
+        raise DomainError(
+            f"{name}{_stack_position(v.shape[:-1], i)} has an angle beyond "
+            f"{ANGLE_LIMIT!r}, where the closed forms overflow: "
+            f"{v.reshape(-1, v.shape[-1])[i]}"
+        )
 
 
 def _check_finite(v, name, noun):

@@ -8,6 +8,7 @@ significant digits.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -20,7 +21,6 @@ from .fano import density_matrix
 from .montecarlo import RunConfig, sample_records, separable_fraction
 from .sampling import ENSEMBLES
 from .separability import (
-    MONOMIALS,
     SEPARABLE,
     analyze,
     fit_c112_coeffs,
@@ -29,13 +29,12 @@ from .separability import (
     p201,
 )
 from .serialize import (
-    coeff_rows_to_csv,
     coeff_table_to_dict,
     load_state,
-    monomial_label,
     records_to_csv_lines,
     report_to_csv,
     report_to_dict,
+    rows_to_csv,
     to_json,
 )
 from .verify import SUITES, run_suite
@@ -117,44 +116,40 @@ def _cmd_coeffs(args):
         "p111": p111(alpha3, beta),
         "p022": p022(alpha3, beta),
     }
-    table = fit_c112_coeffs(alpha, beta) if args.fit else None
+    fitted = coeff_table_to_dict(fit_c112_coeffs(alpha, beta)) if args.fit else None
     if args.format == "csv":
         rows = list(closed.items())
-        if table is not None:
-            rows += [
-                (monomial_label(m), v) for m, v in zip(MONOMIALS, table.values)
-            ]
-        sys.stdout.write(coeff_rows_to_csv(rows))
+        if fitted is not None:
+            rows += fitted["coefficients"].items()
+        sys.stdout.write(rows_to_csv("monomial", rows))
     else:
         out = {
             "alpha": alpha.tolist(),
             "beta": beta.tolist(),
             "closed_form": closed,
         }
-        if table is not None:
-            out["fitted"] = coeff_table_to_dict(table)
+        if fitted is not None:
+            out["fitted"] = fitted
         sys.stdout.write(to_json(out))
     return 0
 
 
-def _cmd_sample(args):
-    config = RunConfig(
+def _run_config(args):
+    return RunConfig(
         ensemble=args.ensemble, samples=args.n, seed=args.seed, band=args.tol
     )
-    lines = records_to_csv_lines(sample_records(config))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(lines)
-    else:
-        for line in lines:
-            sys.stdout.write(line)
+
+
+def _cmd_sample(args):
+    lines = records_to_csv_lines(sample_records(_run_config(args)))
+    out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.writelines(lines)
     return 0
 
 
 def _cmd_scan(args):
-    config = RunConfig(
-        ensemble=args.ensemble, samples=args.n, seed=args.seed, band=args.tol
-    )
+    config = _run_config(args)
     result = separable_fraction(config)
     sys.stdout.write(
         to_json(
@@ -209,15 +204,12 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -271,9 +271,11 @@ def exp_antihermitian(x):
     repeats each single call bit for bit.  The exponential of an
     anti-Hermitian matrix is unitary.
 
-    Raises DomainError for a non-square or non-finite input, or if
-    max|X + X^dag| exceeds ANTIHERM_TOL; for a stack the message names the
-    first offending stack index.
+    Raises DomainError for a non-square or non-finite input, if
+    max|X + X^dag| exceeds ANTIHERM_TOL, or if the Frobenius norm of X
+    overflows; NumericalError if the result is not finite (the squarings
+    of a finite but huge X overflow).  For a stack the message names the
+    first offending stack index.  Neither case emits a RuntimeWarning.
     """
     flat, lead = _square_stack(x)
     defect = np.abs(flat + dag(flat)).max(axis=(1, 2), initial=0.0)
@@ -286,7 +288,15 @@ def exp_antihermitian(x):
         )
     n = flat.shape[-1]
     eye = np.eye(n, dtype=complex)
-    norm = np.sqrt((flat.real ** 2 + flat.imag ** 2).reshape(len(flat), n * n).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(
+            (flat.real ** 2 + flat.imag ** 2).reshape(len(flat), n * n).sum(axis=1)
+        )
+    if not np.isfinite(norm).all():
+        raise DomainError(
+            f"matrix{_stack_position(lead, np.argmin(np.isfinite(norm)))} "
+            "has a Frobenius norm that overflows"
+        )
     # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
     m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
     s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
@@ -296,9 +306,16 @@ def exp_antihermitian(x):
     r[:] = eye
     for k in range(tol.EXPM_TAYLOR_ORDER, 0, -1):
         r = eye + (y @ r) / k
-    for step in range(int(s.max(initial=0))):
-        squared = s > step
-        r[squared] = r[squared] @ r[squared]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(int(s.max(initial=0))):
+            squared = s > step
+            r[squared] = r[squared] @ r[squared]
+    finite = np.isfinite(r).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"exponential of matrix{_stack_position(lead, np.argmin(finite))} is not "
+            "finite: its scaling and squaring overflowed"
+        )
     return r.reshape(*lead, n, n)
 
 

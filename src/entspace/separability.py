@@ -27,6 +27,7 @@ from .errors import DomainError, NumericalError, check_band
 from . import tolerances as tol
 from .chart import (
     _angle_triple,
+    _check_angles,
     _checked_spectrum,
     _conjugate,
     a_factor,
@@ -78,12 +79,19 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
 
     Separable when both coefficients clear +band, entangled when either
     falls below -band, boundary otherwise.  DomainError unless ``band``
-    lies in (0, 1), where the masks cannot overlap; it also names the
-    first stack index with a non-finite coefficient, which no comparison
-    would place under either test, so it would read as boundary.
+    lies in (0, 1), where the masks cannot overlap, and unless the shapes
+    of S3 and S4 broadcast; it also names the first stack index with a
+    non-finite coefficient, which no comparison would place under either
+    test, so it would read as boundary.
     """
     s3, s4 = np.asarray(s3), np.asarray(s4)
     check_band(band)
+    try:
+        np.broadcast_shapes(s3.shape, s4.shape)
+    except ValueError:
+        raise DomainError(
+            f"S3 of shape {s3.shape} and S4 of shape {s4.shape} do not broadcast"
+        ) from None
     finite = np.isfinite(s3) & np.isfinite(s4)
     if not finite.all():
         raise DomainError(
@@ -144,10 +152,13 @@ def quesne_c112(f):
     return 2.0 * np.einsum("...i,...ij,...j->...", f.a, cof, f.b)[()]
 
 
-def _beta_angles(beta):
-    """beta_1, beta_2, beta_3 of a triple or of a (..., 3) stack;
-    DomainError for another shape or a non-finite angle."""
-    return np.moveaxis(_angle_triple(beta, "beta"), -1, 0)
+def _chart_angles(alpha3, beta):
+    """alpha3 as a float array (...), then beta_1, beta_2, beta_3 of a
+    triple or of a (..., 3) stack; DomainError for another beta shape or an
+    angle that _check_angles rejects."""
+    alpha3 = np.asarray(alpha3, dtype=float)
+    _check_angles(alpha3[..., None], "alpha3")
+    return (alpha3, *np.moveaxis(_angle_triple(beta, "beta"), -1, 0))
 
 
 def p201(alpha3, beta):
@@ -156,15 +167,16 @@ def p201(alpha3, beta):
     ``alpha3`` has shape (...) and ``beta`` shape (..., 3), as do the
     arguments of p111, p022 and det_c_closed_form; each value is computed
     elementwise, so a stacked call repeats each single call bit for bit.
-    A beta of another shape, or with a non-finite angle, raises
-    DomainError, as in every chart kernel."""
-    b1, b2, b3 = _beta_angles(beta)
+    A beta of another shape, or a non-finite angle or one beyond
+    chart.ANGLE_LIMIT in alpha3 or beta, raises DomainError, as in every
+    chart kernel."""
+    alpha3, b1, b2, b3 = _chart_angles(alpha3, beta)
     return 0.25 * np.sin(2 * alpha3) * np.sin(2 * b2) * np.cos(b1) * np.cos(b3)
 
 
 def p111(alpha3, beta):
     """Closed-form coefficient of x*y*z in det|C| on the chart."""
-    b1, b2, b3 = _beta_angles(beta)
+    alpha3, b1, b2, b3 = _chart_angles(alpha3, beta)
     sa, ca = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
     return -(
         sa * np.cos(b2) ** 2 * (np.cos(b1) ** 2 + np.sin(b1) ** 2 * np.cos(b3) ** 2)
@@ -175,7 +187,7 @@ def p111(alpha3, beta):
 
 def p022(alpha3, beta):
     """Closed-form coefficient of y^2 z^2 in the quartic expansion of C112."""
-    b1, b2, b3 = _beta_angles(beta)
+    alpha3, b1, b2, b3 = _chart_angles(alpha3, beta)
     sa2, ca2 = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
     bracket = (
         np.cos(2 * (alpha3 - b1))
@@ -254,7 +266,13 @@ class CoeffTable:
             )
 
     def entry(self, monomial):
-        return float(self.values[MONOMIALS.index(tuple(monomial))])
+        monomial = tuple(monomial)
+        if monomial not in MONOMIALS:
+            raise DomainError(
+                f"unknown monomial {monomial}: a monomial is three non-negative "
+                "integers summing to 4"
+            )
+        return float(self.values[MONOMIALS.index(monomial)])
 
     def support(self):
         """Monomials whose coefficient magnitude exceeds COEFF_EPS."""

@@ -146,14 +146,17 @@ def report_to_dict(report):
     return {name: getattr(report, name) for name in REPORT_FIELDS}
 
 
-def report_to_csv(report):
-    lines = ["field,value"]
-    for name in REPORT_FIELDS:
-        value = getattr(report, name)
-        lines.append(
-            f"{name},{value}" if isinstance(value, str) else f"{name},{fmt_float(value)}"
-        )
+def rows_to_csv(key, rows):
+    """CSV text with header ``key,value`` from (name, value) pairs; a string
+    value is written as it is, a number with fmt_float."""
+    lines = [f"{key},value"]
+    for name, value in rows:
+        lines.append(f"{name},{value if isinstance(value, str) else fmt_float(value)}")
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report):
+    return rows_to_csv("field", report_to_dict(report).items())
 
 
 def monomial_label(m):
@@ -169,14 +172,6 @@ def coeff_table_to_dict(table):
             monomial_label(m): v for m, v in zip(MONOMIALS, table.values)
         },
     }
-
-
-def coeff_rows_to_csv(rows):
-    """CSV text from (label, value) pairs."""
-    lines = ["monomial,value"]
-    for label, value in rows:
-        lines.append(f"{label},{fmt_float(value)}")
-    return "\n".join(lines) + "\n"
 
 
 #: One CSV row of a SampleRecord: index, verdict, then %.17g for each float.

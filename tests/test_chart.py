@@ -1,12 +1,14 @@
 """Chart tests: simplex maps, octahedron membership, group factors."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from entspace import tolerances as tol
 from entspace.chart import (
+    ANGLE_LIMIT,
     ChartPoint,
     DegenerateSpectrumWarning,
     OctahedronWarning,
@@ -396,6 +398,38 @@ def test_non_finite_chart_input_is_rejected(bad):
             kernel(0.1, [bad, 0.0, 0.0])
     with pytest.raises(DomainError, match="beta at stack index 1 has a non-finite"):
         det_c_closed_form(SimplexPoint(0.4, 0.2, 0.1), 0.1, stack)
+
+
+def test_angles_whose_closed_form_sums_overflow_are_rejected():
+    # 2 * alpha3 overflowed to inf: p201 and p022 were NaN for finite angles,
+    # and a NaN alpha3 went through
+    assert 4 * ANGLE_LIMIT == np.finfo(float).max
+    above = np.nextafter(ANGLE_LIMIT, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (p201, p111, p022):
+            with pytest.raises(DomainError, match="^alpha3 has an angle beyond"):
+                kernel(above, np.zeros(3))
+            with pytest.raises(DomainError, match="^alpha3 has a non-finite angle"):
+                kernel(np.nan, [0.1, 0.2, 0.3])
+            with pytest.raises(DomainError, match="^beta at stack index 1 has an angle beyond"):
+                kernel(np.zeros(2), [[0.1, 0.2, 0.3], [1e308, 1e308, 0.2]])
+            # at the limit every sum of the closed forms stays finite
+            assert np.isfinite(kernel(ANGLE_LIMIT, [-ANGLE_LIMIT, ANGLE_LIMIT, -ANGLE_LIMIT]))
+        with pytest.raises(DomainError, match="^alpha3 at stack index 2 has a non-finite"):
+            det_c_closed_form(SimplexPoint(0.4, 0.2, 0.1), [0.1, 0.2, np.nan], np.zeros(3))
+        with pytest.raises(DomainError, match="^alpha has an angle beyond"):
+            ChartPoint(SimplexPoint(0.4, 0.2, 0.1), [0.0, 0.0, -1e308], np.zeros(3))
+
+
+def test_series_a_factor_of_a_huge_angle_raises_where_the_closed_route_is_finite():
+    # the series route returned NaN with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", OctahedronWarning)
+        assert np.isfinite(a_factor((1e200, 0.0, 0.0), np.zeros(3), "closed")).all()
+        with pytest.raises(DomainError, match="Frobenius norm that overflows"):
+            a_factor((1e200, 0.0, 0.0), np.zeros(3), "series")
 
 
 def test_chart_input_of_the_wrong_shape_is_rejected():

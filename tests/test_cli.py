@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,34 @@ def test_check_csv_format(tmp_path, capsys):
 
 
 def test_check_rejects_missing_file(tmp_path, capsys):
-    assert main(["check", "--state", str(tmp_path / "nope.json")]) == 2
-    assert "error:" in capsys.readouterr().err
+    path = tmp_path / "nope.json"
+    assert main(["check", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read state file: [Errno 2] No such file or directory: {str(path)!r}\n"
+    )
+
+
+#: sha256 of ``check`` stdout for Werner p = 0.2 (a state_to_dict record)
+#: and for BELL_FANO, in each format.
+CHECK_DIGESTS = {
+    ("werner", "json"): "47a9daf736f548eaf80206efd2d4dda84c8fc4db33da889e94d2b5e8400fd603",
+    ("werner", "csv"): "c300603c06a9a5aa9c7985f840648850ccb3e9b5b0df84b8344c49963485e24e",
+    ("bell", "csv"): "c1f2b632d0bddf4721f8eadc781a4608035e1c4038e54e58435b7a6ca319d131",
+}
+
+
+@pytest.mark.parametrize("state, fmt", sorted(CHECK_DIGESTS))
+def test_check_stdout_matches_recorded_digest(state, fmt, tmp_path, capsys):
+    if state == "werner":
+        path, code = _write_state(tmp_path, werner_state(0.2)), 0
+    else:
+        path, code = tmp_path / "bell.json", 1
+        path.write_text(to_json(BELL_FANO))
+    assert main(["check", "--state", str(path), "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[state, fmt]
 
 
 def test_check_rejects_malformed_record(tmp_path, capsys):
@@ -212,6 +239,21 @@ def test_coeffs_rejects_non_finite_angles(alpha, beta, capsys):
         assert "non-finite angle" in captured.err
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    ("0,0,1e308", "0.1,0.2,0.3", "alpha"),
+    ("0,0,0.3", "1e308,1e308,0.2", "beta"),
+])
+def test_coeffs_rejects_angles_whose_closed_forms_overflow(alpha, beta, name, capsys):
+    # both exited 0 printing "p201": null and "p022": null with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--fit"], ["--format", "csv"]):
+            assert main(["coeffs", "--alpha", alpha, "--beta", beta, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {name} has an angle beyond ")
+
+
 # -- sample ---------------------------------------------------------------------
 
 
@@ -237,8 +279,7 @@ def test_sample_out_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert main(["sample", "-n", "5", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: [Errno 2] No such file or directory")
-    assert str(out) in captured.err
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 #: sha256 of ``sample --ensemble E -n 4104 --seed 1`` stdout.  4104 rows are
@@ -258,6 +299,19 @@ COEFFS_FIT_DIGESTS = {
     ("0,0,0.9", "json"): "f01b7cd6b57022ea899ab2c32a47c53ff8f724c11e8e543eae38d201b5554cd2",
     ("0,0,0.9", "csv"): "81d6204af15f559b7642472b04725624678ab319ab6769e3fcb6de9a79e5ea75",
 }
+
+
+#: sha256 of ``coeffs --alpha 0.3,-0.7,0.9 --beta 0.4,1.1,-0.6 --format csv``
+#: stdout: the three closed-form rows alone.
+COEFFS_CSV_DIGEST = "d819b143eaa7ccdc668bd4248df1f47722bec671c2b7215662d3a7f1b3c314fd"
+
+
+def test_coeffs_csv_without_fit_matches_recorded_digest(capsys):
+    argv = ["coeffs", "--alpha", "0.3,-0.7,0.9", "--beta", "0.4,1.1,-0.6", "--format", "csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_CSV_DIGEST
 
 
 @pytest.mark.parametrize("alpha, fmt", sorted(COEFFS_FIT_DIGESTS))

@@ -225,3 +225,7 @@ def test_coeff_table_validation():
     table = CoeffTable(values=np.arange(15.0), provenance="closed-form")
     assert table.entry((4, 0, 0)) == 0.0
     assert table.entry((0, 0, 4)) == 14.0
+    # tuple.index's "x not in tuple" ValueError escaped here
+    message = "unknown monomial (5, 0, 0): a monomial is three non-negative integers summing to 4"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        CoeffTable(np.zeros(15), "fitted").entry((5, 0, 0))

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,24 @@ def test_exp_antihermitian_rejects_non_finite_entries(bad):
         exp_antihermitian(stack)
     with pytest.raises(DomainError, match=r"at stack index \(1, 1\) has a non-finite"):
         exp_antihermitian(stack.reshape(2, 3, 4, 4))
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    # the norm is finite, but hundreds of squarings overflow
+    (1e100, NumericalError, "exponential of matrix{} is not finite"),
+    # the squared norm overflows
+    (1e160, DomainError, "matrix{} has a Frobenius norm that overflows"),
+    (1e300, DomainError, "matrix{} has a Frobenius norm that overflows"),
+])
+def test_exp_antihermitian_rejects_a_huge_matrix_without_warnings(scale, error, message):
+    # each case returned NaN with RuntimeWarnings
+    x = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^" + message.format("")):
+            exp_antihermitian(scale * x)
+        with pytest.raises(error, match="^" + message.format(" at stack index 2")):
+            exp_antihermitian(np.stack([0.5 * x, x, scale * x, 2.0 * scale * x]))
 
 
 def test_exp_antihermitian_rejects_non_square_input():

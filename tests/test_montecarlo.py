@@ -1,5 +1,7 @@
 """Monte-Carlo harness: batched kernels, scans and record streams."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ def test_band_and_seed_are_checked_by_every_entry_point():
         with pytest.raises(DomainError, match="seed"):
             RunConfig(ensemble="hs", samples=1, seed=seed)
     assert analyze(rho, band=0.5).verdict == BOUNDARY
+
+
+def test_verdict_masks_rejects_shapes_that_do_not_broadcast():
+    # numpy's own broadcast ValueError escaped the gate
+    message = re.escape("S3 of shape (3,) and S4 of shape (4,) do not broadcast")
+    with pytest.raises(DomainError, match=message):
+        verdict_masks(np.zeros(3), np.zeros(4))
 
 
 def test_scalar_masks_are_three_numpy_booleans():

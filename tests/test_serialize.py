@@ -11,7 +11,6 @@ from entspace.sampling import philox_stream, sample_chart_point, sample_hs_state
 from entspace.separability import BELL_PHI_PLUS, MONOMIALS, analyze, fit_c112_coeffs
 from entspace.serialize import (
     REPORT_FIELDS,
-    coeff_rows_to_csv,
     coeff_table_to_dict,
     fmt_float,
     load_state,
@@ -19,6 +18,7 @@ from entspace.serialize import (
     records_to_csv_lines,
     report_to_csv,
     report_to_dict,
+    rows_to_csv,
     state_from_dict,
     state_to_dict,
     to_json,
@@ -152,9 +152,13 @@ def test_coeff_table_to_dict():
     assert record["coefficients"]["x^4 y^0 z^0"] == table.entry((4, 0, 0))
 
 
-def test_coeff_rows_to_csv():
-    text = coeff_rows_to_csv([("p201", 0.5), ("x^4 y^0 z^0", -1.0)])
+def test_rows_to_csv():
+    text = rows_to_csv("monomial", [("p201", 0.5), ("x^4 y^0 z^0", -1.0)])
     assert text == "monomial,value\np201,0.5\nx^4 y^0 z^0,-1\n"
+    # a string is written as it is, an integer through fmt_float
+    assert rows_to_csv("field", [("verdict", "boundary"), ("n", 3)]) == (
+        "field,value\nverdict,boundary\nn,3\n"
+    )
 
 
 def test_records_to_csv_lines():
