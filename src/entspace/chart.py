@@ -30,9 +30,10 @@ from .linalg4 import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _exp_antihermitian,
     _stack_position,
     dag,
-    exp_antihermitian,
+    exp_antihermitian,  # not called here; the benchmark tracer wraps it
     exp_commuting_paulis,
     hermitize,
     tensor_product,
@@ -245,7 +246,9 @@ def a_factor(alpha, beta, method="closed"):
     multiplies the alpha family's exponential by the beta family's.  The
     two routes agree to EXPM_PATH_TOL and exist for any angles; leaving
     the double octahedron only triggers OctahedronWarning (alpha first,
-    each naming its first offending stack index).
+    each naming its first offending stack index).  The series route's
+    errors (a generator norm that overflows, a result that is not finite
+    or not unitary) name alpha or beta and the caller's stack index.
     """
     alpha = _angle_triple(alpha, "alpha")
     beta = _angle_triple(beta, "beta")
@@ -258,10 +261,15 @@ def a_factor(alpha, beta, method="closed"):
     if method == "closed":
         families = exp_commuting_paulis(angles, _AB_WORDS)
     elif method == "series":
-        # -i/2 sum_k t_k P_k of each family, one stacked series exponential
-        families = exp_antihermitian(
-            -0.5j * sum(angles[..., k, None, None] * _AB_WORDS[:, k] for k in range(3))
-        )
+        # -i/2 sum_k t_k P_k of each family, one stacked series exponential;
+        # its errors name the family and the caller's stack index
+        gen = -0.5j * sum(angles[..., k, None, None] * _AB_WORDS[:, k] for k in range(3))
+        lead = gen.shape[:-3]
+        families = _exp_antihermitian(
+            gen.reshape(-1, 4, 4),
+            lambda i: f"the {('alpha', 'beta')[i % 2]} generator"
+            f"{_stack_position(lead, i // 2)}",
+        ).reshape(gen.shape)
     else:
         raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
     return families[..., 0, :, :] @ families[..., 1, :, :]

@@ -265,26 +265,35 @@ def exp_antihermitian(x):
 
     Each X is halved until |X|_F / 2^s <= EXPM_SCALE_THETA, with its own
     s; the exponential of the scaled matrix is taken as a truncated Taylor
-    series of order EXPM_TAYLOR_ORDER (Horner form) over the whole stack,
-    and each result is squared its own s times.  Every matrix goes through
-    the same matrix products as in a single call, so a stacked call
-    repeats each single call bit for bit.  The exponential of an
-    anti-Hermitian matrix is unitary.
+    series of order EXPM_TAYLOR_ORDER (Horner form, in place) over the
+    whole stack, and each result is squared its own s times.  Every matrix
+    goes through the same matrix products as in a single call, so a
+    stacked call repeats each single call bit for bit.  The exponential of
+    an anti-Hermitian matrix is unitary.
 
     Raises DomainError for a non-square or non-finite input, if
     max|X + X^dag| exceeds ANTIHERM_TOL, or if the Frobenius norm of X
     overflows; NumericalError if the result is not finite (the squarings
-    of a finite but huge X overflow).  For a stack the message names the
-    first offending stack index.  Neither case emits a RuntimeWarning.
+    of a finite but huge X overflow) or if max|U^dag U - I| exceeds
+    UNITARITY_TOL (each squaring about doubles the rounding error, so a
+    large enough X loses unitarity long before anything overflows).  For a
+    stack the message names the first offending stack index.  No case
+    emits a RuntimeWarning.
     """
     flat, lead = _square_stack(x)
+    u = _exp_antihermitian(flat, lambda i: f"matrix{_stack_position(lead, i)}")
+    return u.reshape(*lead, *u.shape[1:])
+
+
+def _exp_antihermitian(flat, label):
+    """The body of exp_antihermitian on a finite (k, n, n) stack; each
+    error names the offending matrix by ``label(i)`` of its index i."""
     defect = np.abs(flat + dag(flat)).max(axis=(1, 2), initial=0.0)
     over = defect > tol.ANTIHERM_TOL
     if over.any():
         i = np.argmax(over)
         raise DomainError(
-            f"matrix{_stack_position(lead, i)} is not anti-Hermitian: "
-            f"max|X + X^dag| = {defect[i]:.3e}"
+            f"{label(i)} is not anti-Hermitian: max|X + X^dag| = {defect[i]:.3e}"
         )
     n = flat.shape[-1]
     eye = np.eye(n, dtype=complex)
@@ -294,29 +303,51 @@ def exp_antihermitian(x):
         )
     if not np.isfinite(norm).all():
         raise DomainError(
-            f"matrix{_stack_position(lead, np.argmin(np.isfinite(norm)))} "
-            "has a Frobenius norm that overflows"
+            f"{label(np.argmin(np.isfinite(norm)))} has a Frobenius norm that overflows"
         )
     # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
     m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
     s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
     y = flat / (2.0 ** s)[:, None, None]
-    # Horner evaluation of sum_{k<=order} Y^k / k!
+    # Horner evaluation of sum_{k<=order} Y^k / k!, r <- I + (Y r) / k in place
     r = np.empty_like(flat)
     r[:] = eye
+    t = np.empty_like(flat)
     for k in range(tol.EXPM_TAYLOR_ORDER, 0, -1):
-        r = eye + (y @ r) / k
+        np.matmul(y, r, out=t)
+        t /= k
+        np.add(eye, t, out=r)
+    del y, t
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(int(s.max(initial=0))):
             squared = s > step
-            r[squared] = r[squared] @ r[squared]
+            q = r[squared]  # one copy, not one per operand
+            r[squared] = q @ q
     finite = np.isfinite(r).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(
-            f"exponential of matrix{_stack_position(lead, np.argmin(finite))} is not "
-            "finite: its scaling and squaring overflowed"
+            f"exponential of {label(np.argmin(finite))} is not finite: "
+            "its scaling and squaring overflowed"
         )
-    return r.reshape(*lead, n, n)
+    # A rounding error of order eps in the scaled exponential about doubles
+    # with each squaring, so after s squarings max|U^dag U - I| is about
+    # 2^s eps (2^s eps / 4 measured on 2x2 rotations).  Allowing 16 times
+    # that, it can pass UNITARITY_TOL only when 2^s > UNITARITY_TOL / (16 eps),
+    # that is s > 14 at UNITARITY_TOL = 1e-10: only those results are
+    # measured.  Octahedron angles take s <= 5.
+    squarings = np.log2(tol.UNITARITY_TOL / (16 * np.finfo(float).eps))
+    (checked,) = np.nonzero(s > squarings)
+    if checked.size:
+        gram = np.abs(dag(r[checked]) @ r[checked] - eye).max(axis=(1, 2))
+        lost = gram > tol.UNITARITY_TOL
+        if lost.any():
+            i = np.argmax(lost)
+            raise NumericalError(
+                f"exponential of {label(checked[i])} is not unitary: "
+                f"max|U^dag U - I| = {gram[i]:.3e} > {tol.UNITARITY_TOL:.1e} "
+                f"after {s[checked[i]]} squarings"
+            )
+    return r
 
 
 @cache

@@ -279,26 +279,34 @@ class CoeffTable:
         return tuple(m for m, v in zip(MONOMIALS, self.values) if abs(v) > tol.COEFF_EPS)
 
 
-def _fit_system(spectra):
-    """The half of a fit that depends on the grid only: the Vandermonde
-    matrix of the grid's simplex coordinates (one row of scalar products
-    per spectrum), its condition number and the validated spectra that the
-    representative states are built from (read-only arrays)."""
-    if len(spectra) < len(MONOMIALS):
-        raise DomainError(
-            f"need at least {len(MONOMIALS)} grid spectra, got {len(spectra)}"
-        )
-    s = xyz_from_eigenvalues(np.asarray(spectra, dtype=float))
-    v = np.array(
+def _monomial_rows(s):
+    """The MONOMIALS of each point of a stacked SimplexPoint of shape (m,),
+    one row of scalar products x^i y^j z^k per point: (m, 15)."""
+    return np.array(
         [
             [x ** i * y ** j * z ** k for i, j, k in MONOMIALS]
             for x, y, z in zip(s.x, s.y, s.z)
         ]
     )
+
+
+def _fit_system(spectra):
+    """The half of a fit that depends on the grid only: the Vandermonde
+    matrix of the grid's simplex coordinates, its pseudo-inverse (numpy's
+    default cutoff truncates no singular value below FIT_COND_CAP), its
+    condition number and the validated spectra that the representative
+    states are built from (read-only arrays)."""
+    if len(spectra) < len(MONOMIALS):
+        raise DomainError(
+            f"need at least {len(MONOMIALS)} grid spectra, got {len(spectra)}"
+        )
+    s = xyz_from_eigenvalues(np.asarray(spectra, dtype=float))
+    v = _monomial_rows(s)
+    pinv = np.linalg.pinv(v)
     r = _checked_spectrum(s)
-    v.setflags(write=False)
-    r.setflags(write=False)
-    return v, float(np.linalg.cond(v)), r
+    for a in (v, pinv, r):
+        a.setflags(write=False)
+    return v, pinv, float(np.linalg.cond(v)), r
 
 
 #: The system of FIT_SPECTRA, built once, at import.
@@ -309,11 +317,13 @@ def fit_c112_coeffs(alpha, beta):
     """Fit the 15 quartic coefficients of C112 at fixed (alpha, beta).
 
     C112 restricted to the fibre over (alpha, beta) is a homogeneous
-    quartic in the simplex coordinates.  The table is recovered by solving
-    the Vandermonde system over FIT_SPECTRA, a deterministic grid of 23
-    rational interior spectra whose system is built once, at import.  Per
-    fibre, one A-factor conjugates the grid's spectra and the C112 targets
-    follow from one stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
+    quartic in the simplex coordinates.  The table is the minimum-norm
+    least-squares solution of the Vandermonde system over FIT_SPECTRA, a
+    deterministic grid of 23 rational interior spectra: one product of the
+    C112 targets with the grid matrix's pseudo-inverse, which is built once,
+    at import, with the rest of the grid's system.  Per fibre, one A-factor
+    conjugates the grid's spectra and the C112 targets follow from one
+    stacked to_fano -> quesne_c112 chain.  Raises NumericalError when the
     system is ill-conditioned (condition number above FIT_COND_CAP) or the
     residual exceeds FIT_RESIDUAL_TOL; DomainError unless ``alpha`` and
     ``beta`` are single triples (one fibre per fit).
@@ -323,14 +333,14 @@ def fit_c112_coeffs(alpha, beta):
         raise DomainError(
             f"a fit takes one alpha and one beta triple, got shapes {shapes[0]} and {shapes[1]}"
         )
-    v, condition, r = _FIT_SYSTEM
+    v, pinv, condition, r = _FIT_SYSTEM
     targets = quesne_c112(to_fano(_conjugate(a_factor(alpha, beta), r)))
     if condition > tol.FIT_COND_CAP:
         raise NumericalError(
             f"fit grid is ill-conditioned: cond = {condition:.3e} > "
             f"{tol.FIT_COND_CAP:.1e}"
         )
-    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+    coeffs = pinv @ targets
     residual = float(np.max(np.abs(v @ coeffs - targets)))
     return CoeffTable(
         values=coeffs, provenance="fitted", residual=residual, condition=condition

@@ -75,10 +75,10 @@ from .separability import (
     BOUNDARY,
     C112_SUPPORT,
     ENTANGLED,
-    MONOMIALS,
     S3_BOUND,
     S4_BOUND,
     SEPARABLE,
+    _monomial_rows,
     analyze,
     det_c_closed_form,
     det_correlation,
@@ -387,10 +387,7 @@ def _check_c112_quartic_predicts(run):
     for alpha, beta in _fit_points(run.seed, 23, fits):
         table = fit_c112_coeffs(alpha, beta)
         s = xyz_from_eigenvalues(np.sort(g.dirichlet(np.ones(4), 40))[:, ::-1])
-        predicted = [
-            sum(c * x ** i * y ** j * z ** k for c, (i, j, k) in zip(table.values, MONOMIALS))
-            for x, y, z in zip(s.x, s.y, s.z)
-        ]
+        predicted = _monomial_rows(s) @ table.values
         actual = quesne_c112(to_fano(representative_state(ChartPoint(s, alpha, beta))))
         gaps.append(np.abs(predicted - actual))
     return _Measured(fits * 40, _worst(gaps), 1e-9)

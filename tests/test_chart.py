@@ -23,7 +23,7 @@ from entspace.chart import (
     torus_factor,
     xyz_from_eigenvalues,
 )
-from entspace.errors import DomainError
+from entspace.errors import DomainError, NumericalError
 from entspace.fano import FanoState, LocalUnitary, from_fano, to_fano
 from entspace.linalg4 import (
     I4,
@@ -432,6 +432,28 @@ def test_series_a_factor_of_a_huge_angle_raises_where_the_closed_route_is_finite
             a_factor((1e200, 0.0, 0.0), np.zeros(3), "series")
 
 
+@pytest.mark.parametrize("angle, error, message", [
+    (1e200, DomainError, "the {} generator{} has a Frobenius norm that overflows"),
+    (1e10, NumericalError, "exponential of the {} generator{} is not unitary"),
+])
+def test_series_a_factor_errors_name_the_family_and_the_callers_index(angle, error, message):
+    # they named an index into the internal (..., 2) stack of families
+    zero, bad = np.zeros(3), np.array([0.0, angle, 0.0])
+    stack = np.zeros((2, 3, 3))
+    stack[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", OctahedronWarning)
+        for name, alpha, beta in (("alpha", bad, zero), ("beta", zero, bad)):
+            with pytest.raises(error, match="^" + re.escape(message.format(name, ""))):
+                a_factor(alpha, beta, "series")
+        # the caller's index in a stack broadcast against a single triple
+        for name, alpha, beta in (("alpha", stack, zero), ("beta", zero, stack)):
+            where = message.format(name, " at stack index (1, 2)")
+            with pytest.raises(error, match="^" + re.escape(where)):
+                a_factor(alpha, beta, "series")
+
+
 def test_chart_input_of_the_wrong_shape_is_rejected():
     not_a_triple = re.escape("must be a triple of angles, got shape (2,)")
     with pytest.raises(DomainError, match="alpha " + not_a_triple):
@@ -502,7 +524,7 @@ def test_a_factor_factor_stack_contract():
     # the fit's targets from the reference factor, its own conjugation and
     # the cofactor entries gathered one by one
     a, b = np.array([0.0, 0.0, 0.9]), np.array([0.4, 1.1, -0.6])
-    v, _, r = _FIT_SYSTEM
+    v, _, _, r = _FIT_SYSTEM
     u = _reference_a_factor(a, b, "closed")
     rho = (u * r[:, None, :]) @ dag(u)
     assert _same_bits(hermitize(rho), 0.5 * (rho + dag(rho)))
@@ -510,7 +532,8 @@ def test_a_factor_factor_stack_contract():
     r1, r2 = _NEXT1[:, None], _NEXT2[:, None]
     cof = c.C[..., r1, _NEXT1] * c.C[..., r2, _NEXT2] - c.C[..., r1, _NEXT2] * c.C[..., r2, _NEXT1]
     targets = 2.0 * np.einsum("...i,...ij,...j->...", c.a, cof, c.b)
-    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+    # the grid matrix's pseudo-inverse rebuilt here, not the one built at import
+    coeffs = np.linalg.pinv(v) @ targets
     assert _same_bits(fit_c112_coeffs(a, b).values, coeffs)
 
 

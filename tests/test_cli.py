@@ -294,10 +294,10 @@ SAMPLE_DIGESTS = {
 
 #: sha256 of ``coeffs --alpha A --beta 0.4,1.1,-0.6 --fit --format F`` stdout.
 COEFFS_FIT_DIGESTS = {
-    ("0.3,-0.7,0.9", "json"): "3876d65bcf35351975ad46125000beedb3c17b760618f881cd440fd40563f2e5",
-    ("0.3,-0.7,0.9", "csv"): "127b25c6b6e07464382fe2d31d264b5fad9e9236ce6ef2f6dbcd3f996559493e",
-    ("0,0,0.9", "json"): "f01b7cd6b57022ea899ab2c32a47c53ff8f724c11e8e543eae38d201b5554cd2",
-    ("0,0,0.9", "csv"): "81d6204af15f559b7642472b04725624678ab319ab6769e3fcb6de9a79e5ea75",
+    ("0.3,-0.7,0.9", "json"): "cef7d76de06780411745346359bb4d7a227b8bef5ad2c1bc902601eb22ab72cc",
+    ("0.3,-0.7,0.9", "csv"): "69046cc44ce689bb3835311b83cd1e7d7733f7f6f351f39266c074771e5971fb",
+    ("0,0,0.9", "json"): "605c9a3a0ac1d05672bb8287968cecb7c7a8ddd56ef8810beffe1069c3d1f514",
+    ("0,0,0.9", "csv"): "8179128cce7617ac3614c2b4810b7acf409d11808868590f4e72ff4d8905ff8c",
 }
 
 
@@ -520,6 +520,11 @@ PRODUCT_SCAN_DIGEST = "ffa9e9d1264af7e8160d36480dd4dfbdc5f90de71548756fe70e80d61
 VERIFY_PPT_DIGEST = "87de361b1bd233ef66e016bffe7a34ce3743e8cc28f9dd110171060021bae2c2"
 
 
+#: sha256 of ``verify --suite identities -n 10000 --seed 1`` stdout.  Its
+#: expm_paths check runs the series exponential and the series A-factor.
+VERIFY_IDENTITIES_DIGEST = "1edd01d36f723709fb9cea5bc8e0ff8500078ae639210924fd2943af4923a43b"
+
+
 def test_product_scan_stdout_matches_recorded_digest(capsys):
     assert main(["scan", "--ensemble", "product", "-n", "8200", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -532,13 +537,19 @@ def test_verify_ppt_stdout_matches_recorded_digest(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_PPT_DIGEST
 
 
+def test_verify_identities_stdout_matches_recorded_digest(capsys):
+    assert main(["verify", "--suite", "identities", "-n", "10000", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_IDENTITIES_DIGEST
+
+
 #: sha256 of ``verify --suite all -n N --seed S`` stdout.  These pin the
 #: checks that read the Fano maps (fano_roundtrip, det_m_identity,
 #: local_unitary_invariance, det_c_closed_form and the fit checks) along
 #: with the rest; 4200 states also walk HS chunk 1 beyond the shared head.
 VERIFY_ALL_DIGESTS = {
-    (10000, 1): "970eb787d0adfab73fa02e4b05086dc40a79493f88dbbeb0b0bf5eebc3d49ce9",
-    (4200, 2): "7a83e35947a8ba7a833f38a56f74206113d2f5f6d2544a4baabf3028e44dcead",
+    (10000, 1): "93e9e7e179fa841cbc1b2c59ec9b472dd95297c281323ceb9ad5e20c040c9553",
+    (4200, 2): "ea6554f6c013488a3934da916bc033ba5c46c7c08456b85b59201581ecf702ea",
 }
 
 

@@ -20,7 +20,7 @@ from entspace.chart import (
 from entspace.errors import DomainError, NumericalError
 from entspace.fano import to_fano
 from entspace.chart import representative_state
-from entspace.sampling import philox_stream
+from entspace.sampling import philox_stream, sample_chart_point
 from entspace.separability import (
     C112_SUPPORT,
     FIT_SPECTRA,
@@ -162,9 +162,9 @@ def test_fit_rejects_small_grids_and_bad_conditioning(monkeypatch):
         fit_c112_coeffs(np.zeros(3), np.zeros(3))
 
 
-def _reference_fit(alpha, beta):
-    # the whole fit rebuilt on every call: grid coordinates, scalar Vandermonde
-    # rows, condition number, brute-force C112 targets, least squares
+def _reference_system(alpha, beta):
+    # rebuilt on every call: grid coordinates, scalar Vandermonde rows and
+    # brute-force C112 targets
     s = xyz_from_eigenvalues(np.asarray(FIT_SPECTRA, dtype=float))
     v = np.array(
         [
@@ -172,10 +172,15 @@ def _reference_fit(alpha, beta):
             for x, y, z in zip(s.x, s.y, s.z)
         ]
     )
-    condition = float(np.linalg.cond(v))
-    targets = c112_of_chart_point(ChartPoint(s, alpha, beta))
-    coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
-    return coeffs, float(np.max(np.abs(v @ coeffs - targets))), condition
+    return v, c112_of_chart_point(ChartPoint(s, alpha, beta))
+
+
+def _reference_fit(alpha, beta):
+    # the whole fit rebuilt on every call: the system, its condition number and
+    # the minimum-norm least-squares solution as a product with the pseudo-inverse
+    v, targets = _reference_system(alpha, beta)
+    coeffs = np.linalg.pinv(v) @ targets
+    return coeffs, float(np.max(np.abs(v @ coeffs - targets))), float(np.linalg.cond(v))
 
 
 def test_fit_equals_a_per_call_reference_bit_for_bit():
@@ -190,6 +195,18 @@ def test_fit_equals_a_per_call_reference_bit_for_bit():
         assert table.values.tobytes() == values.tobytes()
         assert table.residual == residual
         assert table.condition == condition
+
+
+def test_fit_agrees_with_per_fibre_least_squares():
+    # numpy's SVD solver on each fibre's system, on octahedron-uniform fibres
+    points = sample_chart_point(406, np.arange(200))
+    for alpha, beta in zip(points.alpha, points.beta):
+        table = fit_c112_coeffs(alpha, beta)
+        v, targets = _reference_system(alpha, beta)
+        coeffs, *_ = np.linalg.lstsq(v, targets, rcond=None)
+        assert np.max(np.abs(table.values - coeffs)) <= 1e-12
+        assert table.residual <= tol.FIT_RESIDUAL_TOL
+        assert set(table.support()) <= C112_SUPPORT
 
 
 def test_fit_warnings_are_per_call():

@@ -636,6 +636,54 @@ def test_exp_antihermitian_rejects_a_huge_matrix_without_warnings(scale, error, 
             exp_antihermitian(np.stack([0.5 * x, x, scale * x, 2.0 * scale * x]))
 
 
+def _out_of_place_expm(x):
+    """The series exponential with its Horner steps out of place, r = I +
+    (Y r) / k, each step a new array: the loop the in-place steps replace."""
+    n = x.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    norm = np.sqrt((x.real ** 2 + x.imag ** 2).reshape(len(x), n * n).sum(axis=1))
+    m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
+    s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
+    y = x / (2.0 ** s)[:, None, None]
+    r = np.empty_like(x)
+    r[:] = eye
+    for k in range(tol.EXPM_TAYLOR_ORDER, 0, -1):
+        r = eye + (y @ r) / k
+    for step in range(int(s.max(initial=0))):
+        squared = s > step
+        r[squared] = r[squared] @ r[squared]
+    return r
+
+
+def test_in_place_horner_steps_keep_the_bits():
+    # |X|_F from 0 to ~2e3: squaring counts 0 to 13 mixed in one stack, then
+    # the 2x2 rotation at 1e5 (19 squarings), measured by the unitarity gate
+    scales = [0.0, 1e-3, 0.3, 2.0, 0.05, 7.0, 60.0, 1.0, 500.0, 0.1, 20.0, 3e3] * 3
+    xs = _antihermitian_stack(98, scales)
+    assert exp_antihermitian(xs).tobytes() == _out_of_place_expm(xs).tobytes()
+    rotations = np.array([[0.0, 1.0], [-1.0, 0.0]]) * np.array([1e5, 0.7, 9.0])[:, None, None]
+    rotations = rotations.astype(complex)
+    assert exp_antihermitian(rotations).tobytes() == _out_of_place_expm(rotations).tobytes()
+
+
+@pytest.mark.parametrize("scale, squarings", [(1e10, 35), (1e15, 52), (1e20, 68), (1e50, 168)])
+def test_exp_antihermitian_rejects_a_result_that_is_not_unitary(scale, squarings):
+    # each returned a finite matrix with max|U^dag U - I| from 1.9e-6 to 1.0
+    x = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    message = "exponential of matrix{} is not unitary: max|U^dag U - I| = "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^" + re.escape(message.format(""))) as err:
+            exp_antihermitian(scale * x)
+        assert str(err.value).endswith(f"> 1.0e-10 after {squarings} squarings")
+        stack = np.stack([0.5 * x, 1e5 * x, scale * x, 2.0 * scale * x])
+        with pytest.raises(NumericalError, match=re.escape(message.format(" at stack index 2"))):
+            exp_antihermitian(stack)
+        # 19 squarings at 1e5: measured, and unitary within UNITARITY_TOL
+        gram, _ = unitarity_defect(exp_antihermitian(1e5 * x))
+        assert 1e-12 < gram <= tol.UNITARITY_TOL
+
+
 def test_exp_antihermitian_rejects_non_square_input():
     for shape in ((2, 3), (4,), (), (5, 4, 3)):
         with pytest.raises(DomainError, match="expected a square matrix"):
