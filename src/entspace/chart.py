@@ -206,7 +206,7 @@ def xyz_from_eigenvalues(r):
         total = total.reshape(-1)
         i = np.argmax(np.abs(total - 1.0) > tol.TRACE_TOL)
         raise DomainError(
-            f"spectrum must sum to 1, got {total[i]!r}{_stack_position(r.shape[:-1], i)}"
+            f"spectrum must sum to 1, got {float(total[i])!r}{_stack_position(r.shape[:-1], i)}"
         )
     _check_spectra(r, "spectrum not ordered", lambda i: "")
     r1, r2, r3, r4 = np.moveaxis(r, -1, 0)
@@ -225,7 +225,7 @@ def _warn_outside(v, name):
         i = np.argmin(np.reshape(inside, -1))
         warnings.warn(
             f"{name}{_stack_position(v.shape[:-1], i)} lies outside the closed "
-            f"octahedron (l1 norm {np.sum(np.abs(v.reshape(-1, 3)[i])):.6f} > 2*pi); "
+            f"octahedron (l1 norm {np.sum(np.abs(v.reshape(-1, 3)[i])):.6g} > 2*pi); "
             "the chart wraps around",
             OctahedronWarning,
             stacklevel=3,

@@ -95,7 +95,7 @@ def density_matrix(m):
     h = hermitize(m)
     tr = np.trace(h).real
     if abs(tr - 1.0) > tol.TRACE_TOL:
-        raise DomainError(f"trace {tr!r} deviates from 1 by more than {tol.TRACE_TOL:.1e}")
+        raise DomainError(f"trace {float(tr)!r} deviates from 1 by more than {tol.TRACE_TOL:.1e}")
     w = herm_eigenvalues(h)
     if w[-1] < -tol.POSITIVITY_TOL:
         raise DomainError(

@@ -80,12 +80,16 @@ def hermitize(h):
     ``h`` is one square matrix or a stack of them, shape (..., d, d).
     Raises DomainError if an entry is not finite or if the anti-Hermitian
     defect max|H - H^dag| exceeds HERMITICITY_TOL; for a stack the message
-    names the first offending stack index.
+    names the first offending stack index.  Finite entries beyond half the
+    float maximum emit no RuntimeWarning: a defect that overflows raises,
+    and a mean that overflows is returned as it comes, not finite.
     """
     h = np.asarray(h, dtype=complex)
     flat, lead = _square_stack(h)
     h_dag = dag(h)
-    defect = np.abs(flat - h_dag.reshape(flat.shape)).max(axis=(1, 2), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(flat - h_dag.reshape(flat.shape)).max(axis=(1, 2), initial=0.0)
+        mean = 0.5 * (h + h_dag)
     over = defect > tol.HERMITICITY_TOL
     if over.any():
         i = np.argmax(over)
@@ -93,7 +97,7 @@ def hermitize(h):
             f"matrix{_stack_position(lead, i)} is not Hermitian: "
             f"max|H - H^dag| = {defect[i]:.3e} > {tol.HERMITICITY_TOL:.1e}"
         )
-    return 0.5 * (h + h_dag)
+    return mean
 
 
 @cache
@@ -176,8 +180,16 @@ def _jacobi(h, vectors):
     if vectors:
         work[d:] = np.eye(d)[:, :, None]
     # entry by entry, row-major; a lone matrix adds d * d scalars
-    fro2 = sum(_lone((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T))
+    with np.errstate(over="ignore"):
+        fro2 = sum(_lone((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T))
     stop = np.reshape(tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2)), k)
+    # an infinite stop would end the sweeps before any rotation
+    finite = np.isfinite(stop)
+    if not finite.all():
+        raise DomainError(
+            f"matrix{_stack_position(lead, np.argmin(finite))} has a Frobenius "
+            "norm that overflows"
+        )
     active = np.arange(k)
     w = np.empty((k, d))
     v = np.empty((k, d, d), dtype=complex) if vectors else None
@@ -246,7 +258,8 @@ def herm_eigensystem(h):
 
     Raises
     ------
-    DomainError from hermitize() on non-finite or non-Hermitian input.
+    DomainError from hermitize() on non-finite or non-Hermitian input, and
+    naming the first stack index whose Frobenius norm overflows.
     NumericalError naming the first stack index whose off-diagonal norm is
     still above its stop after JACOBI_MAX_SWEEPS sweeps.
     """
@@ -404,39 +417,25 @@ def _two_qubit(x):
     return x
 
 
-def partial_transpose(rho, subsystem="B"):
-    """Partial transpose of a two-qubit operator, or of a (..., 4, 4) stack,
-    on one tensor factor.
+def partial_transpose(rho):
+    """Partial transpose on qubit B of a two-qubit operator, or of each
+    matrix of a (..., 4, 4) stack.
 
-    ``subsystem`` selects the transposed factor: "A" is the left (slow)
-    factor, "B" the right (fast) one.  The operation is an involution and
-    preserves trace and Hermiticity exactly.
+    B is the right (fast) tensor factor.  The operation is an involution and
+    preserves trace and Hermiticity exactly.  The transpose on qubit A is
+    the full transpose of this one, ``partial_transpose(rho).swapaxes(-1, -2)``,
+    with the same spectrum.
     """
     rho = _two_qubit(rho)
-    lead = rho.shape[:-2]
-    r = rho.reshape(-1, 2, 2, 2, 2)
-    if subsystem == "B":
-        r = r.transpose(0, 1, 4, 3, 2)
-    elif subsystem == "A":
-        r = r.transpose(0, 3, 2, 1, 4)
-    else:
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return r.reshape(*lead, 4, 4)
+    r = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+    return r.reshape(rho.shape)
 
 
-def partial_trace(rho, subsystem="B"):
-    """Trace out one qubit of a two-qubit operator or a (..., 4, 4) stack.
-
-    ``subsystem`` names the factor that is traced *out*; the reduced 2x2
-    operator of the other factor is returned, shape (..., 2, 2).
-    """
+def partial_trace(rho):
+    """Trace out qubit B of a two-qubit operator or a (..., 4, 4) stack: the
+    reduced operator of qubit A, shape (..., 2, 2)."""
     rho = _two_qubit(rho)
-    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    if subsystem == "B":
-        return np.einsum("...ijkj->...ik", r)
-    if subsystem == "A":
-        return np.einsum("...jijk->...ik", r)
-    raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return np.einsum("...ijkj->...ik", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
 def char_poly_coeffs(h):

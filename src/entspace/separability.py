@@ -71,7 +71,7 @@ def werner_state(p):
 
 def s_coeffs_pt(rho):
     """Characteristic coefficients (S2, S3, S4) of the partial transpose."""
-    return char_poly_coeffs(partial_transpose(rho, "B"))
+    return char_poly_coeffs(partial_transpose(rho))
 
 
 def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
@@ -154,11 +154,20 @@ def quesne_c112(f):
 
 def _chart_angles(alpha3, beta):
     """alpha3 as a float array (...), then beta_1, beta_2, beta_3 of a
-    triple or of a (..., 3) stack; DomainError for another beta shape or an
-    angle that _check_angles rejects."""
+    triple or of a (..., 3) stack; DomainError for another beta shape, for
+    stack shapes that do not broadcast or for an angle that _check_angles
+    rejects."""
     alpha3 = np.asarray(alpha3, dtype=float)
     _check_angles(alpha3[..., None], "alpha3")
-    return (alpha3, *np.moveaxis(_angle_triple(beta, "beta"), -1, 0))
+    beta = _angle_triple(beta, "beta")
+    try:
+        np.broadcast_shapes(alpha3.shape, beta.shape[:-1])
+    except ValueError:
+        raise DomainError(
+            f"alpha3 of shape {alpha3.shape} and beta of shape {beta.shape} "
+            "do not broadcast"
+        ) from None
+    return (alpha3, *np.moveaxis(beta, -1, 0))
 
 
 def p201(alpha3, beta):
@@ -352,7 +361,7 @@ def _invariants(rho, f, band):
     quantity computed once; one stacked call gives the coefficients of rho
     and rho^TB.  NumericalError unless the routes agree to DUAL_PATH_TOL."""
     (_, s2_pt), (s3, s3_pt), (s4, s4_pt) = char_poly_coeffs(
-        np.stack([rho, partial_transpose(rho, "B")])
+        np.stack([rho, partial_transpose(rho)])
     )
     det_c = det_correlation(f)
     det_m = det_schlienz_mahler(f)
@@ -420,8 +429,8 @@ class SeparabilityReport:
         if not gap <= tol.DET_IDENTITY_TOL:
             raise NumericalError(
                 f"det|M| identity violated by {gap:.3e} "
-                f"(det_c = {self.det_c!r}, det_m = {self.det_m!r}, "
-                f"c112 = {self.c112!r})"
+                f"(det_c = {float(self.det_c)!r}, det_m = {float(self.det_m)!r}, "
+                f"c112 = {float(self.c112)!r})"
             )
 
 

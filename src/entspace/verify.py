@@ -270,12 +270,12 @@ def _check_fano_roundtrip(run):
 def _check_partial_transpose_trace(run):
     m = min(run.n, 2000)
     states = run.hs(m)
-    pts = pt_batch(states, "B")
+    pts = pt_batch(states)
     trace_gap = np.einsum("nii->n", pts).real - np.einsum("nii->n", states).real
-    reduced = partial_trace(states, "B")
+    reduced = partial_trace(states)
     bloch_a = np.einsum("nij,kji->nk", reduced, SIGMA).real
     worst = _worst((
-        np.abs(pt_batch(pts, "B") - states),
+        np.abs(pt_batch(pts) - states),
         np.abs(trace_gap),
         np.abs(run.fano(m).a - bloch_a),
     ))

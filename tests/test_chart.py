@@ -465,6 +465,17 @@ def test_chart_input_of_the_wrong_shape_is_rejected():
         xyz_from_eigenvalues(np.full((2, 3), 1.0 / 3.0))
 
 
+@pytest.mark.parametrize("kernel", [
+    p201, p111, p022,
+    lambda alpha3, beta: det_c_closed_form(SimplexPoint(0.4, 0.2, 0.1), alpha3, beta),
+], ids=["p201", "p111", "p022", "det_c_closed_form"])
+def test_closed_forms_name_stack_shapes_that_do_not_broadcast(kernel):
+    # numpy's "operands could not be broadcast" ValueError came through
+    shapes = re.escape("alpha3 of shape (2,) and beta of shape (3, 3) do not broadcast")
+    with pytest.raises(DomainError, match=shapes):
+        kernel(np.zeros(2), np.zeros((3, 3)))
+
+
 def test_chart_point_indices_must_be_integers():
     with pytest.raises(DomainError, match="integer"):
         sample_chart_point(1, np.array([0.5, 1.0]))

@@ -154,6 +154,31 @@ def test_check_rejects_non_finite_records(tmp_path, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("off", [1e160, 1e308])
+def test_check_rejects_finite_records_whose_norm_overflows(off, tmp_path, capsys):
+    # 1e160 passed the positivity gate (min eigenvalue about -1e160) and
+    # 1e308 printed RuntimeWarnings from the Hermitian part
+    rho = np.eye(4) / 4.0
+    rho[0, 3] = rho[3, 0] = off
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rho_re": rho.tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_error_messages_print_plain_numbers(tmp_path, capsys):
+    # numpy 2 printed "trace np.float64(0.0) deviates ..."
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rho_re": np.zeros((4, 4)).tolist()}))
+    assert main(["check", "--state", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: trace 0.0 deviates from 1 by more than {tol.TRACE_TOL:.1e}\n"
+    )
+
+
 def test_check_rejects_bad_tol(tmp_path, capsys):
     # an entangled state must not come out separable under a negative band
     path = _write_state(tmp_path, werner_state(0.5))

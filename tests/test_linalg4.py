@@ -335,7 +335,26 @@ def test_hermitize_rejects_non_finite_entries():
         hermitize(stack)
 
 
-_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+@pytest.mark.parametrize("kernel", [herm_eigenvalues, herm_eigensystem])
+@pytest.mark.parametrize("off", [1e160, 1e200, 1e308])
+def test_jacobi_rejects_a_norm_that_overflows_without_warnings(kernel, off):
+    # the squared norm was inf, so the stop was inf and no rotation ran:
+    # [[0.25, 1e200], [1e200, 0.25]] came out as [0.25, 0.25]
+    h = np.array([[0.25, off], [off, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^matrix has a Frobenius norm that overflows"):
+            kernel(h)
+        stack = np.stack([np.eye(2), 0.5 * np.eye(2), h]).reshape(1, 3, 2, 2)
+        with pytest.raises(DomainError, match=r"^matrix at stack index \(0, 2\) has a Frobenius"):
+            kernel(stack)
+        # the mean (H + H^dag)/2 of finite entries can overflow, without a warning
+        half = hermitize(h)
+        assert half[0, 0] == 0.25
+        assert np.isfinite(half[0, 1]) == (off < 1e308)
+
+
+_entries =st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -431,33 +450,47 @@ def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
 
 def test_partial_transpose_diagonal_fixed_point():
     d = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert np.array_equal(partial_transpose(d, "B"), d)
-    assert np.array_equal(partial_transpose(d, "A"), d)
+    assert np.array_equal(partial_transpose(d), d)
 
 
 def test_partial_transpose_bell_spectrum():
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    w = herm_eigenvalues(partial_transpose(bell, "B"))
+    w = herm_eigenvalues(partial_transpose(bell))
     assert np.allclose(w, [0.5, 0.5, 0.5, -0.5], atol=1e-14)
 
 
 def test_partial_transpose_involution_and_trace():
     g = philox_stream(17, 60)
-    for sub in ("A", "B"):
-        for _ in range(100):
-            h = random_hermitian(g)
-            pt = partial_transpose(h, sub)
-            assert np.array_equal(partial_transpose(pt, sub), h)
-            assert np.trace(pt) == np.trace(h)
-            assert np.max(np.abs(pt - dag(pt))) == 0.0
-    with pytest.raises(DomainError):
-        partial_transpose(h, "C")
+    for _ in range(100):
+        h = random_hermitian(g)
+        pt = partial_transpose(h)
+        assert np.array_equal(partial_transpose(pt), h)
+        assert np.trace(pt) == np.trace(h)
+        assert np.max(np.abs(pt - dag(pt))) == 0.0
+
+
+def _transpose_on_a(rho):
+    """Partial transpose on qubit A, written on the (..., 2, 2, 2, 2) view
+    of rho[..., 2a + b, 2a' + b'] by exchanging a and a'."""
+    r = np.asarray(rho).reshape(-1, 2, 2, 2, 2).transpose(0, 3, 2, 1, 4)
+    return r.reshape(np.shape(rho))
+
+
+def test_transpose_on_a_is_the_full_transpose_of_transpose_on_b():
+    # rho^{T_A} = (rho^{T_B})^T, so the B kernel alone serves both sides
+    _, hs = next(ensemble_chunks("hs", 26, 200))
+    g = philox_stream(26, 61)
+    general = g.standard_normal((50, 4, 4)) + 1j * g.standard_normal((50, 4, 4))
+    for stack in (hs, general):
+        side_a = partial_transpose(stack).swapaxes(-1, -2)
+        assert side_a.tobytes() == _transpose_on_a(stack).tobytes()
+        one = partial_transpose(stack[7]).swapaxes(-1, -2)
+        assert one.tobytes() == _transpose_on_a(stack[7]).tobytes()
 
 
 def test_partial_trace():
-    assert np.allclose(partial_trace(I4 / 4.0, "B"), I2 / 2.0, atol=1e-16)
-    assert np.allclose(partial_trace(I4 / 4.0, "A"), I2 / 2.0, atol=1e-16)
+    assert np.allclose(partial_trace(I4 / 4.0), I2 / 2.0, atol=1e-16)
     g = philox_stream(18, 60)
     for _ in range(50):
         a = random_hermitian(g, dim=2)
@@ -467,10 +500,11 @@ def test_partial_trace():
         b = b @ dag(b)
         b /= np.trace(b).real
         prod = tensor_product(a, b)
-        assert np.max(np.abs(partial_trace(prod, "B") - a)) < 1e-15
-        assert np.max(np.abs(partial_trace(prod, "A") - b)) < 1e-15
-    with pytest.raises(DomainError):
-        partial_trace(prod, "ab")
+        assert np.max(np.abs(partial_trace(prod) - a)) < 1e-15
+        # qubit B's reduced operator, tracing out A on the 2x2x2x2 view
+        rho_b = np.einsum("jijk->ik", prod.reshape(2, 2, 2, 2))
+        assert np.max(np.abs(rho_b - b)) < 1e-15
+        assert np.max(np.abs(tensor_product(partial_trace(prod), rho_b) - prod)) < 1e-15
 
 
 @pytest.mark.parametrize("shape", [(2, 8), (3, 3), (16,), (5, 2, 8)])
@@ -510,7 +544,7 @@ def test_char_poly_s2_pt_invariant():
     for _ in range(100):
         h = random_hermitian(g)
         s2 = char_poly_coeffs(h)[0]
-        s2_pt = char_poly_coeffs(partial_transpose(h, "B"))[0]
+        s2_pt = char_poly_coeffs(partial_transpose(h))[0]
         assert abs(s2 - s2_pt) < 1e-12
 
 
@@ -518,12 +552,11 @@ def test_stacked_pt_char_poly_and_trace_are_bitwise_per_index_calls():
     hs = _hs_and_hermitian_stack(24, 60)
     s2, s3, s4 = char_poly_coeffs(hs)
     assert s2.shape == s3.shape == s4.shape == (120,)
-    for sub in ("A", "B"):
-        pts = partial_transpose(hs, sub)
-        reduced = partial_trace(hs, sub)
-        for i, h in enumerate(hs):
-            assert np.array_equal(pts[i], partial_transpose(h, sub))
-            assert np.array_equal(reduced[i], partial_trace(h, sub))
+    pts = partial_transpose(hs)
+    reduced = partial_trace(hs)
+    for i, h in enumerate(hs):
+        assert np.array_equal(pts[i], partial_transpose(h))
+        assert np.array_equal(reduced[i], partial_trace(h))
     for i, h in enumerate(hs):
         assert char_poly_coeffs(h) == (s2[i], s3[i], s4[i])
     # extra leading axes are flattened and restored
@@ -544,16 +577,15 @@ def test_stacked_char_poly_against_faddeev_leverrier():
 @given(
     re=arrays(np.float64, st.tuples(st.integers(1, 9), st.just(4), st.just(4)), elements=_entries),
     im_scale=st.sampled_from([0.0, 1e-3, 1.0]),
-    sub=st.sampled_from(["A", "B"]),
 )
-def test_stacked_pt_property(re, im_scale, sub):
+def test_stacked_pt_property(re, im_scale):
     raw = re + 1j * im_scale * re[:, ::-1, :]
     stack = 0.5 * (raw + dag(raw))
-    pts = partial_transpose(stack, sub)
-    assert np.array_equal(partial_transpose(pts, sub), stack)
+    pts = partial_transpose(stack)
+    assert np.array_equal(partial_transpose(pts), stack)
     coeffs = char_poly_coeffs(pts)
     for h, pt, i in zip(stack, pts, range(len(stack))):
-        assert np.array_equal(partial_transpose(h, sub), pt)
+        assert np.array_equal(partial_transpose(h), pt)
         assert char_poly_coeffs(pt) == tuple(c[i] for c in coeffs)
 
 

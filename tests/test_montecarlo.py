@@ -120,7 +120,7 @@ def test_batched_kernels_match_scalar_routes():
     pts = pt_batch(states)
     s2, s3, s4 = char_poly_batch(pts)
     for i in range(64):
-        ref_pt = partial_transpose(states[i], "B")
+        ref_pt = partial_transpose(states[i])
         assert np.array_equal(pts[i], ref_pt)
         ref = char_poly_coeffs(ref_pt)
         assert abs(s2[i] - ref[0]) < 1e-14

@@ -85,7 +85,7 @@ def test_werner_family_verdicts():
     assert ppt_verdict(werner_state(0.5)) == ENTANGLED
     # minimal PT eigenvalue of the Werner family is (1 - 3p)/4
     for p in (0.0, 0.2, 1.0 / 3.0, 0.6, 1.0):
-        w = herm_eigenvalues(partial_transpose(werner_state(p), "B"))
+        w = herm_eigenvalues(partial_transpose(werner_state(p)))
         assert abs(w[-1] - (1.0 - 3.0 * p) / 4.0) < 1e-14
     with pytest.raises(DomainError):
         werner_state(1.2)
@@ -283,7 +283,7 @@ def test_report_checks_det_identity_at_construction():
 def test_ppt_verdict_matches_eigenvalue_oracle():
     for i in range(500):
         rho = sample_hs_state(308, i)
-        min_eig = np.linalg.eigvalsh(partial_transpose(rho, "B"))[0]
+        min_eig = np.linalg.eigvalsh(partial_transpose(rho))[0]
         if abs(min_eig) <= tol.MINEIG_BAND:
             continue
         want = SEPARABLE if min_eig > 0 else ENTANGLED
