@@ -96,7 +96,7 @@ def density_matrix(m):
     tr = np.trace(h).real
     if abs(tr - 1.0) > tol.TRACE_TOL:
         raise DomainError(f"trace {float(tr)!r} deviates from 1 by more than {tol.TRACE_TOL:.1e}")
-    w = herm_eigenvalues(h)
+    w = herm_eigenvalues(m)
     if w[-1] < -tol.POSITIVITY_TOL:
         raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue {w[-1]:.3e}"

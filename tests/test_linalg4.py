@@ -354,7 +354,7 @@ def test_jacobi_rejects_a_norm_that_overflows_without_warnings(kernel, off):
         assert np.isfinite(half[0, 1]) == (off < 1e308)
 
 
-_entries =st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
