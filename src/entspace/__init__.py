@@ -52,7 +52,6 @@ from .separability import (
     fit_c112_coeffs,
     ppt_verdict,
     quesne_c112,
-    separability_inequalities,
     werner_state,
 )
 from .serialize import state_to_dict
@@ -96,7 +95,6 @@ __all__ = [
     "representative_state",
     "run_suite",
     "schlienz_mahler",
-    "separability_inequalities",
     "separable_fraction",
     "state_to_dict",
     "su2_to_so3",

@@ -35,7 +35,6 @@ from .linalg4 import (
     dag,
     exp_antihermitian,  # not called here; the benchmark tracer wraps it
     exp_commuting_paulis,
-    hermitize,
     tensor_product,
 )
 
@@ -309,8 +308,12 @@ def _checked_spectrum(simplex):
 
 def _conjugate(a, r):
     """A diag(r) A^dag for factors ``a`` (..., 4, 4) and spectra ``r``
-    (..., 4), broadcast against each other."""
-    return hermitize((a * r[..., None, :]) @ dag(a))
+    (..., 4), broadcast against each other, returned as its Hermitian part
+    (M + M^dag)/2, the mean that hermitize forms.  It needs none of
+    hermitize's checks for user input: the factors are unitary to rounding
+    and the spectra validated, so every entry is bounded by 1."""
+    m = (a * r[..., None, :]) @ dag(a)
+    return 0.5 * (m + dag(m))
 
 
 def representative_state(point):

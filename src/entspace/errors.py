@@ -2,6 +2,8 @@
 
 from numbers import Integral
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Input violates a documented precondition (shape, domain, symmetry)."""
@@ -16,11 +18,17 @@ def _is_integer(value):
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """``value`` as a Python scalar when it is a numpy one, so a message
+    reads ``-1`` or ``1.5``, not ``np.int64(-1)`` or ``np.float64(1.5)``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_seed(seed):
     """Raise DomainError unless ``seed`` is an integer stream seed in
     [0, 2^64); a bool or a float is rejected, not truncated."""
     if not _is_integer(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+        raise DomainError(f"seed must be an integer, got {_plain(seed)!r}")
     if not 0 <= seed < (1 << 64):
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
 
@@ -28,7 +36,7 @@ def check_seed(seed):
 def check_count(n):
     """Raise DomainError unless ``n`` is a positive integer sample count."""
     if not _is_integer(n) or n < 1:
-        raise DomainError(f"sample count must be a positive integer, got {n!r}")
+        raise DomainError(f"sample count must be a positive integer, got {_plain(n)!r}")
 
 
 def check_band(band):

@@ -155,13 +155,13 @@ def _reject(a, b, c):
         i = np.argmax(over)
         raise DomainError(
             f"Bloch vector norm out of range{_stack_position(lead, i)}: "
-            f"|a| = {norm_a[i]:.6f}, |b| = {norm_b[i]:.6f}"
+            f"|a| = {float(norm_a[i])!r}, |b| = {float(norm_b[i])!r}"
         )
     entry = np.abs(c).reshape(-1, 9).max(axis=1)
     i = np.argmax(entry > bound)
     raise DomainError(
         f"correlation entry out of range{_stack_position(lead, i)}: "
-        f"max |C_ij| = {entry[i]:.6f}"
+        f"max |C_ij| = {float(entry[i])!r}"
     )
 
 

@@ -34,7 +34,7 @@ from .chart import (
     representative_state,  # not called here; the benchmark tracer wraps it
     xyz_from_eigenvalues,
 )
-from .fano import from_fano, schlienz_mahler, to_fano
+from .fano import schlienz_mahler, to_fano
 from .linalg4 import _stack_position, char_poly_coeffs, partial_transpose
 
 SEPARABLE = "separable"
@@ -356,55 +356,6 @@ def fit_c112_coeffs(alpha, beta):
     )
 
 
-def _invariants(rho, f, band):
-    """The SeparabilityReport of ``rho`` with Fano coefficients ``f``, each
-    quantity computed once; one stacked call gives the coefficients of rho
-    and rho^TB.  NumericalError unless the routes agree to DUAL_PATH_TOL."""
-    (_, s2_pt), (s3, s3_pt), (s4, s4_pt) = char_poly_coeffs(
-        np.stack([rho, partial_transpose(rho)])
-    )
-    det_c = det_correlation(f)
-    det_m = det_schlienz_mahler(f)
-    lhs3 = s3 + 0.25 * det_c
-    lhs4 = s4 + det_m / 16.0
-    d3, d4 = abs(lhs3 - s3_pt), abs(lhs4 - s4_pt)
-    if not (d3 <= tol.DUAL_PATH_TOL and d4 <= tol.DUAL_PATH_TOL):  # a NaN route fails
-        raise NumericalError(f"inequality routes disagree: |d3| = {d3:.3e}, |d4| = {d4:.3e}")
-    return SeparabilityReport(
-        s2_pt=s2_pt,
-        s3_pt=s3_pt,
-        s4_pt=s4_pt,
-        det_c=det_c,
-        det_m=det_m,
-        c112=quesne_c112(f),
-        lhs3=lhs3,
-        lhs4=lhs4,
-        verdict=verdict_from_coeffs(s3_pt, s4_pt, band),
-    )
-
-
-def separability_inequalities(f, band=tol.VERDICT_TOL):
-    """Evaluate both separability inequalities along both routes.
-
-    Returns (lhs3, lhs4, within_bounds) where lhs3 = S3(rho^TB) and
-    lhs4 = S4(rho^TB).  Each left-hand side is computed spectrally (from
-    the partial transpose) and through the invariant identities; the two
-    routes must agree to DUAL_PATH_TOL or NumericalError is raised.
-    ``within_bounds`` is true when 0 <= lhs3 <= 1/16 and
-    0 <= lhs4 <= 1/256, all within ``band``.  Raises DomainError unless
-    ``f`` holds the coefficients of one state, not a stack, and ``band``
-    lies in (0, 1).
-    """
-    if f.a.shape != (3,):
-        raise DomainError(
-            "separability_inequalities takes the Fano form of one state, "
-            f"got a stack of shape {f.a.shape[:-1]}"
-        )
-    r = _invariants(from_fano(f), f, band)
-    within = -band <= r.lhs3 <= S3_BOUND + band and -band <= r.lhs4 <= S4_BOUND + band
-    return r.lhs3, r.lhs4, within
-
-
 @dataclass(frozen=True)
 class SeparabilityReport:
     """Full invariant record of a separability analysis.
@@ -438,12 +389,35 @@ def analyze(rho, band=tol.VERDICT_TOL):
     """Analyze a (validated) two-qubit density matrix.
 
     Computes the PT characteristic coefficients, the three correlation
-    invariants and the dual-route left-hand sides, checks the routes
-    against each other to DUAL_PATH_TOL and returns a SeparabilityReport.
-    Raises DomainError unless ``rho`` is one 4x4 matrix and ``band`` lies
-    in (0, 1).
+    invariants and the dual-route left-hand sides, each quantity once (one
+    stacked call gives the coefficients of rho and rho^TB), checks the
+    routes against each other to DUAL_PATH_TOL and returns a
+    SeparabilityReport.  A Fano form ``f`` is analysed as
+    ``analyze(from_fano(f))``.  Raises DomainError unless ``rho`` is one
+    4x4 matrix and ``band`` lies in (0, 1).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DomainError(f"analyze takes one 4x4 matrix, got shape {rho.shape}")
-    return _invariants(rho, to_fano(rho), band)
+    f = to_fano(rho)
+    (_, s2_pt), (s3, s3_pt), (s4, s4_pt) = char_poly_coeffs(
+        np.stack([rho, partial_transpose(rho)])
+    )
+    det_c = det_correlation(f)
+    det_m = det_schlienz_mahler(f)
+    lhs3 = s3 + 0.25 * det_c
+    lhs4 = s4 + det_m / 16.0
+    d3, d4 = abs(lhs3 - s3_pt), abs(lhs4 - s4_pt)
+    if not (d3 <= tol.DUAL_PATH_TOL and d4 <= tol.DUAL_PATH_TOL):  # a NaN route fails
+        raise NumericalError(f"inequality routes disagree: |d3| = {d3:.3e}, |d4| = {d4:.3e}")
+    return SeparabilityReport(
+        s2_pt=s2_pt,
+        s3_pt=s3_pt,
+        s4_pt=s4_pt,
+        det_c=det_c,
+        det_m=det_m,
+        c112=quesne_c112(f),
+        lhs3=lhs3,
+        lhs4=lhs4,
+        verdict=verdict_from_coeffs(s3_pt, s4_pt, band),
+    )

@@ -282,7 +282,7 @@ def _check_partial_transpose_trace(run):
     return _Measured(m, worst, 1e-12)
 
 
-def _lu_invariants(pt_coeffs, f):
+def _lu_invariant_values(pt_coeffs, f):
     return (*pt_coeffs, det_correlation(f), det_schlienz_mahler(f), quesne_c112(f))
 
 
@@ -291,8 +291,8 @@ def _check_local_unitary_invariance(run):
     rotated = local_unitary_action(run.hs(m), sample_local_unitary(run.seed, np.arange(m)))
     worst = _worst(
         np.abs(q0 - q1) for q0, q1 in zip(
-            _lu_invariants(run.pt_coeffs(m), run.fano(m)),
-            _lu_invariants(s_coeffs_pt(rotated), to_fano(rotated)),
+            _lu_invariant_values(run.pt_coeffs(m), run.fano(m)),
+            _lu_invariant_values(s_coeffs_pt(rotated), to_fano(rotated)),
         )
     )
     return _Measured(m, worst, 1e-10)

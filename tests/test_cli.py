@@ -180,6 +180,22 @@ def test_check_error_messages_print_plain_numbers(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("fano, message", [
+    # .6f printed 161 digits for 1e160, and |a| = 1.0000002 as 1.000000
+    ({"a": [0.0] * 3, "b": [0.0] * 3, "C": [[1e160, 0.0, 0.0], [0.0] * 3, [0.0] * 3]},
+     "correlation entry out of range: max |C_ij| = 1e+160"),
+    ({"a": [1.0000002, 0.0, 0.0], "b": [0.0] * 3, "C": [[0.0] * 3] * 3},
+     "Bloch vector norm out of range: |a| = 1.0000002, |b| = 0.0"),
+])
+def test_check_range_errors_print_the_offending_value(fano, message, tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"fano": fano}))
+    assert main(["check", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_rejects_bad_tol(tmp_path, capsys):
     # an entangled state must not come out separable under a negative band
     path = _write_state(tmp_path, werner_state(0.5))

@@ -6,7 +6,9 @@ module or in another one), when ``entspace.__all__`` exports it, or when
 the benchmark under ``perfbench/`` uses it (by name, attribute or the
 string its tracer hooks).  A helper that only tests call belongs in the
 tests.  Likewise every parameter with a default value is read by its
-function's body: a knob that changes nothing is dead too.
+function's body: a knob that changes nothing is dead too, and so is a
+name that a module imports and never reads, unless the benchmark's tracer
+hooks it in that module's namespace.
 """
 
 import ast
@@ -52,13 +54,16 @@ def _references(nodes, strings=False):
     return found
 
 
+def _bench_references(bench):
+    """Names the benchmark under ``bench`` refers to, hooked strings included."""
+    return _references((_parse(p) for p in sorted(bench.glob("*.py"))), strings=True)
+
+
 def dead_symbols(src, bench):
     """Sorted 'module.name' of every top-level name under ``src`` that has
     no user (see the module docstring); ``bench`` is the benchmark directory."""
     modules = {p.stem: _parse(p) for p in sorted(src.glob("*.py"))}
-    used_by_bench = _references(
-        (_parse(p) for p in sorted(bench.glob("*.py"))), strings=True
-    )
+    used_by_bench = _bench_references(bench)
     exported = set(entspace.__all__)
     dead = []
     for stem, tree in modules.items():
@@ -100,3 +105,35 @@ def unread_defaults(src):
 
 def test_every_defaulted_parameter_is_read():
     assert unread_defaults(ROOT / "src" / "entspace") == []
+
+
+def unread_imports(src):
+    """Sorted 'module.name' of every name that a module under ``src`` binds
+    by an import and never reads; the package's ``__init__`` is exempt,
+    since its imports are its exports."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = _parse(path)
+        read = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}.{name}")
+    return sorted(unread)
+
+
+def test_every_imported_name_is_read_or_hooked_by_the_benchmark():
+    # a module may import a name it never reads only so that the benchmark
+    # tracer can wrap it in that module's namespace; today those are
+    # chart.exp_antihermitian, separability.representative_state and
+    # verify.oracle_masks
+    used_by_bench = _bench_references(ROOT / "perfbench")
+    unread = unread_imports(ROOT / "src" / "entspace")
+    assert [m for m in unread if m.rpartition(".")[2] not in used_by_bench] == []

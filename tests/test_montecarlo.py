@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entspace import tolerances as tol
-from entspace.errors import DomainError
+from entspace.errors import DomainError, check_count, check_seed
 from entspace.linalg4 import char_poly_coeffs, herm_eigenvalues, partial_transpose
 from entspace.montecarlo import (
     RunConfig,
@@ -99,6 +99,16 @@ def test_seed_must_be_an_integer_not_a_bool_or_a_float():
         assert RunConfig(ensemble="hs", samples=1, seed=seed).seed == 5
         assert philox_stream(seed, 1).standard_normal(3).tobytes() == expected.tobytes()
         assert run_suite("ppt", 1, seed)["passed"]
+
+
+def test_seed_and_count_errors_print_plain_numbers():
+    # numpy 2 printed "got np.int64(-1)" and "got np.float64(1.5)"
+    for check, value, shown in ((check_seed, np.float64(1.5), "1.5"),
+                                (check_seed, np.int64(-1), "-1"),
+                                (check_count, np.int64(-1), "-1"),
+                                (check_count, np.float64(1.5), "1.5")):
+        with pytest.raises(DomainError, match=f"got {re.escape(shown)}$"):
+            check(value)
 
 
 def test_sample_count_is_checked_in_one_place():

@@ -534,6 +534,42 @@ def test_chart_points_redrawn_sequentially_keep_the_stream_contract(monkeypatch)
     assert len(sequential) > 500
 
 
+class _TiedFirstSpectrum:
+    """A stream whose first ``dirichlet`` draw is consumed and replaced by
+    a tied spectrum; every other draw comes from the real stream ``g``."""
+
+    def __init__(self, g):
+        self._g = g
+        self._tied = False
+
+    def dirichlet(self, alpha):
+        drawn = self._g.dirichlet(alpha)
+        if self._tied:
+            return drawn
+        self._tied = True
+        return np.array([0.4, 0.3, 0.3, 0.0])
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+def test_chart_draws_redraw_a_tied_spectrum():
+    # a tie has probability zero, so no real stream takes this branch
+    r, alpha, beta = sampling._chart_draws(_TiedFirstSpectrum(philox_stream(4, TAG_CHART, 9)))
+    g = philox_stream(4, TAG_CHART, 9)
+    g.dirichlet(np.ones(4))  # the draw the stub replaced with a tie
+    want = np.sort(g.dirichlet(np.ones(4)))[::-1]
+    assert want[0] > want[1] > want[2] > want[3] > 0
+    accepted = []
+    while len(accepted) < 2:  # one triple at a time
+        v = g.uniform(-TWO_PI, TWO_PI, 3)
+        if np.sum(np.abs(v)) <= TWO_PI:
+            accepted.append(v)
+    assert np.array(r).tobytes() == want.tobytes()
+    assert alpha.tobytes() == accepted[0].tobytes()
+    assert beta.tobytes() == accepted[1].tobytes()
+
+
 def test_chart_indices_out_of_stream_range_are_named():
     with pytest.raises(DomainError, match="index out of range: -2"):
         sample_chart_point(1, np.array([3, -2, 5]))

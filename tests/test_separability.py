@@ -9,7 +9,7 @@ import pytest
 from entspace import tolerances as tol
 from entspace.chart import ChartPoint, SimplexPoint, representative_state
 from entspace.errors import DomainError, NumericalError
-from entspace.fano import to_fano
+from entspace.fano import from_fano, to_fano
 from entspace.linalg4 import herm_eigenvalues, partial_transpose
 from entspace.montecarlo import char_poly_batch, pt_batch
 from entspace.sampling import (
@@ -37,7 +37,6 @@ from entspace.separability import (
     ppt_verdict,
     quesne_c112,
     s_coeffs_pt,
-    separability_inequalities,
     verdict_from_coeffs,
     verdict_masks,
     werner_state,
@@ -94,10 +93,10 @@ def test_werner_family_verdicts():
 def test_bell_state_values():
     f = to_fano(BELL_PHI_PLUS)
     assert abs(det_correlation(f) + 1.0) < 1e-14
-    lhs3, lhs4, within = separability_inequalities(f)
-    assert abs(lhs3 + 0.25) < 1e-14
-    assert abs(lhs4 + 1.0 / 16.0) < 1e-14
-    assert not within
+    report = analyze(from_fano(f))
+    assert abs(report.lhs3 + 0.25) < 1e-14
+    assert abs(report.lhs4 + 1.0 / 16.0) < 1e-14
+    assert report.verdict == ENTANGLED
     assert ppt_verdict(BELL_PHI_PLUS) == ENTANGLED
     # werner(p=1) is the Bell state itself
     assert np.max(np.abs(werner_state(1.0) - BELL_PHI_PLUS)) == 0.0
@@ -182,23 +181,28 @@ def test_p_coefficients_pointwise():
         assert abs(p022(alpha3, pinned)) < 1e-15
 
 
-def test_separability_inequalities_bounds_attained():
-    f = to_fano(np.eye(4) / 4.0)
-    lhs3, lhs4, within = separability_inequalities(f)
-    assert abs(lhs3 - S3_BOUND) < 1e-12
-    assert abs(lhs4 - S4_BOUND) < 1e-12
-    assert within
+def test_fano_form_attains_both_bounds():
+    # I/4 attains S3 = 1/16 and S4 = 1/256
+    report = analyze(from_fano(to_fano(np.eye(4) / 4.0)))
+    assert abs(report.lhs3 - S3_BOUND) < 1e-12
+    assert abs(report.lhs4 - S4_BOUND) < 1e-12
+    assert report.verdict == SEPARABLE
 
 
-def test_separability_inequalities_dual_route():
+def test_fano_form_dual_route():
+    # a Fano form is analysed as analyze(from_fano(f)); its left-hand sides
+    # lie in the box [0, 1/16] x [0, 1/256] (band-relaxed) exactly when the
+    # state is not entangled
+    band = tol.VERDICT_TOL
     for i in range(300):
         rho = sample_hs_state(305, i)
-        f = to_fano(rho)
-        lhs3, lhs4, within = separability_inequalities(f)
+        report = analyze(from_fano(to_fano(rho)))
         _, s3_pt, s4_pt = s_coeffs_pt(rho)
-        assert abs(lhs3 - s3_pt) < tol.DUAL_PATH_TOL
-        assert abs(lhs4 - s4_pt) < tol.DUAL_PATH_TOL
-        assert within == (ppt_verdict(rho) != ENTANGLED)
+        assert abs(report.lhs3 - s3_pt) < tol.DUAL_PATH_TOL
+        assert abs(report.lhs4 - s4_pt) < tol.DUAL_PATH_TOL
+        within = (-band <= report.lhs3 <= S3_BOUND + band
+                  and -band <= report.lhs4 <= S4_BOUND + band)
+        assert within == (report.verdict != ENTANGLED) == (ppt_verdict(rho) != ENTANGLED)
 
 
 def test_within_bounds_equivalent_to_ppt_vectorized():
@@ -222,6 +226,7 @@ def test_analyze_reports():
     assert rep.verdict == SEPARABLE
     assert rep.det_c == 0.0 and rep.det_m == 0.0 and rep.c112 == 0.0
     assert abs(rep.lhs3 - S3_BOUND) < 1e-15
+    assert abs(rep.lhs4 - S4_BOUND) < 1e-15
     rep = analyze(BELL_PHI_PLUS)
     assert rep.verdict == ENTANGLED
     assert abs(rep.det_c + 1.0) < 1e-14
@@ -240,23 +245,12 @@ def test_analyze_takes_exactly_one_4x4_matrix(shape):
         analyze(rho)
 
 
-@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
-def test_separability_inequalities_takes_one_state_not_a_stack(lead):
-    # a stack used to reach the scalar dual-route gate and fail there with
-    # numpy's "truth value of an array is ambiguous"
-    _, states = next(ensemble_chunks("hs", 311, int(np.prod(lead))))
-    f = to_fano(states.reshape(*lead, 4, 4))
-    with pytest.raises(DomainError, match=re.escape(f"got a stack of shape {lead}")):
-        separability_inequalities(f)
-
-
-def test_separability_inequalities_checks_the_band_as_analyze_does():
-    # an unchecked band of -1 or NaN read I/4, which attains both bounds,
-    # as out of bounds
-    f = to_fano(np.eye(4) / 4.0)
-    for band in (-1.0, 0.0, 1.0, float("nan")):
+@pytest.mark.parametrize("band", [-1.0, 0.0, 1.0, float("nan")])
+def test_analyze_rejects_a_band_outside_the_unit_interval(band):
+    # a band of -1 would call an entangled state separable
+    for rho in (np.eye(4) / 4.0, BELL_PHI_PLUS):
         with pytest.raises(DomainError, match="band"):
-            separability_inequalities(f, band)
+            analyze(rho, band)
 
 
 def test_ppt_verdict_rejects_sixteen_entries_in_the_wrong_shape():
@@ -294,11 +288,11 @@ def test_dual_route_guard_fires(monkeypatch):
     # sabotage one route and confirm the cross-check notices
     import entspace.separability as sep
 
-    f = to_fano(sample_hs_state(309, 0))
+    rho = sample_hs_state(309, 0)
     for sabotaged in (123.0, np.nan):
         monkeypatch.setattr(sep, "det_correlation", lambda _: sabotaged)
         with pytest.raises(NumericalError, match="routes disagree"):
-            sep.separability_inequalities(f)
+            sep.analyze(rho)
 
 
 def test_stacked_invariants_are_bitwise_per_index():
@@ -343,7 +337,7 @@ def test_analyze_computes_each_invariant_once(monkeypatch):
 
     calls = {}
     for name in ("to_fano", "det_correlation", "det_schlienz_mahler", "quesne_c112",
-                 "char_poly_coeffs", "from_fano"):
+                 "char_poly_coeffs"):
         original = getattr(sep, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
