@@ -9,7 +9,9 @@ elementwise arithmetic only, so a stacked call repeats each single call
 bit for bit.
 """
 
+import math
 from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,56 +104,125 @@ def hermitize(h):
 
 @cache
 def _pair_tables(d):
-    """The entries above the diagonal of a d x d matrix as index arrays, and
-    as the pairs (p, q), both in cyclic pair order; built once per d."""
-    upper = np.triu_indices(d, 1)
-    return upper, tuple(zip(upper[0].tolist(), upper[1].tolist()))
+    """The entries above the diagonal of a d x d matrix as one flat index
+    p * d + q into its row-major entries, and as the pairs (p, q), both in
+    cyclic pair order; built once per d."""
+    p, q = np.triu_indices(d, 1)
+    return p * d + q, tuple(zip(p.tolist(), q.tolist()))
+
+
+def _lone_squared_sum(z):
+    """sum(z.real ** 2 + z.imag ** 2) for the 1-D z of a lone matrix, on
+    Python floats: every square and sum is the IEEE operation the arrays
+    take, in the same order.  Not sum() itself, which from Python 3.12
+    compensates the rounding of floats."""
+    total = 0.0
+    for x in z.tolist():
+        total += x.real * x.real + x.imag * x.imag
+    return total
+
+
+class _Pivots(NamedTuple):
+    """The scalar functions a sweep applies to each matrix: the modulus of
+    A[p, q]; the real diagonal entry A[p, p] of a working set, sqrt,
+    copysign and the real-to-complex cast of c in the rotation; the count
+    of a test's true entries; and the sum of squared moduli over the first
+    axis of a complex array, one term at a time."""
+
+    modulus: Callable
+    diagonal: Callable
+    sqrt: Callable
+    copysign: Callable
+    cast: Callable
+    count: Callable
+    squared_sum: Callable
+
+
+#: A lone matrix's pivots are numpy scalars, and its real pivots Python
+#: floats.  Numpy's scalar complex abs is the C hypot that np.hypot calls,
+#: math.sqrt is correctly rounded and math.copysign exact, as np.sqrt and
+#: np.copysign are, and complex(c) is c + 0j, as np.complex128(c) is: the
+#: same bits, each without a ufunc call, and real arithmetic on Python
+#: floats is the IEEE arithmetic of numpy's.  A lone test is one bool.
+_LONE_PIVOTS = _Pivots(
+    lambda z: float(abs(z)),
+    lambda work, p: work.item(p, p).real,
+    math.sqrt,
+    math.copysign,
+    complex,
+    bool,
+    _lone_squared_sum,
+)
+#: A stack's pivots are arrays.  np.abs of a complex array is not np.hypot
+#: bit for bit, so stacks take the modulus from np.hypot.
+_STACK_PIVOTS = _Pivots(
+    lambda z: np.hypot(z.real, z.imag),
+    lambda work, p: work[p, p].real,
+    np.sqrt,
+    np.copysign,
+    np.complex128,
+    np.count_nonzero,
+    lambda z: sum(z.real ** 2 + z.imag ** 2),
+)
 
 
 def _lone(x):
-    """``x`` without its stack axis (the last) when that axis has length 1.
-
-    A lone matrix is swept on its (d, d) or (2d, d) view, with numpy scalars
-    for its pivots: the same elementwise arithmetic as on a length-1 stack,
-    without the per-call cost of length-1 arrays."""
+    """``x`` without its stack axis (the last) when that axis has length 1:
+    a lone matrix's (d, d) or (2d, d) view, or its stop as a scalar."""
     return x[..., 0] if x.shape[-1] == 1 else x
 
 
-def _off_norm(work, upper):
+def _sweep_view(work):
+    """The working set as a sweep reads it, and its pivot functions.  A
+    lone matrix is swept on its (d, d) or (2d, d) view with _LONE_PIVOTS,
+    Python's scalar functions on numpy scalars: the same IEEE operations in
+    the same order as on a length-1 stack, without the cost of length-1
+    arrays or of a ufunc call per scalar.  A stack is swept as it is, with
+    _STACK_PIVOTS."""
+    return _lone(work), _LONE_PIVOTS if work.shape[-1] == 1 else _STACK_PIVOTS
+
+
+def _entries(work):
+    """The entries of each matrix of ``work`` (rows, d[, k]) in row-major
+    order: shape (rows * d[, k]), a view."""
+    return work.reshape(work.shape[0] * work.shape[1], *work.shape[2:])
+
+
+def _off_norm(work, flat, pivots):
     """Off-diagonal Frobenius norm of the Hermitian blocks work[:d, :d], one
     per stack index (the last axis), or a scalar for a lone matrix's view.
-    ``upper`` indexes the entries above the diagonal in cyclic pair order;
-    they are summed in that order, so each norm depends on its own matrix
-    only."""
-    off = work[upper]
-    return np.sqrt(2.0 * sum(off.real ** 2 + off.imag ** 2))
+    ``flat`` indexes the entries above the diagonal among the row-major
+    entries of work, in cyclic pair order, in one gather; they are summed
+    in that order, so each norm depends on its own matrix only."""
+    return pivots.sqrt(2.0 * pivots.squared_sum(_entries(work)[flat]))
 
 
-def _rotate(work, p, q, apq, mag):
+def _rotate(work, p, q, apq, mag, pivots):
     """Apply the Jacobi rotation zeroing A[p, q] to every matrix of ``work``.
 
     ``work`` holds A, or A over V, with the stack axis last: shape (d, d, k)
     or (2d, d, k), so work[:, p] is column p of every matrix and each entry
     is a contiguous run over the stack; a lone matrix's (d, d) or (2d, d)
-    view takes the same steps with scalar pivots.  ``apq`` is A[p, q] and
-    ``mag`` its modulus.  The rotation J = D R D^dag (R real, D a phase on
-    q) updates columns p and q of A (and V); rows p and q of the Hermitian
-    A follow by conjugation, and the 2x2 pivot block is set to its
-    diagonalized form.
+    view takes the same steps on scalar pivots.  ``apq`` is A[p, q], ``mag``
+    its modulus and ``pivots`` the scalar functions for the shape
+    (_LONE_PIVOTS or _STACK_PIVOTS), which give the same bits.  The
+    rotation J = D R D^dag (R real, D a phase on q) updates columns p and q
+    of A (and V); rows p and q of the Hermitian A follow by conjugation,
+    and the 2x2 pivot block is set to its diagonalized form.
     """
     d = work.shape[1]
-    app = work[p, p].real
-    aqq = work[q, q].real
+    app = pivots.diagonal(work, p)
+    aqq = pivots.diagonal(work, q)
     tau = (aqq - app) / (2.0 * mag)
     # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), and t = 1 at tau = 0: adding
     # 0.0 turns tau = -0 (from aqq = -0, app = +0) into +0 for copysign
-    t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+    t = pivots.copysign(1.0 / (abs(tau) + pivots.sqrt(1.0 + tau * tau)), tau + 0.0)
     tm = t * mag
     new_pp = app - tm
     new_qq = aqq + tm
-    c = 1.0 / np.sqrt(1.0 + t * t)
+    c = 1.0 / pivots.sqrt(1.0 + t * t)
     cs = t * c * (apq / mag)  # s e^{i phi} with s = t c
-    c = np.complex128(c)  # once: the cast each real-by-complex product would make
+    c = pivots.cast(c)  # once: the cast each real-by-complex product would make
     col_p = work[:, p]
     col_q = work[:, q]
     new_p = c * col_p - np.conj(cs) * col_q
@@ -174,15 +245,16 @@ def _jacobi(h, vectors):
     lead, d = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, d, d)
     k = a.shape[0]
-    upper, pairs = _pair_tables(d)
+    flat, pairs = _pair_tables(d)
     work = np.empty((2 * d if vectors else d, d, k), dtype=complex)
     work[:d] = a.transpose(1, 2, 0)
     if vectors:
-        work[d:] = np.eye(d)[:, :, None]
-    # entry by entry, row-major; a lone matrix adds d * d scalars
+        work[d:] = _real_eye(d)[:, :, None]
+    sweep, pivots = _sweep_view(work)
+    # entry by entry, row-major
     with np.errstate(over="ignore"):
-        fro2 = sum(_lone((a.real ** 2 + a.imag ** 2).reshape(k, d * d).T))
-    stop = np.reshape(tol.JACOBI_OFF_TOL * np.maximum(1.0, np.sqrt(fro2)), k)
+        fro2 = pivots.squared_sum(_entries(sweep)[: d * d])
+    stop = (tol.JACOBI_OFF_TOL * np.maximum(1.0, pivots.sqrt(fro2))).reshape(k)
     # an infinite stop would end the sweeps before any rotation
     finite = np.isfinite(stop)
     if not finite.all():
@@ -194,43 +266,51 @@ def _jacobi(h, vectors):
     w = np.empty((k, d))
     v = np.empty((k, d, d), dtype=complex) if vectors else None
     diag = np.arange(d)
+    limit = _lone(stop)
     for _ in range(tol.JACOBI_MAX_SWEEPS):
-        done = _off_norm(_lone(work), upper) <= stop
-        if np.count_nonzero(done):
-            finished = work[..., done]
-            w[active[done]] = finished[diag, diag].real.T
+        done = _off_norm(sweep, flat, pivots) <= limit
+        finished = pivots.count(done)
+        if finished == active.size:
+            w[active] = work[diag, diag].real.T
             if vectors:
-                v[active[done]] = finished[d:].transpose(2, 0, 1)
+                v[active] = work[d:].transpose(2, 0, 1)
+            break
+        if finished:
+            retired = work[..., done]
+            w[active[done]] = retired[diag, diag].real.T
+            if vectors:
+                v[active[done]] = retired[d:].transpose(2, 0, 1)
             keep = ~done
             work, active, stop = work[..., keep], active[keep], stop[keep]
-        if not active.size:
-            break
-        sweep, skip = _lone(work), _lone(stop) / (d * d)
+            sweep, pivots = _sweep_view(work)
+            limit = _lone(stop)
+        left, skip = active.size, limit / (d * d)
         for p, q in pairs:
             apq = sweep[p, q]
-            mag = np.hypot(apq.real, apq.imag)
+            mag = pivots.modulus(apq)
             rotate = mag > skip
-            # cheaper than all()/any() on small stacks; a lone test is one bool
-            rotated = np.count_nonzero(rotate) if rotate.ndim else rotate
-            if rotated == rotate.size:
-                _rotate(sweep, p, q, apq, mag)
+            rotated = pivots.count(rotate)
+            if rotated == left:
+                _rotate(sweep, p, q, apq, mag, pivots)
             elif rotated:
                 sub = work[..., rotate]
-                _rotate(sub, p, q, apq[rotate], mag[rotate])
+                _rotate(sub, p, q, apq[rotate], mag[rotate], pivots)
                 work[..., rotate] = sub
-    if active.size:
+    else:
         raise NumericalError(
             f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
             f"{_stack_position(lead, active[0])}, off-diagonal norm "
-            f"{_off_norm(work[..., :1], upper)[0]:.3e} > {stop[0]:.3e}"
+            f"{_off_norm(work[..., :1], flat, _STACK_PIVOTS)[0]:.3e} > {stop[0]:.3e}"
         )
-    order = np.argsort(-w, axis=1, kind="stable")
-    # plain indexing: np.take_along_axis costs more per call
-    rows = np.arange(k)[:, None]
-    w = w[rows, order].reshape(*lead, d)
     if vectors:
-        v = v[rows[:, None], diag[:, None], order[:, None, :]].reshape(*lead, d, d)
-    return w, v
+        order = np.argsort(-w, axis=1, kind="stable")
+        # plain indexing: np.take_along_axis costs more per call
+        rows = np.arange(k)[:, None, None]
+        v = v[rows, diag[:, None], order[:, None, :]].reshape(*lead, d, d)
+    # w in that order to the bit: both sorts are stable, so tied values stay
+    # in place, and negation is exact
+    w = -np.sort(-w, axis=1, kind="stable")
+    return w.reshape(*lead, d), v
 
 
 def herm_eigensystem(h):
@@ -244,8 +324,13 @@ def herm_eigensystem(h):
     is at most that stop over d^2, and a matrix drops out of the stack at
     the start of the first sweep it no longer needs.  A sweep that starts
     with one matrix left rotates that matrix's (d, d) view, (2d, d) with V,
-    with numpy-scalar pivots: the same steps on a different shape.  The
-    pair tables are built once per d.
+    on numpy-scalar pivots with Python's scalar functions: numpy's scalar
+    complex abs (the C hypot of np.hypot), math.sqrt and math.copysign
+    (correctly rounded and exact, as np.sqrt and np.copysign are) and
+    complex(c) (c + 0j, the cast of np.complex128), with its real pivots
+    and sums of squares as Python floats.  They are the same steps on a
+    different shape, without a ufunc call per scalar.  The pair tables are
+    built once per d.
 
     Parameters
     ----------

@@ -71,9 +71,32 @@ def state_to_dict(rho):
     }
 
 
+def _non_number(value, position=""):
+    """(position, leaf) of the first leaf of ``value``, nested lists, that
+    is not a JSON number (an int or a float; a bool is not one), or None."""
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            found = _non_number(item, f"{position}[{i}]")
+            if found:
+                return found
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return None
+    return position, value
+
+
 def _matrix_from(record, key, shape):
     if key not in record:
         raise DomainError(f"field {key!r} is missing")
+    # np.asarray(dtype=float) reads "0.5" as 0.5 and true as 1.0
+    found = _non_number(record[key])
+    if found:
+        position, leaf = found
+        where = f"entry {position} is" if position else "it is"
+        raise DomainError(
+            f"field {key!r} is not a numeric array: "
+            f"{where} {json.dumps(leaf, default=repr)}, not a number"
+        )
     try:
         m = np.asarray(record[key], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -87,8 +110,10 @@ def state_from_dict(record):
     """Parse a state record in either representation.
 
     Accepts {"rho_re": ..., "rho_im": ...} or {"fano": {"a", "b", "C"}};
-    when both are present the explicit matrix wins.  Returns the raw 4x4
-    complex matrix without any positivity gating.
+    when both are present the explicit matrix wins.  Each field is nested
+    lists of JSON numbers: a string or a bool raises DomainError naming the
+    field and the entry.  Returns the raw 4x4 complex matrix without any
+    positivity gating.
     """
     if not isinstance(record, dict):
         raise DomainError("state record must be a JSON object")

@@ -196,6 +196,30 @@ def test_check_range_errors_print_the_offending_value(fano, message, tmp_path, c
     assert captured.err == f"error: {message}\n"
 
 
+_ZERO_FANO = {"a": [0, 0, 0], "b": [0, 0, 0], "C": [[0, 0, 0]] * 3}
+
+
+@pytest.mark.parametrize("record, message", [
+    # np.asarray(dtype=float) read "0.5" as 0.5 (a separable report, exit 0)
+    ({"fano": {**_ZERO_FANO, "a": ["0.5", 0, 0]}},
+     'field \'a\' is not a numeric array: entry [0] is "0.5", not a number'),
+    # and true as 1.0 (a boundary report)
+    ({"fano": {**_ZERO_FANO, "a": [True, 0, 0]}},
+     "field 'a' is not a numeric array: entry [0] is true, not a number"),
+    ({"fano": {**_ZERO_FANO, "C": [[0, 0, 0], [0, 0, False], [0, 0, 0]]}},
+     "field 'C' is not a numeric array: entry [1][2] is false, not a number"),
+    ({"rho_re": (np.eye(4) / 4).tolist(), "rho_im": [[0, 0, 0, "0"]] + [[0] * 4] * 3},
+     'field \'rho_im\' is not a numeric array: entry [0][3] is "0", not a number'),
+])
+def test_check_rejects_record_entries_that_are_not_json_numbers(record, message, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(record))
+    assert main(["check", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_rejects_bad_tol(tmp_path, capsys):
     # an entangled state must not come out separable under a negative band
     path = _write_state(tmp_path, werner_state(0.5))
