@@ -548,6 +548,117 @@ def char_poly_coeffs(h):
     return tuple(s.reshape(lead)[()] for s in (s2, s3, s4))
 
 
+#: Flat indices, into the row-major entries of a 4x4 matrix, of the
+#: entries below the diagonal and of their mirror images above it.
+_BELOW = np.array([4, 8, 9, 12, 13, 14])
+_ABOVE = np.array([1, 2, 6, 3, 7, 11])
+
+#: The margin delta of min_eig_certificates, relative to max(1, |H|_F).
+#: With u = 2^-53 and n = 4, three errors must each stay 1e3 times below
+#: delta = 1e-11 max(1, |H|_F):
+#: - LDL^H without pivoting: the computed L, D are the exact factors of
+#:   H - s I + E with |E| <= g |L| |D| |L^H| (Higham, Accuracy and Stability
+#:   of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3, with g = gamma_(n+1)
+#:   widened to sqrt(2) gamma_(n+3) for complex arithmetic, section 3.6).
+#:   When every pivot is positive, Cauchy-Schwarz gives |E|_2 <= g tr(H - s I)
+#:   (1 + O(u)) <= 2 g |H|_F, about 2.2e-15 |H|_F; rounding s into the
+#:   diagonal adds u (|H|_F + s).  Together under 2.5e-15 max(1, |H|_F).
+#: - The Rayleigh quotient: y = H w and w^H y are complex inner products of
+#:   length 4, so |fl(w^H H w) - w^H H w| <= 2 sqrt(2) gamma_6 |w|^T |H| |w|
+#:   (1 + O(u)), under 2e-15 |H|_F |w|^2 because |w|^T |H| |w| <=
+#:   |H|_F |w|^2.  The test charges _RAYLEIGH_ROUNDING |H|_F |w|^2 =
+#:   1e-14 |H|_F |w|^2 for it, five times that and 1e-3 delta |w|^2.
+#: - LAPACK's zheevd, behind eigvalsh: |computed - exact| <= p(n) u |H|_2
+#:   (LAPACK Users' Guide, 3rd ed., section 4.7) with p(n) a modest function
+#:   of n; delta is 1e3 p(n) u |H|_2 for any p(4) up to 90.
+#: Gradual underflow adds a few 1e-308 per operation, nothing beside delta.
+#: At 1e-12 the factorisation's bound would be only 400 times below delta.
+CERTIFICATE_MARGIN = 1e-11
+_RAYLEIGH_ROUNDING = 1e-14
+
+
+def min_eig_certificates(h, threshold):
+    """Masks (above, below) that certify where the smallest eigenvalue of a
+    Hermitian 4x4 matrix, or of each matrix of a (..., 4, 4) stack, lies
+    against +-``threshold`` t >= 0; masks of the leading shape (one bool for
+    one matrix).
+
+    Like np.linalg.eigvalsh, the kernel reads the lower triangle and the
+    real part of the diagonal only.  With delta = CERTIFICATE_MARGIN *
+    max(1, |H|_F), it factors H - (t + delta) I as L D L^H without pivoting:
+
+    - ``above``: every pivot of D is positive, so by Sylvester's law of
+      inertia lambda_min > t + delta up to the factorisation's backward
+      error, and eigvalsh's lambda_min is above t;
+    - ``below``: at the first pivot k that is not positive, the witness
+      w = L^-H e_k has fl(w^H H w) plus its rounding bound below
+      -(t + delta) w^H w, so its Rayleigh quotient, and eigvalsh's
+      lambda_min with it, is below -t.
+
+    Each bound is 1e3 times below delta (see CERTIFICATE_MARGIN), so a
+    claimed matrix gets the decision of oracle_masks on eigvalsh's value;
+    a matrix neither mask claims may lie either way.  Zero, infinite or
+    NaN pivots, overflow and non-finite entries claim nothing and emit no
+    warning.
+    """
+    h = _two_qubit(h)
+    flat = h.reshape(-1, 4, 4)
+    above = np.empty(len(flat), dtype=bool)
+    below = np.empty(len(flat), dtype=bool)
+    for start in range(0, len(flat), _CERTIFICATE_BLOCK):
+        block = slice(start, start + _CERTIFICATE_BLOCK)
+        above[block], below[block] = _certificates(flat[block], threshold)
+    return above.reshape(h.shape[:-2])[()], below.reshape(h.shape[:-2])[()]
+
+
+#: Matrices per block of min_eig_certificates: its (4, 4, 1024) complex
+#: working arrays take 256 kB each.  Whole 4096-matrix chunks took 4 MB
+#: of temporaries beside eigvalsh's 0.15 MB, and ran about 20 % slower.
+_CERTIFICATE_BLOCK = 1024
+
+
+def _certificates(flat, threshold):
+    """min_eig_certificates on a (k, 4, 4) stack: two (k,) masks."""
+    # the Hermitian matrix eigvalsh reads, with the stack axis last
+    hl = flat.transpose(1, 2, 0).copy()
+    k = hl.shape[-1]
+    entries = hl.reshape(16, k)
+    with np.errstate(all="ignore"):
+        lower = entries[_BELOW]
+        entries[_ABOVE] = np.conj(lower)
+        entries[::5].imag = 0.0
+        re = entries[::5].real
+        off2 = (lower.real ** 2 + lower.imag ** 2).sum(axis=0)
+        fro = np.sqrt((re * re).sum(axis=0) + 2.0 * off2)
+        shift = threshold + CERTIFICATE_MARGIN * np.maximum(1.0, fro)
+        # right-looking L D L^H of H - shift I; the updates of the trailing
+        # block reach its upper triangle too, which is never read
+        work = hl.copy()
+        work.reshape(16, k)[::5] -= shift
+        pivots = np.empty((4, k))
+        columns = []
+        for j in range(4):
+            pivots[j] = work[j, j].real
+            col = work[j + 1:, j]
+            columns.append(col / pivots[j])
+            work[j + 1:, j + 1:] -= col[:, None] * np.conj(columns[j])
+        positive = pivots > 0.0
+        above = positive.all(axis=0)
+        # w solves L^H w = e_k by back substitution, on the columns of L
+        # before pivot k (the later ones are zeroed): w_k = 1, w_i = 0 for i > k
+        factored = np.logical_and.accumulate(positive, axis=0)
+        w = np.zeros((4, k), dtype=complex)
+        w[np.argmin(positive, axis=0), np.arange(k)] = 1.0
+        for i in (2, 1, 0):
+            l_col = np.where(factored[i], columns[i], 0.0)
+            w[i] -= (np.conj(l_col) * w[i + 1:]).sum(axis=0)
+        hw = hl[:, 0] * w[0] + hl[:, 1] * w[1] + hl[:, 2] * w[2] + hl[:, 3] * w[3]
+        rayleigh = (np.conj(w) * hw).real.sum(axis=0)
+        norm2 = (w.real ** 2 + w.imag ** 2).sum(axis=0)
+        below = rayleigh < -(shift + _RAYLEIGH_ROUNDING * fro) * norm2
+    return above, below
+
+
 def unitarity_defect(u):
     """Return (max|U^dag U - I|, |det U - 1|) of one matrix, or the two
     per-matrix arrays, each of the leading shape, for a (..., n, n) stack."""

@@ -1,9 +1,14 @@
 """Monte-Carlo harness: scans and sample records over the batched kernels.
 
 The scan pipeline keeps the criterion route (characteristic coefficients
-of the partial transpose) and the oracle route (smallest PT eigenvalue
-from a dense eigensolver) strictly separate; both consume the identical
-sample stream, and tally_routes alone compares them sample by sample.
+of the partial transpose) and the oracle route (the sign of the smallest
+PT eigenvalue against the exclusion band) strictly separate; both consume
+the identical sample stream, and tally_routes alone compares them sample
+by sample.  The oracle's decision is eigvalsh's, certified by LDL^H
+inertia where it is decided by >= delta: min_eig_certificates settles
+almost every state, and LAPACK's eigvalsh runs only on the states its
+certificates leave silent.  Sample records, which print the smallest PT
+eigenvalue, take it from eigvalsh.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +19,7 @@ import numpy as np
 from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues
+from .linalg4 import min_eig_certificates
 from .linalg4 import partial_transpose as pt_batch
 from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
@@ -34,6 +40,23 @@ def oracle_masks(min_eig):
     min_eig = np.asarray(min_eig)
     separable = min_eig > tol.MINEIG_BAND
     entangled = min_eig < -tol.MINEIG_BAND
+    return separable, entangled, ~(separable | entangled)
+
+
+def pt_oracle_masks(pts):
+    """The oracle's masks of a (k, 4, 4) stack of partial transposes:
+    ``oracle_masks(np.linalg.eigvalsh(pts)[:, 0])``, decided without the
+    eigensolver wherever min_eig_certificates settles the sign of the
+    smallest eigenvalue against +-MINEIG_BAND.  Only the matrices that
+    neither certificate claims go to eigvalsh, and their masks are
+    scattered back into place, so every mask is eigvalsh's.
+    """
+    separable, entangled = min_eig_certificates(pts, tol.MINEIG_BAND)
+    silent = ~(separable | entangled)
+    if silent.any():
+        separable[silent], entangled[silent], _ = oracle_masks(
+            np.linalg.eigvalsh(pts[silent])[:, 0]
+        )
     return separable, entangled, ~(separable | entangled)
 
 
@@ -59,10 +82,12 @@ class ScanResult:
 
     ``fraction`` is the separable fraction by the algebraic criterion,
     ``oracle_fraction`` the same count from the eigenvalue oracle on the
-    identical stream.  ``mismatches`` counts states (outside both boundary
-    bands) where the two routes disagree.  ``bound_violations`` records how
-    often each one-sided inequality failed: lhs3 < 0, lhs3 > 1/16,
-    lhs4 < 0, lhs4 > 1/256 (raw counts over all samples, no band).
+    identical stream: eigvalsh's decision, certified by LDL^H inertia where
+    it is decided by >= delta (pt_oracle_masks).  ``mismatches`` counts
+    states (outside both boundary bands) where the two routes disagree.
+    ``bound_violations`` records how often each one-sided inequality
+    failed: lhs3 < 0, lhs3 > 1/16, lhs4 < 0, lhs4 > 1/256 (raw counts over
+    all samples, no band).
     """
 
     config: RunConfig
@@ -106,9 +131,10 @@ def tally_routes(chunks, band):
     Returns a dict of counts summed over the chunks, named as ScanResult
     names them: the criterion's separable / entangled / boundary
     (``verdict_masks`` of S3, S4), the oracle's oracle_separable /
-    oracle_entangled / oracle_undecided (``oracle_masks`` of the smallest
-    eigenvalue of ``pts``), ``mismatches`` (both routes decide, and they
-    disagree), ``undecided`` (at least one route does not decide) and the
+    oracle_entangled / oracle_undecided (``pt_oracle_masks`` of ``pts``:
+    eigvalsh's decision, certified by LDL^H inertia where it is decided by
+    >= delta, and eigvalsh's own elsewhere), ``mismatches`` (both routes
+    decide, and they disagree), ``undecided`` (at least one route does not decide) and the
     _VIOLATIONS.
     """
     names = (
@@ -119,7 +145,7 @@ def tally_routes(chunks, band):
     total = np.zeros(len(names), dtype=np.int64)
     for pts, (_, s3, s4) in chunks:
         sep, ent, bnd = verdict_masks(s3, s4, band)
-        osep, oent, oundec = oracle_masks(np.linalg.eigvalsh(pts)[:, 0])
+        osep, oent, oundec = pt_oracle_masks(pts)
         undecided = bnd | oundec
         mismatched = ~undecided & (sep != osep)
         masks = (sep, ent, bnd, osep, oent, oundec, mismatched, undecided,

@@ -27,6 +27,7 @@ from entspace.linalg4 import (
     herm_eigensystem,
     herm_eigenvalues,
     hermitize,
+    min_eig_certificates,
     partial_trace,
     partial_transpose,
     tensor_product,
@@ -803,3 +804,50 @@ def test_stacked_unitarity_defect_matches_per_matrix_values():
         assert g_i == ref
         assert abs(d_i - abs(np.linalg.det(u) - 1.0)) <= 4 * EPS * max(1.0, d_i)
     assert gram.reshape(-1)[5] > 1.0
+
+
+def _hs_pt_stack(seed, n):
+    (_, states), = ensemble_chunks("hs", seed, tol.CHUNK)
+    return partial_transpose(states[:n])
+
+
+def test_min_eig_certificates_single_call_is_the_stack_entry():
+    pts = _hs_pt_stack(71, 24)
+    before = pts.copy()
+    above, below = min_eig_certificates(pts.reshape(2, 3, 4, 4, 4), tol.MINEIG_BAND)
+    assert above.shape == below.shape == (2, 3, 4)
+    for pt, a, b in zip(pts, above.reshape(-1), below.reshape(-1)):
+        single = min_eig_certificates(pt, tol.MINEIG_BAND)
+        assert all(type(m) is np.bool_ for m in single)
+        assert single == (a, b)
+    assert np.array_equal(pts, before)
+    # HS partial transposes are far from the band: every one is claimed
+    assert (above ^ below).all()
+    with pytest.raises(DomainError, match="4x4"):
+        min_eig_certificates(np.eye(3), tol.MINEIG_BAND)
+
+
+def test_min_eig_certificates_read_the_lower_triangle_only():
+    pts = _hs_pt_stack(72, 16)
+    masks = min_eig_certificates(pts, tol.MINEIG_BAND)
+    garbled = pts.copy()
+    upper = np.triu_indices(4, 1)
+    garbled[:, upper[0], upper[1]] = np.nan
+    garbled.imag[:, np.arange(4), np.arange(4)] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.array_equal(m, g) for m, g in
+                   zip(masks, min_eig_certificates(garbled, tol.MINEIG_BAND)))
+
+
+# 1e200 squared overflows the Frobenius norm that sets the margin
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_min_eig_certificates_claim_nothing_on_bad_entries_without_warnings(bad):
+    pts = _hs_pt_stack(73, 4)
+    pts[1, 2, 0] = bad
+    pts[3, 3, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        above, below = min_eig_certificates(pts, tol.MINEIG_BAND)
+    assert not (above[[1, 3]] | below[[1, 3]]).any()
+    assert (above[[0, 2]] | below[[0, 2]]).all()

@@ -4,16 +4,25 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entspace import tolerances as tol
 from entspace.errors import DomainError, check_count, check_seed
-from entspace.linalg4 import char_poly_coeffs, herm_eigenvalues, partial_transpose
+from entspace.linalg4 import (
+    CERTIFICATE_MARGIN,
+    char_poly_coeffs,
+    herm_eigenvalues,
+    min_eig_certificates,
+    partial_transpose,
+)
 from entspace.montecarlo import (
     RunConfig,
     SampleRecord,
     char_poly_batch,
     oracle_masks,
     pt_batch,
+    pt_oracle_masks,
     reanalyze_record,
     sample_records,
     separable_fraction,
@@ -264,6 +273,116 @@ def test_tally_routes_matches_a_per_state_loop():
     assert werner["boundary"] == werner["oracle_undecided"] == werner["undecided"] == 3
     assert tally_routes(inputs["hs"], band)["mismatches"] == 0
     assert tally_routes(inputs["product"], band)["boundary"] > 0
+
+
+def _eigvalsh_masks(pts):
+    """The oracle's masks, one matrix at a time from its own eigvalsh call."""
+    masks = np.zeros((3, len(pts)), dtype=bool)
+    for i, pt in enumerate(pts):
+        min_eig = np.linalg.eigvalsh(pt)[0]
+        decided = (min_eig > tol.MINEIG_BAND, min_eig < -tol.MINEIG_BAND)
+        masks[:, i] = decided + (not any(decided),)
+    return masks
+
+
+def _assert_oracle_is_eigvalsh(pts):
+    """pt_oracle_masks gives eigvalsh's masks, and neither certificate
+    claims a matrix that eigvalsh decides otherwise."""
+    expected = _eigvalsh_masks(pts)
+    assert np.array_equal(np.array(pt_oracle_masks(pts)), expected)
+    above, below = min_eig_certificates(pts, tol.MINEIG_BAND)
+    assert not (above & ~expected[0]).any()
+    assert not (below & ~expected[1]).any()
+    return above, below
+
+
+def _werner_pt(min_eig):
+    """The partial transpose of the Werner state whose PT has smallest
+    eigenvalue (1 - 3p)/4 = min_eig."""
+    return partial_transpose(werner_state((1.0 - 4.0 * min_eig) / 3.0))
+
+
+def _pure(vector):
+    v = np.asarray(vector, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_oracle_certificate_gives_eigvalsh_masks_contract():
+    t, delta = tol.MINEIG_BAND, CERTIFICATE_MARGIN  # |PT|_F < 1: delta is absolute
+    offsets = (0.0, 1e-16, -1e-16, 1e-13, -1e-13, delta, -delta, 2 * delta, -2 * delta)
+    werner = np.stack([_werner_pt(sign * t + off) for sign in (1, -1) for off in offsets])
+    _assert_oracle_is_eigvalsh(werner)
+    # two margins outside the band the certificates decide alone; two inside
+    # it they leave the state to eigvalsh
+    reach = np.stack([_werner_pt(m) for m in (t + 2 * delta, -t - 2 * delta,
+                                              t - 2 * delta, -t + 2 * delta)])
+    above, below = min_eig_certificates(reach, t)
+    assert above.tolist() == [True, False, False, False]
+    assert below.tolist() == [False, True, False, False]
+    s = 1 / np.sqrt(2)
+    bells = [_pure(v) for v in ([s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0])]
+    edges = np.stack([
+        partial_transpose(_pure([1, 0, 0, 0])),  # diag(1, 0, 0, 0): zero pivots
+        *(partial_transpose(b) for b in bells),
+        np.eye(4, dtype=complex) / 4,
+        # H - (t + delta) I is the zero matrix: pivot 0, then NaN pivots and L
+        np.eye(4, dtype=complex) * (t + delta),
+    ])
+    _assert_oracle_is_eigvalsh(edges)
+    for ensemble in ("hs", "product", "chart"):
+        for seed in (1, 61):
+            (_, states), = ensemble_chunks(ensemble, seed, tol.CHUNK)
+            _assert_oracle_is_eigvalsh(pt_batch(states))
+
+
+_unit_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    re=arrays(np.float64, (4, 4), elements=_unit_entries),
+    im=arrays(np.float64, (4, 4), elements=_unit_entries),
+    scale=st.sampled_from([1e-3, 1e-2, 0.3, 1.0, 7.0, 1e2, 1e3]),
+    side=st.sampled_from([1.0, -1.0]),
+    margins=st.floats(-4.0, 4.0),
+    upper_defect=st.sampled_from([0.0, 1e-17, 1e-13, 1e-9]),
+)
+def test_oracle_certificate_gives_eigvalsh_masks_near_the_band(
+    re, im, scale, side, margins, upper_defect
+):
+    # a Hermitian matrix whose smallest eigenvalue lies a few margins from
+    # +-MINEIG_BAND; its upper triangle and the imaginary parts of its
+    # diagonal, which eigvalsh does not read, are off by upper_defect
+    h = scale * (re + 1j * im)
+    h = np.tril(h) + np.tril(h, -1).conj().T
+    h[np.diag_indices(4)] = h.diagonal().real
+    margin = CERTIFICATE_MARGIN * max(1.0, np.linalg.norm(h))
+    target = side * tol.MINEIG_BAND + margins * margin
+    h[np.diag_indices(4)] -= np.linalg.eigvalsh(h)[0] - target
+    defect = upper_defect * scale * (re + 1j * im)
+    h += np.triu(defect, 1) + 1j * np.diag(np.diag(defect.imag))
+    _assert_oracle_is_eigvalsh(h[None])
+
+
+def test_oracle_rarely_reaches_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    # the counter sees the fallback: |00><00| has its smallest PT eigenvalue
+    # 0, inside the band, and only eigvalsh can say so
+    assert pt_oracle_masks(partial_transpose(_pure([1, 0, 0, 0]))[None])[2][0]
+    assert calls == [1]
+    for ensemble in ("hs", "product", "chart"):
+        calls.clear()
+        (_, states), = ensemble_chunks(ensemble, 5, tol.CHUNK)
+        pt_oracle_masks(pt_batch(states))
+        assert sum(calls) <= tol.CHUNK // 100, ensemble
 
 
 def test_sample_records_consistent_with_fresh_analysis():
