@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .serialize import (
     coeff_table_to_dict,
     load_state,
     records_to_csv_lines,
-    report_to_csv,
-    report_to_dict,
     rows_to_csv,
     to_json,
 )
@@ -99,12 +98,12 @@ def build_parser():
 
 def _cmd_check(args):
     rho = density_matrix(load_state(args.state))
-    report = analyze(rho, args.tol)
+    report = asdict(analyze(rho, args.tol))
     if args.format == "csv":
-        sys.stdout.write(report_to_csv(report))
+        sys.stdout.write(rows_to_csv("field", report.items()))
     else:
-        sys.stdout.write(to_json(report_to_dict(report)))
-    return 0 if report.verdict == SEPARABLE else 1
+        sys.stdout.write(to_json(report))
+    return 0 if report["verdict"] == SEPARABLE else 1
 
 
 def _cmd_coeffs(args):
@@ -149,29 +148,8 @@ def _cmd_sample(args):
 
 
 def _cmd_scan(args):
-    config = _run_config(args)
-    result = separable_fraction(config)
-    sys.stdout.write(
-        to_json(
-            {
-                "ensemble": config.ensemble,
-                "samples": config.samples,
-                "seed": config.seed,
-                "band": config.band,
-                "separable": result.separable,
-                "entangled": result.entangled,
-                "boundary": result.boundary,
-                "fraction": result.fraction,
-                "wald_error": result.wald_error,
-                "oracle_separable": result.oracle_separable,
-                "oracle_entangled": result.oracle_entangled,
-                "oracle_undecided": result.oracle_undecided,
-                "oracle_fraction": result.oracle_fraction,
-                "mismatches": result.mismatches,
-                "bound_violations": result.bound_violations,
-            }
-        )
-    )
+    result = separable_fraction(_run_config(args))
+    sys.stdout.write(to_json(asdict(result)))
     return 0 if result.mismatches == 0 else 1
 
 

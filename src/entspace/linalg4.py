@@ -553,29 +553,6 @@ def char_poly_coeffs(h):
 _BELOW = np.array([4, 8, 9, 12, 13, 14])
 _ABOVE = np.array([1, 2, 6, 3, 7, 11])
 
-#: The margin delta of min_eig_certificates, relative to max(1, |H|_F).
-#: With u = 2^-53 and n = 4, three errors must each stay 1e3 times below
-#: delta = 1e-11 max(1, |H|_F):
-#: - LDL^H without pivoting: the computed L, D are the exact factors of
-#:   H - s I + E with |E| <= g |L| |D| |L^H| (Higham, Accuracy and Stability
-#:   of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3, with g = gamma_(n+1)
-#:   widened to sqrt(2) gamma_(n+3) for complex arithmetic, section 3.6).
-#:   When every pivot is positive, Cauchy-Schwarz gives |E|_2 <= g tr(H - s I)
-#:   (1 + O(u)) <= 2 g |H|_F, about 2.2e-15 |H|_F; rounding s into the
-#:   diagonal adds u (|H|_F + s).  Together under 2.5e-15 max(1, |H|_F).
-#: - The Rayleigh quotient: y = H w and w^H y are complex inner products of
-#:   length 4, so |fl(w^H H w) - w^H H w| <= 2 sqrt(2) gamma_6 |w|^T |H| |w|
-#:   (1 + O(u)), under 2e-15 |H|_F |w|^2 because |w|^T |H| |w| <=
-#:   |H|_F |w|^2.  The test charges _RAYLEIGH_ROUNDING |H|_F |w|^2 =
-#:   1e-14 |H|_F |w|^2 for it, five times that and 1e-3 delta |w|^2.
-#: - LAPACK's zheevd, behind eigvalsh: |computed - exact| <= p(n) u |H|_2
-#:   (LAPACK Users' Guide, 3rd ed., section 4.7) with p(n) a modest function
-#:   of n; delta is 1e3 p(n) u |H|_2 for any p(4) up to 90.
-#: Gradual underflow adds a few 1e-308 per operation, nothing beside delta.
-#: At 1e-12 the factorisation's bound would be only 400 times below delta.
-CERTIFICATE_MARGIN = 1e-11
-_RAYLEIGH_ROUNDING = 1e-14
-
 
 def min_eig_certificates(h, threshold):
     """Masks (above, below) that certify where the smallest eigenvalue of a
@@ -595,11 +572,11 @@ def min_eig_certificates(h, threshold):
       -(t + delta) w^H w, so its Rayleigh quotient, and eigvalsh's
       lambda_min with it, is below -t.
 
-    Each bound is 1e3 times below delta (see CERTIFICATE_MARGIN), so a
-    claimed matrix gets the decision of oracle_masks on eigvalsh's value;
-    a matrix neither mask claims may lie either way.  Zero, infinite or
-    NaN pivots, overflow and non-finite entries claim nothing and emit no
-    warning.
+    Each bound is 1e3 times below delta (see CERTIFICATE_MARGIN in
+    tolerances), so a claimed matrix gets the decision of oracle_masks on
+    eigvalsh's value; a matrix neither mask claims may lie either way.
+    Zero, infinite or NaN pivots, overflow and non-finite entries claim
+    nothing and emit no warning.
     """
     h = _two_qubit(h)
     flat = h.reshape(-1, 4, 4)
@@ -630,7 +607,7 @@ def _certificates(flat, threshold):
         re = entries[::5].real
         off2 = (lower.real ** 2 + lower.imag ** 2).sum(axis=0)
         fro = np.sqrt((re * re).sum(axis=0) + 2.0 * off2)
-        shift = threshold + CERTIFICATE_MARGIN * np.maximum(1.0, fro)
+        shift = threshold + tol.CERTIFICATE_MARGIN * np.maximum(1.0, fro)
         # right-looking L D L^H of H - shift I; the updates of the trailing
         # block reach its upper triangle too, which is never read
         work = hl.copy()
@@ -655,7 +632,7 @@ def _certificates(flat, threshold):
         hw = hl[:, 0] * w[0] + hl[:, 1] * w[1] + hl[:, 2] * w[2] + hl[:, 3] * w[3]
         rayleigh = (np.conj(w) * hw).real.sum(axis=0)
         norm2 = (w.real ** 2 + w.imag ** 2).sum(axis=0)
-        below = rayleigh < -(shift + _RAYLEIGH_ROUNDING * fro) * norm2
+        below = rayleigh < -(shift + tol.RAYLEIGH_ROUNDING * fro) * norm2
     return above, below
 
 

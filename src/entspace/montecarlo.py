@@ -11,7 +11,7 @@ certificates leave silent.  Sample records, which print the smallest PT
 eigenvalue, take it from eigvalsh.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,45 +78,36 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Aggregated verdict counts of a Monte-Carlo scan.
+    """Aggregated verdict counts of a Monte-Carlo scan, and the report
+    ``scan`` prints: its fields, in declaration order.
 
-    ``fraction`` is the separable fraction by the algebraic criterion,
-    ``oracle_fraction`` the same count from the eigenvalue oracle on the
-    identical stream: eigvalsh's decision, certified by LDL^H inertia where
-    it is decided by >= delta (pt_oracle_masks).  ``mismatches`` counts
-    states (outside both boundary bands) where the two routes disagree.
-    ``bound_violations`` records how often each one-sided inequality
-    failed: lhs3 < 0, lhs3 > 1/16, lhs4 < 0, lhs4 > 1/256 (raw counts over
-    all samples, no band).
+    The run's parameters come first.  ``fraction`` is the separable
+    fraction by the algebraic criterion, with its Wald standard error
+    sqrt(f (1-f) / n); ``oracle_fraction`` is the same count from the
+    eigenvalue oracle on the identical stream: eigvalsh's decision,
+    certified by LDL^H inertia where it is decided by >= delta
+    (pt_oracle_masks).  ``mismatches`` counts states (outside both
+    boundary bands) where the two routes disagree.  ``bound_violations``
+    records how often each one-sided inequality failed: lhs3 < 0,
+    lhs3 > 1/16, lhs4 < 0, lhs4 > 1/256 (raw counts over all samples, no
+    band).
     """
 
-    config: RunConfig
+    ensemble: str
+    samples: int
+    seed: int
+    band: float
     separable: int
     entangled: int
     boundary: int
+    fraction: float
+    wald_error: float
     oracle_separable: int
     oracle_entangled: int
     oracle_undecided: int
+    oracle_fraction: float
     mismatches: int
-    bound_violations: dict = field(default_factory=dict)
-
-    @property
-    def samples(self):
-        return self.config.samples
-
-    @property
-    def fraction(self):
-        return self.separable / self.config.samples
-
-    @property
-    def oracle_fraction(self):
-        return self.oracle_separable / self.config.samples
-
-    @property
-    def wald_error(self):
-        """Wald standard error sqrt(f (1-f) / n) of the separable fraction."""
-        f = self.fraction
-        return float(np.sqrt(f * (1.0 - f) / self.config.samples))
+    bound_violations: dict
 
 
 #: The raw bound violations lhs3 < 0, lhs3 > 1/16, lhs4 < 0, lhs4 > 1/256.
@@ -165,7 +156,16 @@ def separable_fraction(config):
     counts = tally_routes(((pts, char_poly_batch(pts)) for pts in pts_chunks), config.band)
     violations = {name: counts.pop(name) for name in _VIOLATIONS}
     del counts["undecided"]  # not a ScanResult field
-    return ScanResult(config=config, bound_violations=violations, **counts)
+    n = config.samples
+    f = counts["separable"] / n
+    return ScanResult(
+        ensemble=config.ensemble, samples=n, seed=config.seed, band=config.band,
+        fraction=f,
+        wald_error=float(np.sqrt(f * (1.0 - f) / n)),
+        oracle_fraction=counts["oracle_separable"] / n,
+        bound_violations=violations,
+        **counts,
+    )
 
 
 class SampleRecord(NamedTuple):

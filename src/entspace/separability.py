@@ -358,13 +358,15 @@ def fit_c112_coeffs(alpha, beta):
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Full invariant record of a separability analysis.
+    """Full invariant record of a separability analysis, and the report
+    ``check`` prints: its fields, in declaration order.
 
     ``s*_pt`` are the spectral-route PT coefficients, ``lhs3``/``lhs4`` the
     invariant-route values of the same quantities.  Construction verifies
     the determinant identity det_m = det_c - c112/2 to DET_IDENTITY_TOL.
     """
 
+    verdict: str
     s2_pt: float
     s3_pt: float
     s4_pt: float
@@ -373,7 +375,6 @@ class SeparabilityReport:
     c112: float
     lhs3: float
     lhs4: float
-    verdict: str
 
     def __post_init__(self):
         gap = abs(self.det_m - (self.det_c - 0.5 * self.c112))

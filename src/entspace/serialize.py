@@ -71,25 +71,28 @@ def state_to_dict(rho):
     }
 
 
-def _non_number(value, position=""):
-    """(position, leaf) of the first leaf of ``value``, nested lists, that
-    is not a JSON number (an int or a float; a bool is not one), or None."""
-    if isinstance(value, (list, tuple)):
+def _non_number(value, rank):
+    """(position, leaf) of the first leaf of ``value``, lists nested
+    ``rank`` deep, that is not a JSON number (an int or a float; a bool is
+    not one), or None.  A list below depth ``rank`` is such a leaf, so the
+    recursion stops there however deep the record nests."""
+    if isinstance(value, (list, tuple)) and rank:
         for i, item in enumerate(value):
-            found = _non_number(item, f"{position}[{i}]")
+            found = _non_number(item, rank - 1)
             if found:
-                return found
+                position, leaf = found
+                return f"[{i}]{position}", leaf
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return None
-    return position, value
+    return "", value
 
 
 def _matrix_from(record, key, shape):
     if key not in record:
         raise DomainError(f"field {key!r} is missing")
     # np.asarray(dtype=float) reads "0.5" as 0.5 and true as 1.0
-    found = _non_number(record[key])
+    found = _non_number(record[key], len(shape))
     if found:
         position, leaf = found
         where = f"entry {position} is" if position else "it is"
@@ -99,7 +102,7 @@ def _matrix_from(record, key, shape):
         )
     try:
         m = np.asarray(record[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, or an int beyond 1.8e308
         raise DomainError(f"field {key!r} is not a numeric array: {exc}") from exc
     if m.shape != shape:
         raise DomainError(f"field {key!r} must have shape {shape}, got {m.shape}")
@@ -149,27 +152,12 @@ def load_state(path):
         raise DomainError(f"state file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"state file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"state file is nested too deeply: {exc}") from exc
     return state_from_dict(record)
 
 
 # -- reports and tables -------------------------------------------------------------
-
-REPORT_FIELDS = (
-    "verdict",
-    "s2_pt",
-    "s3_pt",
-    "s4_pt",
-    "det_c",
-    "det_m",
-    "c112",
-    "lhs3",
-    "lhs4",
-)
-
-
-def report_to_dict(report):
-    return {name: getattr(report, name) for name in REPORT_FIELDS}
-
 
 def rows_to_csv(key, rows):
     """CSV text with header ``key,value`` from (name, value) pairs; a string
@@ -178,10 +166,6 @@ def rows_to_csv(key, rows):
     for name, value in rows:
         lines.append(f"{name},{value if isinstance(value, str) else fmt_float(value)}")
     return "\n".join(lines) + "\n"
-
-
-def report_to_csv(report):
-    return rows_to_csv("field", report_to_dict(report).items())
 
 
 def monomial_label(m):

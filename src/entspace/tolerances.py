@@ -40,6 +40,30 @@ CLOSED_FORM_TOL = 1e-10     # closed-form det|C| vs brute-force determinant
 VERDICT_TOL = 1e-9          # default boundary band for PPT verdicts
 MINEIG_BAND = 1e-8          # oracle exclusion band on the minimal PT eigenvalue
 
+# -- LDL^H inertia certificates of the scan oracle (min_eig_certificates) ------
+#: The margin delta of min_eig_certificates, relative to max(1, |H|_F).
+#: With u = 2^-53 and n = 4, three errors must each stay 1e3 times below
+#: delta = 1e-11 max(1, |H|_F):
+#: - LDL^H without pivoting: the computed L, D are the exact factors of
+#:   H - s I + E with |E| <= g |L| |D| |L^H| (Higham, Accuracy and Stability
+#:   of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3, with g = gamma_(n+1)
+#:   widened to sqrt(2) gamma_(n+3) for complex arithmetic, section 3.6).
+#:   When every pivot is positive, Cauchy-Schwarz gives |E|_2 <= g tr(H - s I)
+#:   (1 + O(u)) <= 2 g |H|_F, about 2.2e-15 |H|_F; rounding s into the
+#:   diagonal adds u (|H|_F + s).  Together under 2.5e-15 max(1, |H|_F).
+#: - The Rayleigh quotient: y = H w and w^H y are complex inner products of
+#:   length 4, so |fl(w^H H w) - w^H H w| <= 2 sqrt(2) gamma_6 |w|^T |H| |w|
+#:   (1 + O(u)), under 2e-15 |H|_F |w|^2 because |w|^T |H| |w| <=
+#:   |H|_F |w|^2.  The test charges RAYLEIGH_ROUNDING |H|_F |w|^2 =
+#:   1e-14 |H|_F |w|^2 for it, five times that and 1e-3 delta |w|^2.
+#: - LAPACK's zheevd, behind eigvalsh: |computed - exact| <= p(n) u |H|_2
+#:   (LAPACK Users' Guide, 3rd ed., section 4.7) with p(n) a modest function
+#:   of n; delta is 1e3 p(n) u |H|_2 for any p(4) up to 90.
+#: Gradual underflow adds a few 1e-308 per operation, nothing beside delta.
+#: At 1e-12 the factorisation's bound would be only 400 times below delta.
+CERTIFICATE_MARGIN = 1e-11
+RAYLEIGH_ROUNDING = 1e-14
+
 # -- quartic coefficient fits --------------------------------------------------
 FIT_RESIDUAL_TOL = 1e-9     # max |V c - y| accepted for a fitted table
 FIT_COND_CAP = 1e8          # Vandermonde condition number cap

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import entspace.separability as sep
 import entspace.verify as verify
 from entspace import tolerances as tol
 from entspace.cli import main
+from entspace.montecarlo import ScanResult
 from entspace.separability import (
     fit_c112_coeffs,
     p022,
@@ -218,6 +220,44 @@ def test_check_rejects_record_entries_that_are_not_json_numbers(record, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_BIG_INT = "1" + "0" * 400  # beyond the float maximum, about 1.8e308
+
+
+def _deep(depth, leaf):
+    return "[" * depth + leaf + "]" * depth
+
+
+@pytest.mark.parametrize("text, prefix", [
+    # int too large to convert to float: an OverflowError traceback
+    ('{"rho_re": [[%s, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}'
+     % _BIG_INT, "error: field 'rho_re' is not a numeric array: "),
+    ('{"fano": {"a": [%s, 0, 0], "b": [0, 0, 0], "C": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}'
+     % _BIG_INT, "error: field 'a' is not a numeric array: "),
+    # maximum recursion depth exceeded while decoding: a RecursionError traceback
+    (_deep(5000, ""), "error: state file is nested too deeply: "),
+    # an entry nested far below the field's rank is not a number
+    ('{"rho_re": [[%s, 0, 0, 0]]}' % _deep(900, "0"),
+     "error: field 'rho_re' is not a numeric array: entry [0][0] is [[["),
+    # a ragged matrix passes the leaf check and fails np.asarray
+    ('{"rho_re": [[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}',
+     "error: field 'rho_re' is not a numeric array: "),
+], ids=["big-int-rho", "big-int-fano", "nested-5000", "deep-entry", "ragged"])
+def test_check_rejects_malformed_records_with_one_error_line(text, prefix, tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entspace.cli", "check", "--state", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert proc.stderr.startswith(prefix)
 
 
 def test_check_rejects_bad_tol(tmp_path, capsys):
@@ -461,6 +501,16 @@ def test_scan_reports_consistent_counts(capsys):
     assert set(out["bound_violations"]) == {
         "lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256",
     }
+
+
+def test_scan_prints_the_scan_result_fields_in_order(capsys):
+    assert main(["scan", "--ensemble", "hs", "-n", "300", "--seed", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert tuple(out) == tuple(f.name for f in fields(ScanResult)) == (
+        "ensemble", "samples", "seed", "band", "separable", "entangled", "boundary",
+        "fraction", "wald_error", "oracle_separable", "oracle_entangled",
+        "oracle_undecided", "oracle_fraction", "mismatches", "bound_violations",
+    )
 
 
 def test_scan_product_ensemble(capsys):

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from entspace import tolerances as tol
 from entspace.errors import DomainError, check_count, check_seed
 from entspace.linalg4 import (
-    CERTIFICATE_MARGIN,
     char_poly_coeffs,
     herm_eigenvalues,
     min_eig_certificates,
@@ -309,7 +308,7 @@ def _pure(vector):
 
 
 def test_oracle_certificate_gives_eigvalsh_masks_contract():
-    t, delta = tol.MINEIG_BAND, CERTIFICATE_MARGIN  # |PT|_F < 1: delta is absolute
+    t, delta = tol.MINEIG_BAND, tol.CERTIFICATE_MARGIN  # |PT|_F < 1: delta is absolute
     offsets = (0.0, 1e-16, -1e-16, 1e-13, -1e-13, delta, -delta, 2 * delta, -2 * delta)
     werner = np.stack([_werner_pt(sign * t + off) for sign in (1, -1) for off in offsets])
     _assert_oracle_is_eigvalsh(werner)
@@ -357,7 +356,7 @@ def test_oracle_certificate_gives_eigvalsh_masks_near_the_band(
     h = scale * (re + 1j * im)
     h = np.tril(h) + np.tril(h, -1).conj().T
     h[np.diag_indices(4)] = h.diagonal().real
-    margin = CERTIFICATE_MARGIN * max(1.0, np.linalg.norm(h))
+    margin = tol.CERTIFICATE_MARGIN * max(1.0, np.linalg.norm(h))
     target = side * tol.MINEIG_BAND + margins * margin
     h[np.diag_indices(4)] -= np.linalg.eigvalsh(h)[0] - target
     defect = upper_defect * scale * (re + 1j * im)
