@@ -35,6 +35,7 @@ from .linalg4 import (
     dag,
     exp_antihermitian,  # not called here; the benchmark tracer wraps it
     exp_commuting_paulis,
+    pauli_tables,
     tensor_product,
 )
 
@@ -54,12 +55,14 @@ BETA_WORDS = (
 )
 #: The alpha and beta words as one (2, 3, 4, 4) stack of families.
 _AB_WORDS = np.array([ALPHA_WORDS, BETA_WORDS])
+_AB_TABLES = pauli_tables(_AB_WORDS)
 #: Diagonal words generating the maximal torus.
 TORUS_WORDS = (
     tensor_product(SIGMA_Z, I2),
     tensor_product(I2, SIGMA_Z),
     tensor_product(SIGMA_Z, SIGMA_Z),
 )
+_TORUS_TABLES = pauli_tables(TORUS_WORDS)
 
 
 class OctahedronWarning(UserWarning):
@@ -258,7 +261,7 @@ def a_factor(alpha, beta, method="closed"):
         _warn_outside(alpha, "alpha")
         _warn_outside(beta, "beta")
     if method == "closed":
-        families = exp_commuting_paulis(angles, _AB_WORDS)
+        families = exp_commuting_paulis(angles, _AB_TABLES)
     elif method == "series":
         # -i/2 sum_k t_k P_k of each family, one stacked series exponential;
         # its errors name the family and the caller's stack index
@@ -279,7 +282,7 @@ def torus_factor(t):
     (t1+t2+t3, t1-t2-t3, -t1+t2-t3, -t1-t2+t3) over the half angles;
     determinant is exactly 1."""
     t = _angle_triple(t, "t")
-    return exp_commuting_paulis(t, TORUS_WORDS)
+    return exp_commuting_paulis(t, _TORUS_TABLES)
 
 
 def spectral_gap(r):

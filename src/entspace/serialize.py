@@ -6,6 +6,7 @@ produces byte-identical output.
 """
 
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -88,6 +89,42 @@ def _non_number(value, rank):
     return "", value
 
 
+#: Characters of a rejected leaf that an error message shows.
+_LEAF_CHARS = 40
+
+
+class _Text(str):
+    """Literal text in _leaf_text's stack, not a value to write."""
+
+
+def _leaf_text(leaf):
+    """The JSON text of a leaf that is not a number, cut after _LEAF_CHARS
+    characters with "...".  Lists and objects are written from an explicit
+    stack, at most _LEAF_CHARS items of each, so no nesting depth recurses
+    and no record prints a long line."""
+    text, todo = "", [leaf]
+    while todo and len(text) <= _LEAF_CHARS:
+        item = todo.pop()
+        if isinstance(item, _Text):
+            text += item
+        elif isinstance(item, (list, tuple, dict)):
+            pairs = list(islice(item.items(), _LEAF_CHARS)) if isinstance(item, dict) else None
+            inner = (
+                [[_Text(json.dumps(str(k)) + ": "), v] for k, v in pairs]
+                if pairs is not None
+                else [[x] for x in item[:_LEAF_CHARS]]
+            )
+            text += "{" if pairs is not None else "["
+            todo.append(_Text("}" if pairs is not None else "]"))
+            for i, parts in enumerate(reversed(inner)):
+                todo.extend(reversed(parts))
+                if i < len(inner) - 1:
+                    todo.append(_Text(", "))
+        else:
+            text += json.dumps(item, default=repr)
+    return text if len(text) <= _LEAF_CHARS and not todo else text[:_LEAF_CHARS] + "..."
+
+
 def _matrix_from(record, key, shape):
     if key not in record:
         raise DomainError(f"field {key!r} is missing")
@@ -98,7 +135,7 @@ def _matrix_from(record, key, shape):
         where = f"entry {position} is" if position else "it is"
         raise DomainError(
             f"field {key!r} is not a numeric array: "
-            f"{where} {json.dumps(leaf, default=repr)}, not a number"
+            f"{where} {_leaf_text(leaf)}, not a number"
         )
     try:
         m = np.asarray(record[key], dtype=float)

@@ -260,6 +260,25 @@ def test_check_rejects_malformed_records_with_one_error_line(text, prefix, tmp_p
     assert proc.stderr.startswith(prefix)
 
 
+def test_check_names_a_deeply_nested_entry_in_one_short_line(tmp_path):
+    # an entry nested 900 deep printed about 1870 characters on one line
+    path = tmp_path / "deep_entry.json"
+    path.write_text('{"rho_re": [[%s, 0, 0, 0]]}' % _deep(900, "0"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entspace.cli", "check", "--state", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: field 'rho_re' is not a numeric array: entry [0][0] is "
+        + "[" * 40 + "..., not a number\n"
+    )
+
+
 def test_check_rejects_bad_tol(tmp_path, capsys):
     # an entangled state must not come out separable under a negative band
     path = _write_state(tmp_path, werner_state(0.5))

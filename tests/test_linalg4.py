@@ -506,6 +506,65 @@ def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
             assert closed.tobytes() == _reference_exp_commuting_paulis(angles, words).tobytes()
 
 
+def test_exp_commuting_paulis_per_sample_families_contract():
+    # per-sample family stacks as verify builds them, (m, 3, 4, 4) words and
+    # (m, 3) angles: each family is the bytes of its own word-by-word
+    # product from the identity, on this machine's matmul, signs of zero
+    # included (the +-1e-300 angles underflow and take the exact route)
+    from itertools import product
+
+    from entspace.chart import _AB_WORDS
+
+    special = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300)
+    grid = np.array(list(product(special, repeat=3)))
+    g = philox_stream(19, 60)
+    random = g.uniform(-2 * np.pi, 2 * np.pi, (300, 3))
+    mixed = np.where(g.random((300, 3)) < 0.3, g.choice(special, (300, 3)), random)
+    for angles in (grid, random, mixed):
+        words = _AB_WORDS[g.integers(0, 2, len(angles))]
+        closed = exp_commuting_paulis(angles, words)
+        assert closed.shape == (len(angles), 4, 4)
+        for i in range(len(angles)):
+            reference = _reference_exp_commuting_paulis(angles[i], words[i])
+            assert closed[i].tobytes() == reference.tobytes(), (angles[i], i)
+
+
+@pytest.mark.parametrize("generators, name", [
+    ((tensor_product(SIGMA_Y, I2),), r"generators\[0\]"),
+    ((tensor_product(SIGMA_X, I2), tensor_product(I2, SIGMA_Y)), r"generators\[1\]"),
+    (np.array([[I4, I4], [I4, 2 * I4]]), r"generators\[1, 1\]"),
+], ids=["Y(x)I", "I(x)Y", "entry-2"])
+def test_exp_commuting_paulis_names_a_word_that_is_not_a_real_signed_permutation(generators, name):
+    # an odd number of Y factors puts +-1 in the imaginary part: each column
+    # of a factor then holds two real terms, which zgemm sums fused
+    angles = np.zeros(np.shape(generators)[:-2])
+    with pytest.raises(DomainError, match=name + " is not a real signed permutation"):
+        exp_commuting_paulis(angles, generators)
+
+
+def test_exp_commuting_paulis_keeps_nothing_between_calls():
+    # tables built from the words on each call, never cached: 50 calls on
+    # fresh per-sample word stacks leave tracemalloc's current size where
+    # it was (a 16-entry cache keyed on the word bytes kept about 14 MB)
+    import tracemalloc
+
+    from entspace.chart import _AB_WORDS
+
+    g = philox_stream(20, 60)
+    calls = [(g.uniform(-2 * np.pi, 2 * np.pi, (600, 3)), _AB_WORDS[g.integers(0, 2, 600)])
+             for _ in range(50)]
+    exp_commuting_paulis(*calls[0])
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for angles, words in calls:
+            exp_commuting_paulis(angles, words.copy())
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current - baseline < 64 * 2 ** 10, f"{(current - baseline) / 2 ** 10:.1f} KiB"
+
+
 def test_partial_transpose_diagonal_fixed_point():
     d = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert np.array_equal(partial_transpose(d), d)

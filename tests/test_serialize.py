@@ -203,3 +203,16 @@ def test_to_json_renders_non_finite_floats_as_null():
     text = to_json(obj)
     assert json.loads(text) == {"inf": None, "nan": None, "vec": [1.0, None, 0.5]}
     assert "[1, null, 0.5]" in text
+
+
+def test_state_record_names_a_deeply_nested_entry_in_a_short_message():
+    # the leaf is rendered without recursion and cut short: a list nested
+    # 3000 deep raised RecursionError from json.dumps
+    entry = 0
+    for _ in range(3000):
+        entry = [entry]
+    with pytest.raises(DomainError) as info:
+        state_from_dict({"rho_re": [[entry, 0, 0, 0]] + [[0] * 4] * 3})
+    message = str(info.value)
+    assert message.startswith("field 'rho_re' is not a numeric array: entry [0][0] is [[[")
+    assert message.endswith("..., not a number") and len(message) < 120
