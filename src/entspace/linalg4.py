@@ -520,23 +520,24 @@ def _real_eye(n):
     return eye
 
 
-def exp_commuting_paulis(angles, generators):
-    """exp(sum_k (angles[k]/2i) * generators[k]) for commuting real Pauli
-    words, for one family of k words or a stack of m families.
+def exp_commuting_paulis(angles, tables):
+    """exp(sum_k (angles[k]/2i) * words[k]) for commuting real Pauli words,
+    for one family of k words or a stack of m families.
 
-    Each generator must square to the identity and each family must commute
+    Each word must square to the identity and each family must commute
     pairwise; then its exponential factorises exactly into half-angle
     rotations F = cos(t/2) I - i sin(t/2) P, multiplied left to right
     starting from the identity.  No series truncation is involved.
 
-    ``generators`` is one family, shape (k, n, n), with ``angles`` of shape
-    (..., k) giving (..., n, n); or m families, shape (m, k, n, n), with
-    ``angles`` of shape (..., m, k) giving one exponential per family,
-    (..., m, n, n); or the PauliTables of either, built once by
-    pauli_tables.  Every word must be a real Pauli word, a signed
-    permutation P[pi(j), j] = v_j = +-1 (an even number of Y factors);
-    DomainError names any other word.  The product with a factor is then,
-    column by column,
+    ``tables`` are the PauliTables of one family of words, shape (k, n, n),
+    with ``angles`` of shape (..., k) giving (..., n, n); or of m families,
+    shape (m, k, n, n), with ``angles`` of shape (..., m, k) giving one
+    exponential per family, (..., m, n, n).  They are built once, at
+    import, by pauli_tables, which checks that every word is a real Pauli
+    word, a signed permutation P[pi(j), j] = v_j = +-1 (an even number of
+    Y factors).  Angles that do not broadcast against the tables' (k,) or
+    (m, k) raise DomainError.  The product with a factor is then, column
+    by column,
 
         (M F)[:, j] = cos(t/2) M[:, j] - i sin(t/2) v_j M[:, pi(j)],
 
@@ -558,16 +559,20 @@ def exp_commuting_paulis(angles, generators):
     stacked call repeats each single call, and each family of a stack of
     families its own one-family call, bit for bit.
     """
-    tables = generators if isinstance(generators, PauliTables) else pauli_tables(generators)
     words = tables.words
     one_family = words.ndim == 3
     angles = np.asarray(angles, dtype=float)
+    if angles.shape[2 - words.ndim:] != words.shape[:-2]:
+        try:
+            angles = np.broadcast_to(angles, np.broadcast_shapes(angles.shape, words.shape[:-2]))
+        except ValueError:
+            axes = "(k,)" if one_family else "(m, k)"
+            raise DomainError(f"angles of shape {angles.shape} do not broadcast "
+                              f"against the tables' {axes} = {words.shape[:-2]}") from None
     if one_family:
         words, angles = words[None], angles[..., None, :]
     m, k, n = words.shape[:3]
     lead = angles.shape[:-2]
-    if angles.shape[-2:] != (m, k):
-        angles = np.broadcast_to(angles, (*lead, m, k))
     size = math.prod(lead)
     half = angles.reshape(size, m, k) / 2.0
     trig = np.empty((2, size, m, k))  # sin, then cos

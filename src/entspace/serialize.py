@@ -6,7 +6,6 @@ produces byte-identical output.
 """
 
 import json
-from itertools import islice
 
 import numpy as np
 
@@ -93,36 +92,20 @@ def _non_number(value, rank):
 _LEAF_CHARS = 40
 
 
-class _Text(str):
-    """Literal text in _leaf_text's stack, not a value to write."""
-
-
 def _leaf_text(leaf):
     """The JSON text of a leaf that is not a number, cut after _LEAF_CHARS
-    characters with "...".  Lists and objects are written from an explicit
-    stack, at most _LEAF_CHARS items of each, so no nesting depth recurses
-    and no record prints a long line."""
-    text, todo = "", [leaf]
-    while todo and len(text) <= _LEAF_CHARS:
-        item = todo.pop()
-        if isinstance(item, _Text):
-            text += item
-        elif isinstance(item, (list, tuple, dict)):
-            pairs = list(islice(item.items(), _LEAF_CHARS)) if isinstance(item, dict) else None
-            inner = (
-                [[_Text(json.dumps(str(k)) + ": "), v] for k, v in pairs]
-                if pairs is not None
-                else [[x] for x in item[:_LEAF_CHARS]]
-            )
-            text += "{" if pairs is not None else "["
-            todo.append(_Text("}" if pairs is not None else "]"))
-            for i, parts in enumerate(reversed(inner)):
-                todo.extend(reversed(parts))
-                if i < len(inner) - 1:
-                    todo.append(_Text(", "))
-        else:
-            text += json.dumps(item, default=repr)
-    return text if len(text) <= _LEAF_CHARS and not todo else text[:_LEAF_CHARS] + "..."
+    characters with "...".  Without _one_shot, iterencode runs the
+    pure-Python encoder, which yields lists and objects one nesting level
+    at a time, so only the first few levels are written: no nesting depth
+    recurses and no record prints a long line.  A Python caller's list that
+    holds itself, or dict key that is not a JSON key, raises nothing."""
+    text = ""
+    chunks = json.JSONEncoder(skipkeys=True, check_circular=False, default=repr).iterencode(leaf)
+    for chunk in chunks:
+        text += chunk
+        if len(text) > _LEAF_CHARS:
+            return text[:_LEAF_CHARS] + "..."
+    return text
 
 
 def _matrix_from(record, key, shape):

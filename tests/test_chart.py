@@ -309,16 +309,16 @@ def test_stacked_chart_kernels_are_bitwise_per_index_calls():
 
 def test_stacked_exp_commuting_paulis_is_bitwise_per_index_call():
     from entspace.chart import ALPHA_WORDS, BETA_WORDS, TORUS_WORDS
-    from entspace.linalg4 import exp_commuting_paulis
+    from entspace.linalg4 import exp_commuting_paulis, pauli_tables
 
     g = philox_stream(92, 62)
     angles = g.uniform(-2 * TWO_PI, 2 * TWO_PI, (3, 7, 3))
     for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
-        stacked = exp_commuting_paulis(angles, words)
+        stacked = exp_commuting_paulis(angles, pauli_tables(words))
         assert stacked.shape == (3, 7, 4, 4)
         for i in range(3):
             for j in range(7):
-                assert _same_bits(exp_commuting_paulis(angles[i, j], words), stacked[i, j])
+                assert _same_bits(exp_commuting_paulis(angles[i, j], pauli_tables(words)), stacked[i, j])
 
 
 def test_stacked_closed_form_matches_series_exponential():

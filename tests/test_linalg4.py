@@ -30,6 +30,7 @@ from entspace.linalg4 import (
     min_eig_certificates,
     partial_trace,
     partial_transpose,
+    pauli_tables,
     tensor_product,
     unitarity_defect,
 )
@@ -471,7 +472,7 @@ def test_exp_commuting_paulis_matches_series():
     )
     for _ in range(50):
         angles = g.uniform(-2 * np.pi, 2 * np.pi, 3)
-        closed = exp_commuting_paulis(angles, words)
+        closed = exp_commuting_paulis(angles, pauli_tables(words))
         gen = -0.5j * sum(t * w for t, w in zip(angles, words))
         assert np.max(np.abs(closed - exp_antihermitian(gen))) < tol.EXPM_PATH_TOL
 
@@ -498,19 +499,21 @@ def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
     stack = g.uniform(-4 * np.pi, 4 * np.pi, (5, 9, 3))
     for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
         for angles in np.concatenate([grid, mixed]):
-            assert (exp_commuting_paulis(angles, words).tobytes()
+            assert (exp_commuting_paulis(angles, pauli_tables(words)).tobytes()
                     == _reference_exp_commuting_paulis(angles, words).tobytes())
         for angles in (grid, mixed, stack):
-            closed = exp_commuting_paulis(angles, words)
+            closed = exp_commuting_paulis(angles, pauli_tables(words))
             assert closed.shape == (*angles.shape[:-1], 4, 4)
             assert closed.tobytes() == _reference_exp_commuting_paulis(angles, words).tobytes()
 
 
 def test_exp_commuting_paulis_per_sample_families_contract():
-    # per-sample family stacks as verify builds them, (m, 3, 4, 4) words and
-    # (m, 3) angles: each family is the bytes of its own word-by-word
-    # product from the identity, on this machine's matmul, signs of zero
-    # included (the +-1e-300 angles underflow and take the exact route)
+    # per-sample family stacks built here, (m, 3, 4, 4) words and (m, 3)
+    # angles: each family is the bytes of its own word-by-word product from
+    # the identity, on this machine's matmul, signs of zero included (the
+    # +-1e-300 angles underflow and take the exact route).  The chart's
+    # two-family tables, which verify reads per sample, rest on the same
+    # stacking.
     from itertools import product
 
     from entspace.chart import _AB_WORDS
@@ -522,7 +525,7 @@ def test_exp_commuting_paulis_per_sample_families_contract():
     mixed = np.where(g.random((300, 3)) < 0.3, g.choice(special, (300, 3)), random)
     for angles in (grid, random, mixed):
         words = _AB_WORDS[g.integers(0, 2, len(angles))]
-        closed = exp_commuting_paulis(angles, words)
+        closed = exp_commuting_paulis(angles, pauli_tables(words))
         assert closed.shape == (len(angles), 4, 4)
         for i in range(len(angles)):
             reference = _reference_exp_commuting_paulis(angles[i], words[i])
@@ -539,13 +542,24 @@ def test_exp_commuting_paulis_names_a_word_that_is_not_a_real_signed_permutation
     # of a factor then holds two real terms, which zgemm sums fused
     angles = np.zeros(np.shape(generators)[:-2])
     with pytest.raises(DomainError, match=name + " is not a real signed permutation"):
-        exp_commuting_paulis(angles, generators)
+        exp_commuting_paulis(angles, pauli_tables(generators))
+
+
+@pytest.mark.parametrize("tables, shape, axes", [
+    ("_AB_TABLES", (5, 3), r"\(m, k\) = \(2, 3\)"),
+    ("_TORUS_TABLES", (4,), r"\(k,\) = \(3,\)"),
+], ids=["(5,3)-two-families", "(4,)-torus"])
+def test_exp_commuting_paulis_names_angles_that_do_not_broadcast(tables, shape, axes):
+    from entspace import chart
+
+    with pytest.raises(DomainError, match=re.escape(f"angles of shape {shape}") + ".*" + axes):
+        exp_commuting_paulis(np.zeros(shape), getattr(chart, tables))
 
 
 def test_exp_commuting_paulis_keeps_nothing_between_calls():
-    # tables built from the words on each call, never cached: 50 calls on
-    # fresh per-sample word stacks leave tracemalloc's current size where
-    # it was (a 16-entry cache keyed on the word bytes kept about 14 MB)
+    # pauli_tables and the kernel, one of each per call, keep nothing: 50
+    # calls on fresh per-sample word stacks leave tracemalloc's current size
+    # where it was (a 16-entry cache keyed on the word bytes kept about 14 MB)
     import tracemalloc
 
     from entspace.chart import _AB_WORDS
@@ -553,12 +567,12 @@ def test_exp_commuting_paulis_keeps_nothing_between_calls():
     g = philox_stream(20, 60)
     calls = [(g.uniform(-2 * np.pi, 2 * np.pi, (600, 3)), _AB_WORDS[g.integers(0, 2, 600)])
              for _ in range(50)]
-    exp_commuting_paulis(*calls[0])
+    exp_commuting_paulis(calls[0][0], pauli_tables(calls[0][1]))
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
         for angles, words in calls:
-            exp_commuting_paulis(angles, words.copy())
+            exp_commuting_paulis(angles, pauli_tables(words.copy()))
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

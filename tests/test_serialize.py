@@ -1,6 +1,7 @@
 """Deterministic serialization round trips."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -216,3 +217,13 @@ def test_state_record_names_a_deeply_nested_entry_in_a_short_message():
     message = str(info.value)
     assert message.startswith("field 'rho_re' is not a numeric array: entry [0][0] is [[[")
     assert message.endswith("..., not a number") and len(message) < 120
+
+
+def test_state_record_names_a_self_containing_or_tuple_keyed_entry():
+    # leaves only a Python caller can pass still end in DomainError: the
+    # self-containing list is cut short, the tuple key is left out
+    loop = []
+    loop.append(loop)
+    for entry, text in ((loop, "[" * 40 + "..."), ({(1, 2): 0, "k": 1}, '{"k": 1}')):
+        with pytest.raises(DomainError, match=re.escape(f"entry [0][0] is {text}, not a number")):
+            state_from_dict({"rho_re": [[entry, 0, 0, 0]] + [[0] * 4] * 3})

@@ -23,6 +23,7 @@ from entspace.linalg4 import (
     exp_commuting_paulis,
     herm_eigensystem,
     partial_transpose,
+    pauli_tables,
 )
 from entspace.sampling import (
     _hs_chunk,
@@ -49,7 +50,7 @@ def _reference_expm_paths(n, seed):
     for _ in range(min(n, 600)):
         angles = g.uniform(-2 * np.pi, 2 * np.pi, 3)
         words = ALPHA_WORDS if g.random() < 0.5 else BETA_WORDS
-        closed = exp_commuting_paulis(angles, words)
+        closed = exp_commuting_paulis(angles, pauli_tables(words))
         series = exp_antihermitian(-0.5j * sum(t * w for t, w in zip(angles, words)))
         worst = max(worst, np.max(np.abs(closed - series)))
         gram = np.max(np.abs(dag(series) @ series - I4))
@@ -183,6 +184,19 @@ def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
     assert len(stores) == 3
     for store in stores[1:]:
         assert len(store.hs()) == tol.CHUNK and len(store._chart[-1]) == 2000
+
+
+def test_checks_build_no_word_tables(monkeypatch):
+    # expm_paths reads the chart's tables, built at import: a suite run with
+    # pauli_tables unusable still passes every check
+    from entspace import linalg4
+
+    def no_tables(generators):
+        raise AssertionError("pauli_tables called")
+
+    monkeypatch.setattr(linalg4, "pauli_tables", no_tables)
+    result = verify.run_suite("identities", 600, 1)
+    assert result["passed"], [c["name"] for c in result["checks"] if not c["passed"]]
 
 
 def test_served_arrays_are_read_only():
