@@ -61,11 +61,13 @@ def _stack_position(lead, flat_index):
 
 def _square_stack(x):
     """``x`` as a complex (k, n, n) stack with its leading shape; DomainError
-    unless it is one square matrix or a stack of them with finite entries,
-    naming the first stack index with a non-finite entry."""
+    unless it is one square matrix of size n >= 1 or a stack of them with
+    finite entries, naming the first stack index with a non-finite entry."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
-        raise DomainError(f"expected a square matrix or a stack of them, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] == 0:
+        raise DomainError(
+            f"expected a square matrix of size >= 1 or a stack of them, got shape {x.shape}"
+        )
     lead = x.shape[:-2]
     flat = x.reshape(-1, *x.shape[-2:])
     finite = np.isfinite(flat).all(axis=(1, 2))
@@ -459,15 +461,12 @@ class PauliTables(NamedTuple):
     f) of the k-th words, of M or of -M, so that it reads
     v_j Im M[i, pi(j)] for c = 0 and -v_j Re M[i, pi(j)] for c = 1.
     ``start`` holds the identity so gathered by the first words, then the
-    identity, as (2, n n 2, m, 1).  ``least`` is the least frexp exponent
-    of a sine or cosine with which k updates never underflow.  The words
-    are kept for the exact route.
+    identity, as (2, n n 2, m, 1).  ``shape`` is the shape of the words.
     """
 
-    words: np.ndarray
+    shape: tuple
     gather: np.ndarray
     start: np.ndarray
-    least: int
 
 
 def pauli_tables(generators):
@@ -504,7 +503,7 @@ def pauli_tables(generators):
     start = start[..., None]
     for table in (gather, start):
         table.setflags(write=False)
-    return PauliTables(words, gather, start, math.ceil((53 * (k - 1) - 1022) / k) + 1)
+    return PauliTables(words.shape, gather, start)
 
 
 #: Matrices of a family that exp_commuting_paulis takes in one pass: its
@@ -544,34 +543,25 @@ def exp_commuting_paulis(angles, tables):
     one gather and one elementwise update per word over the whole stack
     (in chunks of _EXP_CHUNK per family), with no matrix product.
 
-    Its bytes are those of the word-by-word product I @ F1 @ F2 @ ... as
-    zgemm rounds it (checked for 4 x 4 words against this machine's BLAS;
-    a 2 x 2 product is rounded otherwise there).  zgemm sums re*re, im*im,
-    im*re and re*im in four fused multiply-add chains from +0, forms
-    re = rr - ii and im = ir + ri, and applies alpha = 1 as
-    (re - im*0, im + re*0).  With a signed permutation each chain holds
-    one term that is not an exact zero, so every nonzero component is the
-    update's, and every zero component is +0 unless that term underflows
-    to -0 and keeps its sign.  Matrices whose half-angle sines or cosines
-    are small enough for that (below about 1e-92 for three words, such as
-    +-1e-300) take an exact route, _zgemm_product, which follows the
-    chains term by term.  Every value is computed elementwise, so a
-    stacked call repeats each single call, and each family of a stack of
-    families its own one-family call, bit for bit.
+    Every nonzero component of the result is the value of these updates,
+    and every zero component is +0, whatever the sign of a zero met on the
+    way or of a term that underflows.  Every value is computed elementwise,
+    so a stacked call repeats each single call, and each family of a stack
+    of families its own one-family call, bit for bit.
     """
-    words = tables.words
-    one_family = words.ndim == 3
+    shape = tables.shape
+    one_family = len(shape) == 3
     angles = np.asarray(angles, dtype=float)
-    if angles.shape[2 - words.ndim:] != words.shape[:-2]:
+    if angles.shape[2 - len(shape):] != shape[:-2]:
         try:
-            angles = np.broadcast_to(angles, np.broadcast_shapes(angles.shape, words.shape[:-2]))
+            angles = np.broadcast_to(angles, np.broadcast_shapes(angles.shape, shape[:-2]))
         except ValueError:
             axes = "(k,)" if one_family else "(m, k)"
             raise DomainError(f"angles of shape {angles.shape} do not broadcast "
-                              f"against the tables' {axes} = {words.shape[:-2]}") from None
+                              f"against the tables' {axes} = {shape[:-2]}") from None
     if one_family:
-        words, angles = words[None], angles[..., None, :]
-    m, k, n = words.shape[:3]
+        shape, angles = (1, *shape), angles[..., None, :]
+    m, k, n = shape[:3]
     lead = angles.shape[:-2]
     size = math.prod(lead)
     half = angles.reshape(size, m, k) / 2.0
@@ -599,54 +589,9 @@ def exp_commuting_paulis(angles, tables):
             source.take(tables.gather[w], 0, into, "clip")
             rows[:2] *= chunk[w]  # sin v_j M[:, pi(j)] with parts swapped, cos M
             np.add(product, gathered, out=product)
-        # every zero component of the chains' sums is +0 ...
+        # every zero component is +0
         np.add(product.transpose(2, 1, 0), 0.0, out=parts[lo:lo + width])
-    # ... unless a term underflows, which changes the sign of a zero only.
-    # Each update scales the least nonzero component (1 at the identity) by
-    # a sine or cosine and, by a sum's cancellation, by at most 2^-53 more;
-    # if every nonzero one is at least 2^(tables.least - 1), no product of
-    # the k updates comes near 2^-1022, let alone underflows to zero.
-    if np.count_nonzero(parts) < parts.size and np.frexp(trig)[1].min(initial=0) < tables.least:
-        exact = np.frexp(trig)[1].min(axis=(0, 3)) < tables.least
-        family = np.broadcast_to(np.arange(m), exact.shape)[exact]
-        sin, cos = trig[:, exact]
-        u.reshape(size, m, n, n)[exact] = _zgemm_product(cos, sin, words[family])
     return u[..., 0, :, :] if one_family else u
-
-
-def _zgemm_product(cos, sin, words):
-    """I @ F1 @ F2 @ ... for factors Fk = cos_k I - i sin_k Pk, shapes (p, k)
-    and (p, k, n, n), each product rounded as zgemm rounds it."""
-    n = words.shape[-1]
-    u = np.eye(n, dtype=complex)
-    for w in range(words.shape[1]):
-        factor = cos[:, w, None, None] * np.eye(n) - (1j * sin[:, w, None, None]) * words[:, w]
-        u = _zgemm(u, factor)
-    return u
-
-
-def _zgemm(a, b):
-    """a @ b summed as zgemm sums it: four fused multiply-add chains from +0
-    over the inner index, re = rr - ii, im = ir + ri, then alpha = 1 as
-    (re - im*0, im + re*0).  Exact for a ``b`` whose real and imaginary
-    parts hold one nonzero per column, so that each chain adds one term
-    that is not an exact zero and no sum is fused."""
-    chains = []
-    for x, y in ((a.real, b.real), (a.imag, b.imag), (a.imag, b.real), (a.real, b.imag)):
-        total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        for i in range(x.shape[-1]):
-            xi, yi = x[..., :, i, None], y[..., None, i, :]
-            term = xi * yi
-            # total is +0 before the chain's one term that is not an exact
-            # zero, and fma(x, y, +0) keeps that term's sign if it underflows
-            total = np.where((xi != 0) & (yi != 0), term, total + term)
-        chains.append(total)
-    rr, ii, ir, ri = chains
-    re, im = rr - ii, ir + ri
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re - im * 0.0
-    out.imag = im + re * 0.0
-    return out
 
 
 def _two_qubit(x):

@@ -477,58 +477,100 @@ def test_exp_commuting_paulis_matches_series():
         assert np.max(np.abs(closed - exp_antihermitian(gen))) < tol.EXPM_PATH_TOL
 
 
-def _reference_exp_commuting_paulis(angles, words):
-    """The half-angle rotation product started from the identity: I @ f1 @ f2 @ ..."""
+def _chain_product(a, b):
+    """a @ b with no BLAS call: each entry's four real chains rr, ii, ir and
+    ri, each summed over the inner index from +0 in order, give
+    re = rr - ii and im = ir + ri, assigned as the real and imaginary parts
+    (re + 1j * im could flip the sign of a zero)."""
+    chains = []
+    for x, y in ((a.real, b.real), (a.imag, b.imag), (a.imag, b.real), (a.real, b.imag)):
+        total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for i in range(x.shape[-1]):
+            total = total + x[..., :, i, None] * y[..., None, i, :]
+        chains.append(total)
+    rr, ii, ir, ri = chains
+    out = np.empty(rr.shape, dtype=complex)
+    out.real = rr - ii
+    out.imag = ir + ri
+    return out
+
+
+def _rotation_product(angles, words, matmul):
+    """The half-angle rotation product started from the identity,
+    I f1 f2 ..., with f_k = cos(t_k/2) I - i sin(t_k/2) P_k and each product
+    taken by ``matmul``."""
     half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
     u = np.eye(4, dtype=complex)
     for k, w in enumerate(words):
-        u = u @ (np.cos(half[..., k, :, :]) * np.eye(4) - 1j * np.sin(half[..., k, :, :]) * w)
+        re, im = np.cos(half[..., k, :, :]) * np.eye(4), -np.sin(half[..., k, :, :]) * w.real
+        factor = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+        factor.real, factor.imag = re, im
+        u = matmul(u, factor)
     return u
 
 
-def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
+_SPECIAL_ANGLES = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300)
+
+
+def _special_and_mixed_triples(g, count):
+    """The 512-point grid of special angles, and ``count`` random triples
+    with about 30 % of their angles special."""
     from itertools import product
 
+    grid = np.array(list(product(_SPECIAL_ANGLES, repeat=3)))
+    mixed = np.where(g.random((count, 3)) < 0.3, g.choice(_SPECIAL_ANGLES, (count, 3)),
+                     g.uniform(-2 * np.pi, 2 * np.pi, (count, 3)))
+    return grid, mixed
+
+
+def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
     from entspace.chart import ALPHA_WORDS, BETA_WORDS, TORUS_WORDS
 
-    special = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300)
-    grid = np.array(list(product(special, repeat=3)))
     g = philox_stream(18, 60)
-    mixed = np.where(g.random((200, 3)) < 0.3, g.choice(special, (200, 3)),
-                     g.uniform(-2 * np.pi, 2 * np.pi, (200, 3)))
+    grid, mixed = _special_and_mixed_triples(g, 200)
     stack = g.uniform(-4 * np.pi, 4 * np.pi, (5, 9, 3))
     for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
         for angles in np.concatenate([grid, mixed]):
             assert (exp_commuting_paulis(angles, pauli_tables(words)).tobytes()
-                    == _reference_exp_commuting_paulis(angles, words).tobytes())
+                    == _rotation_product(angles, words, _chain_product).tobytes())
         for angles in (grid, mixed, stack):
             closed = exp_commuting_paulis(angles, pauli_tables(words))
             assert closed.shape == (*angles.shape[:-1], 4, 4)
-            assert closed.tobytes() == _reference_exp_commuting_paulis(angles, words).tobytes()
+            assert closed.tobytes() == _rotation_product(angles, words, _chain_product).tobytes()
+
+
+def test_exp_commuting_paulis_equals_the_matmul_product_in_value():
+    # the same product on numpy's matmul: equal values, with -0 == +0, since
+    # the sign of a zero that BLAS gives depends on its kernel
+    from entspace.chart import ALPHA_WORDS, BETA_WORDS, TORUS_WORDS
+
+    grid, mixed = _special_and_mixed_triples(philox_stream(18, 60), 200)
+    for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
+        for angles in (grid, mixed):
+            assert np.array_equal(exp_commuting_paulis(angles, pauli_tables(words)),
+                                  _rotation_product(angles, words, np.matmul))
 
 
 def test_exp_commuting_paulis_per_sample_families_contract():
     # per-sample family stacks built here, (m, 3, 4, 4) words and (m, 3)
     # angles: each family is the bytes of its own word-by-word product from
-    # the identity, on this machine's matmul, signs of zero included (the
-    # +-1e-300 angles underflow and take the exact route).  The chart's
-    # two-family tables, which verify reads per sample, rest on the same
-    # stacking.
+    # the identity in four real chains with no BLAS, every zero +0 (the
+    # +-1e-300 angles underflow).  The chart's two-family tables, which
+    # verify reads per sample, rest on the same stacking.
     from itertools import product
 
     from entspace.chart import _AB_WORDS
 
-    special = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300)
-    grid = np.array(list(product(special, repeat=3)))
+    grid = np.array(list(product(_SPECIAL_ANGLES, repeat=3)))
     g = philox_stream(19, 60)
     random = g.uniform(-2 * np.pi, 2 * np.pi, (300, 3))
-    mixed = np.where(g.random((300, 3)) < 0.3, g.choice(special, (300, 3)), random)
+    mixed = np.where(g.random((300, 3)) < 0.3, g.choice(_SPECIAL_ANGLES, (300, 3)), random)
     for angles in (grid, random, mixed):
         words = _AB_WORDS[g.integers(0, 2, len(angles))]
         closed = exp_commuting_paulis(angles, pauli_tables(words))
         assert closed.shape == (len(angles), 4, 4)
         for i in range(len(angles)):
-            reference = _reference_exp_commuting_paulis(angles[i], words[i])
+            reference = _rotation_product(angles[i], words[i], _chain_product)
             assert closed[i].tobytes() == reference.tobytes(), (angles[i], i)
 
 
@@ -538,8 +580,8 @@ def test_exp_commuting_paulis_per_sample_families_contract():
     (np.array([[I4, I4], [I4, 2 * I4]]), r"generators\[1, 1\]"),
 ], ids=["Y(x)I", "I(x)Y", "entry-2"])
 def test_exp_commuting_paulis_names_a_word_that_is_not_a_real_signed_permutation(generators, name):
-    # an odd number of Y factors puts +-1 in the imaginary part: each column
-    # of a factor then holds two real terms, which zgemm sums fused
+    # an odd number of Y factors puts +-1 in the imaginary part, and the
+    # gather needs one real +-1 in each column
     angles = np.zeros(np.shape(generators)[:-2])
     with pytest.raises(DomainError, match=name + " is not a real signed permutation"):
         exp_commuting_paulis(angles, pauli_tables(generators))
@@ -851,6 +893,15 @@ def test_exp_antihermitian_rejects_non_square_input():
     for shape in ((2, 3), (4,), (), (5, 4, 3)):
         with pytest.raises(DomainError, match="expected a square matrix"):
             exp_antihermitian(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["0x0", "3x0x0"])
+@pytest.mark.parametrize("kernel", [
+    hermitize, herm_eigensystem, herm_eigenvalues, exp_antihermitian,
+], ids=lambda f: f.__name__)
+def test_square_kernels_name_an_empty_matrix(kernel, shape):
+    with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+        kernel(np.zeros(shape))
 
 
 def test_exp_antihermitian_names_the_first_non_antihermitian_matrix():
