@@ -4,22 +4,22 @@ All randomness flows through counter-based Philox streams keyed by
 (seed, tag, index), so any sample is addressable by its index alone:
 reproducing sample i never requires drawing samples 0..i-1, and results
 are independent of batching.  Every ensemble takes the sample indices
-0 <= i < 2^56.  Matrix-valued ensembles are drawn in chunks of CHUNK
-samples on one stream per chunk, laid out for the full chunk whatever is
-requested: a slice of a chunk draws the stream only as far as its last
-sample needs and builds only its own states.  A single HS index builds
-only its own state and keeps its chunk's whole draw, read-only, for the
-next single index of that chunk, so HS replays of one chunk draw it once.
-Chart samples have a stream each: a spectrum, then uniform cube triples
--2*pi + 4*pi * (u1, u2, u3) of unit draws until two lie in the
-octahedron; the block of triples drawn at a time sets the cost only.
+0 <= i < 2^56.  The HS, product and chart ensembles are drawn in chunks
+of CHUNK samples on one stream per chunk, laid out for the full chunk
+whatever is requested: a slice of a chunk draws the stream only as far as
+its last sample needs and builds only its own states.  A single HS index
+builds only its own state and keeps its chunk's whole draw, read-only,
+for the next single index of that chunk, so HS replays of one chunk draw
+it once.  A chart sample is a fixed 12 unit draws of its chunk's stream,
+so an index replays by advancing the stream past the samples before it;
+the rare draw that is not generic is redrawn on a stream of its own.
 """
 
 import numpy as np
 
 from .errors import DomainError, check_count, check_seed
 from . import tolerances as tol
-from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
+from .chart import ChartPoint, TWO_PI, in_octahedron, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
 from .linalg4 import SIGMA, I2
 
@@ -28,6 +28,7 @@ TAG_HS = 1
 TAG_PRODUCT = 2
 TAG_CHART = 3
 TAG_LOCAL_UNITARY = 4
+TAG_CHART_REDRAW = 5
 _TAG_VERIFY_BASE = 16  # tags >= 16 are reserved for verification checks
 
 _INDEX_BITS = 56
@@ -199,49 +200,53 @@ def sample_product_state(seed, index):
 
 # -- chart-point ensemble ------------------------------------------------------
 
-#: Cube triples drawn at a time by the octahedron rejection; two of them
-#: are accepted with probability 1 - 6.1e-3.  The triples are the last
-#: draws of a sample's stream, so the block size sets the cost only, never
-#: the values.
-_OCTAHEDRON_BLOCK = 40
+#: Unit draws per chart sample: three Philox4x64 blocks.
+_CHART_WORDS = 12
 
 
-def _cube_triples(unit):
-    """Uniform cube triples in [-2*pi, 2*pi)^3 from the unit draws ``unit``
-    (..., 3) of ``Generator.random``, mapped in place by numpy's
-    ``uniform(-2*pi, 2*pi)`` formula -2*pi + 4*pi * u."""
-    unit *= TWO_PI - -TWO_PI
-    unit += -TWO_PI
-    return unit
+def _chart_from_units(u):
+    """(spectrum, alpha, beta, generic) of the rows of 12 unit draws ``u``.
 
-
-def _octahedron_accepts(v):
-    """Which cube triples of ``v`` (..., 3) lie in the l1-ball of radius
-    2*pi; the l1 norm is summed left to right."""
-    a = np.abs(v)
-    return (a[..., 0] + a[..., 1]) + a[..., 2] <= TWO_PI
-
-
-def _chart_draws(g):
-    """Spectrum, alpha and beta of one chart sample from its stream ``g``,
-    drawn one after another.
-
-    alpha and beta are the first two cube triples accepted by a rejection
-    into the l1-ball of radius 2*pi (acceptance rate 1/6).  A cube triple
-    is -2*pi + 4*pi * u of three unit draws u (``_cube_triples``).  The
-    triples are the last draws of the stream, so drawing them
-    _OCTAHEDRON_BLOCK at a time gives the same two as drawing them one by
-    one: the block size changes the cost only.
+    The spectrum is the four spacings of (0, sorted u0..u2, 1) in
+    decreasing order, a sorted flat-Dirichlet point.  The magnitudes of
+    alpha are 2*pi times the three spacings of (0, sorted u3..u5), uniform
+    on the corner simplex, and its component k is negative where bit k of
+    int(8 * u6) is set: a uniform point of the l1-ball of radius 2*pi.
+    beta comes from u7..u10 in the same way, and u11 pads the row.
+    ``generic`` is False where the spectrum is not strictly decreasing and
+    positive or an angle triple fails ``in_octahedron``.
     """
-    while True:
-        r = sorted(g.dirichlet(np.ones(4)).tolist(), reverse=True)
-        if r[0] > r[1] > r[2] > r[3] > 0:
-            break
-    accepted = []
-    while len(accepted) < 2:
-        v = _cube_triples(g.random((_OCTAHEDRON_BLOCK, 3)))
-        accepted.extend(v[_octahedron_accepts(v)])
-    return r, accepted[0], accepted[1]
+    s = np.sort(u[:, [[0, 1, 2], [3, 4, 5], [7, 8, 9]]], axis=2)
+    spacings = s.copy()
+    spacings[..., 1:] -= s[..., :-1]
+    r = np.empty((len(u), 4))
+    r[:, :3] = spacings[:, 0]
+    r[:, 3] = 1.0 - s[:, 0, 2]
+    r = np.sort(r, axis=1)[:, ::-1]
+    negative = ((8 * u[:, [6, 10]]).astype(np.int64)[..., None] >> np.arange(3)) & 1
+    magnitude = TWO_PI * spacings[:, 1:]
+    angles = np.where(negative == 1, -magnitude, magnitude)
+    generic = (r[:, 0] > r[:, 1]) & (r[:, 1] > r[:, 2]) & (r[:, 2] > r[:, 3]) & (r[:, 3] > 0)
+    return r, angles[:, 0], angles[:, 1], generic & in_octahedron(angles).all(axis=1)
+
+
+def _chart_units(seed, flat):
+    """The 12 unit draws of each sample of the int64 index array ``flat``.
+
+    Sample j of chunk c owns words 12j..12j+11 of the stream (seed,
+    TAG_CHART, c).  Each chunk touched is drawn in one call, from its
+    first requested sample to its last: the stream is advanced by three
+    Philox4x64 blocks per sample skipped."""
+    units = np.empty((flat.size, _CHART_WORDS))
+    order = np.argsort(flat)
+    chunk, offset = np.divmod(flat[order], tol.CHUNK)
+    starts = np.unique(chunk, return_index=True)[1].tolist()
+    for a, b in zip(starts, [*starts[1:], flat.size]):
+        lo, hi = int(offset[a]), int(offset[b - 1]) + 1
+        g = philox_stream(seed, TAG_CHART, int(chunk[a]))
+        g.bit_generator.advance(3 * lo)
+        units[order[a:b]] = g.random((hi - lo, _CHART_WORDS))[offset[a:b] - lo]
+    return units
 
 
 def sample_chart_point(seed, index):
@@ -250,40 +255,28 @@ def sample_chart_point(seed, index):
 
     The spectrum is a flat-Dirichlet simplex point sorted in decreasing
     order; alpha and beta are independent uniform points of the double
-    octahedron.  Ties in the spectrum (probability zero) are redrawn so
-    the point is always generic.
+    octahedron.  The spacings of sorted uniforms are uniform on the
+    simplex, so each sample is a fixed 12 unit draws (``_chart_from_units``)
+    with no rejection.
 
-    Sample i is drawn from its own Philox stream (seed, TAG_CHART, i),
-    whatever else is drawn in the same call: first the flat Dirichlet
-    spectrum (four standard exponentials scaled by the inverse of their
-    sum, numpy's ``dirichlet(ones(4))``), redrawn while it has a tie, then
-    uniform cube triples -2*pi + 4*pi * (u1, u2, u3) of three unit draws
-    (numpy's ``uniform(-2*pi, 2*pi)``) until two lie in the octahedron.
-    Per index, Python only re-keys the stream and draws the first spectrum
-    and a block of _OCTAHEDRON_BLOCK unit triples into preallocated rows;
-    the mapping to the cube and the rejection run over the whole array.
-    An index whose first spectrum ties or whose first block holds fewer
-    than two accepted triples is drawn again one step at a time on a fresh
-    stream.  The block size changes the cost only, never the values.
+    Samples are drawn in chunks of CHUNK on one stream per chunk, (seed,
+    TAG_CHART, chunk): sample j of a chunk owns words 12j..12j+11, so an
+    index replays after advancing its chunk's stream by 3j Philox blocks,
+    and a stacked call draws each chunk it touches in one call.  A draw
+    whose spectrum ties or is not positive (about 2^-50 likely), or whose
+    angles fail ``in_octahedron``, is redrawn 12 unit draws at a time from
+    the stream (seed, TAG_CHART_REDRAW, index) until it is generic, so the
+    point is always generic and any index replays alone.
     """
+    check_seed(seed)
     index = np.asarray(index)
-    flat = index.reshape(-1)
-    n = flat.size
-    exponentials = np.empty((n, 4))
-    unit = np.empty((n, _OCTAHEDRON_BLOCK, 3))
-    for k, g in enumerate(philox_streams(seed, TAG_CHART, flat)):
-        g.standard_exponential(out=exponentials[k])
-        g.random(out=unit[k])
-    triples = _cube_triples(unit)
-    e0, e1, e2, e3 = exponentials.T
-    r = np.sort(exponentials * (1.0 / (((e0 + e1) + e2) + e3))[:, None], axis=1)[:, ::-1]
-    accepted = np.cumsum(_octahedron_accepts(triples), axis=1)
-    first, second = np.argmax(accepted >= 1, axis=1), np.argmax(accepted >= 2, axis=1)
-    rows = np.arange(n)
-    alpha, beta = triples[rows, first], triples[rows, second]
-    generic = (r[:, 0] > r[:, 1]) & (r[:, 1] > r[:, 2]) & (r[:, 2] > r[:, 3]) & (r[:, 3] > 0)
-    for k in np.flatnonzero(~generic | (accepted[:, -1] < 2)):
-        r[k], alpha[k], beta[k] = _chart_draws(philox_stream(seed, TAG_CHART, flat[k]))
+    flat = _check_indices(index).astype(np.int64)
+    r, alpha, beta, generic = _chart_from_units(_chart_units(seed, flat))
+    for k in np.flatnonzero(~generic).tolist():
+        g = philox_stream(seed, TAG_CHART_REDRAW, int(flat[k]))
+        while not generic[k]:
+            redrawn = _chart_from_units(g.random((1, _CHART_WORDS)))
+            r[k], alpha[k], beta[k], generic[k] = (a[0] for a in redrawn)
     shape = index.shape
     return ChartPoint(
         simplex=xyz_from_eigenvalues(r.reshape(*shape, 4)),

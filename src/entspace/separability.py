@@ -175,7 +175,9 @@ def p201(alpha3, beta):
 
     ``alpha3`` has shape (...) and ``beta`` shape (..., 3), as do the
     arguments of p111, p022 and det_c_closed_form; each value is computed
-    elementwise, so a stacked call repeats each single call bit for bit.
+    elementwise, so a stacked call repeats each single call bit for bit:
+    squares are np.square, as a numpy scalar's ``** 2`` calls libm's pow,
+    which can round off the product an array's ``** 2`` takes.
     A beta of another shape, or a non-finite angle or one beyond
     chart.ANGLE_LIMIT in alpha3 or beta, raises DomainError, as in every
     chart kernel."""
@@ -186,18 +188,15 @@ def p201(alpha3, beta):
 def p111(alpha3, beta):
     """Closed-form coefficient of x*y*z in det|C| on the chart."""
     alpha3, b1, b2, b3 = _chart_angles(alpha3, beta)
-    sa, ca = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
-    return -(
-        sa * np.cos(b2) ** 2 * (np.cos(b1) ** 2 + np.sin(b1) ** 2 * np.cos(b3) ** 2)
-        + ca * np.sin(b2) ** 2 * np.cos(b1) ** 2 * np.cos(b3) ** 2
-        + np.sin(b1) ** 2 * np.sin(b3) ** 2 * np.cos(b2) ** 2
-    )
+    sa, ca, s1, c1, s2, c2, s3, c3 = (
+        np.square(f(t)) for t in (alpha3, b1, b2, b3) for f in (np.sin, np.cos))
+    return -(sa * c2 * (c1 + s1 * c3) + ca * s2 * c1 * c3 + s1 * s3 * c2)
 
 
 def p022(alpha3, beta):
     """Closed-form coefficient of y^2 z^2 in the quartic expansion of C112."""
     alpha3, b1, b2, b3 = _chart_angles(alpha3, beta)
-    sa2, ca2 = np.sin(alpha3) ** 2, np.cos(alpha3) ** 2
+    sa2, ca2 = np.square(np.sin(alpha3)), np.square(np.cos(alpha3))
     bracket = (
         np.cos(2 * (alpha3 - b1))
         + np.cos(2 * (alpha3 + b1))
@@ -206,7 +205,7 @@ def p022(alpha3, beta):
         + 2 * np.cos(2 * b1)
         - 4
     )
-    return 0.125 * ca2 * np.cos(b1) ** 2 * bracket
+    return 0.125 * ca2 * np.square(np.cos(b1)) * bracket
 
 
 def det_c_closed_form(s, alpha3, beta):
@@ -214,7 +213,7 @@ def det_c_closed_form(s, alpha3, beta):
     z * (p201 * (x^2 + y^2) + p111 * x * y); one per point of a stacked
     SimplexPoint with ``alpha3`` (...) and ``beta`` (..., 3)."""
     return s.z * (
-        p201(alpha3, beta) * (s.x ** 2 + s.y ** 2) + p111(alpha3, beta) * s.x * s.y
+        p201(alpha3, beta) * (np.square(s.x) + np.square(s.y)) + p111(alpha3, beta) * s.x * s.y
     )
 
 

@@ -100,20 +100,6 @@ def test_chart_points_in_domain_and_deterministic():
         )
 
 
-def test_chart_spectrum_first_moment():
-    # E[r1] of the ordered flat Dirichlet is 25/48; cross-check with an
-    # independently sorted reference stream
-    n = 20000
-    mine = np.mean(
-        [eigenvalues_from_xyz(sample_chart_point(32, i).simplex)[0] for i in range(n)]
-    )
-    g = philox_stream(33, 65)
-    ref = np.mean([sorted(g.dirichlet(np.ones(4)))[-1] for _ in range(n)])
-    assert abs(mine - 25.0 / 48.0) < 0.005
-    assert abs(ref - 25.0 / 48.0) < 0.005
-    assert abs(mine - ref) < 0.01
-
-
 def test_hs_purity_moment():
     # E[tr rho^2] = 8/17 for the 4x4 Hilbert-Schmidt (Ginibre) ensemble
     n = 200000
@@ -253,10 +239,18 @@ def test_every_ensemble_names_the_callers_out_of_range_index():
 
 def test_single_index_states_match_their_chunks():
     n = tol.CHUNK + 2
-    for ensemble in ("hs", "product"):
+    for ensemble in ("hs", "product", "chart"):
         seen = np.concatenate([states for _, states in ensemble_chunks(ensemble, 43, n)])
         for i in (0, tol.CHUNK - 1, tol.CHUNK, tol.CHUNK + 1):
             assert ensemble_state(ensemble, 43, i).tobytes() == seen[i].tobytes()
+
+
+@pytest.mark.parametrize("index", [1 << 40, (1 << 56) - 1])
+def test_far_chart_states_match_their_chunk_rows(index):
+    chunk, i = divmod(index, tol.CHUNK)
+    start, states = next(ensemble_chunks("chart", 44, index + 1, first=chunk))
+    assert start == chunk * tol.CHUNK and len(states) == i + 1
+    assert ensemble_state("chart", 44, index).tobytes() == states[i].tobytes()
 
 
 # -- single-index replay memo ---------------------------------------------------
@@ -399,9 +393,8 @@ def test_hs_chunk_scans_leave_the_memo_empty(monkeypatch):
         for _ in ensemble_chunks(ensemble, 6, tol.CHUNK + 3):
             pass
     assert sampling._hs_memo is None
-    # the two chunks of each, drawn once each (chart streams are per index)
-    chunked = [tag for tag in opened if tag != TAG_CHART]
-    assert chunked == [sampling.TAG_HS] * 2 + [sampling.TAG_PRODUCT] * 2
+    # the two chunks of each, drawn once each
+    assert opened == [sampling.TAG_HS] * 2 + [sampling.TAG_PRODUCT] * 2 + [TAG_CHART] * 2
 
 
 def test_hs_memo_does_not_bypass_seed_and_index_checks():
@@ -466,26 +459,50 @@ def test_standard_normal_one_block_contract(seed):
 
 # -- chart stream contract ------------------------------------------------------
 
-def _reference_chart_draws(seed, index):
-    """Sample ``index`` of the chart ensemble drawn one step at a time on a
-    fresh stream: a flat Dirichlet spectrum, redrawn on a tie, then blocks
-    of 64 cube triples until two lie in the octahedron.  The triples are
-    the last draws, so any block size gives the same two."""
-    g = philox_stream(seed, TAG_CHART, index)
-    while True:
-        r = np.sort(g.dirichlet(np.ones(4)))[::-1]
-        if r[0] > r[1] > r[2] > r[3] > 0:
-            break
-    accepted = []
-    while len(accepted) < 2:
-        v = g.uniform(-TWO_PI, TWO_PI, (64, 3))
-        accepted.extend(v[np.sum(np.abs(v), axis=1) <= TWO_PI])
-    return r, accepted[0], accepted[1]
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_philox_advance_skips_four_words_per_step_contract(seed):
+    # a chart index replays by advancing its chunk's stream 3 Philox4x64
+    # blocks per sample before it: advance(d) then random(m) must be words
+    # 4d..4d+m-1 of random() on a fresh stream
+    for index in (0, 7, 1 << 40):
+        fresh = philox_stream(seed, TAG_CHART, index).random(4 * 3 * tol.CHUNK + 24)
+        for d in (0, 1, 3, 5, 3 * (tol.CHUNK - 1)):
+            g = philox_stream(seed, TAG_CHART, index)
+            g.bit_generator.advance(d)
+            assert g.random(23).tobytes() == fresh[4 * d:4 * d + 23].tobytes()
 
 
-def _assert_chart_points_match_reference(points, seed, index):
+def _reference_chart_units(seed, index):
+    """The 12 unit draws of chart sample ``index``: its chunk's stream,
+    fresh, advanced by three Philox blocks per sample before it."""
+    chunk, j = divmod(index, tol.CHUNK)
+    g = philox_stream(seed, TAG_CHART, chunk)
+    g.bit_generator.advance(3 * j)
+    return [g.random() for _ in range(12)]
+
+
+def _reference_chart_draw(u):
+    """(spectrum, alpha, beta) of the 12 unit draws ``u``, in plain Python:
+    the spacings of (0, sorted u0..u2, 1) in decreasing order, then for
+    each angle triple 2*pi times the spacings of (0, three sorted draws),
+    component k negated where bit k of int(8 * the next draw) is set."""
+    cuts = sorted(u[0:3])
+    r = sorted((b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])), reverse=True)
+    assert r[0] > r[1] > r[2] > r[3] > 0
+    angles = []
+    for first in (3, 7):
+        cuts = sorted(u[first:first + 3])
+        signs = int(8 * u[first + 3])
+        magnitudes = [TWO_PI * (b - a) for a, b in zip([0.0, *cuts], cuts)]
+        angles.append([-m if signs >> k & 1 else m for k, m in enumerate(magnitudes)])
+        assert sum(magnitudes) <= TWO_PI
+    return r, *angles
+
+
+def _assert_chart_points_match(points, index, draws):
+    """``points`` of the index array ``index`` equal the (spectrum, alpha,
+    beta) ``draws``, one per index in flat order, bit for bit."""
     index = np.asarray(index)
-    draws = [_reference_chart_draws(seed, int(i)) for i in index.reshape(-1)]
     r, alpha, beta = (
         np.array([d[k] for d in draws]).reshape(*index.shape, width)
         for k, width in ((0, 4), (1, 3), (2, 3))
@@ -497,77 +514,102 @@ def _assert_chart_points_match_reference(points, seed, index):
     assert points.beta.tobytes() == beta.tobytes()
 
 
-@pytest.mark.parametrize("seed", [1, 2, 99])
-def test_uniform_is_the_affine_map_of_unit_draws_contract(seed):
-    # the chart sampler draws unit triples and maps them itself; numpy's
-    # uniform(low, high) must be low + (high - low) * random() bit for bit
-    for index in (0, 7, 1 << 40):
-        uniform = philox_stream(seed, TAG_CHART, index).uniform(-TWO_PI, TWO_PI, 300_000)
-        unit = philox_stream(seed, TAG_CHART, index).random(300_000)
-        assert uniform.tobytes() == (-TWO_PI + (TWO_PI - -TWO_PI) * unit).tobytes()
+def _assert_chart_points_match_reference(points, seed, index):
+    draws = [_reference_chart_draw(_reference_chart_units(seed, int(i)))
+             for i in np.reshape(index, -1)]
+    _assert_chart_points_match(points, index, draws)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 99])
-def test_chart_points_follow_the_per_index_stream_contract(seed, monkeypatch):
-    sequential = []
-    draws = sampling._chart_draws
-    monkeypatch.setattr(sampling, "_chart_draws", lambda g: sequential.append(1) or draws(g))
+def test_chart_points_follow_the_chunk_stream_contract(seed):
     index = np.arange(tol.CHUNK + 8)
     _assert_chart_points_match_reference(sample_chart_point(seed, index), seed, index)
-    # at the real block size some rows hold fewer than two accepted triples
-    assert len(sequential) >= 1
     shuffled = np.random.default_rng(seed).permutation(index)[:300]
     _assert_chart_points_match_reference(sample_chart_point(seed, shuffled), seed, shuffled)
     grid = np.array([[5, tol.CHUNK + 3, 0], [1 << 40, 5, (1 << 56) - 1]])
     _assert_chart_points_match_reference(sample_chart_point(seed, grid), seed, grid)
+    for i in (tol.CHUNK - 1, tol.CHUNK, 1 << 40, (1 << 56) - 1):
+        _assert_chart_points_match_reference(sample_chart_point(seed, i), seed, i)
 
 
-def test_chart_points_redrawn_sequentially_keep_the_stream_contract(monkeypatch):
-    # two triples per block: an index keeps its batched draw only when both
-    # land in the octahedron (p = 1/36), all others take the sequential path
-    sequential = []
-    draws = sampling._chart_draws
-    monkeypatch.setattr(sampling, "_OCTAHEDRON_BLOCK", 2)
-    monkeypatch.setattr(sampling, "_chart_draws", lambda g: sequential.append(1) or draws(g))
-    index = np.arange(600)
-    _assert_chart_points_match_reference(sample_chart_point(3, index), 3, index)
-    assert len(sequential) > 500
+class _SpoiledFirstDraw:
+    """A stream whose first ``random`` call hands back the real draws with
+    columns ``columns`` of the last row set to ``values``; every other draw
+    comes from the real stream ``g``."""
 
-
-class _TiedFirstSpectrum:
-    """A stream whose first ``dirichlet`` draw is consumed and replaced by
-    a tied spectrum; every other draw comes from the real stream ``g``."""
-
-    def __init__(self, g):
+    def __init__(self, g, columns, values):
         self._g = g
-        self._tied = False
+        self._spoil = columns, values
 
-    def dirichlet(self, alpha):
-        drawn = self._g.dirichlet(alpha)
-        if self._tied:
-            return drawn
-        self._tied = True
-        return np.array([0.4, 0.3, 0.3, 0.0])
+    def random(self, size=None):
+        drawn = self._g.random(size)
+        if self._spoil:
+            columns, values = self._spoil
+            drawn[-1, columns] = values
+            self._spoil = None
+        return drawn
 
     def __getattr__(self, name):
         return getattr(self._g, name)
 
 
-def test_chart_draws_redraw_a_tied_spectrum():
-    # a tie has probability zero, so no real stream takes this branch
-    r, alpha, beta = sampling._chart_draws(_TiedFirstSpectrum(philox_stream(4, TAG_CHART, 9)))
-    g = philox_stream(4, TAG_CHART, 9)
-    g.dirichlet(np.ones(4))  # the draw the stub replaced with a tie
-    want = np.sort(g.dirichlet(np.ones(4)))[::-1]
-    assert want[0] > want[1] > want[2] > want[3] > 0
-    accepted = []
-    while len(accepted) < 2:  # one triple at a time
-        v = g.uniform(-TWO_PI, TWO_PI, 3)
-        if np.sum(np.abs(v)) <= TWO_PI:
-            accepted.append(v)
-    assert np.array(r).tobytes() == want.tobytes()
-    assert alpha.tobytes() == accepted[0].tobytes()
-    assert beta.tobytes() == accepted[1].tobytes()
+#: Spectrum draws whose four spacings are all 1/4: a tied spectrum.
+_TIE = [0, 1, 2], [0.25, 0.5, 0.75]
+#: An alpha magnitude draw of 1.5, which puts alpha outside the octahedron.
+_OUTSIDE = [5], [1.5]
+
+
+def test_a_chart_draw_that_is_not_generic_is_redrawn_on_its_own_stream(monkeypatch):
+    # a tie has probability about 2^-50, and unit draws below 1 keep alpha
+    # and beta inside, so only a stub stream reaches the redraw.  The last
+    # sample drawn of chunk 0 ties and that of chunk 1 leaves the octahedron;
+    # the first redraw of each ties again, so each takes a second one.
+    index = np.array([3, 9, tol.CHUNK + 9])
+    kept = sample_chart_point(4, index[:1])
+    opened = []
+    stream = sampling.philox_stream
+
+    def spoiled(seed, tag, i=0):
+        opened.append((tag, i))
+        spoil = _OUTSIDE if (tag, i) == (TAG_CHART, 1) else _TIE
+        return _SpoiledFirstDraw(stream(seed, tag, i), *spoil)
+
+    monkeypatch.setattr(sampling, "philox_stream", spoiled)
+    points = sample_chart_point(4, index)
+    redraw = sampling.TAG_CHART_REDRAW
+    assert opened == [(TAG_CHART, 0), (TAG_CHART, 1), (redraw, 9), (redraw, tol.CHUNK + 9)]
+    draws = [_reference_chart_draw(_reference_chart_units(4, 3))]
+    for i in (9, tol.CHUNK + 9):
+        # the tied first 12 draws of the redraw stream are skipped
+        draws.append(_reference_chart_draw(stream(4, redraw, i).random(24)[12:].tolist()))
+    _assert_chart_points_match(points, index, draws)
+    _assert_chart_points_match(kept, [3], draws[:1])
+
+
+def test_chart_draws_follow_their_law():
+    # the seed was fixed before any result was seen; each mean is within 4
+    # of its exact standard errors.  The spectrum is the sorted spacings of
+    # 4 pieces of [0, 1]: with H(k) = sum_{j>=k} 1/j and Q(k) = sum_{j>=k}
+    # 1/j^2, E r_k = H(k)/4 and E r_k^2 = (Q(k) + H(k)^2)/20 (Renyi's
+    # representation), so E r = (25, 13, 7, 3)/48.  The l1 norm of an angle
+    # triple is 2*pi times the largest of 3 uniforms, with mean 3*pi/2 and
+    # variance (2*pi)^2 * 3/80; each magnitude is 2*pi times one spacing of
+    # 4 pieces, with mean pi/2 and the same variance; each sign is a coin.
+    n = 1 << 17
+    points = sample_chart_point(20261020, np.arange(n))
+    r = eigenvalues_from_xyz(points.simplex)
+    h = [sum(1 / j for j in range(k, 5)) for k in range(1, 5)]
+    q = [sum(1 / j ** 2 for j in range(k, 5)) for k in range(1, 5)]
+    mean = np.array(h) / 4
+    assert np.allclose(mean, np.array([25, 13, 7, 3]) / 48, rtol=0, atol=1e-15)
+    sigma = np.sqrt((np.array(q) + mean ** 2 * 16) / 20 - mean ** 2)
+    assert (abs(r.mean(axis=0) - mean) < 4 * sigma / np.sqrt(n)).all()
+    sigma = TWO_PI * np.sqrt(3 / 80)
+    for angles in (points.alpha, points.beta):
+        assert abs(np.abs(angles).sum(axis=1).mean() - 1.5 * np.pi) < 4 * sigma / np.sqrt(n)
+        for k in range(3):
+            assert abs(np.abs(angles[:, k]).mean() - np.pi / 2) < 4 * sigma / np.sqrt(n), k
+            assert abs((angles[:, k] < 0).mean() - 0.5) < 4 * 0.5 / np.sqrt(n), k
 
 
 def test_chart_indices_out_of_stream_range_are_named():

@@ -354,6 +354,22 @@ def test_analyze_computes_each_invariant_once(monkeypatch):
     assert (report.s3_pt, report.s4_pt) == (s3_pt, s4_pt)
 
 
+def test_closed_forms_of_one_point_repeat_their_stacked_call():
+    # on glibc, pow(sin(alpha3), 2) of a numpy scalar's ``** 2`` rounds one
+    # ulp off sin(alpha3) * sin(alpha3) here, which an array's ``** 2`` takes
+    alpha3 = 1.8406434406204824
+    beta = [-3.423747832096943, 1.8621518441309048, -0.44426436484624027]
+    s = SimplexPoint(0.6060541201993115, 0.5417382691765535, 0.3778164703579525)
+    stack = SimplexPoint(*(np.full(3, v) for v in (s.x, s.y, s.z)))
+    for single, stacked in (
+        (p111(alpha3, beta), p111(np.full(3, alpha3), np.tile(beta, (3, 1)))),
+        (p022(alpha3, beta), p022(np.full(3, alpha3), np.tile(beta, (3, 1)))),
+        (det_c_closed_form(s, alpha3, beta),
+         det_c_closed_form(stack, np.full(3, alpha3), np.tile(beta, (3, 1)))),
+    ):
+        assert np.float64(single).tobytes() == stacked[1].tobytes()
+
+
 def test_stacked_closed_forms_are_bitwise_per_point():
     points = sample_chart_point(305, np.arange(60).reshape(6, 10))
     s, alpha3, beta = points.simplex, points.alpha[..., 2], points.beta
