@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_broadcast
 from . import tolerances as tol
 from .fano import LocalUnitary
 from .linalg4 import (
@@ -53,9 +53,10 @@ BETA_WORDS = (
     tensor_product(SIGMA_Y, SIGMA_Y),
     tensor_product(SIGMA_X, SIGMA_Z),
 )
-#: The alpha and beta words as one (2, 3, 4, 4) stack of families.
+#: The alpha and beta families, (2, 3, 4, 4), for the series route.
 _AB_WORDS = np.array([ALPHA_WORDS, BETA_WORDS])
-_AB_TABLES = pauli_tables(_AB_WORDS)
+#: The six words, alpha's then beta's: their rotation product is A.
+_AB_TABLES = pauli_tables(ALPHA_WORDS + BETA_WORDS)
 #: Diagonal words generating the maximal torus.
 TORUS_WORDS = (
     tensor_product(SIGMA_Z, I2),
@@ -77,11 +78,16 @@ class DegenerateSpectrumWarning(UserWarning):
 @dataclass(frozen=True)
 class SimplexPoint:
     """Coordinates (x, y, z) of an ordered spectrum, or of a stack of
-    spectra when x, y and z are arrays of one shape (...)."""
+    spectra when x, y and z are arrays whose shapes broadcast to (...)."""
 
     x: float
     y: float
     z: float
+
+    @property
+    def shape(self):
+        """The coordinates' stack shape; DomainError if they do not broadcast."""
+        return check_broadcast(*((n, np.shape(getattr(self, n)), 0) for n in "xyz"))
 
 
 @dataclass(frozen=True)
@@ -167,12 +173,14 @@ def eigenvalues_from_xyz(s):
     """Ordered spectrum (r1, r2, r3, r4) of a simplex point, shape (4,),
     or of each point of a stack, shape (..., 4).
 
-    Raises DomainError for a non-finite coordinate, and naming the violated
-    inequality when the point lies outside the simplex (ordering or
-    positivity fails by more than SIMPLEX_TOL); for a stack the message
-    names the first offending index.
+    Raises DomainError for coordinates whose shapes do not broadcast, for
+    a non-finite coordinate, and naming the violated inequality when the
+    point lies outside the simplex (ordering or positivity fails by more
+    than SIMPLEX_TOL); for a stack the message names the first offending
+    index.
     """
-    coords = np.array([s.x, s.y, s.z], dtype=float)
+    shape = s.shape
+    coords = np.array([np.broadcast_to(c, shape) for c in (s.x, s.y, s.z)], dtype=float)
     _check_finite(np.moveaxis(coords, 0, -1), "simplex point", "coordinate")
     x, y, z = coords
     r = np.array(
@@ -238,42 +246,40 @@ def a_factor(alpha, beta, method="closed"):
     """The eigenbasis factor A = exp-alpha-family * exp-beta-family.
 
     ``alpha`` and ``beta`` are triples or (..., 3) stacks (broadcast
-    against each other); the result is (4, 4) or (..., 4, 4), and a stacked
-    call repeats each single call bit for bit.  ``method`` selects the
-    evaluation route: "closed" uses the exact half-angle product over each
-    commuting family, "series" the generic scaling-and-squaring exponential
-    of the summed generators.  Either route takes both families in one
-    stacked kernel call (one exp_commuting_paulis over the two word
-    families, or one exp_antihermitian over the two generator sums), then
-    multiplies the alpha family's exponential by the beta family's.  The
-    two routes agree to EXPM_PATH_TOL and exist for any angles; leaving
-    the double octahedron only triggers OctahedronWarning (alpha first,
-    each naming its first offending stack index).  The series route's
-    errors (a generator norm that overflows, a result that is not finite
-    or not unitary) name alpha or beta and the caller's stack index.
+    against each other; DomainError naming both shapes when they do not);
+    the result is (4, 4) or (..., 4, 4), and a stacked call repeats each
+    single call bit for bit.  ``method`` selects the evaluation route:
+    "closed" is one exp_commuting_paulis call, the exact half-angle
+    rotation product over alpha's words, then beta's; "series", the
+    independent reference, is one exp_antihermitian over both families'
+    generator sums, then their product.  The two routes agree to
+    EXPM_PATH_TOL and exist for any angles; leaving the double octahedron
+    only triggers OctahedronWarning (alpha first, each naming its first
+    offending stack index).  The series route's errors (a generator norm
+    that overflows, a result that is not finite or not unitary) name alpha
+    or beta and the caller's stack index.
     """
     alpha = _angle_triple(alpha, "alpha")
     beta = _angle_triple(beta, "beta")
-    angles = np.empty(np.broadcast(alpha, beta).shape[:-1] + (2, 3))
+    lead = check_broadcast(("alpha", alpha.shape, 1), ("beta", beta.shape, 1))
+    angles = np.empty(lead + (2, 3))
     angles[..., 0, :] = alpha
     angles[..., 1, :] = beta
     if not in_octahedron(angles).all():
         _warn_outside(alpha, "alpha")
         _warn_outside(beta, "beta")
     if method == "closed":
-        families = exp_commuting_paulis(angles, _AB_TABLES)
-    elif method == "series":
-        # -i/2 sum_k t_k P_k of each family, one stacked series exponential;
-        # its errors name the family and the caller's stack index
-        gen = -0.5j * sum(angles[..., k, None, None] * _AB_WORDS[:, k] for k in range(3))
-        lead = gen.shape[:-3]
-        families = _exp_antihermitian(
-            gen.reshape(-1, 4, 4),
-            lambda i: f"the {('alpha', 'beta')[i % 2]} generator"
-            f"{_stack_position(lead, i // 2)}",
-        ).reshape(gen.shape)
-    else:
+        return exp_commuting_paulis(angles.reshape(lead + (6,)), _AB_TABLES)
+    if method != "series":
         raise DomainError(f"method must be 'closed' or 'series', got {method!r}")
+    # -i/2 sum_k t_k P_k of each family, one stacked series exponential;
+    # its errors name the family and the caller's stack index
+    gen = -0.5j * sum(angles[..., k, None, None] * _AB_WORDS[:, k] for k in range(3))
+    families = _exp_antihermitian(
+        gen.reshape(-1, 4, 4),
+        lambda i: f"the {('alpha', 'beta')[i % 2]} generator"
+        f"{_stack_position(lead, i // 2)}",
+    ).reshape(gen.shape)
     return families[..., 0, :, :] @ families[..., 1, :, :]
 
 
@@ -328,8 +334,12 @@ def representative_state(point):
     conjugation), so it is positive semidefinite with unit trace by
     construction.  A DegenerateSpectrumWarning, naming the first such
     stack index, is emitted when a spectrum has a gap below GENERIC_GAP,
-    where the chart stops being one-to-one.
+    where the chart stops being one-to-one.  Stack shapes of the simplex
+    point, alpha and beta that do not broadcast raise DomainError naming
+    them.
     """
+    check_broadcast(("simplex point", point.simplex.shape, 0), ("alpha", point.alpha.shape, 1),
+                    ("beta", point.beta.shape, 1))
     r = _checked_spectrum(point.simplex)
     return _conjugate(a_factor(point.alpha, point.beta), r)
 

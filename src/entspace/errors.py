@@ -43,3 +43,14 @@ def check_band(band):
     """Raise DomainError unless ``band`` is a verdict band in (0, 1)."""
     if not 0 < band < 1:
         raise DomainError(f"verdict band must lie in (0, 1), got {band}")
+
+
+def check_broadcast(*operands):
+    """The broadcast stack shape of ``operands``, (name, shape, k) triples
+    for arrays whose last k axes hold one entry of a stack; DomainError
+    naming every shape when the stack shapes do not broadcast."""
+    try:
+        return np.broadcast_shapes(*(shape[:len(shape) - k] for _, shape, k in operands))
+    except ValueError:
+        named = [f"{name} of shape {shape}" for name, shape, _ in operands]
+        raise DomainError(f"{', '.join(named[:-1])} and {named[-1]} do not broadcast") from None

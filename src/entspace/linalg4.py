@@ -451,17 +451,16 @@ def _exp_antihermitian(flat, label):
 
 
 class PauliTables(NamedTuple):
-    """One family (k, n, n) or a stack of m families (m, k, n, n) of real
-    Pauli words, each as the signed permutation P[pi(j), j] = v_j.
+    """A family of k real Pauli words, shape (k, n, n), each as the signed
+    permutation P[pi(j), j] = v_j.
 
-    The kernel holds the matrices M of m families as a real array with
-    one row per entry part (row i, column j, part c) and family f, at
-    index ((i n + j) 2 + c) m + f, followed by the same rows of -M.
-    ``gather[k]`` picks for each row (i, j, c, f) the row (i, pi(j), 1 - c,
-    f) of the k-th words, of M or of -M, so that it reads
-    v_j Im M[i, pi(j)] for c = 0 and -v_j Re M[i, pi(j)] for c = 1.
-    ``start`` holds the identity so gathered by the first words, then the
-    identity, as (2, n n 2, m, 1).  ``shape`` is the shape of the words.
+    The kernel holds the matrices M as a real array with one row per entry
+    part (row i, column j, part c), at index (i n + j) 2 + c, followed by
+    the same rows of -M.  ``gather[k]`` picks for each row (i, j, c) the
+    row (i, pi(j), 1 - c) of the k-th word, of M or of -M, so that it
+    reads v_j Im M[i, pi(j)] for c = 0 and -v_j Re M[i, pi(j)] for c = 1.
+    ``start`` holds the identity so gathered by the first word, then the
+    identity, as (2, n n 2, 1).  ``shape`` is the shape of the words.
     """
 
     shape: tuple
@@ -470,45 +469,43 @@ class PauliTables(NamedTuple):
 
 
 def pauli_tables(generators):
-    """The PauliTables of one family (k, n, n) or of a stack of m families
-    (m, k, n, n) of words.  DomainError names the first word that is not a
-    real signed permutation (one nonzero entry, +1 or -1, in each row and
-    column), such as any Pauli word with an odd number of Y factors."""
+    """The PauliTables of a family of k words, shape (k, n, n).  DomainError
+    for another shape, and naming the first word that is not a real signed
+    permutation (one nonzero entry, +1 or -1, in each row and column), such
+    as any Pauli word with an odd number of Y factors."""
     words = np.asarray(generators, dtype=complex)
-    stack = words if words.ndim == 4 else words[None]
-    m, k, n, _ = stack.shape
-    magnitude = np.abs(stack.real)
+    if words.ndim != 3:
+        raise DomainError(f"generators must be one (k, n, n) family, got shape {words.shape}")
+    k, n, _ = words.shape
+    magnitude = np.abs(words.real)
     signed = (
-        ~stack.imag.any(axis=(-2, -1))
+        ~words.imag.any(axis=(-2, -1))
         & ((magnitude == 0) | (magnitude == 1)).all(axis=(-2, -1))
         & (magnitude.sum(axis=-2) == 1).all(axis=-1)
         & (magnitude.sum(axis=-1) == 1).all(axis=-1)
     )
     if not signed.all():
-        f, i = np.unravel_index(np.argmin(signed), signed.shape)
-        name = f"generators[{i}]" if words.ndim == 3 else f"generators[{f}, {i}]"
-        raise DomainError(f"{name} is not a real signed permutation")
-    # pi(j) and v_j of each word's column j, as (k, n, m)
-    pi = magnitude.argmax(axis=-2).transpose(1, 2, 0)
-    v = stack.real.sum(axis=-2).transpose(1, 2, 0)
-    # the source of row (i, j, c, f): row (i, pi(j), 1 - c, f) of M or of -M
-    column = (2 * pi[:, :, None] + [[1], [0]]) * m + np.arange(m)
-    column += ((v[:, :, None] < 0) != [[False], [True]]) * (2 * n * n * m)
-    gather = (2 * n * m * np.arange(n)[:, None, None, None] + column[:, None]).reshape(k, -1)
+        raise DomainError(f"generators[{np.argmin(signed)}] is not a real signed permutation")
+    # pi(j) and v_j of each word's column j, as (k, n)
+    pi = magnitude.argmax(axis=-2)
+    v = words.real.sum(axis=-2)
+    # the source of row (i, j, c): row (i, pi(j), 1 - c) of M or of -M
+    column = 2 * pi[:, :, None] + [1, 0]
+    column += ((v[:, :, None] < 0) != [False, True]) * (2 * n * n)
+    gather = (2 * n * np.arange(n)[:, None, None] + column[:, None]).reshape(k, -1)
     # the identity (ones at the real parts of (j, j)) and the identity so
-    # gathered by the first words (-v_j at the imaginary parts of (pi(j), j))
-    start = np.zeros((2, 2 * n * n, m))
+    # gathered by the first word (-v_j at the imaginary parts of (pi(j), j))
+    start = np.zeros((2, 2 * n * n, 1))
     start[1, 2 * (n + 1) * np.arange(n)] = 1.0
-    start[0, 2 * (n * pi[0] + np.arange(n)[:, None]) + 1, np.arange(m)] = -v[0]
-    start = start[..., None]
+    start[0, 2 * (n * pi[0] + np.arange(n)) + 1, 0] = -v[0]
     for table in (gather, start):
         table.setflags(write=False)
     return PauliTables(words.shape, gather, start)
 
 
-#: Matrices of a family that exp_commuting_paulis takes in one pass: its
-#: working arrays stay in a core's cache.
-_EXP_CHUNK = 512
+#: Matrices that exp_commuting_paulis takes in one pass: its working array,
+#: 786 KB for 4 x 4 words, stays in a core's cache.
+_EXP_CHUNK = 1024
 
 
 @cache
@@ -520,78 +517,66 @@ def _real_eye(n):
 
 
 def exp_commuting_paulis(angles, tables):
-    """exp(sum_k (angles[k]/2i) * words[k]) for commuting real Pauli words,
-    for one family of k words or a stack of m families.
+    """The half-angle rotation product I F_1 ... F_k of k real Pauli words,
+    F = cos(t/2) I - i sin(t/2) P for each word P and its angle t, taken
+    left to right from the identity: exactly exp(sum_k (angles[k]/2i) *
+    words[k]) when the words commute, with no series truncation, and the
+    chart's A-factor, E_alpha E_beta, on its six words.
 
-    Each word must square to the identity and each family must commute
-    pairwise; then its exponential factorises exactly into half-angle
-    rotations F = cos(t/2) I - i sin(t/2) P, multiplied left to right
-    starting from the identity.  No series truncation is involved.
-
-    ``tables`` are the PauliTables of one family of words, shape (k, n, n),
-    with ``angles`` of shape (..., k) giving (..., n, n); or of m families,
-    shape (m, k, n, n), with ``angles`` of shape (..., m, k) giving one
-    exponential per family, (..., m, n, n).  They are built once, at
-    import, by pauli_tables, which checks that every word is a real Pauli
-    word, a signed permutation P[pi(j), j] = v_j = +-1 (an even number of
-    Y factors).  Angles that do not broadcast against the tables' (k,) or
-    (m, k) raise DomainError.  The product with a factor is then, column
-    by column,
+    ``tables`` are the PauliTables of the words, shape (k, n, n), built
+    once, at import, by pauli_tables, which checks that every word is a
+    real Pauli word, a signed permutation P[pi(j), j] = v_j = +-1 (an even
+    number of Y factors).  ``angles`` of shape (..., k) give (..., n, n);
+    angles that do not broadcast against (k,) raise DomainError.  The
+    product with a factor is then, column by column,
 
         (M F)[:, j] = cos(t/2) M[:, j] - i sin(t/2) v_j M[:, pi(j)],
 
     one gather and one elementwise update per word over the whole stack
-    (in chunks of _EXP_CHUNK per family), with no matrix product.
+    (in chunks of _EXP_CHUNK), with no matrix product.
 
     Every nonzero component of the result is the value of these updates,
     and every zero component is +0, whatever the sign of a zero met on the
     way or of a term that underflows.  Every value is computed elementwise,
-    so a stacked call repeats each single call, and each family of a stack
-    of families its own one-family call, bit for bit.
+    so a stacked call repeats each single call bit for bit.
     """
-    shape = tables.shape
-    one_family = len(shape) == 3
+    k, n = tables.shape[:2]
     angles = np.asarray(angles, dtype=float)
-    if angles.shape[2 - len(shape):] != shape[:-2]:
+    if angles.shape[-1:] != (k,):
         try:
-            angles = np.broadcast_to(angles, np.broadcast_shapes(angles.shape, shape[:-2]))
+            angles = np.broadcast_to(angles, np.broadcast_shapes(angles.shape, (k,)))
         except ValueError:
-            axes = "(k,)" if one_family else "(m, k)"
             raise DomainError(f"angles of shape {angles.shape} do not broadcast "
-                              f"against the tables' {axes} = {shape[:-2]}") from None
-    if one_family:
-        shape, angles = (1, *shape), angles[..., None, :]
-    m, k, n = shape[:3]
-    lead = angles.shape[:-2]
+                              f"against the tables' (k,) = {(k,)}") from None
+    lead = angles.shape[:-1]
     size = math.prod(lead)
-    half = angles.reshape(size, m, k) / 2.0
-    trig = np.empty((2, size, m, k))  # sin, then cos
+    half = angles.reshape(size, k) / 2.0
+    trig = np.empty((2, size, k))  # sin, then cos
     np.sin(half, out=trig[0])
     np.cos(half, out=trig[1])
-    u = np.empty((*lead, m, n, n), dtype=complex)
-    parts = u.view(float).reshape(size, m, 2 * n * n)
+    u = np.empty((*lead, n, n), dtype=complex)
+    parts = u.view(float).reshape(size, 2 * n * n)
     # rows of the gathered columns, of the product M and of -M, one per
-    # entry part and family, each along the stack: every broadcast of the
-    # sines and cosines runs along a row
+    # entry part, each along the stack: every broadcast of the sines and
+    # cosines runs along a row
     step = -(-size // -(-size // _EXP_CHUNK)) if size else 0  # even chunks
-    work = np.empty((3, 2 * n * n, m, step))
+    work = np.empty((3, 2 * n * n, step))
     for lo in range(0, size, max(step, 1)):
-        chunk = trig[:, lo:lo + step].transpose(3, 0, 2, 1)[:, :, None]  # (k, 2, 1, m, width)
+        chunk = trig[:, lo:lo + step].transpose(2, 0, 1)[:, :, None]  # (k, 2, 1, width)
         width = chunk.shape[-1]
-        rows = work if width == step else np.empty((3, 2 * n * n, m, width))
+        rows = work if width == step else np.empty((3, 2 * n * n, width))
         gathered, product, negated = rows
-        flat = rows.reshape(-1, width)
-        source, into = flat[len(flat) // 3:], flat[:len(flat) // 3]
+        source = rows[1:].reshape(-1, width)  # M, then -M
         np.multiply(tables.start, chunk[0], out=rows[:2])
         np.add(product, gathered, out=product)
         for w in range(1, k):
             np.negative(product, out=negated)
-            source.take(tables.gather[w], 0, into, "clip")
+            source.take(tables.gather[w], 0, gathered, "clip")
             rows[:2] *= chunk[w]  # sin v_j M[:, pi(j)] with parts swapped, cos M
             np.add(product, gathered, out=product)
         # every zero component is +0
-        np.add(product.transpose(2, 1, 0), 0.0, out=parts[lo:lo + width])
-    return u[..., 0, :, :] if one_family else u
+        np.add(product.T, 0.0, out=parts[lo:lo + width])
+    return u
 
 
 def _two_qubit(x):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_band
+from .errors import DomainError, NumericalError, check_band, check_broadcast
 from . import tolerances as tol
 from .chart import (
     _angle_triple,
@@ -86,12 +86,7 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
     """
     s3, s4 = np.asarray(s3), np.asarray(s4)
     check_band(band)
-    try:
-        np.broadcast_shapes(s3.shape, s4.shape)
-    except ValueError:
-        raise DomainError(
-            f"S3 of shape {s3.shape} and S4 of shape {s4.shape} do not broadcast"
-        ) from None
+    check_broadcast(("S3", s3.shape, 0), ("S4", s4.shape, 0))
     finite = np.isfinite(s3) & np.isfinite(s4)
     if not finite.all():
         raise DomainError(
@@ -160,13 +155,7 @@ def _chart_angles(alpha3, beta):
     alpha3 = np.asarray(alpha3, dtype=float)
     _check_angles(alpha3[..., None], "alpha3")
     beta = _angle_triple(beta, "beta")
-    try:
-        np.broadcast_shapes(alpha3.shape, beta.shape[:-1])
-    except ValueError:
-        raise DomainError(
-            f"alpha3 of shape {alpha3.shape} and beta of shape {beta.shape} "
-            "do not broadcast"
-        ) from None
+    check_broadcast(("alpha3", alpha3.shape, 0), ("beta", beta.shape, 1))
     return (alpha3, *np.moveaxis(beta, -1, 0))
 
 
@@ -211,10 +200,12 @@ def p022(alpha3, beta):
 def det_c_closed_form(s, alpha3, beta):
     """det|C| of the representative state at a chart point, in closed form:
     z * (p201 * (x^2 + y^2) + p111 * x * y); one per point of a stacked
-    SimplexPoint with ``alpha3`` (...) and ``beta`` (..., 3)."""
-    return s.z * (
-        p201(alpha3, beta) * (np.square(s.x) + np.square(s.y)) + p111(alpha3, beta) * s.x * s.y
-    )
+    SimplexPoint with ``alpha3`` (...) and ``beta`` (..., 3), whose stack
+    shapes must broadcast (DomainError naming them otherwise)."""
+    c201, c111 = p201(alpha3, beta), p111(alpha3, beta)
+    check_broadcast(("simplex point", s.shape, 0), ("alpha3", np.shape(alpha3), 0),
+                    ("beta", np.shape(beta), 1))
+    return s.z * (c201 * (np.square(s.x) + np.square(s.y)) + c111 * s.x * s.y)
 
 
 #: All degree-4 monomial exponents (i, j, k) in x, y, z, in descending

@@ -253,8 +253,11 @@ def _check_expm_paths(run):
     words = _AB_WORDS[family]
     a = z[:, 0] + 1j * z[:, 1]
     x = a - np.conj(a.swapaxes(-1, -2))  # anti-Hermitian A - A^dag
-    # each sample's own family of the chart's two, bit for bit its one-family call
-    closed = exp_commuting_paulis(angles[:, None], _AB_TABLES)[np.arange(m), family]
+    # each sample's own family of the chart's six words, the other three
+    # angles zero, bit for bit its one-family call
+    padded = np.zeros((m, 2, 3))
+    padded[np.arange(m), family] = angles
+    closed = exp_commuting_paulis(padded.reshape(m, 6), _AB_TABLES)
     gen = -0.5j * sum(angles[:, k, None, None] * words[:, k] for k in range(3))
     series, exp_x, exp_minus_x = exp_antihermitian(np.stack([gen, x, -x]))
     worst = _worst((

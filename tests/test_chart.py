@@ -476,6 +476,35 @@ def test_closed_forms_name_stack_shapes_that_do_not_broadcast(kernel):
         kernel(np.zeros(2), np.zeros((3, 3)))
 
 
+_TWO_POINTS = SimplexPoint(np.array([0.4, 0.3]), np.array([0.2, 0.1]), np.array([0.1, 0.05]))
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: a_factor(np.zeros((2, 3)), np.zeros((3, 3))),
+     "alpha of shape (2, 3) and beta of shape (3, 3)"),
+    (lambda: a_factor(np.zeros((2, 3)), np.zeros((3, 3)), "series"),
+     "alpha of shape (2, 3) and beta of shape (3, 3)"),
+    (lambda: eigenvalues_from_xyz(SimplexPoint(np.zeros(2), np.zeros(3), 0.0)),
+     "x of shape (2,), y of shape (3,) and z of shape ()"),
+    (lambda: representative_state(ChartPoint(_TWO_POINTS, np.zeros((3, 3)), np.zeros(3))),
+     "simplex point of shape (2,), alpha of shape (3, 3) and beta of shape (3,)"),
+    (lambda: det_c_closed_form(_TWO_POINTS, np.zeros(3), np.zeros(3)),
+     "simplex point of shape (2,), alpha3 of shape (3,) and beta of shape (3,)"),
+], ids=["a_factor", "a_factor-series", "eigenvalues_from_xyz", "representative_state",
+        "det_c_closed_form"])
+def test_chart_stacks_that_do_not_broadcast_are_named(call, shapes):
+    # numpy's "could not be broadcast" ValueError came through
+    with pytest.raises(DomainError, match=re.escape(shapes + " do not broadcast")):
+        call()
+
+
+def test_simplex_coordinates_that_broadcast_are_one_stack():
+    shared_z = SimplexPoint(_TWO_POINTS.x, _TWO_POINTS.y, 0.1)
+    full = SimplexPoint(_TWO_POINTS.x, _TWO_POINTS.y, np.full(2, 0.1))
+    assert shared_z.shape == (2,)
+    assert _same_bits(eigenvalues_from_xyz(shared_z), eigenvalues_from_xyz(full))
+
+
 def test_chart_point_indices_must_be_integers():
     with pytest.raises(DomainError, match="integer"):
         sample_chart_point(1, np.array([0.5, 1.0]))
@@ -486,25 +515,40 @@ def test_chart_point_indices_must_be_integers():
 # -- the A-factor over both angle families ---------------------------------------
 
 
-def _reference_a_factor(alpha, beta, method):
-    """One point's A-factor, one family and one word at a time: the closed
-    route multiplies cos(t/2) I - i sin(t/2) P left to right, the series
-    route exponentiates each family's generator sum on its own."""
-    from functools import reduce
+def _chain_matmul(a, b):
+    """a @ b of 4x4 matrices with no BLAS call: each entry's real chains
+    rr, ii, ir and ri, each summed over the inner index from +0 in order,
+    give re = rr - ii and im = ir + ri, assigned as the real and imaginary
+    parts (re + 1j * im could flip the sign of a zero)."""
+    rr, ii, ir, ri = (
+        sum((x[:, i, None] * y[None, i, :] for i in range(4)), np.zeros((4, 4)))
+        for x, y in ((a.real, b.real), (a.imag, b.imag), (a.imag, b.real), (a.real, b.imag))
+    )
+    out = np.empty((4, 4), dtype=complex)
+    out.real, out.imag = rr - ii, ir + ri
+    return out
 
+
+def _reference_a_factor(alpha, beta, method):
+    """One point's A-factor: the closed route multiplies the six rotations
+    cos(t/2) I - i sin(t/2) P, alpha's words then beta's, left to right
+    from the identity in real chains; the series route exponentiates each
+    family's generator sum on its own and multiplies the two."""
     from entspace.chart import ALPHA_WORDS, BETA_WORDS
     from entspace.linalg4 import exp_antihermitian
 
+    if method == "closed":
+        half = np.concatenate([alpha, beta]) / 2.0
+        u = np.eye(4, dtype=complex)
+        for t, w in zip(half, ALPHA_WORDS + BETA_WORDS):
+            factor = np.empty((4, 4), dtype=complex)
+            factor.real, factor.imag = np.cos(t) * np.eye(4), -np.sin(t) * w.real
+            u = _chain_matmul(u, factor)
+        return u
     families = []
     for angles, words in ((alpha, ALPHA_WORDS), (beta, BETA_WORDS)):
-        half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
-        if method == "closed":
-            cos, sin = np.cos(half), np.sin(half)
-            factors = [cos[k] * np.eye(4) - 1j * sin[k] * w for k, w in enumerate(words)]
-            families.append(reduce(np.matmul, factors))
-        else:
-            gen = sum(angles[k, None, None] * w for k, w in enumerate(words))
-            families.append(exp_antihermitian(-0.5j * gen))
+        gen = sum(angles[k, None, None] * w for k, w in enumerate(words))
+        families.append(exp_antihermitian(-0.5j * gen))
     return families[0] @ families[1]
 
 

@@ -413,16 +413,16 @@ def test_sample_out_into_a_missing_directory_exits_2(tmp_path, capsys):
 SAMPLE_DIGESTS = {
     "hs": "5ee2a775aaad12057249c61eaee5bed1a8f22f485fba19f1c9c47db2b609aa2e",
     "product": "6570e033c9101aeb75cf23626f9891b041d60c09f5d03e679ec8977dc7c00819",
-    "chart": "a750374eea96902b4f9fcf85634407564661fc76076d441044e7aa683bddc36c",
+    "chart": "e994fe15a87ec02d87313289308825b05860153a25a98825ccbeccc28b91288e",
 }
 
 
 #: sha256 of ``coeffs --alpha A --beta 0.4,1.1,-0.6 --fit --format F`` stdout.
 COEFFS_FIT_DIGESTS = {
-    ("0.3,-0.7,0.9", "json"): "cef7d76de06780411745346359bb4d7a227b8bef5ad2c1bc902601eb22ab72cc",
-    ("0.3,-0.7,0.9", "csv"): "69046cc44ce689bb3835311b83cd1e7d7733f7f6f351f39266c074771e5971fb",
-    ("0,0,0.9", "json"): "605c9a3a0ac1d05672bb8287968cecb7c7a8ddd56ef8810beffe1069c3d1f514",
-    ("0,0,0.9", "csv"): "8179128cce7617ac3614c2b4810b7acf409d11808868590f4e72ff4d8905ff8c",
+    ("0.3,-0.7,0.9", "json"): "e1f3e83a02804e9ebe9eb96161a68f3b3f4726f1975afc5a5d28c6a9465215d6",
+    ("0.3,-0.7,0.9", "csv"): "6290cf3c0d8ca7161ecb7d75817d1d8aae9af6ffc9b81d5c33e2d77dabd6793e",
+    ("0,0,0.9", "json"): "07f4f99f208f51b1d0f500d9d38992685253f381431d853b4f43917da98bec43",
+    ("0,0,0.9", "csv"): "4a6740461cf29042d482acda694067964ef3cb12e2091bee064c78d0b624a19a",
 }
 
 
@@ -663,7 +663,7 @@ VERIFY_PPT_DIGEST = "87de361b1bd233ef66e016bffe7a34ce3743e8cc28f9dd110171060021b
 
 #: sha256 of ``verify --suite identities -n 10000 --seed 1`` stdout.  Its
 #: expm_paths check runs the series exponential and the series A-factor.
-VERIFY_IDENTITIES_DIGEST = "371145c8a7c00780d0d7e1164cddb5c9a4b09c9438d4cae6d9b42a512154a53c"
+VERIFY_IDENTITIES_DIGEST = "4af31fbd5fadc48fcd23cae2e0ffeb96edde705cd12339b0471ae1db5007c54f"
 
 
 def test_product_scan_stdout_matches_recorded_digest(capsys):
@@ -689,8 +689,8 @@ def test_verify_identities_stdout_matches_recorded_digest(capsys):
 #: local_unitary_invariance, det_c_closed_form and the fit checks) along
 #: with the rest; 4200 states also walk HS chunk 1 beyond the shared head.
 VERIFY_ALL_DIGESTS = {
-    (10000, 1): "e09173ff3f1d890a2bb35a1c7d159ebe2f38e2529916d043d42a66c3919ae426",
-    (4200, 2): "2254c22c840a13af6b4e056afd923f733bf5f89658b1bb7f1d0880c96b6323c1",
+    (10000, 1): "86da9dc92fc9a59502b893a9ba6af3ffa32582f83b8a25f62a515c41163d4c16",
+    (4200, 2): "ef5044ed275fa65681c7ea2950f1183aef0541f699729e1a5141f2591cbe9f4e",
 }
 
 

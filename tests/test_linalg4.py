@@ -528,7 +528,8 @@ def test_exp_commuting_paulis_is_bitwise_the_product_from_the_identity():
 
     g = philox_stream(18, 60)
     grid, mixed = _special_and_mixed_triples(g, 200)
-    stack = g.uniform(-4 * np.pi, 4 * np.pi, (5, 9, 3))
+    # 1025 matrices: kernel passes of 513 and 512 (_EXP_CHUNK = 1024)
+    stack = g.uniform(-4 * np.pi, 4 * np.pi, (5, 205, 3))
     for words in (ALPHA_WORDS, BETA_WORDS, TORUS_WORDS):
         for angles in np.concatenate([grid, mixed]):
             assert (exp_commuting_paulis(angles, pauli_tables(words)).tobytes()
@@ -551,46 +552,40 @@ def test_exp_commuting_paulis_equals_the_matmul_product_in_value():
                                   _rotation_product(angles, words, np.matmul))
 
 
-def test_exp_commuting_paulis_per_sample_families_contract():
-    # per-sample family stacks built here, (m, 3, 4, 4) words and (m, 3)
-    # angles: each family is the bytes of its own word-by-word product from
-    # the identity in four real chains with no BLAS, every zero +0 (the
-    # +-1e-300 angles underflow).  The chart's two-family tables, which
-    # verify reads per sample, rest on the same stacking.
-    from itertools import product
+def test_exp_commuting_paulis_zero_angles_leave_a_family_unchanged_contract():
+    # the chart's six words with the other family's three angles zero give
+    # a family's own product bit for bit, as verify's expm_paths reads it: a
+    # rotation by +0 multiplies by cos 0 = 1 and adds +-0, and every zero
+    # ends +0 (the +-1e-300 angles underflow)
+    from entspace.chart import _AB_TABLES, ALPHA_WORDS, BETA_WORDS
 
-    from entspace.chart import _AB_WORDS
-
-    grid = np.array(list(product(_SPECIAL_ANGLES, repeat=3)))
-    g = philox_stream(19, 60)
-    random = g.uniform(-2 * np.pi, 2 * np.pi, (300, 3))
-    mixed = np.where(g.random((300, 3)) < 0.3, g.choice(_SPECIAL_ANGLES, (300, 3)), random)
-    for angles in (grid, random, mixed):
-        words = _AB_WORDS[g.integers(0, 2, len(angles))]
-        closed = exp_commuting_paulis(angles, pauli_tables(words))
-        assert closed.shape == (len(angles), 4, 4)
-        for i in range(len(angles)):
-            reference = _rotation_product(angles[i], words[i], _chain_product)
-            assert closed[i].tobytes() == reference.tobytes(), (angles[i], i)
+    grid, mixed = _special_and_mixed_triples(philox_stream(19, 60), 300)
+    for angles in (grid, mixed):
+        zeros = np.zeros_like(angles)
+        for padded, words in (([angles, zeros], ALPHA_WORDS), ([zeros, angles], BETA_WORDS)):
+            closed = exp_commuting_paulis(np.concatenate(padded, axis=1), _AB_TABLES)
+            assert closed.tobytes() == exp_commuting_paulis(angles, pauli_tables(words)).tobytes()
 
 
-@pytest.mark.parametrize("generators, name", [
-    ((tensor_product(SIGMA_Y, I2),), r"generators\[0\]"),
-    ((tensor_product(SIGMA_X, I2), tensor_product(I2, SIGMA_Y)), r"generators\[1\]"),
-    (np.array([[I4, I4], [I4, 2 * I4]]), r"generators\[1, 1\]"),
-], ids=["Y(x)I", "I(x)Y", "entry-2"])
-def test_exp_commuting_paulis_names_a_word_that_is_not_a_real_signed_permutation(generators, name):
+@pytest.mark.parametrize("generators, message", [
+    ((tensor_product(SIGMA_Y, I2),), r"generators\[0\] is not a real signed permutation"),
+    ((tensor_product(SIGMA_X, I2), tensor_product(I2, SIGMA_Y)),
+     r"generators\[1\] is not a real signed permutation"),
+    ((I4, 2 * I4), r"generators\[1\] is not a real signed permutation"),
+    (np.array([[I4, I4], [I4, I4]]),
+     re.escape("generators must be one (k, n, n) family, got shape (2, 2, 4, 4)")),
+], ids=["Y(x)I", "I(x)Y", "entry-2", "stack-of-families"])
+def test_exp_commuting_paulis_names_a_word_that_is_not_a_real_signed_permutation(generators, message):
     # an odd number of Y factors puts +-1 in the imaginary part, and the
-    # gather needs one real +-1 in each column
-    angles = np.zeros(np.shape(generators)[:-2])
-    with pytest.raises(DomainError, match=name + " is not a real signed permutation"):
-        exp_commuting_paulis(angles, pauli_tables(generators))
+    # gather needs one real +-1 in each column; the tables hold one family
+    with pytest.raises(DomainError, match=message):
+        pauli_tables(generators)
 
 
 @pytest.mark.parametrize("tables, shape, axes", [
-    ("_AB_TABLES", (5, 3), r"\(m, k\) = \(2, 3\)"),
+    ("_AB_TABLES", (5, 3), r"\(k,\) = \(6,\)"),
     ("_TORUS_TABLES", (4,), r"\(k,\) = \(3,\)"),
-], ids=["(5,3)-two-families", "(4,)-torus"])
+], ids=["(5,3)-six-words", "(4,)-torus"])
 def test_exp_commuting_paulis_names_angles_that_do_not_broadcast(tables, shape, axes):
     from entspace import chart
 
@@ -600,14 +595,15 @@ def test_exp_commuting_paulis_names_angles_that_do_not_broadcast(tables, shape, 
 
 def test_exp_commuting_paulis_keeps_nothing_between_calls():
     # pauli_tables and the kernel, one of each per call, keep nothing: 50
-    # calls on fresh per-sample word stacks leave tracemalloc's current size
-    # where it was (a 16-entry cache keyed on the word bytes kept about 14 MB)
+    # calls on fresh copies of a family's words leave tracemalloc's current
+    # size where it was (a 16-entry cache keyed on the word bytes kept about
+    # 14 MB)
     import tracemalloc
 
     from entspace.chart import _AB_WORDS
 
     g = philox_stream(20, 60)
-    calls = [(g.uniform(-2 * np.pi, 2 * np.pi, (600, 3)), _AB_WORDS[g.integers(0, 2, 600)])
+    calls = [(g.uniform(-2 * np.pi, 2 * np.pi, (600, 3)), _AB_WORDS[g.integers(0, 2)])
              for _ in range(50)]
     exp_commuting_paulis(calls[0][0], pauli_tables(calls[0][1]))
     tracemalloc.start()
