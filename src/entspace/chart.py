@@ -320,9 +320,14 @@ def _conjugate(a, r):
     (..., 4), broadcast against each other, returned as its Hermitian part
     (M + M^dag)/2, the mean that hermitize forms.  It needs none of
     hermitize's checks for user input: the factors are unitary to rounding
-    and the spectra validated, so every entry is bounded by 1."""
-    m = (a * r[..., None, :]) @ dag(a)
-    return 0.5 * (m + dag(m))
+    and the spectra validated, so every entry is bounded by 1.  The mean
+    is formed in place, with conj(M) written over A diag(r)."""
+    scaled = a * r[..., None, :]
+    m = scaled @ dag(a)
+    np.conjugate(m, out=scaled)
+    m += np.swapaxes(scaled, -1, -2)
+    m *= 0.5
+    return m
 
 
 def representative_state(point):

@@ -39,6 +39,13 @@ def check_count(n):
         raise DomainError(f"sample count must be a positive integer, got {_plain(n)!r}")
 
 
+def check_chunk(first):
+    """Raise DomainError unless ``first`` is a non-negative integer chunk
+    number; a bool or a float is rejected, not read as one."""
+    if not _is_integer(first) or first < 0:
+        raise DomainError(f"first chunk must be a non-negative integer, got {_plain(first)!r}")
+
+
 def check_band(band):
     """Raise DomainError unless ``band`` is a verdict band in (0, 1)."""
     if not 0 < band < 1:

@@ -4,24 +4,29 @@ All randomness flows through counter-based Philox streams keyed by
 (seed, tag, index), so any sample is addressable by its index alone:
 reproducing sample i never requires drawing samples 0..i-1, and results
 are independent of batching.  Every ensemble takes the sample indices
-0 <= i < 2^56.  The HS, product and chart ensembles are drawn in chunks
-of CHUNK samples on one stream per chunk, laid out for the full chunk
-whatever is requested: a slice of a chunk draws the stream only as far as
-its last sample needs and builds only its own states.  A single HS index
-builds only its own state and keeps its chunk's whole draw, read-only,
-for the next single index of that chunk, so HS replays of one chunk draw
-it once.  A chart sample is a fixed 12 unit draws of its chunk's stream,
-so an index replays by advancing the stream past the samples before it;
-the rare draw that is not generic is redrawn on a stream of its own.
+0 <= i < 2^56, drawn in chunks of CHUNK samples on one stream per chunk.
+
+Product states, local unitaries and chart points are fixed-width rows of
+unit draws: sample j of a chunk owns words width*j .. width*j + width - 1
+of its chunk's stream (width 8, 8 and 12), so an index replays by
+advancing the stream past the samples before it and draws its own row
+alone, and a stacked call draws each chunk it touches in one call.  The
+rare chart row that is not generic is redrawn on a stream of its own.
+
+An HS chunk holds all CHUNK real parts before the imaginary parts, and the
+normal sampler takes a variable number of words per draw, so a slice of a
+chunk draws the stream only as far as its last sample needs.  A single HS
+index builds only its own state and keeps its chunk's whole draw,
+read-only, for the next single index of that chunk, so HS replays of one
+chunk draw it once.
 """
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_seed
+from .errors import DomainError, check_chunk, check_count, check_seed
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, in_octahedron, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
-from .linalg4 import SIGMA, I2
 
 # Stream tags; (tag << 56) | index forms the second Philox key word.
 TAG_HS = 1
@@ -57,46 +62,13 @@ def _check_index(index):
     return index
 
 
-def _chunk_position(index):
-    """(chunk, offset in the chunk) of sample ``index`` of a chunked
-    ensemble; DomainError naming ``index`` unless 0 <= index < 2^56."""
-    return divmod(_check_index(index), tol.CHUNK)
-
-
-def philox_streams(seed, tag, indices):
-    """Yield a numpy Generator on the Philox stream keyed by (seed, tag, i)
-    for each i of the integer array ``indices``, in flat order.
-
-    One Philox bit generator serves all of them: before each yield it is
-    re-keyed in place to counter 0 and key (seed, tag << 56 | i), so a
-    yielded generator is valid only until the next one is yielded.
-    DomainError unless the seed is an integer 0 <= seed < 2^64 and every
-    0 <= i < 2^56, naming the first offending index.
-    """
-    check_seed(seed)
-    words = np.uint64(tag << _INDEX_BITS) | _check_indices(indices).astype(np.uint64)
-    if not words.size:
-        return
-    bit_generator = np.random.Philox(key=np.array([seed, words[0]], dtype=np.uint64))
-    generator = np.random.Generator(bit_generator)
-    if words.size > 1:
-        # counter 0 and an empty buffer, held as Python ints: the state
-        # setter reads them in half the time it takes for uint64 arrays
-        state = bit_generator.state
-        fresh = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-                 "buffer": state["buffer"].tolist()}
-    yield generator
-    for word in words[1:].tolist():
-        fresh["state"]["key"][1] = word
-        bit_generator.state = fresh
-        yield generator
-
-
 def philox_stream(seed, tag, index=0):
-    """A numpy Generator on the Philox stream keyed by (seed, tag, index);
-    DomainError unless the seed is an integer 0 <= seed < 2^64 and
-    0 <= index < 2^56."""
-    return next(philox_streams(seed, tag, [index]))
+    """A numpy Generator on the Philox stream keyed by (seed, tag << 56 |
+    index), at counter 0; DomainError unless the seed is an integer
+    0 <= seed < 2^64 and ``index`` one integer 0 <= index < 2^56."""
+    check_seed(seed)
+    key = (tag << _INDEX_BITS) | int(_check_index(index))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
 def verify_stream(seed, check_id):
@@ -148,7 +120,7 @@ def sample_hs_state(seed, index):
     before the lookup.
     """
     global _hs_memo
-    chunk, i = _chunk_position(index)
+    chunk, i = divmod(_check_index(index), tol.CHUNK)
     check_seed(seed)
     entry = _hs_memo
     if entry is None or entry[0] != (seed, chunk):
@@ -161,41 +133,64 @@ def sample_hs_state(seed, index):
     return _hs_states(x[i:i + 1], y[i:i + 1])[0]
 
 
+# -- fixed-width unit rows ----------------------------------------------------
+
+def _unit_rows(seed, tag, index, width):
+    """The ``width`` unit draws of each sample of the integer array
+    ``index``, one row per entry in flat order; DomainError unless the seed
+    and every index are in range.
+
+    Sample j of chunk c owns words width*j .. width*j + width - 1 of the
+    stream (seed, tag, c), ``width`` a multiple of the four words of a
+    Philox4x64 block.  Each chunk touched is drawn in one call, from its
+    first requested sample to its last: the stream is advanced by
+    width // 4 blocks per sample skipped."""
+    check_seed(seed)
+    flat = _check_indices(index).astype(np.int64)
+    units = np.empty((flat.size, width))
+    order = np.argsort(flat)
+    chunk, offset = np.divmod(flat[order], tol.CHUNK)
+    starts = np.unique(chunk, return_index=True)[1].tolist()
+    for a, b in zip(starts, [*starts[1:], flat.size]):
+        lo, hi = int(offset[a]), int(offset[b - 1]) + 1
+        g = philox_stream(seed, tag, int(chunk[a]))
+        g.bit_generator.advance(width // 4 * lo)
+        units[order[a:b]] = g.random((hi - lo, width))[offset[a:b] - lo]
+    return units
+
+
 # -- product-state ensemble ----------------------------------------------------
 
-def _bloch_ball_points(g, lo, hi):
-    """Points lo..hi-1 of CHUNK uniform points of the solid Bloch ball:
-    isotropic direction times radius u^(1/3); all CHUNK directions come
-    first on the stream, then the radii."""
-    direction = g.standard_normal((tol.CHUNK, 3))[lo:hi]
-    direction /= np.linalg.norm(direction, axis=1)[:, None]
-    radius = g.random(tol.CHUNK)[lo:hi] ** (1.0 / 3.0)
-    return direction * radius[:, None]
+def _product_states(seed, index):
+    """The product states of the integer array ``index``, (..., 4, 4).
 
-
-def _qubit_states(bloch):
-    return 0.5 * (I2 + np.einsum("ni,ijk->njk", bloch, SIGMA))
-
-
-def _product_chunk(seed, chunk, lo, hi):
-    """States lo..hi-1 of product chunk ``chunk``; the A factors of all
-    CHUNK states come first on the stream, then the B factors."""
-    g = philox_stream(seed, TAG_PRODUCT, chunk)
-    rho_a = _qubit_states(_bloch_ball_points(g, lo, hi))
-    rho_b = _qubit_states(_bloch_ball_points(g, lo, hi))
-    return np.einsum("nab,ncd->nacbd", rho_a, rho_b).reshape(hi - lo, 4, 4)
+    Each is a row of 8 unit draws of its chunk's stream (seed, TAG_PRODUCT,
+    chunk): u0..u2 give the Bloch point of rho_A and u3..u5 that of rho_B,
+    with z = 2u - 1 and azimuth 2*pi*u' (an isotropic direction, by
+    Archimedes' theorem) and radius u''^(1/3), uniform over the solid ball;
+    u6 and u7 pad the row."""
+    index = np.asarray(index)
+    u = _unit_rows(seed, TAG_PRODUCT, index, 8)[:, :6].reshape(-1, 3)
+    z = 2.0 * u[:, 0] - 1.0
+    phi = TWO_PI * u[:, 1]
+    across = np.sqrt(1.0 - z * z)
+    x, y, z = np.cbrt(u[:, 2]) * [across * np.cos(phi), across * np.sin(phi), z]
+    # (I + x X + y Y + z Z) / 2 of each Bloch point
+    rho = np.zeros((len(u), 2, 2), dtype=complex)
+    rho.real[:, 0, 0], rho.real[:, 1, 1] = 1.0 + z, 1.0 - z
+    rho.real[:, 0, 1] = rho.real[:, 1, 0] = x
+    rho.imag[:, 0, 1], rho.imag[:, 1, 0] = -y, y
+    rho *= 0.5
+    rho = rho.reshape(-1, 2, 2, 2)
+    product = np.einsum("nab,ncd->nacbd", rho[:, 0], rho[:, 1])
+    return product.reshape(*index.shape, 4, 4)
 
 
 def sample_product_state(seed, index):
     """Sample ``index`` of the product ensemble rho_A (x) rho_B with both
     factors uniform over the solid Bloch ball.  Separable by construction.
-
-    The radii follow all CHUNK directions on the stream, and the normal
-    sampler takes a variable number of words per draw, so each index draws
-    its whole chunk again; nothing is memoised.
-    """
-    chunk, i = _chunk_position(index)
-    return _product_chunk(seed, chunk, i, i + 1)[0]
+    An index draws its own row of 8 unit draws and nothing else."""
+    return _product_states(seed, _check_index(index))
 
 
 # -- chart-point ensemble ------------------------------------------------------
@@ -230,25 +225,6 @@ def _chart_from_units(u):
     return r, angles[:, 0], angles[:, 1], generic & in_octahedron(angles).all(axis=1)
 
 
-def _chart_units(seed, flat):
-    """The 12 unit draws of each sample of the int64 index array ``flat``.
-
-    Sample j of chunk c owns words 12j..12j+11 of the stream (seed,
-    TAG_CHART, c).  Each chunk touched is drawn in one call, from its
-    first requested sample to its last: the stream is advanced by three
-    Philox4x64 blocks per sample skipped."""
-    units = np.empty((flat.size, _CHART_WORDS))
-    order = np.argsort(flat)
-    chunk, offset = np.divmod(flat[order], tol.CHUNK)
-    starts = np.unique(chunk, return_index=True)[1].tolist()
-    for a, b in zip(starts, [*starts[1:], flat.size]):
-        lo, hi = int(offset[a]), int(offset[b - 1]) + 1
-        g = philox_stream(seed, TAG_CHART, int(chunk[a]))
-        g.bit_generator.advance(3 * lo)
-        units[order[a:b]] = g.random((hi - lo, _CHART_WORDS))[offset[a:b] - lo]
-    return units
-
-
 def sample_chart_point(seed, index):
     """Sample ``index`` of the chart ensemble, or a stacked ChartPoint of
     the samples of an integer array ``index``.
@@ -268,12 +244,10 @@ def sample_chart_point(seed, index):
     the stream (seed, TAG_CHART_REDRAW, index) until it is generic, so the
     point is always generic and any index replays alone.
     """
-    check_seed(seed)
     index = np.asarray(index)
-    flat = _check_indices(index).astype(np.int64)
-    r, alpha, beta, generic = _chart_from_units(_chart_units(seed, flat))
+    r, alpha, beta, generic = _chart_from_units(_unit_rows(seed, TAG_CHART, index, _CHART_WORDS))
     for k in np.flatnonzero(~generic).tolist():
-        g = philox_stream(seed, TAG_CHART_REDRAW, int(flat[k]))
+        g = philox_stream(seed, TAG_CHART_REDRAW, int(index.flat[k]))
         while not generic[k]:
             redrawn = _chart_from_units(g.random((1, _CHART_WORDS)))
             r[k], alpha[k], beta[k], generic[k] = (a[0] for a in redrawn)
@@ -287,12 +261,15 @@ def sample_chart_point(seed, index):
 
 # -- auxiliary ensembles -------------------------------------------------------
 
-def _su2(q):
-    """SU(2) elements of the quaternions q, shape (..., 4): with p = q/|q|,
-    [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]].  |q|^2 is a dot
-    product per quaternion, so each element is the same in any stack."""
-    norm = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
-    p0, p1, p2, p3 = np.moveaxis(q / norm, -1, 0)
+def _su2(u):
+    """Haar-random SU(2) elements of the unit draws u, shape (..., 3): the
+    unit quaternion p = (sqrt(1 - u0) sin 2 pi u1, sqrt(1 - u0) cos 2 pi u1,
+    sqrt(u0) sin 2 pi u2, sqrt(u0) cos 2 pi u2), uniform on the 3-sphere
+    (Shoemake, Graphics Gems III, 1992), laid out as it is, |p|^2 being 1
+    to rounding: [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]]."""
+    near, far = np.sqrt(1.0 - u[..., 0]), np.sqrt(u[..., 0])
+    t1, t2 = TWO_PI * u[..., 1], TWO_PI * u[..., 2]
+    p0, p1, p2, p3 = near * np.sin(t1), near * np.cos(t1), far * np.sin(t2), far * np.cos(t2)
     rows = (np.stack([p0 + 1j * p3, p2 + 1j * p1], axis=-1),
             np.stack([-p2 + 1j * p1, p0 - 1j * p3], axis=-1))
     return np.stack(rows, axis=-2)
@@ -302,13 +279,11 @@ def sample_local_unitary(seed, index):
     """Haar-random local unitary pair (u, v) of sample ``index``, or the
     stacked pairs of an integer array ``index``.
 
-    Sample i is drawn from its own Philox stream (seed, TAG_LOCAL_UNITARY,
-    i): the Gaussian quaternion of u, then that of v."""
+    Each pair is a row of 8 unit draws of its chunk's stream (seed,
+    TAG_LOCAL_UNITARY, chunk), laid out as the product rows are: u0..u2
+    give u and u3..u5 give v (``_su2``); u6 and u7 pad the row."""
     index = np.asarray(index)
-    q = np.empty((index.size, 2, 4))
-    for k, g in enumerate(philox_streams(seed, TAG_LOCAL_UNITARY, index)):
-        g.standard_normal(out=q[k])
-    uv = _su2(q).reshape(*index.shape, 2, 2, 2)
+    uv = _su2(_unit_rows(seed, TAG_LOCAL_UNITARY, index, 8)[:, :6].reshape(*index.shape, 2, 3))
     return LocalUnitary(u=uv[..., 0, :, :], v=uv[..., 1, :, :])
 
 
@@ -327,14 +302,17 @@ def _chart_states(seed, index):
     return representative_state(sample_chart_point(seed, index))
 
 
+def _row_chunk(states):
+    """The first m states of chunk c of a row ensemble, whose ``states``
+    builds the states of an index array."""
+    return lambda seed, c, m: states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m))
+
+
 #: Ensemble name -> (the first m states of chunk c, the state of one index).
 _ENSEMBLE_TABLE = {
     "hs": (lambda seed, c, m: _hs_chunk(seed, c, m), sample_hs_state),
-    "product": (lambda seed, c, m: _product_chunk(seed, c, 0, m), sample_product_state),
-    "chart": (
-        lambda seed, c, m: _chart_states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m)),
-        lambda seed, i: _chart_states(seed, _check_index(i)),
-    ),
+    "product": (_row_chunk(_product_states), sample_product_state),
+    "chart": (_row_chunk(_chart_states), lambda seed, i: _chart_states(seed, _check_index(i))),
 }
 
 ENSEMBLES = tuple(_ENSEMBLE_TABLE)
@@ -355,12 +333,13 @@ def ensemble_chunks(ensemble, seed, n, first=0):
     from chunk ``first`` on: the chunks before it are not drawn.
 
     The last chunk is truncated to the requested count without moving
-    any sample: a chunk-level stream is laid out for the full chunk and a
-    truncated chunk only stops drawing it earlier, and per-index streams
-    do not interact.
+    any sample: a chunk's stream is laid out for the full chunk and a
+    truncated chunk only stops drawing it earlier.  DomainError unless
+    ``first`` is a non-negative integer.
     """
     chunk_states, _ = check_ensemble(ensemble)
     check_count(n)
+    check_chunk(first)
     for chunk in range(first, (n + tol.CHUNK - 1) // tol.CHUNK):
         start = chunk * tol.CHUNK
         yield start, chunk_states(seed, chunk, min(tol.CHUNK, n - start))

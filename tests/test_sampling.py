@@ -1,5 +1,6 @@
 """Ensemble samplers: determinism, addressability and distributions."""
 
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import entspace.sampling as sampling
 from entspace import tolerances as tol
 from entspace.chart import TWO_PI, eigenvalues_from_xyz, in_octahedron, xyz_from_eigenvalues
 from entspace.errors import DomainError
-from entspace.linalg4 import dag, herm_eigenvalues
+from entspace.linalg4 import SIGMA, dag, herm_eigenvalues
 from entspace.sampling import (
     TAG_CHART,
     ensemble_chunks,
@@ -186,6 +187,16 @@ def test_ensemble_chunks_from_a_later_chunk_skip_the_earlier_draws(monkeypatch):
     for (_, got), (_, want) in zip(later, full[1:]):
         assert got.tobytes() == want.tobytes()
     assert list(ensemble_chunks("hs", 17, tol.CHUNK, first=1)) == []
+
+
+@pytest.mark.parametrize("ensemble", ["hs", "product", "chart"])
+@pytest.mark.parametrize("first", [-1, -4096, 1.0, True, np.float64(2.0), "1", None])
+def test_ensemble_chunks_names_a_first_chunk_that_is_not_a_non_negative_integer(ensemble, first):
+    # -1 was named as a stream index, 1.0 raised TypeError and True was chunk 1
+    with pytest.raises(DomainError, match="^first chunk must be a non-negative integer, got "):
+        next(ensemble_chunks(ensemble, 1, 10, first=first))
+    start, _ = next(ensemble_chunks(ensemble, 1, tol.CHUNK + 1, first=np.int64(1)))
+    assert start == tol.CHUNK
 
 
 def test_chart_chunks_match_per_index_states_across_a_chunk_boundary():
@@ -472,13 +483,14 @@ def test_philox_advance_skips_four_words_per_step_contract(seed):
             assert g.random(23).tobytes() == fresh[4 * d:4 * d + 23].tobytes()
 
 
-def _reference_chart_units(seed, index):
-    """The 12 unit draws of chart sample ``index``: its chunk's stream,
-    fresh, advanced by three Philox blocks per sample before it."""
+def _reference_units(seed, tag, index, width):
+    """The ``width`` unit draws of sample ``index`` of the ensemble tagged
+    ``tag``: its chunk's stream, fresh, advanced by width / 4 Philox blocks
+    per sample before it, then ``width`` scalar draws."""
     chunk, j = divmod(index, tol.CHUNK)
-    g = philox_stream(seed, TAG_CHART, chunk)
-    g.bit_generator.advance(3 * j)
-    return [g.random() for _ in range(12)]
+    g = philox_stream(seed, tag, chunk)
+    g.bit_generator.advance(width // 4 * j)
+    return [g.random() for _ in range(width)]
 
 
 def _reference_chart_draw(u):
@@ -515,7 +527,7 @@ def _assert_chart_points_match(points, index, draws):
 
 
 def _assert_chart_points_match_reference(points, seed, index):
-    draws = [_reference_chart_draw(_reference_chart_units(seed, int(i)))
+    draws = [_reference_chart_draw(_reference_units(seed, TAG_CHART, int(i), 12))
              for i in np.reshape(index, -1)]
     _assert_chart_points_match(points, index, draws)
 
@@ -578,7 +590,7 @@ def test_a_chart_draw_that_is_not_generic_is_redrawn_on_its_own_stream(monkeypat
     points = sample_chart_point(4, index)
     redraw = sampling.TAG_CHART_REDRAW
     assert opened == [(TAG_CHART, 0), (TAG_CHART, 1), (redraw, 9), (redraw, tol.CHUNK + 9)]
-    draws = [_reference_chart_draw(_reference_chart_units(4, 3))]
+    draws = [_reference_chart_draw(_reference_units(4, TAG_CHART, 3, 12))]
     for i in (9, tol.CHUNK + 9):
         # the tied first 12 draws of the redraw stream are skipped
         draws.append(_reference_chart_draw(stream(4, redraw, i).random(24)[12:].tolist()))
@@ -623,31 +635,157 @@ def test_chart_indices_out_of_stream_range_are_named():
         sample_chart_point(1, [7, 1 << 64])
 
 
-# -- local unitary stream contract ------------------------------------------------
+# -- product and local-unitary row contract -------------------------------------
 
-def _reference_local_unitary(seed, index):
-    """(u, v) of one index drawn on a fresh stream: a Gaussian quaternion
-    for u, then one for v, each normalised and laid out as an SU(2) matrix."""
-    g = philox_stream(seed, sampling.TAG_LOCAL_UNITARY, index)
-    factors = []
-    for _ in range(2):
-        q = g.standard_normal(4)
-        q /= np.linalg.norm(q)
-        factors.append(np.array([[q[0] + 1j * q[3], q[2] + 1j * q[1]],
-                                 [-q[2] + 1j * q[1], q[0] - 1j * q[3]]]))
-    return factors
+def _row_index_sets(seed):
+    """Contiguous indices across a chunk boundary, shuffled ones, a grid
+    across chunks and far from zero, and single indices."""
+    index = np.arange(tol.CHUNK + 8)
+    return [index, np.random.default_rng(seed).permutation(index)[:300],
+            np.array([[5, tol.CHUNK + 3, 0], [1 << 40, 5, (1 << 56) - 1]]),
+            *(np.array(i) for i in (tol.CHUNK - 1, tol.CHUNK, 1 << 40, (1 << 56) - 1))]
 
 
-def test_local_unitary_index_array_repeats_per_index_draws():
+@pytest.mark.parametrize("seed", [1, 2, 99])
+@pytest.mark.parametrize("tag", [sampling.TAG_PRODUCT, sampling.TAG_LOCAL_UNITARY])
+def test_product_and_local_unitary_rows_follow_the_chunk_stream_contract(seed, tag):
+    # sample j of a chunk owns words 8j..8j+7 of its chunk's stream
+    for index in _row_index_sets(seed):
+        want = [_reference_units(seed, tag, i, 8) for i in index.reshape(-1).tolist()]
+        assert sampling._unit_rows(seed, tag, index, 8).tobytes() == np.array(want).tobytes()
+
+
+def _reference_bloch(u):
+    """The Bloch point of three unit draws, in plain Python: z = 2u0 - 1,
+    azimuth 2*pi*u1, radius u2^(1/3)."""
+    z = 2 * u[0] - 1
+    across = math.sqrt(1 - z * z)
+    phi = TWO_PI * u[1]
+    return [u[2] ** (1 / 3) * c for c in (across * math.cos(phi), across * math.sin(phi), z)]
+
+
+def _reference_product_state(u):
+    """rho_A (x) rho_B of the Bloch points of u0..u2 and u3..u5."""
+    qubits = [0.5 * (np.eye(2) + sum(c * s for c, s in zip(_reference_bloch(u[k:k + 3]), SIGMA)))
+              for k in (0, 3)]
+    return np.kron(*qubits)
+
+
+def _reference_su2(u):
+    """The SU(2) matrix of Shoemake's unit quaternion of u0..u2, in plain
+    Python."""
+    near, far = math.sqrt(1 - u[0]), math.sqrt(u[0])
+    p0, p1 = near * math.sin(TWO_PI * u[1]), near * math.cos(TWO_PI * u[1])
+    p2, p3 = far * math.sin(TWO_PI * u[2]), far * math.cos(TWO_PI * u[2])
+    return np.array([[p0 + 1j * p3, p2 + 1j * p1], [-p2 + 1j * p1, p0 - 1j * p3]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_product_states_are_their_rows_mapped(seed):
+    # the map's sines, cosines and cube root need not round as numpy's do
+    (_, head), (_, tail) = ensemble_chunks("product", seed, tol.CHUNK + 8)
+    states = np.concatenate([head, tail])
+    for i, rho in enumerate(states):
+        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 8))
+        assert np.abs(rho - want).max() < 1e-15, i
+    for i in (5, 1 << 40, (1 << 56) - 1):
+        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 8))
+        assert np.abs(sample_product_state(seed, i) - want).max() < 1e-15, i
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_local_unitaries_are_their_rows_mapped(seed):
+    for index in _row_index_sets(seed):
+        k = sample_local_unitary(seed, index)
+        assert k.u.shape == k.v.shape == (*index.shape, 2, 2)
+        for pos in np.ndindex(index.shape):
+            u = _reference_units(seed, sampling.TAG_LOCAL_UNITARY, int(index[pos]), 8)
+            assert np.abs(k.u[pos] - _reference_su2(u[0:3])).max() < 1e-15
+            assert np.abs(k.v[pos] - _reference_su2(u[3:6])).max() < 1e-15
     index = np.array([[0, 1, 4095], [4096, 1 << 40, 1]])
     k = sample_local_unitary(37, index)
-    assert k.u.shape == k.v.shape == (2, 3, 2, 2)
     assert k.matrix().shape == (2, 3, 4, 4)
     for pos in np.ndindex(index.shape):
-        u, v = _reference_local_unitary(37, int(index[pos]))
-        assert k.u[pos].tobytes() == u.tobytes()
-        assert k.v[pos].tobytes() == v.tobytes()
         single = sample_local_unitary(37, int(index[pos]))
-        assert single.u.tobytes() == u.tobytes() and single.v.tobytes() == v.tobytes()
+        assert single.u.tobytes() == k.u[pos].tobytes() and single.v.tobytes() == k.v[pos].tobytes()
     with pytest.raises(DomainError, match="index out of range: -1"):
         sample_local_unitary(37, [3, -1])
+
+
+class _CountedStream:
+    """A stream that records the words each ``random`` call draws; every
+    other attribute is the real stream ``g``'s."""
+
+    def __init__(self, g, words):
+        self._g, self._words = g, words
+
+    def random(self, size):
+        self._words.append(int(np.prod(size)))
+        return self._g.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+def test_a_product_or_local_unitary_replay_draws_its_own_row(monkeypatch):
+    opened, words = [], []
+    stream = sampling.philox_stream
+
+    def counted(seed, tag, i=0):
+        opened.append(_CountedStream(stream(seed, tag, i), words))
+        return opened[-1]
+
+    monkeypatch.setattr(sampling, "philox_stream", counted)
+    for replay in (lambda i: ensemble_state("product", 5, i), lambda i: sample_local_unitary(5, i)):
+        for index in (0, 700, tol.CHUNK - 1, tol.CHUNK, (1 << 40) + 700):
+            opened.clear()
+            words.clear()
+            replay(index)
+            # one stream, 8 words drawn, and the stream stops at the row's end
+            (g,) = opened
+            assert words == [8]
+            state = g.bit_generator.state
+            position = 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+            assert position == 8 * (index % tol.CHUNK + 1)
+
+
+# The seed of both law tests was fixed before any result was seen; each
+# mean is within 4 of its exact standard errors.
+_LAW_SEED = 20261020
+
+
+def test_local_unitaries_follow_the_haar_law():
+    # u = [[p0 + i p3, p2 + i p1], [-p2 + i p1, p0 - i p3]] for a uniform
+    # point p of the 3-sphere, where E p_i^2 = 1/4, E p_i^4 = 1/8 and
+    # E p_i^8 = 105/1920.  So tr u = 2 p0 has E tr u = 0, E (tr u)^2 = 1
+    # and E (tr u)^4 = 2, with variances 1, 1 and 14 - 4; each p_i has
+    # mean 0 and variance 1/4, and E p p^T = I/4 with Var p_i^2 = 1/8 - 1/16
+    # and Var p_i p_j = E p_i^2 p_j^2 = 1/24 (i != j).
+    n = 1 << 17
+    k = sample_local_unitary(_LAW_SEED, np.arange(n))
+    bound = 4 / np.sqrt(n)
+    sigma = np.where(np.eye(4, dtype=bool), 0.25, np.sqrt(1 / 24))
+    for u in (k.u, k.v):
+        trace = (u[:, 0, 0] + u[:, 1, 1]).real
+        assert abs(trace.mean()) < bound
+        assert abs((trace ** 2).mean() - 1) < bound
+        assert abs((trace ** 4).mean() - 2) < bound * np.sqrt(10)
+        p = np.stack([u[:, 0, 0].real, u[:, 0, 1].imag, u[:, 0, 1].real, u[:, 0, 0].imag])
+        assert (abs(p.mean(axis=1)) < bound * 0.5).all()
+        assert (abs(p @ p.T / n - np.eye(4) / 4) < bound * sigma).all()
+
+
+def test_product_bloch_directions_are_isotropic():
+    # a uniform direction d of the 2-sphere has E d = 0 with Var d_i = 1/3,
+    # and E d d^T = I/3 with Var d_i^2 = 1/5 - 1/9 and Var d_i d_j = 1/15
+    # (i != j); test_bloch_ball_radius_distribution covers the radius
+    from entspace.fano import to_fano
+
+    n = 1 << 17
+    fano = [to_fano(states) for _, states in ensemble_chunks("product", _LAW_SEED, n)]
+    sigma = np.where(np.eye(3, dtype=bool), np.sqrt(4 / 45), np.sqrt(1 / 15))
+    for bloch in (np.concatenate([f.a for f in fano]), np.concatenate([f.b for f in fano])):
+        d = bloch / np.linalg.norm(bloch, axis=1)[:, None]
+        assert (abs(d.mean(axis=0)) < 4 * np.sqrt(1 / 3 / n)).all()
+        second = np.einsum("ni,nj->ij", d, d) / n
+        assert (abs(second - np.eye(3) / 3) < 4 * sigma / np.sqrt(n)).all()
