@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_broadcast
+from .errors import DomainError, check_broadcast, first_failure, require, stack_position
 from . import tolerances as tol
 from .fano import LocalUnitary
 from .linalg4 import (
@@ -31,7 +31,6 @@ from .linalg4 import (
     SIGMA_Y,
     SIGMA_Z,
     _exp_antihermitian,
-    _stack_position,
     dag,
     exp_antihermitian,  # not called here; the benchmark tracer wraps it
     exp_commuting_paulis,
@@ -128,25 +127,22 @@ def _check_angles(v, name):
     if np.abs(v).max(initial=0.0) <= ANGLE_LIMIT:  # False for NaN as well
         return
     _check_finite(v, name, "angle")
-    within = (np.abs(v) <= ANGLE_LIMIT).all(axis=-1)
-    if not within.all():
-        i = np.argmin(within.reshape(-1))
-        raise DomainError(
-            f"{name}{_stack_position(v.shape[:-1], i)} has an angle beyond "
-            f"{ANGLE_LIMIT!r}, where the closed forms overflow: "
-            f"{v.reshape(-1, v.shape[-1])[i]}"
-        )
+    require(np.abs(v) <= ANGLE_LIMIT, v.shape[:-1], lambda i, at: (
+        f"{name}{at} has an angle beyond {ANGLE_LIMIT!r}, where the closed forms "
+        f"overflow: {_row(v, i)}"
+    ))
 
 
 def _check_finite(v, name, noun):
     """DomainError naming the first stack index of ``v`` (shape (..., k))
     whose entries are not all finite."""
-    if not np.isfinite(v).all():
-        i = np.argmin(np.isfinite(v).all(axis=-1).reshape(-1))
-        raise DomainError(
-            f"{name}{_stack_position(v.shape[:-1], i)} has a non-finite {noun}: "
-            f"{v.reshape(-1, v.shape[-1])[i]}"
-        )
+    require(np.isfinite(v), v.shape[:-1],
+            lambda i, at: f"{name}{at} has a non-finite {noun}: {_row(v, i)}")
+
+
+def _row(v, i):
+    """Entry i of the flattened stack ``v`` (shape (..., k))."""
+    return v.reshape(-1, v.shape[-1])[i]
 
 
 _INEQUALITY_NAMES = ("r1 >= r2", "r2 >= r3", "r3 >= r4", "r4 >= 0")
@@ -158,15 +154,12 @@ def _check_spectra(r, kind, where):
     offending stack index, the first violated inequality there, and ends
     with ``where(flat index)``."""
     gaps = np.concatenate([r[..., :-1] - r[..., 1:], r[..., 3:]], axis=-1)
-    if (gaps >= -tol.SIMPLEX_TOL).all():
-        return
-    bad = gaps.reshape(-1, 4) < -tol.SIMPLEX_TOL
-    i = np.argmax(bad.any(axis=1))
-    k = np.argmax(bad[i])
-    raise DomainError(
-        f"{kind}: {_INEQUALITY_NAMES[k]} fails by {-gaps.reshape(-1, 4)[i, k]:.3e}"
-        f"{_stack_position(r.shape[:-1], i)}{where(i)}"
-    )
+
+    def message(i, at):
+        k = np.argmax(_row(gaps, i) < -tol.SIMPLEX_TOL)
+        return f"{kind}: {_INEQUALITY_NAMES[k]} fails by {-_row(gaps, i)[k]:.3e}{at}{where(i)}"
+
+    require(gaps >= -tol.SIMPLEX_TOL, r.shape[:-1], message)
 
 
 def eigenvalues_from_xyz(s):
@@ -212,12 +205,9 @@ def xyz_from_eigenvalues(r):
         raise DomainError(f"spectrum must have 4 entries, got shape {r.shape}")
     _check_finite(r, "spectrum", "entry")
     total = r.sum(axis=-1)
-    if np.any(np.abs(total - 1.0) > tol.TRACE_TOL):
-        total = total.reshape(-1)
-        i = np.argmax(np.abs(total - 1.0) > tol.TRACE_TOL)
-        raise DomainError(
-            f"spectrum must sum to 1, got {float(total[i])!r}{_stack_position(r.shape[:-1], i)}"
-        )
+    require(~(np.abs(total - 1.0) > tol.TRACE_TOL), total.shape, lambda i, at: (
+        f"spectrum must sum to 1, got {float(np.ravel(total)[i])!r}{at}"
+    ))
     _check_spectra(r, "spectrum not ordered", lambda i: "")
     r1, r2, r3, r4 = np.moveaxis(r, -1, 0)
     return SimplexPoint(x=r1 + r2 - r3 - r4, y=r1 - r2 + r3 - r4, z=r1 - r2 - r3 + r4)
@@ -230,12 +220,12 @@ def in_octahedron(v):
 
 
 def _warn_outside(v, name):
-    inside = in_octahedron(v)
-    if not np.all(inside):
-        i = np.argmin(np.reshape(inside, -1))
+    failure = first_failure(in_octahedron(v), v.shape[:-1])
+    if failure:
+        i, at = failure
         warnings.warn(
-            f"{name}{_stack_position(v.shape[:-1], i)} lies outside the closed "
-            f"octahedron (l1 norm {np.sum(np.abs(v.reshape(-1, 3)[i])):.6g} > 2*pi); "
+            f"{name}{at} lies outside the closed "
+            f"octahedron (l1 norm {np.sum(np.abs(_row(v, i))):.6g} > 2*pi); "
             "the chart wraps around",
             OctahedronWarning,
             stacklevel=3,
@@ -278,7 +268,7 @@ def a_factor(alpha, beta, method="closed"):
     families = _exp_antihermitian(
         gen.reshape(-1, 4, 4),
         lambda i: f"the {('alpha', 'beta')[i % 2]} generator"
-        f"{_stack_position(lead, i // 2)}",
+        f"{stack_position(lead, i // 2)}",
     ).reshape(gen.shape)
     return families[..., 0, :, :] @ families[..., 1, :, :]
 
@@ -303,12 +293,11 @@ def _checked_spectrum(simplex):
     naming the first spectrum whose gap is below GENERIC_GAP, where the
     chart stops being one-to-one."""
     r = eigenvalues_from_xyz(simplex)
-    degenerate = spectral_gap(r) < tol.GENERIC_GAP
-    if np.any(degenerate):
-        i = np.argmax(np.reshape(degenerate, -1))
+    failure = first_failure(~(spectral_gap(r) < tol.GENERIC_GAP), r.shape[:-1])
+    if failure:
+        i, at = failure
         warnings.warn(
-            f"degenerate spectrum {tuple(r.reshape(-1, 4)[i])}"
-            f"{_stack_position(r.shape[:-1], i)}: chart point is non-generic",
+            f"degenerate spectrum {tuple(_row(r, i))}{at}: chart point is non-generic",
             DegenerateSpectrumWarning,
             stacklevel=3,
         )

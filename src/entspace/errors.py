@@ -1,5 +1,16 @@
-"""Exception types and the argument checks shared across the package."""
+"""Exception types and the argument checks shared across the package.
 
+Every kernel takes a stack, and every input gate names the first
+offending stack entry so the input can be replayed: "matrix at stack
+index 3 ...", "(1, 2)" for several leading axes, nothing for one entry.
+``require(ok, lead, message)`` is that rule for every gate: a pass costs
+one ``ok.all()``, and a failure raises ``message(i, where)`` for the
+first flat index i whose trailing tests in ``ok`` are not all true, with
+``where = stack_position(lead, i)``.  Warnings name their entry through
+``first_failure``, the same lookup without the raise.
+"""
+
+import math
 from numbers import Integral
 
 import numpy as np
@@ -61,3 +72,33 @@ def check_broadcast(*operands):
     except ValueError:
         named = [f"{name} of shape {shape}" for name, shape, _ in operands]
         raise DomainError(f"{', '.join(named[:-1])} and {named[-1]} do not broadcast") from None
+
+
+def stack_position(lead, flat_index):
+    """Where a flat stack index lies: '' for a single entry, else
+    ' at stack index i' (an index tuple for several leading axes)."""
+    if not lead:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(flat_index, lead))
+    return f" at stack index {index[0] if len(index) == 1 else index}"
+
+
+def first_failure(ok, lead):
+    """None when every test of ``ok`` holds, else (i, where): the first of
+    the math.prod(lead) stack entries with a false test in its trailing
+    axes, and where = stack_position(lead, i).  Rows reduce on failure only."""
+    if ok.all():
+        return None
+    # as bool: the tests of an object array (Python ints) are Python bools
+    rows = np.asarray(ok, dtype=bool).reshape(math.prod(lead), -1)
+    i = int(np.argmin(rows.all(axis=1)))
+    return i, stack_position(lead, i)
+
+
+def require(ok, lead, message, error=DomainError):
+    """Raise ``error(message(i, where))`` for the first failure of ``ok``
+    over a stack of leading shape ``lead`` (see first_failure); the message
+    is built only then.  NaN fails x <= tol and passes ~(x > tol)."""
+    failure = first_failure(ok, lead)
+    if failure:
+        raise error(message(*failure))

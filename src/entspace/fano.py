@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_broadcast, require
 from . import tolerances as tol
 from .linalg4 import (
     I2,
@@ -44,7 +44,7 @@ from .linalg4 import (
     tensor_product,
     unitarity_defect,
 )
-from .linalg4 import _stack_position, _two_qubit
+from .linalg4 import _two_qubit
 
 # Precomputed operator stacks: BASIS_A[i] = sigma_i (x) I, BASIS_B[j] = I (x) sigma_j,
 # BASIS_AB[i, j] = sigma_i (x) sigma_j.
@@ -142,27 +142,18 @@ def _reject(a, b, c):
     first out of range."""
     lead = a.shape[:-1]
     finite = np.isfinite(a).all(-1) & np.isfinite(b).all(-1) & np.isfinite(c).all((-2, -1))
-    if not finite.all():
-        raise DomainError(
-            f"Fano coefficients{_stack_position(lead, np.argmin(finite))} "
-            "have a non-finite entry"
-        )
+    require(finite, lead, lambda i, at: f"Fano coefficients{at} have a non-finite entry")
     bound = 1.0 + tol.FANO_BOUND_TOL
     norm_a = np.sqrt(np.einsum("...i,...i->...", a, a)).reshape(-1)
     norm_b = np.sqrt(np.einsum("...i,...i->...", b, b)).reshape(-1)
-    over = (norm_a > bound) | (norm_b > bound)
-    if over.any():
-        i = np.argmax(over)
-        raise DomainError(
-            f"Bloch vector norm out of range{_stack_position(lead, i)}: "
-            f"|a| = {float(norm_a[i])!r}, |b| = {float(norm_b[i])!r}"
-        )
+    require(~((norm_a > bound) | (norm_b > bound)), lead, lambda i, at: (
+        f"Bloch vector norm out of range{at}: "
+        f"|a| = {float(norm_a[i])!r}, |b| = {float(norm_b[i])!r}"
+    ))
     entry = np.abs(c).reshape(-1, 9).max(axis=1)
-    i = np.argmax(entry > bound)
-    raise DomainError(
-        f"correlation entry out of range{_stack_position(lead, i)}: "
-        f"max |C_ij| = {float(entry[i])!r}"
-    )
+    require(~(entry > bound), lead, lambda i, at: (
+        f"correlation entry out of range{at}: max |C_ij| = {float(entry[i])!r}"
+    ))
 
 
 def to_fano(rho):
@@ -214,7 +205,7 @@ def schlienz_mahler(f):
 @dataclass(frozen=True)
 class LocalUnitary:
     """A pair (u, v) of SU(2) factors acting as u (x) v, or a stack of
-    pairs: u and v of shape (..., 2, 2)."""
+    pairs: u and v of shape (..., 2, 2), whose stack shapes broadcast."""
 
     u: np.ndarray
     v: np.ndarray
@@ -224,16 +215,13 @@ class LocalUnitary:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape[-2:] != (2, 2):
                 raise DomainError(f"{name} must be 2x2, got shape {m.shape}")
-            with np.errstate(invalid="ignore"):  # a NaN entry is rejected below
-                gram, det = (np.reshape(d, -1) for d in unitarity_defect(m))
-            bad = ~((gram <= tol.UNITARITY_TOL) & (det <= tol.UNITARITY_TOL))
-            if bad.any():
-                i = np.argmax(bad)
-                raise DomainError(
-                    f"{name}{_stack_position(m.shape[:-2], i)} is not special unitary: "
-                    f"|u^dag u - I| = {gram[i]:.3e}, |det - 1| = {det[i]:.3e}"
-                )
+            gram, det = unitarity_defect(m)
+            # a NaN entry has NaN defects, which fail
+            require((gram <= tol.UNITARITY_TOL) & (det <= tol.UNITARITY_TOL), m.shape[:-2],
+                    lambda i, at: f"{name}{at} is not special unitary: |u^dag u - I| = "
+                    f"{np.ravel(gram)[i]:.3e}, |det - 1| = {np.ravel(det)[i]:.3e}")
             object.__setattr__(self, name, m)
+        check_broadcast(("u", self.u.shape, 2), ("v", self.v.shape, 2))
 
     def matrix(self):
         """The 4x4 product u (x) v, or the (..., 4, 4) stack of them."""
@@ -243,10 +231,13 @@ class LocalUnitary:
 def local_unitary_action(rho, g):
     """Conjugate rho by the local unitary g: (u(x)v) rho (u(x)v)^dag.
 
-    ``rho`` and ``g`` may be stacks whose leading shapes broadcast; each
-    conjugation is the same pair of matrix products as a single call."""
+    ``rho`` and ``g`` may be stacks whose leading shapes broadcast (else
+    DomainError naming both shapes); each conjugation is the same pair of
+    matrix products as a single call."""
+    rho = _two_qubit(rho)
     k = g.matrix()
-    return k @ np.asarray(rho, dtype=complex) @ dag(k)
+    check_broadcast(("rho", rho.shape, 2), ("g", k.shape, 2))
+    return k @ rho @ dag(k)
 
 
 def su2_to_so3(u):

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_broadcast, require, stack_position
 from . import tolerances as tol
 
 I2 = np.eye(2, dtype=complex)
@@ -36,7 +36,8 @@ def dag(m):
 
 def tensor_product(a, b):
     """Kronecker product a (x) b of two matrices, or of two stacks of them
-    (leading axes broadcast).
+    (leading axes broadcast; DomainError naming both shapes when they do
+    not).
 
     The first factor is the slow index: row index of the product is
     2*i_a + i_b for 2x2 factors.  Each entry is one complex product
@@ -45,18 +46,10 @@ def tensor_product(a, b):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    check_broadcast(("a", a.shape, 2), ("b", b.shape, 2))
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
     return product.reshape(*product.shape[:-4], m * p, n * q)
-
-
-def _stack_position(lead, flat_index):
-    """Where a flat stack index lies: '' for a single matrix, else
-    ' at stack index i' (an index tuple for several leading axes)."""
-    if not lead:
-        return ""
-    index = tuple(int(i) for i in np.unravel_index(flat_index, lead))
-    return f" at stack index {index[0] if len(index) == 1 else index}"
 
 
 def _square_stack(x):
@@ -70,11 +63,7 @@ def _square_stack(x):
         )
     lead = x.shape[:-2]
     flat = x.reshape(-1, *x.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    if not finite.all():
-        raise DomainError(
-            f"matrix{_stack_position(lead, np.argmin(finite))} has a non-finite entry"
-        )
+    require(np.isfinite(flat), lead, lambda i, at: f"matrix{at} has a non-finite entry")
     return flat, lead
 
 
@@ -94,13 +83,10 @@ def hermitize(h):
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.abs(flat - h_dag.reshape(flat.shape)).max(axis=(1, 2), initial=0.0)
         mean = 0.5 * (h + h_dag)
-    over = defect > tol.HERMITICITY_TOL
-    if over.any():
-        i = np.argmax(over)
-        raise DomainError(
-            f"matrix{_stack_position(lead, i)} is not Hermitian: "
-            f"max|H - H^dag| = {defect[i]:.3e} > {tol.HERMITICITY_TOL:.1e}"
-        )
+    require(~(defect > tol.HERMITICITY_TOL), lead, lambda i, at: (
+        f"matrix{at} is not Hermitian: "
+        f"max|H - H^dag| = {defect[i]:.3e} > {tol.HERMITICITY_TOL:.1e}"
+    ))
     return mean
 
 
@@ -258,12 +244,8 @@ def _jacobi(h, vectors):
         fro2 = pivots.squared_sum(_entries(sweep)[: d * d])
     stop = (tol.JACOBI_OFF_TOL * np.maximum(1.0, pivots.sqrt(fro2))).reshape(k)
     # an infinite stop would end the sweeps before any rotation
-    finite = np.isfinite(stop)
-    if not finite.all():
-        raise DomainError(
-            f"matrix{_stack_position(lead, np.argmin(finite))} has a Frobenius "
-            "norm that overflows"
-        )
+    require(np.isfinite(stop), lead,
+            lambda i, at: f"matrix{at} has a Frobenius norm that overflows")
     active = np.arange(k)
     w = np.empty((k, d))
     v = np.empty((k, d, d), dtype=complex) if vectors else None
@@ -301,7 +283,7 @@ def _jacobi(h, vectors):
     else:
         raise NumericalError(
             f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
-            f"{_stack_position(lead, active[0])}, off-diagonal norm "
+            f"{stack_position(lead, active[0])}, off-diagonal norm "
             f"{_off_norm(work[..., :1], flat, _STACK_PIVOTS)[0]:.3e} > {stop[0]:.3e}"
         )
     if vectors:
@@ -381,7 +363,7 @@ def exp_antihermitian(x):
     emits a RuntimeWarning.
     """
     flat, lead = _square_stack(x)
-    u = _exp_antihermitian(flat, lambda i: f"matrix{_stack_position(lead, i)}")
+    u = _exp_antihermitian(flat, lambda i: f"matrix{stack_position(lead, i)}")
     return u.reshape(*lead, *u.shape[1:])
 
 
@@ -389,22 +371,17 @@ def _exp_antihermitian(flat, label):
     """The body of exp_antihermitian on a finite (k, n, n) stack; each
     error names the offending matrix by ``label(i)`` of its index i."""
     defect = np.abs(flat + dag(flat)).max(axis=(1, 2), initial=0.0)
-    over = defect > tol.ANTIHERM_TOL
-    if over.any():
-        i = np.argmax(over)
-        raise DomainError(
-            f"{label(i)} is not anti-Hermitian: max|X + X^dag| = {defect[i]:.3e}"
-        )
+    require(~(defect > tol.ANTIHERM_TOL), defect.shape, lambda i, _: (
+        f"{label(i)} is not anti-Hermitian: max|X + X^dag| = {defect[i]:.3e}"
+    ))
     n = flat.shape[-1]
     eye = np.eye(n, dtype=complex)
     with np.errstate(over="ignore"):
         norm = np.sqrt(
             (flat.real ** 2 + flat.imag ** 2).reshape(len(flat), n * n).sum(axis=1)
         )
-    if not np.isfinite(norm).all():
-        raise DomainError(
-            f"{label(np.argmin(np.isfinite(norm)))} has a Frobenius norm that overflows"
-        )
+    require(np.isfinite(norm), norm.shape,
+            lambda i, _: f"{label(i)} has a Frobenius norm that overflows")
     # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
     m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
     s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
@@ -423,12 +400,9 @@ def _exp_antihermitian(flat, label):
             squared = s > step
             q = r[squared]  # one copy, not one per operand
             r[squared] = q @ q
-    finite = np.isfinite(r).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(
-            f"exponential of {label(np.argmin(finite))} is not finite: "
-            "its scaling and squaring overflowed"
-        )
+    require(np.isfinite(r), r.shape[:1], lambda i, _: (
+        f"exponential of {label(i)} is not finite: its scaling and squaring overflowed"
+    ), NumericalError)
     # A rounding error of order eps in the scaled exponential about doubles
     # with each squaring, so after s squarings max|U^dag U - I| is about
     # 2^s eps (2^s eps / 4 measured on 2x2 rotations).  Allowing 16 times
@@ -439,14 +413,11 @@ def _exp_antihermitian(flat, label):
     (checked,) = np.nonzero(s > squarings)
     if checked.size:
         gram = np.abs(dag(r[checked]) @ r[checked] - eye).max(axis=(1, 2))
-        lost = gram > tol.UNITARITY_TOL
-        if lost.any():
-            i = np.argmax(lost)
-            raise NumericalError(
-                f"exponential of {label(checked[i])} is not unitary: "
-                f"max|U^dag U - I| = {gram[i]:.3e} > {tol.UNITARITY_TOL:.1e} "
-                f"after {s[checked[i]]} squarings"
-            )
+        require(~(gram > tol.UNITARITY_TOL), gram.shape, lambda i, _: (
+            f"exponential of {label(checked[i])} is not unitary: "
+            f"max|U^dag U - I| = {gram[i]:.3e} > {tol.UNITARITY_TOL:.1e} "
+            f"after {s[checked[i]]} squarings"
+        ), NumericalError)
     return r
 
 
@@ -484,8 +455,7 @@ def pauli_tables(generators):
         & (magnitude.sum(axis=-2) == 1).all(axis=-1)
         & (magnitude.sum(axis=-1) == 1).all(axis=-1)
     )
-    if not signed.all():
-        raise DomainError(f"generators[{np.argmin(signed)}] is not a real signed permutation")
+    require(signed, (k,), lambda i, _: f"generators[{i}] is not a real signed permutation")
     # pi(j) and v_j of each word's column j, as (k, n)
     pi = magnitude.argmax(axis=-2)
     v = words.real.sum(axis=-2)
@@ -724,8 +694,10 @@ def _certificates(flat, threshold):
 
 def unitarity_defect(u):
     """Return (max|U^dag U - I|, |det U - 1|) of one matrix, or the two
-    per-matrix arrays, each of the leading shape, for a (..., n, n) stack."""
+    per-matrix arrays, each of the leading shape, for a (..., n, n) stack.
+    A matrix with a NaN entry has NaN defects, with no RuntimeWarning."""
     u = np.asarray(u, dtype=complex)
-    gram = np.abs(dag(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    det = np.abs(np.linalg.det(u) - 1.0)
+    with np.errstate(invalid="ignore"):
+        gram = np.abs(dag(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+        det = np.abs(np.linalg.det(u) - 1.0)
     return gram[()], det[()]

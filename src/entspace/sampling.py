@@ -23,7 +23,7 @@ chunk draw it once.
 
 import numpy as np
 
-from .errors import DomainError, check_chunk, check_count, check_seed
+from .errors import DomainError, check_chunk, check_count, check_seed, require
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, in_octahedron, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
@@ -47,9 +47,8 @@ def _check_indices(indices):
     # them.  A bool is no index: a mask would alias samples 0 and 1.
     if indices.dtype.kind not in "iu" and not all(type(i) is int for i in indices.tolist()):
         raise DomainError(f"stream indices must be integers, got dtype {indices.dtype}")
-    bad = np.flatnonzero((indices < 0) | (indices >= (1 << _INDEX_BITS)))
-    if bad.size:
-        raise DomainError(f"stream index out of range: {indices[bad[0]]}")
+    require((indices >= 0) & (indices < (1 << _INDEX_BITS)), indices.shape,
+            lambda i, _: f"stream index out of range: {indices[i]}")
     return indices
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_band, check_broadcast
+from .errors import DomainError, NumericalError, check_band, check_broadcast, require
 from . import tolerances as tol
 from .chart import (
     _angle_triple,
@@ -35,7 +35,7 @@ from .chart import (
     xyz_from_eigenvalues,
 )
 from .fano import schlienz_mahler, to_fano
-from .linalg4 import _stack_position, char_poly_coeffs, partial_transpose
+from .linalg4 import char_poly_coeffs, partial_transpose
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -86,13 +86,9 @@ def verdict_masks(s3, s4, band=tol.VERDICT_TOL):
     """
     s3, s4 = np.asarray(s3), np.asarray(s4)
     check_band(band)
-    check_broadcast(("S3", s3.shape, 0), ("S4", s4.shape, 0))
-    finite = np.isfinite(s3) & np.isfinite(s4)
-    if not finite.all():
-        raise DomainError(
-            f"PT coefficients{_stack_position(np.shape(finite), np.argmin(finite))} "
-            "are not finite"
-        )
+    lead = check_broadcast(("S3", s3.shape, 0), ("S4", s4.shape, 0))
+    require(np.isfinite(s3) & np.isfinite(s4), lead,
+            lambda i, at: f"PT coefficients{at} are not finite")
     separable = (s3 >= band) & (s4 >= band)
     entangled = (s3 < -band) | (s4 < -band)
     boundary = ~(separable | entangled)

@@ -126,6 +126,24 @@ def test_local_unitary_validation():
         LocalUnitary(u=np.array([[0.0, 1.0], [1.0, 0.0]]), v=np.eye(2))
 
 
+def test_local_unitary_stacks_that_do_not_broadcast_raise_domain_error():
+    u, v = np.tile(np.eye(2), (2, 1, 1)), np.tile(np.eye(2), (3, 1, 1))
+    with pytest.raises(DomainError) as e:
+        LocalUnitary(u=u, v=v)
+    assert str(e.value) == "u of shape (2, 2, 2) and v of shape (3, 2, 2) do not broadcast"
+    with pytest.raises(DomainError) as e:
+        local_unitary_action(np.tile(np.eye(4) / 4, (3, 1, 1)), LocalUnitary(u=u, v=np.eye(2)))
+    assert str(e.value) == "rho of shape (3, 4, 4) and g of shape (2, 4, 4) do not broadcast"
+
+
+def test_local_unitary_rejects_nan_factor_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as e:
+            LocalUnitary(u=np.full((2, 2), np.nan), v=np.eye(2))
+    assert str(e.value) == "u is not special unitary: |u^dag u - I| = nan, |det - 1| = nan"
+
+
 def test_local_unitary_action_identity():
     g = LocalUnitary(u=np.eye(2), v=np.eye(2))
     rho = sample_hs_state(7, 0)

@@ -104,6 +104,12 @@ def test_stacked_tensor_product_is_bitwise_np_kron():
     assert tensor_product(wide, a[0]).tobytes() == np.kron(wide.astype(complex), a[0]).tobytes()
 
 
+def test_tensor_product_stacks_that_do_not_broadcast_raise_domain_error():
+    with pytest.raises(DomainError) as e:
+        tensor_product(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
+    assert str(e.value) == "a of shape (2, 2, 2) and b of shape (3, 2, 2) do not broadcast"
+
+
 def test_hermitize_accepts_and_symmetrizes():
     g = philox_stream(12, 60)
     h = random_hermitian(g)
@@ -924,6 +930,15 @@ def test_stacked_unitarity_defect_matches_per_matrix_values():
         assert g_i == ref
         assert abs(d_i - abs(np.linalg.det(u) - 1.0)) <= 4 * EPS * max(1.0, d_i)
     assert gram.reshape(-1)[5] > 1.0
+
+
+def test_unitarity_defect_of_a_nan_matrix_is_nan_without_warning():
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram, det = unitarity_defect(u)
+    assert np.isnan(gram) and np.isnan(det)
 
 
 def _hs_pt_stack(seed, n):
