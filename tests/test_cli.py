@@ -1,6 +1,5 @@
 """Command-line interface and self-verification suite."""
 
-import hashlib
 import io
 import json
 import os
@@ -27,21 +26,13 @@ from entspace.separability import (
 )
 from entspace.serialize import state_to_dict, to_json
 from entspace.verify import CHECKS, run_suite
+from record_cli_digests import BELL_FANO, MANIFEST, moves, record, run, write_records
 
 
 def _write_state(tmp_path, rho, name="state.json"):
     path = tmp_path / name
     path.write_text(to_json(state_to_dict(rho)))
     return str(path)
-
-
-BELL_FANO = {
-    "fano": {
-        "a": [0.0, 0.0, 0.0],
-        "b": [0.0, 0.0, 0.0],
-        "C": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
-    }
-}
 
 
 # -- check ---------------------------------------------------------------------
@@ -82,27 +73,6 @@ def test_check_rejects_missing_file(tmp_path, capsys):
     assert captured.err == (
         f"error: cannot read state file: [Errno 2] No such file or directory: {str(path)!r}\n"
     )
-
-
-#: sha256 of ``check`` stdout for Werner p = 0.2 (a state_to_dict record)
-#: and for BELL_FANO, in each format.
-CHECK_DIGESTS = {
-    ("werner", "json"): "47a9daf736f548eaf80206efd2d4dda84c8fc4db33da889e94d2b5e8400fd603",
-    ("werner", "csv"): "c300603c06a9a5aa9c7985f840648850ccb3e9b5b0df84b8344c49963485e24e",
-    ("bell", "csv"): "c1f2b632d0bddf4721f8eadc781a4608035e1c4038e54e58435b7a6ca319d131",
-}
-
-
-@pytest.mark.parametrize("state, fmt", sorted(CHECK_DIGESTS))
-def test_check_stdout_matches_recorded_digest(state, fmt, tmp_path, capsys):
-    if state == "werner":
-        path, code = _write_state(tmp_path, werner_state(0.2)), 0
-    else:
-        path, code = tmp_path / "bell.json", 1
-        path.write_text(to_json(BELL_FANO))
-    assert main(["check", "--state", str(path), "--format", fmt]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[state, fmt]
 
 
 def test_check_rejects_malformed_record(tmp_path, capsys):
@@ -407,54 +377,6 @@ def test_sample_out_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
-#: sha256 of ``sample --ensemble E -n 4104 --seed 1`` stdout.  4104 rows are
-#: one full chunk (tol.CHUNK = 4096) and 8 rows of the next, so the digest
-#: pins the stream across a chunk boundary.
-SAMPLE_DIGESTS = {
-    "hs": "5ee2a775aaad12057249c61eaee5bed1a8f22f485fba19f1c9c47db2b609aa2e",
-    "product": "b06978494e5bc3a86b951baf32eb02e5025f74068f505596ed58192a1d86df79",
-    "chart": "e994fe15a87ec02d87313289308825b05860153a25a98825ccbeccc28b91288e",
-}
-
-
-#: sha256 of ``coeffs --alpha A --beta 0.4,1.1,-0.6 --fit --format F`` stdout.
-COEFFS_FIT_DIGESTS = {
-    ("0.3,-0.7,0.9", "json"): "e1f3e83a02804e9ebe9eb96161a68f3b3f4726f1975afc5a5d28c6a9465215d6",
-    ("0.3,-0.7,0.9", "csv"): "6290cf3c0d8ca7161ecb7d75817d1d8aae9af6ffc9b81d5c33e2d77dabd6793e",
-    ("0,0,0.9", "json"): "07f4f99f208f51b1d0f500d9d38992685253f381431d853b4f43917da98bec43",
-    ("0,0,0.9", "csv"): "4a6740461cf29042d482acda694067964ef3cb12e2091bee064c78d0b624a19a",
-}
-
-
-#: sha256 of ``coeffs --alpha 0.3,-0.7,0.9 --beta 0.4,1.1,-0.6 --format csv``
-#: stdout: the three closed-form rows alone.
-COEFFS_CSV_DIGEST = "d819b143eaa7ccdc668bd4248df1f47722bec671c2b7215662d3a7f1b3c314fd"
-
-
-def test_coeffs_csv_without_fit_matches_recorded_digest(capsys):
-    argv = ["coeffs", "--alpha", "0.3,-0.7,0.9", "--beta", "0.4,1.1,-0.6", "--format", "csv"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == 4
-    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_CSV_DIGEST
-
-
-@pytest.mark.parametrize("alpha, fmt", sorted(COEFFS_FIT_DIGESTS))
-def test_coeffs_fit_stdout_matches_recorded_digest(alpha, fmt, capsys):
-    argv = ["coeffs", "--alpha", alpha, "--beta", "0.4,1.1,-0.6", "--fit", "--format", fmt]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_FIT_DIGESTS[alpha, fmt]
-
-
-@pytest.mark.parametrize("ensemble", sorted(SAMPLE_DIGESTS))
-def test_sample_stdout_matches_recorded_digest(ensemble, capsys):
-    assert main(["sample", "--ensemble", ensemble, "-n", "4104", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == 4105
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[ensemble]
-
-
 def test_sample_into_a_closed_pipe_exits_1_quietly():
     # ``entspace sample ... | head -1``: the reader closes the pipe long
     # before 20000 rows are written
@@ -625,77 +547,39 @@ def test_verify_report_with_a_crashing_check_is_valid_json(monkeypatch, capsys):
     assert by_name["dual_path_agreement"]["max_residual"] is not None
 
 
-#: sha256 of ``scan --ensemble chart -n 256 --seed S`` stdout, the
-#: benchmark's chart digest command.  perfbench/digests.json still holds the
-#: hashes of the chart draw before chunk streams.
-CHART_SCAN_DIGESTS = {
-    "1": "fc11f593970f2bf9326b22038e7b864c0c22950f93007e4e0670fe10986d782c",
-    "2": "20a5c4ad95fc0eea51a01741bff2749c029ebaa439622a8e74f5103ebe5fa10c",
-}
+# -- the byte contract -----------------------------------------------------------
+
+#: tests/cli_digests.json: command line -> exit code, stdout sha256, why;
+#: record_cli_digests.py re-records it.
+DIGESTS = json.loads(MANIFEST.read_text())
 
 
-@pytest.mark.parametrize("seed", sorted(CHART_SCAN_DIGESTS))
-def test_chart_scan_stdout_matches_recorded_digest(seed, capsys):
-    # sample i of the chart ensemble is a fixed function of (seed, i)
-    assert main(["scan", "--ensemble", "chart", "-n", "256", "--seed", seed]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHART_SCAN_DIGESTS[seed]
+@pytest.mark.parametrize("command", [
+    pytest.param(command, id=command + (" (blas_kernel)" if entry.get("blas_kernel") else ""))
+    for command, entry in DIGESTS.items()
+])
+def test_cli_stdout_matches_manifest(command, tmp_path, monkeypatch):
+    write_records(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    entry = DIGESTS[command]
+    assert moves(command, entry, *run(command)) == []
+
+
+def test_the_recorder_rewrites_only_what_moved(tmp_path):
+    first, second = list(DIGESTS)[:2]
+    pinned = {first: DIGESTS[first], second: DIGESTS[second]}
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps({**pinned, second: {**pinned[second], "exit": 3, "sha256": "0" * 64}}))
+    assert record(path) == [
+        f"{second}: exit 3 → exit 0",
+        f"{second}: {'0' * 64} → {pinned[second]['sha256']}",
+    ]
+    assert json.loads(path.read_text()) == pinned
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
-def test_hs_scan_stdout_matches_recorded_digest(seed, capsys):
+def test_hs_scan_stdout_matches_recorded_digest(seed):
     # the benchmark's 16384-state HS scan: four full chunks through both routes
     digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
     recorded = json.loads(digests.read_text())["scan-hs"][seed]
-    assert main(["scan", "--ensemble", "hs", "-n", "16384", "--seed", seed]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
-
-
-#: sha256 of ``scan --ensemble product -n 8200 --seed 1`` stdout: three
-#: chunks (the last one of 8 states) with 77 ``boundary`` states, which
-#: an HS scan never has, so this pins the boundary count and the
-#: undecided side of the mismatch rule.
-PRODUCT_SCAN_DIGEST = "335a2577b5be02e787d5db508e07be20187cf88432b2803f347752cc6c20365e"
-
-#: sha256 of ``verify --suite ppt -n 10000 --seed 1`` stdout.  The oracle
-#: check takes chunk 0 from the run's shared samples and draws chunks 1-2.
-VERIFY_PPT_DIGEST = "e6396daeff081e42d51125816e274db83ef93613311811da5139992ade6e446d"
-
-
-#: sha256 of ``verify --suite identities -n 10000 --seed 1`` stdout.  Its
-#: expm_paths check runs the series exponential and the series A-factor.
-VERIFY_IDENTITIES_DIGEST = "ac84eae83e8e4eccb3d8737958f1b0a677b6b9deff5b4ca56b536df25cc00c43"
-
-
-def test_product_scan_stdout_matches_recorded_digest(capsys):
-    assert main(["scan", "--ensemble", "product", "-n", "8200", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["boundary"] == 77
-    assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_SCAN_DIGEST
-
-
-def test_verify_ppt_stdout_matches_recorded_digest(capsys):
-    assert main(["verify", "--suite", "ppt", "-n", "10000", "--seed", "1"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_PPT_DIGEST
-
-
-def test_verify_identities_stdout_matches_recorded_digest(capsys):
-    assert main(["verify", "--suite", "identities", "-n", "10000", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_IDENTITIES_DIGEST
-
-
-#: sha256 of ``verify --suite all -n N --seed S`` stdout.  These pin the
-#: checks that read the Fano maps (fano_roundtrip, det_m_identity,
-#: local_unitary_invariance, det_c_closed_form and the fit checks) along
-#: with the rest; 4200 states also walk HS chunk 1 beyond the shared head.
-VERIFY_ALL_DIGESTS = {
-    (10000, 1): "6ad67ba1a8071fad20d652efc6013651064be74bf7c02b72142cfaf64eb8b88e",
-    (4200, 2): "efe0e4014767ba677224dda6056a9ae51b10e793e7a0b5e93ca5e0e7a2151ea6",
-}
-
-
-@pytest.mark.parametrize("n, seed", sorted(VERIFY_ALL_DIGESTS))
-def test_verify_all_stdout_matches_recorded_digest(n, seed, capsys):
-    assert main(["verify", "--suite", "all", "-n", str(n), "--seed", str(seed)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[n, seed]
+    assert run(f"scan --ensemble hs -n 16384 --seed {seed}") == (0, recorded)
