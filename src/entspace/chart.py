@@ -149,13 +149,16 @@ _INEQUALITY_NAMES = ("r1 >= r2", "r2 >= r3", "r3 >= r4", "r4 >= 0")
 
 
 def _check_spectra(r, kind, where):
-    """DomainError unless every (finite) spectrum of r, shape (..., 4), is
+    """DomainError unless every spectrum of r, shape (..., 4), is finite,
     ordered and non-negative within SIMPLEX_TOL.  The message names the first
-    offending stack index, the first violated inequality there, and ends
-    with ``where(flat index)``."""
-    gaps = np.concatenate([r[..., :-1] - r[..., 1:], r[..., 3:]], axis=-1)
+    offending stack index, the first violated inequality there (or that the
+    spectrum overflows), and ends with ``where(flat index)``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gap is judged as any
+        gaps = np.concatenate([r[..., :-1] - r[..., 1:], r[..., 3:]], axis=-1)
 
     def message(i, at):
+        if not np.isfinite(_row(r, i)).all():
+            return f"{kind}: the spectrum overflows{at}{where(i)}"
         k = np.argmax(_row(gaps, i) < -tol.SIMPLEX_TOL)
         return f"{kind}: {_INEQUALITY_NAMES[k]} fails by {-_row(gaps, i)[k]:.3e}{at}{where(i)}"
 
@@ -176,15 +179,16 @@ def eigenvalues_from_xyz(s):
     coords = np.array([np.broadcast_to(c, shape) for c in (s.x, s.y, s.z)], dtype=float)
     _check_finite(np.moveaxis(coords, 0, -1), "simplex point", "coordinate")
     x, y, z = coords
-    r = np.array(
-        [
-            (1.0 + x + y + z) / 4.0,
-            (1.0 + x - y - z) / 4.0,
-            (1.0 - x + y - z) / 4.0,
-            (1.0 - x - y + z) / 4.0,
-        ],
-        dtype=float,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_spectra names an overflow
+        r = np.array(
+            [
+                (1.0 + x + y + z) / 4.0,
+                (1.0 + x - y - z) / 4.0,
+                (1.0 - x + y - z) / 4.0,
+                (1.0 - x - y + z) / 4.0,
+            ],
+            dtype=float,
+        )
     r = np.moveaxis(r, 0, -1)
     _check_spectra(
         r, "simplex inequality violated",
@@ -297,7 +301,7 @@ def _checked_spectrum(simplex):
     if failure:
         i, at = failure
         warnings.warn(
-            f"degenerate spectrum {tuple(_row(r, i))}{at}: chart point is non-generic",
+            f"degenerate spectrum {tuple(_row(r, i).tolist())}{at}: chart point is non-generic",
             DegenerateSpectrumWarning,
             stacklevel=3,
         )

@@ -378,14 +378,14 @@ def _exp_antihermitian(flat, label):
     eye = np.eye(n, dtype=complex)
     with np.errstate(over="ignore"):
         norm = np.sqrt(
-            (flat.real ** 2 + flat.imag ** 2).reshape(len(flat), n * n).sum(axis=1)
+            (np.square(flat.real) + np.square(flat.imag)).reshape(len(flat), n * n).sum(axis=1)
         )
     require(np.isfinite(norm), norm.shape,
             lambda i, _: f"{label(i)} has a Frobenius norm that overflows")
     # s = ceil(log2(norm / theta)) exactly: frexp splits norm / theta = m 2^e, 1/2 <= m < 1
     m, e = np.frexp(norm / tol.EXPM_SCALE_THETA)
     s = np.where(norm > tol.EXPM_SCALE_THETA, e - (m == 0.5), 0)
-    y = flat / (2.0 ** s)[:, None, None]
+    y = flat / np.ldexp(1.0, s)[:, None, None]
     # Horner evaluation of sum_{k<=order} Y^k / k!, r <- I + (Y r) / k in place
     r = np.empty_like(flat)
     r[:] = eye
@@ -598,9 +598,12 @@ def char_poly_coeffs(h):
     p2 = np.einsum("nii->n", h2).real
     p3 = np.einsum("nij,nji->n", h2, h).real
     p4 = np.einsum("nij,nji->n", h2, h2).real
-    s2 = (p1 * p1 - p2) / 2.0
-    s3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6.0
-    s4 = (p1 ** 4 - 6 * p1 ** 2 * p2 + 3 * p2 ** 2 + 8 * p1 * p3 - 6 * p4) / 24.0
+    # powers as products, not np.power, whose SIMD loops round differently
+    # on different CPUs
+    p1_sq = p1 * p1
+    s2 = (p1_sq - p2) / 2.0
+    s3 = (p1_sq * p1 - 3 * p1 * p2 + 2 * p3) / 6.0
+    s4 = (p1_sq * p1_sq - 6 * p1_sq * p2 + 3 * (p2 * p2) + 8 * p1 * p3 - 6 * p4) / 24.0
     return tuple(s.reshape(lead)[()] for s in (s2, s3, s4))
 
 

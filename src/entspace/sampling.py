@@ -8,7 +8,7 @@ are independent of batching.  Every ensemble takes the sample indices
 
 Product states, local unitaries and chart points are fixed-width rows of
 unit draws: sample j of a chunk owns words width*j .. width*j + width - 1
-of its chunk's stream (width 8, 8 and 12), so an index replays by
+of its chunk's stream (width 12, 8 and 12), so an index replays by
 advancing the stream past the samples before it and draws its own row
 alone, and a stacked call draws each chunk it touches in one call.  The
 rare chart row that is not generic is redrawn on a stream of its own.
@@ -160,20 +160,27 @@ def _unit_rows(seed, tag, index, width):
 
 # -- product-state ensemble ----------------------------------------------------
 
+#: Unit draws per product sample: five per Bloch point and two of padding.
+_PRODUCT_WORDS = 12
+
+
 def _product_states(seed, index):
     """The product states of the integer array ``index``, (..., 4, 4).
 
-    Each is a row of 8 unit draws of its chunk's stream (seed, TAG_PRODUCT,
-    chunk): u0..u2 give the Bloch point of rho_A and u3..u5 that of rho_B,
+    Each is a row of 12 unit draws of its chunk's stream (seed, TAG_PRODUCT,
+    chunk): u0..u4 give the Bloch point of rho_A and u5..u9 that of rho_B,
     with z = 2u - 1 and azimuth 2*pi*u' (an isotropic direction, by
-    Archimedes' theorem) and radius u''^(1/3), uniform over the solid ball;
-    u6 and u7 pad the row."""
+    Archimedes' theorem) and radius the largest of the other three draws,
+    whose law P(r <= t) = t^3 makes the point uniform over the solid ball;
+    u10 and u11 pad the row.  The radius takes comparisons only, so its bits
+    do not depend on which SIMD loops numpy picks."""
     index = np.asarray(index)
-    u = _unit_rows(seed, TAG_PRODUCT, index, 8)[:, :6].reshape(-1, 3)
+    u = _unit_rows(seed, TAG_PRODUCT, index, _PRODUCT_WORDS)[:, :10].reshape(-1, 5)
     z = 2.0 * u[:, 0] - 1.0
     phi = TWO_PI * u[:, 1]
     across = np.sqrt(1.0 - z * z)
-    x, y, z = np.cbrt(u[:, 2]) * [across * np.cos(phi), across * np.sin(phi), z]
+    radius = np.maximum(np.maximum(u[:, 2], u[:, 3]), u[:, 4])
+    x, y, z = radius * [across * np.cos(phi), across * np.sin(phi), z]
     # (I + x X + y Y + z Z) / 2 of each Bloch point
     rho = np.zeros((len(u), 2, 2), dtype=complex)
     rho.real[:, 0, 0], rho.real[:, 1, 1] = 1.0 + z, 1.0 - z
@@ -188,7 +195,7 @@ def _product_states(seed, index):
 def sample_product_state(seed, index):
     """Sample ``index`` of the product ensemble rho_A (x) rho_B with both
     factors uniform over the solid Bloch ball.  Separable by construction.
-    An index draws its own row of 8 unit draws and nothing else."""
+    An index draws its own row of 12 unit draws and nothing else."""
     return _product_states(seed, _check_index(index))
 
 

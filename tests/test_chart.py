@@ -58,6 +58,26 @@ def test_eigenvalues_from_xyz_rejects_with_named_inequality():
         eigenvalues_from_xyz(SimplexPoint(0.9, 0.5, 0.2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eigenvalues_from_xyz(SimplexPoint(1.7e308, 1e308, -1.5e308)),
+     "simplex inequality violated: the spectrum overflows "
+     "at (x, y, z) = (1.7e+308, 1e+308, -1.5e+308)"),
+    (lambda: eigenvalues_from_xyz(SimplexPoint(1.7e308, 1.7e308, 1.7e308)),
+     "simplex inequality violated: the spectrum overflows "
+     "at (x, y, z) = (1.7e+308, 1.7e+308, 1.7e+308)"),
+    (lambda: xyz_from_eigenvalues([1e308, -1e308, 1.0, 0.0]),
+     "spectrum not ordered: r2 >= r3 fails by 1.000e+308"),
+], ids=["sum overflows", "every entry overflows", "gap overflows"])
+def test_a_spectrum_whose_arithmetic_overflows_raises_one_domain_error(call, message):
+    # finite input whose spectrum or gaps overflow emitted "overflow
+    # encountered in scalar add" (or "in subtract") before the DomainError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as e:
+            call()
+    assert str(e.value) == message
+
+
 def test_xyz_from_eigenvalues_examples_and_validation():
     s = xyz_from_eigenvalues([0.25, 0.25, 0.25, 0.25])
     assert (s.x, s.y, s.z) == (0.0, 0.0, 0.0)

@@ -566,13 +566,15 @@ def test_cli_stdout_matches_manifest(command, tmp_path, monkeypatch):
 
 
 def test_the_recorder_rewrites_only_what_moved(tmp_path):
-    first, second = list(DIGESTS)[:2]
-    pinned = {first: DIGESTS[first], second: DIGESTS[second]}
+    # two commands whose bytes no BLAS kernel moves
+    kept = "coeffs --alpha 0.3,-0.7,0.9 --beta 0.4,1.1,-0.6 --format csv"
+    moved = "check --state bell.json --format csv"
+    pinned = {kept: DIGESTS[kept], moved: DIGESTS[moved]}
     path = tmp_path / "digests.json"
-    path.write_text(json.dumps({**pinned, second: {**pinned[second], "exit": 3, "sha256": "0" * 64}}))
+    path.write_text(json.dumps({**pinned, moved: {**pinned[moved], "exit": 3, "sha256": "0" * 64}}))
     assert record(path) == [
-        f"{second}: exit 3 → exit 0",
-        f"{second}: {'0' * 64} → {pinned[second]['sha256']}",
+        f"{moved}: exit 3 → exit 1",
+        f"{moved}: {'0' * 64} → {pinned[moved]['sha256']}",
     ]
     assert json.loads(path.read_text()) == pinned
 

@@ -68,6 +68,12 @@ _GATES = {
         "simplex inequality violated: r4 >= 0 fails by 2.500e-01 at stack index (1, 2) "
         "at (x, y, z) = (2.0, 0.0, 0.0)",
     ),
+    "spectrum overflows": (
+        lambda: eigenvalues_from_xyz(SimplexPoint(
+            _planted(0.0, 1.7e308), _planted(0.0, 1e308), _planted(0.0, -1.5e308))),
+        "simplex inequality violated: the spectrum overflows at stack index (1, 2) "
+        "at (x, y, z) = (1.7e+308, 1e+308, -1.5e+308)",
+    ),
     "spectrum not unit-sum": (
         lambda: xyz_from_eigenvalues(_planted(_SPECTRUM, [0.5, 0.3, 0.2, 0.1])),
         "spectrum must sum to 1, got 1.1 at stack index (1, 2)",
@@ -120,7 +126,11 @@ def test_warnings_name_the_offender_of_a_two_axis_stack():
     with pytest.warns(DegenerateSpectrumWarning) as caught:
         representative_state(point)
     assert len(caught) == 1
-    assert str(caught[0].message).endswith(" at stack index (1, 2): chart point is non-generic")
+    # numpy 2 printed each entry as np.float64(0.25)
+    assert str(caught[0].message) == (
+        "degenerate spectrum (0.25, 0.25, 0.25, 0.25) at stack index (1, 2): "
+        "chart point is non-generic"
+    )
 
 
 def test_first_failure_and_require():

@@ -119,20 +119,6 @@ def test_random_su2_is_special_unitary():
     assert np.array_equal(k.u, sample_local_unitary(36, 4).u)
 
 
-def test_bloch_ball_radius_distribution():
-    # |r|^3 should be uniform on [0, 1] for uniform solid-ball sampling
-    from entspace.fano import to_fano
-
-    cubes = []
-    for i in range(4000):
-        rho = sample_product_state(37, i)
-        f = to_fano(rho)
-        cubes.append(np.linalg.norm(f.a) ** 3)
-    cubes = np.array(cubes)
-    assert abs(cubes.mean() - 0.5) < 0.02
-    assert abs(np.mean(cubes < 0.25) - 0.25) < 0.025
-
-
 def test_ensemble_chunks_validation():
     with pytest.raises(DomainError, match="ensemble"):
         list(ensemble_chunks("haar", 0, 10))
@@ -637,6 +623,10 @@ def test_chart_indices_out_of_stream_range_are_named():
 
 # -- product and local-unitary row contract -------------------------------------
 
+#: Unit draws per sample of the product and local-unitary rows.
+_ROW_WIDTH = {sampling.TAG_PRODUCT: 12, sampling.TAG_LOCAL_UNITARY: 8}
+
+
 def _row_index_sets(seed):
     """Contiguous indices across a chunk boundary, shuffled ones, a grid
     across chunks and far from zero, and single indices."""
@@ -649,25 +639,26 @@ def _row_index_sets(seed):
 @pytest.mark.parametrize("seed", [1, 2, 99])
 @pytest.mark.parametrize("tag", [sampling.TAG_PRODUCT, sampling.TAG_LOCAL_UNITARY])
 def test_product_and_local_unitary_rows_follow_the_chunk_stream_contract(seed, tag):
-    # sample j of a chunk owns words 8j..8j+7 of its chunk's stream
+    # sample j of a chunk owns words wj..wj+w-1 of its chunk's stream
+    width = _ROW_WIDTH[tag]
     for index in _row_index_sets(seed):
-        want = [_reference_units(seed, tag, i, 8) for i in index.reshape(-1).tolist()]
-        assert sampling._unit_rows(seed, tag, index, 8).tobytes() == np.array(want).tobytes()
+        want = [_reference_units(seed, tag, i, width) for i in index.reshape(-1).tolist()]
+        assert sampling._unit_rows(seed, tag, index, width).tobytes() == np.array(want).tobytes()
 
 
 def _reference_bloch(u):
-    """The Bloch point of three unit draws, in plain Python: z = 2u0 - 1,
-    azimuth 2*pi*u1, radius u2^(1/3)."""
+    """The Bloch point of five unit draws, in plain Python: z = 2u0 - 1,
+    azimuth 2*pi*u1, radius max(u2, u3, u4)."""
     z = 2 * u[0] - 1
     across = math.sqrt(1 - z * z)
     phi = TWO_PI * u[1]
-    return [u[2] ** (1 / 3) * c for c in (across * math.cos(phi), across * math.sin(phi), z)]
+    return [max(u[2:5]) * c for c in (across * math.cos(phi), across * math.sin(phi), z)]
 
 
 def _reference_product_state(u):
-    """rho_A (x) rho_B of the Bloch points of u0..u2 and u3..u5."""
-    qubits = [0.5 * (np.eye(2) + sum(c * s for c, s in zip(_reference_bloch(u[k:k + 3]), SIGMA)))
-              for k in (0, 3)]
+    """rho_A (x) rho_B of the Bloch points of u0..u4 and u5..u9."""
+    qubits = [0.5 * (np.eye(2) + sum(c * s for c, s in zip(_reference_bloch(u[k:k + 5]), SIGMA)))
+              for k in (0, 5)]
     return np.kron(*qubits)
 
 
@@ -682,14 +673,14 @@ def _reference_su2(u):
 
 @pytest.mark.parametrize("seed", [1, 2, 99])
 def test_product_states_are_their_rows_mapped(seed):
-    # the map's sines, cosines and cube root need not round as numpy's do
+    # the map's sines and cosines need not round as numpy's do
     (_, head), (_, tail) = ensemble_chunks("product", seed, tol.CHUNK + 8)
     states = np.concatenate([head, tail])
     for i, rho in enumerate(states):
-        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 8))
+        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 12))
         assert np.abs(rho - want).max() < 1e-15, i
     for i in (5, 1 << 40, (1 << 56) - 1):
-        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 8))
+        want = _reference_product_state(_reference_units(seed, sampling.TAG_PRODUCT, i, 12))
         assert np.abs(sample_product_state(seed, i) - want).max() < 1e-15, i
 
 
@@ -736,21 +727,22 @@ def test_a_product_or_local_unitary_replay_draws_its_own_row(monkeypatch):
         return opened[-1]
 
     monkeypatch.setattr(sampling, "philox_stream", counted)
-    for replay in (lambda i: ensemble_state("product", 5, i), lambda i: sample_local_unitary(5, i)):
+    for replay, width in ((lambda i: ensemble_state("product", 5, i), 12),
+                          (lambda i: sample_local_unitary(5, i), 8)):
         for index in (0, 700, tol.CHUNK - 1, tol.CHUNK, (1 << 40) + 700):
             opened.clear()
             words.clear()
             replay(index)
-            # one stream, 8 words drawn, and the stream stops at the row's end
+            # one stream, one row drawn, and the stream stops at the row's end
             (g,) = opened
-            assert words == [8]
+            assert words == [width]
             state = g.bit_generator.state
             position = 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
-            assert position == 8 * (index % tol.CHUNK + 1)
+            assert position == width * (index % tol.CHUNK + 1)
 
 
-# The seed of both law tests was fixed before any result was seen; each
-# mean is within 4 of its exact standard errors.
+# The seed of the law tests was fixed before any result was seen; each
+# mean is within 4 of its exact standard errors, each bin count within 3.
 _LAW_SEED = 20261020
 
 
@@ -789,3 +781,16 @@ def test_product_bloch_directions_are_isotropic():
         assert (abs(d.mean(axis=0)) < 4 * np.sqrt(1 / 3 / n)).all()
         second = np.einsum("ni,nj->ij", d, d) / n
         assert (abs(second - np.eye(3) / 3) < 4 * sigma / np.sqrt(n)).all()
+
+
+def test_bloch_ball_radius_distribution():
+    # the radius is the largest of three unit draws, so P(|a| <= t) = t^3 and
+    # |a|^3 and |b|^3 are uniform on [0, 1]: each of ten equal bins holds a
+    # tenth of the 2n radii
+    from entspace.fano import to_fano
+
+    n = 1 << 17
+    fano = [to_fano(states) for _, states in ensemble_chunks("product", _LAW_SEED, n)]
+    radii = np.linalg.norm(np.concatenate([f.a for f in fano] + [f.b for f in fano]), axis=1)
+    counts = np.histogram(radii * radii * radii, bins=10, range=(0.0, 1.0))[0]
+    assert abs(counts - 2 * n / 10).max() <= 3 * np.sqrt(2 * n * 0.1 * 0.9)
