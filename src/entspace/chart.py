@@ -220,7 +220,8 @@ def xyz_from_eigenvalues(r):
 def in_octahedron(v):
     """Membership in the closed l1-ball of radius 2*pi; one boolean per
     triple of a (..., 3) stack."""
-    return np.abs(np.asarray(v, dtype=float)).sum(axis=-1) <= TWO_PI + tol.OCTAHEDRON_TOL
+    v = np.abs(np.asarray(v, dtype=float))
+    return v[..., 0] + v[..., 1] + v[..., 2] <= TWO_PI + tol.OCTAHEDRON_TOL
 
 
 def _warn_outside(v, name):
@@ -289,7 +290,10 @@ def spectral_gap(r):
     """Smallest gap between consecutive entries of an ordered spectrum
     (one per spectrum of a (..., d) stack)."""
     r = np.asarray(r, dtype=float)
-    return np.min(r[..., :-1] - r[..., 1:], axis=-1)[()]
+    gap = r[..., 0] - r[..., 1]
+    for k in range(1, r.shape[-1] - 1):
+        gap = np.minimum(gap, r[..., k] - r[..., k + 1])
+    return gap[()]
 
 
 def _checked_spectrum(simplex):

@@ -367,6 +367,14 @@ def exp_antihermitian(x):
     return u.reshape(*lead, *u.shape[1:])
 
 
+#: Each squaring about doubles a rounding error of order eps, so after s
+#: squarings max|U^dag U - I| is about 2^s eps (2^s eps / 4 on 2x2 rotations).
+#: At 16 times that it can pass UNITARITY_TOL only if 2^s > UNITARITY_TOL /
+#: (16 eps), s > 14 at 1e-10: only those results are measured.  Octahedron
+#: angles take s <= 5.
+_CHECKED_SQUARINGS = math.log2(tol.UNITARITY_TOL / (16 * np.finfo(float).eps))
+
+
 def _exp_antihermitian(flat, label):
     """The body of exp_antihermitian on a finite (k, n, n) stack; each
     error names the offending matrix by ``label(i)`` of its index i."""
@@ -403,14 +411,7 @@ def _exp_antihermitian(flat, label):
     require(np.isfinite(r), r.shape[:1], lambda i, _: (
         f"exponential of {label(i)} is not finite: its scaling and squaring overflowed"
     ), NumericalError)
-    # A rounding error of order eps in the scaled exponential about doubles
-    # with each squaring, so after s squarings max|U^dag U - I| is about
-    # 2^s eps (2^s eps / 4 measured on 2x2 rotations).  Allowing 16 times
-    # that, it can pass UNITARITY_TOL only when 2^s > UNITARITY_TOL / (16 eps),
-    # that is s > 14 at UNITARITY_TOL = 1e-10: only those results are
-    # measured.  Octahedron angles take s <= 5.
-    squarings = np.log2(tol.UNITARITY_TOL / (16 * np.finfo(float).eps))
-    (checked,) = np.nonzero(s > squarings)
+    (checked,) = np.nonzero(s > _CHECKED_SQUARINGS)
     if checked.size:
         gram = np.abs(dag(r[checked]) @ r[checked] - eye).max(axis=(1, 2))
         require(~(gram > tol.UNITARITY_TOL), gram.shape, lambda i, _: (

@@ -10,8 +10,9 @@ Product states, local unitaries and chart points are fixed-width rows of
 unit draws: sample j of a chunk owns words width*j .. width*j + width - 1
 of its chunk's stream (width 12, 8 and 12), so an index replays by
 advancing the stream past the samples before it and draws its own row
-alone, and a stacked call draws each chunk it touches in one call.  The
-rare chart row that is not generic is redrawn on a stream of its own.
+alone, and a stacked call draws each chunk it touches in one call.  A
+chart sample is its row, with nothing redrawn: a tie (about 2^-50 likely)
+is a valid, non-generic point that representative_state warns about.
 
 An HS chunk holds all CHUNK real parts before the imaginary parts, and the
 normal sampler takes a variable number of words per draw, so a slice of a
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, check_chunk, check_count, check_seed, require
 from . import tolerances as tol
-from .chart import ChartPoint, TWO_PI, in_octahedron, representative_state, xyz_from_eigenvalues
+from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
 
 # Stream tags; (tag << 56) | index forms the second Philox key word.
@@ -33,7 +34,6 @@ TAG_HS = 1
 TAG_PRODUCT = 2
 TAG_CHART = 3
 TAG_LOCAL_UNITARY = 4
-TAG_CHART_REDRAW = 5
 _TAG_VERIFY_BASE = 16  # tags >= 16 are reserved for verification checks
 
 _INDEX_BITS = 56
@@ -134,6 +134,12 @@ def sample_hs_state(seed, index):
 
 # -- fixed-width unit rows ----------------------------------------------------
 
+#: Unit draws per sample of each row ensemble.
+_PRODUCT_WORDS = 12  # five per Bloch point and two of padding
+_CHART_WORDS = 12  # three Philox4x64 blocks
+_LOCAL_UNITARY_WORDS = 8  # three per SU(2) factor and two of padding
+
+
 def _unit_rows(seed, tag, index, width):
     """The ``width`` unit draws of each sample of the integer array
     ``index``, one row per entry in flat order; DomainError unless the seed
@@ -159,10 +165,6 @@ def _unit_rows(seed, tag, index, width):
 
 
 # -- product-state ensemble ----------------------------------------------------
-
-#: Unit draws per product sample: five per Bloch point and two of padding.
-_PRODUCT_WORDS = 12
-
 
 def _product_states(seed, index):
     """The product states of the integer array ``index``, (..., 4, 4).
@@ -201,21 +203,17 @@ def sample_product_state(seed, index):
 
 # -- chart-point ensemble ------------------------------------------------------
 
-#: Unit draws per chart sample: three Philox4x64 blocks.
-_CHART_WORDS = 12
-
-
 def _chart_from_units(u):
-    """(spectrum, alpha, beta, generic) of the rows of 12 unit draws ``u``.
+    """(spectrum, alpha, beta) of the rows of 12 unit draws ``u``.
 
     The spectrum is the four spacings of (0, sorted u0..u2, 1) in
     decreasing order, a sorted flat-Dirichlet point.  The magnitudes of
     alpha are 2*pi times the three spacings of (0, sorted u3..u5), uniform
     on the corner simplex, and its component k is negative where bit k of
     int(8 * u6) is set: a uniform point of the l1-ball of radius 2*pi.
-    beta comes from u7..u10 in the same way, and u11 pads the row.
-    ``generic`` is False where the spectrum is not strictly decreasing and
-    positive or an angle triple fails ``in_octahedron``.
+    beta comes from u7..u10 in the same way, and u11 pads the row.  The
+    spacings are exact, so a triple's l1 norm is 2*pi times its largest
+    draw, below 1, to rounding: it lies in the octahedron.
     """
     s = np.sort(u[:, [[0, 1, 2], [3, 4, 5], [7, 8, 9]]], axis=2)
     spacings = s.copy()
@@ -227,8 +225,7 @@ def _chart_from_units(u):
     negative = ((8 * u[:, [6, 10]]).astype(np.int64)[..., None] >> np.arange(3)) & 1
     magnitude = TWO_PI * spacings[:, 1:]
     angles = np.where(negative == 1, -magnitude, magnitude)
-    generic = (r[:, 0] > r[:, 1]) & (r[:, 1] > r[:, 2]) & (r[:, 2] > r[:, 3]) & (r[:, 3] > 0)
-    return r, angles[:, 0], angles[:, 1], generic & in_octahedron(angles).all(axis=1)
+    return r, angles[:, 0], angles[:, 1]
 
 
 def sample_chart_point(seed, index):
@@ -244,19 +241,13 @@ def sample_chart_point(seed, index):
     Samples are drawn in chunks of CHUNK on one stream per chunk, (seed,
     TAG_CHART, chunk): sample j of a chunk owns words 12j..12j+11, so an
     index replays after advancing its chunk's stream by 3j Philox blocks,
-    and a stacked call draws each chunk it touches in one call.  A draw
-    whose spectrum ties or is not positive (about 2^-50 likely), or whose
-    angles fail ``in_octahedron``, is redrawn 12 unit draws at a time from
-    the stream (seed, TAG_CHART_REDRAW, index) until it is generic, so the
-    point is always generic and any index replays alone.
+    and a stacked call draws each chunk it touches in one call.  A sample
+    is exactly its row: a spectrum that ties or has a zero entry (about
+    2^-50 likely) is a valid, non-generic point that representative_state
+    warns about with DegenerateSpectrumWarning.
     """
     index = np.asarray(index)
-    r, alpha, beta, generic = _chart_from_units(_unit_rows(seed, TAG_CHART, index, _CHART_WORDS))
-    for k in np.flatnonzero(~generic).tolist():
-        g = philox_stream(seed, TAG_CHART_REDRAW, int(index.flat[k]))
-        while not generic[k]:
-            redrawn = _chart_from_units(g.random((1, _CHART_WORDS)))
-            r[k], alpha[k], beta[k], generic[k] = (a[0] for a in redrawn)
+    r, alpha, beta = _chart_from_units(_unit_rows(seed, TAG_CHART, index, _CHART_WORDS))
     shape = index.shape
     return ChartPoint(
         simplex=xyz_from_eigenvalues(r.reshape(*shape, 4)),
@@ -289,7 +280,8 @@ def sample_local_unitary(seed, index):
     TAG_LOCAL_UNITARY, chunk), laid out as the product rows are: u0..u2
     give u and u3..u5 give v (``_su2``); u6 and u7 pad the row."""
     index = np.asarray(index)
-    uv = _su2(_unit_rows(seed, TAG_LOCAL_UNITARY, index, 8)[:, :6].reshape(*index.shape, 2, 3))
+    units = _unit_rows(seed, TAG_LOCAL_UNITARY, index, _LOCAL_UNITARY_WORDS)
+    uv = _su2(units[:, :6].reshape(*index.shape, 2, 3))
     return LocalUnitary(u=uv[..., 0, :, :], v=uv[..., 1, :, :])
 
 

@@ -242,12 +242,19 @@ def test_single_index_states_match_their_chunks():
             assert ensemble_state(ensemble, 43, i).tobytes() == seen[i].tobytes()
 
 
-@pytest.mark.parametrize("index", [1 << 40, (1 << 56) - 1])
-def test_far_chart_states_match_their_chunk_rows(index):
+@pytest.mark.parametrize("seed", [1, 44])
+@pytest.mark.parametrize("index", [0, tol.CHUNK - 1, tol.CHUNK, 1 << 40, (1 << 56) - 1])
+def test_row_replays_match_their_chunk_rows(seed, index):
+    # a replay advances its chunk's stream past the samples before it, and
+    # a chunk drawn from a later first chunk skips the ones before
     chunk, i = divmod(index, tol.CHUNK)
-    start, states = next(ensemble_chunks("chart", 44, index + 1, first=chunk))
-    assert start == chunk * tol.CHUNK and len(states) == i + 1
-    assert ensemble_state("chart", 44, index).tobytes() == states[i].tobytes()
+    for ensemble in ("chart", "product"):
+        start, states = next(ensemble_chunks(ensemble, seed, index + 1, first=chunk))
+        assert start == chunk * tol.CHUNK and len(states) == i + 1
+        assert ensemble_state(ensemble, seed, index).tobytes() == states[i].tobytes()
+    row = sample_local_unitary(seed, index)
+    rows = sample_local_unitary(seed, np.arange(start, index + 1))
+    assert row.u.tobytes() == rows.u[i].tobytes() and row.v.tobytes() == rows.v[i].tobytes()
 
 
 # -- single-index replay memo ---------------------------------------------------
@@ -530,60 +537,6 @@ def test_chart_points_follow_the_chunk_stream_contract(seed):
         _assert_chart_points_match_reference(sample_chart_point(seed, i), seed, i)
 
 
-class _SpoiledFirstDraw:
-    """A stream whose first ``random`` call hands back the real draws with
-    columns ``columns`` of the last row set to ``values``; every other draw
-    comes from the real stream ``g``."""
-
-    def __init__(self, g, columns, values):
-        self._g = g
-        self._spoil = columns, values
-
-    def random(self, size=None):
-        drawn = self._g.random(size)
-        if self._spoil:
-            columns, values = self._spoil
-            drawn[-1, columns] = values
-            self._spoil = None
-        return drawn
-
-    def __getattr__(self, name):
-        return getattr(self._g, name)
-
-
-#: Spectrum draws whose four spacings are all 1/4: a tied spectrum.
-_TIE = [0, 1, 2], [0.25, 0.5, 0.75]
-#: An alpha magnitude draw of 1.5, which puts alpha outside the octahedron.
-_OUTSIDE = [5], [1.5]
-
-
-def test_a_chart_draw_that_is_not_generic_is_redrawn_on_its_own_stream(monkeypatch):
-    # a tie has probability about 2^-50, and unit draws below 1 keep alpha
-    # and beta inside, so only a stub stream reaches the redraw.  The last
-    # sample drawn of chunk 0 ties and that of chunk 1 leaves the octahedron;
-    # the first redraw of each ties again, so each takes a second one.
-    index = np.array([3, 9, tol.CHUNK + 9])
-    kept = sample_chart_point(4, index[:1])
-    opened = []
-    stream = sampling.philox_stream
-
-    def spoiled(seed, tag, i=0):
-        opened.append((tag, i))
-        spoil = _OUTSIDE if (tag, i) == (TAG_CHART, 1) else _TIE
-        return _SpoiledFirstDraw(stream(seed, tag, i), *spoil)
-
-    monkeypatch.setattr(sampling, "philox_stream", spoiled)
-    points = sample_chart_point(4, index)
-    redraw = sampling.TAG_CHART_REDRAW
-    assert opened == [(TAG_CHART, 0), (TAG_CHART, 1), (redraw, 9), (redraw, tol.CHUNK + 9)]
-    draws = [_reference_chart_draw(_reference_units(4, TAG_CHART, 3, 12))]
-    for i in (9, tol.CHUNK + 9):
-        # the tied first 12 draws of the redraw stream are skipped
-        draws.append(_reference_chart_draw(stream(4, redraw, i).random(24)[12:].tolist()))
-    _assert_chart_points_match(points, index, draws)
-    _assert_chart_points_match(kept, [3], draws[:1])
-
-
 def test_chart_draws_follow_their_law():
     # the seed was fixed before any result was seen; each mean is within 4
     # of its exact standard errors.  The spectrum is the sorted spacings of
@@ -593,9 +546,12 @@ def test_chart_draws_follow_their_law():
     # triple is 2*pi times the largest of 3 uniforms, with mean 3*pi/2 and
     # variance (2*pi)^2 * 3/80; each magnitude is 2*pi times one spacing of
     # 4 pieces, with mean pi/2 and the same variance; each sign is a coin.
+    # No sample leaves the construction's bounds, with no slack: a spectrum
+    # is non-increasing and non-negative, and an l1 norm is at most 2*pi.
     n = 1 << 17
     points = sample_chart_point(20261020, np.arange(n))
     r = eigenvalues_from_xyz(points.simplex)
+    assert (r[:, :-1] >= r[:, 1:]).all() and (r >= 0).all()
     h = [sum(1 / j for j in range(k, 5)) for k in range(1, 5)]
     q = [sum(1 / j ** 2 for j in range(k, 5)) for k in range(1, 5)]
     mean = np.array(h) / 4
@@ -604,7 +560,9 @@ def test_chart_draws_follow_their_law():
     assert (abs(r.mean(axis=0) - mean) < 4 * sigma / np.sqrt(n)).all()
     sigma = TWO_PI * np.sqrt(3 / 80)
     for angles in (points.alpha, points.beta):
-        assert abs(np.abs(angles).sum(axis=1).mean() - 1.5 * np.pi) < 4 * sigma / np.sqrt(n)
+        l1 = np.abs(angles).sum(axis=1)
+        assert (l1 <= TWO_PI).all()
+        assert abs(l1.mean() - 1.5 * np.pi) < 4 * sigma / np.sqrt(n)
         for k in range(3):
             assert abs(np.abs(angles[:, k]).mean() - np.pi / 2) < 4 * sigma / np.sqrt(n), k
             assert abs((angles[:, k] < 0).mean() - 0.5) < 4 * 0.5 / np.sqrt(n), k
