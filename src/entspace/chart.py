@@ -208,10 +208,10 @@ def xyz_from_eigenvalues(r):
     if r.shape[-1:] != (4,):
         raise DomainError(f"spectrum must have 4 entries, got shape {r.shape}")
     _check_finite(r, "spectrum", "entry")
-    total = r.sum(axis=-1)
-    require(~(np.abs(total - 1.0) > tol.TRACE_TOL), total.shape, lambda i, at: (
-        f"spectrum must sum to 1, got {float(np.ravel(total)[i])!r}{at}"
-    ))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum fails the gate
+        total = r.sum(axis=-1)
+    require(np.abs(total - 1.0) <= tol.TRACE_TOL, total.shape, lambda i, at:
+            f"spectrum must sum to 1, got {float(np.ravel(total)[i])!r}{at}")
     _check_spectra(r, "spectrum not ordered", lambda i: "")
     r1, r2, r3, r4 = np.moveaxis(r, -1, 0)
     return SimplexPoint(x=r1 + r2 - r3 - r4, y=r1 - r2 + r3 - r4, z=r1 - r2 - r3 + r4)

@@ -12,11 +12,12 @@ and both left-hand sides admit purely invariant-theoretic evaluations:
     S4(rho^TB) = S4(rho) + (1/16) det|M|,
 
 with the correlation determinant det|C|, the Schlienz-Mahler determinant
-det|M| = det|C| - C112/2 and the degree-(1,1,2) invariant C112.  On the
-chart of representative states both determinants collapse to short
-trigonometric polynomials in the chart coordinates, which this module
-implements alongside brute-force routes and a polynomial fitting harness
-for the full quartic coefficient table of C112.
+det|M| = det|C| - C112/2 and the degree-(1,1,2) invariant C112.  Both
+determinants expand C (or M itself) by C112's cofactors in a fixed order,
+with no LAPACK call, so they are exact on entries k/8.  On the chart of
+representative states both collapse to short trigonometric polynomials in
+the chart coordinates, which this module implements alongside brute-force
+routes and a polynomial fitting harness for the quartic table of C112.
 """
 
 from dataclasses import dataclass
@@ -115,32 +116,35 @@ def ppt_verdict(rho, band=tol.VERDICT_TOL):
     return verdict_from_coeffs(s3, s4, band)
 
 
-def det_correlation(f):
-    """Determinant of the correlation matrix C (one per stacked state)."""
-    return np.linalg.det(f.C)[()]
-
-
-def det_schlienz_mahler(f):
-    """Determinant of the Schlienz-Mahler matrix M = C - a b^T."""
-    return np.linalg.det(schlienz_mahler(f))[()]
-
-
 #: Cyclic successors i+1 and i+2 (mod 3).
 _NEXT1, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 #: Row and column indices that gather the four cofactor operands
-#: C[i+1, j+1], C[i+2, j+2], C[i+1, j+2] and C[i+2, j+1], each (3, 3) over (i, j).
+#: m[i+1, j+1], m[i+2, j+2], m[i+1, j+2] and m[i+2, j+1], each (3, 3) over (i, j).
 _COF_ROWS = np.array([_NEXT1, _NEXT2, _NEXT1, _NEXT2])[:, :, None]
 _COF_COLS = np.array([_NEXT1, _NEXT2, _NEXT2, _NEXT1])[:, None, :]
 
 
-def quesne_c112(f):
-    """The degree-(1,1,2) invariant eps_ijk eps_abc a_i b_a C_jb C_kc, as
-    2 a^T cof(C) b with cof(C)_ij = C[i+1,j+1] C[i+2,j+2] - C[i+1,j+2] C[i+2,j+1]
-    (indices mod 3); the matrix determinant lemma gives det|M| = det|C| - C112/2.
-    """
-    g = f.C[..., _COF_ROWS, _COF_COLS]
+def _cofactors(m):
+    """cof(m) of a (..., 3, 3) stack and det m = (m00 cof00 + m01 cof01) + m02 cof02."""
+    g = m[..., _COF_ROWS, _COF_COLS]
     cof = g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
-    return 2.0 * np.einsum("...i,...ij,...j->...", f.a, cof, f.b)[()]
+    t = m[..., 0, :] * cof[..., 0, :]
+    return cof, ((t[..., 0] + t[..., 1]) + t[..., 2])[()]
+
+
+def det_correlation(f):
+    """Determinant of C per stacked state: a fixed-order cofactor sum, no LAPACK call."""
+    return _cofactors(f.C)[1]
+
+
+def det_schlienz_mahler(f):
+    """Determinant of the Schlienz-Mahler matrix M = C - a b^T, expanded as C is."""
+    return _cofactors(schlienz_mahler(f))[1]
+
+
+def quesne_c112(f):
+    """The degree-(1,1,2) invariant eps_ijk eps_abc a_i b_a C_jb C_kc = 2 a^T cof(C) b."""
+    return 2.0 * np.einsum("...i,...ij,...j->...", f.a, _cofactors(f.C)[0], f.b)[()]
 
 
 def _chart_angles(alpha3, beta):

@@ -67,10 +67,13 @@ def test_eigenvalues_from_xyz_rejects_with_named_inequality():
      "at (x, y, z) = (1.7e+308, 1.7e+308, 1.7e+308)"),
     (lambda: xyz_from_eigenvalues([1e308, -1e308, 1.0, 0.0]),
      "spectrum not ordered: r2 >= r3 fails by 1.000e+308"),
-], ids=["sum overflows", "every entry overflows", "gap overflows"])
+    (lambda: xyz_from_eigenvalues([1e308, 1e308, 1e308, -1e308]),
+     "spectrum must sum to 1, got inf"),
+], ids=["sum overflows", "every entry overflows", "gap overflows", "unit sum overflows"])
 def test_a_spectrum_whose_arithmetic_overflows_raises_one_domain_error(call, message):
-    # finite input whose spectrum or gaps overflow emitted "overflow
-    # encountered in scalar add" (or "in subtract") before the DomainError
+    # finite input whose spectrum, gaps or unit sum overflow emitted
+    # "overflow encountered in scalar add" (or "in subtract", or "in
+    # reduce") before the DomainError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as e:

@@ -126,20 +126,28 @@ def test_check_rejects_non_finite_records(tmp_path, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("off", [1e160, 1e308])
-def test_check_rejects_finite_records_whose_norm_overflows(off, tmp_path, capsys):
-    # 1e160 passed the positivity gate (min eigenvalue about -1e160) and
-    # 1e308 printed RuntimeWarnings from the Hermitian part
+def _huge_off_diagonal(off):
     rho = np.eye(4) / 4.0
     rho[0, 3] = rho[3, 0] = off
+    return rho
+
+
+@pytest.mark.parametrize("rho, message", [
+    (_huge_off_diagonal(1e160), "matrix has a Frobenius norm that overflows"),
+    (_huge_off_diagonal(1e308), "matrix has a Frobenius norm that overflows"),
+    (np.diag([1e308, 1e308, -1e308, -1e308]),
+     f"trace nan deviates from 1 by more than {tol.TRACE_TOL:.1e}"),
+], ids=["1e+160", "1e+308", "trace nan"])
+def test_check_rejects_finite_records_whose_norm_overflows(rho, message, tmp_path, capsys):
+    # 1e160 passed the positivity gate (min eigenvalue about -1e160), 1e308
+    # printed RuntimeWarnings from the Hermitian part, and the diagonal's
+    # trace, inf - inf, warned in np.trace and passed the trace gate as NaN
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"rho_re": rho.tolist()}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["check", "--state", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: matrix has a Frobenius norm that overflows\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_error_messages_print_plain_numbers(tmp_path, capsys):

@@ -13,6 +13,10 @@ is not judged here.
 On an array, ``x ** 2`` is np.square's loop and any other exponent is
 np.power's, so a ``**`` takes the literal exponent 2 unless its function
 is in POW_ALLOWED, with the reason it keeps its bits.
+
+LAPACK's results move with the BLAS kernel OpenBLAS picks for the CPU, so
+every ``np.linalg.*`` call must sit at a site of LAPACK_SITES, with its
+reason, and every listed site must still make exactly the listed calls.
 """
 
 import ast
@@ -47,16 +51,15 @@ def _numpy_names(tree):
     return modules, members
 
 
-def _pow_owners(tree):
-    """(node, 'function' or '') of every ``**`` in a module, with the name
-    of the function (dotted through nested definitions) it sits in."""
+def _owned_nodes(tree):
+    """(node, 'function' or '') of every node of a module, with the name of
+    the function (dotted through nested definitions) it sits in."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, f"{owner}.{child.name}".lstrip("."))
             else:
-                if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
-                    yield child, owner
+                yield child, owner
                 yield from walk(child, owner)
     return walk(tree, "")
 
@@ -79,7 +82,9 @@ def dispatch_dependent(src):
             member = getattr(np, name, None)
             if isinstance(member, np.ufunc) and member not in STABLE and name != "matmul":
                 found.append(f"{path.stem}:{node.lineno} np.{name}")
-        for node, owner in _pow_owners(tree):
+        for node, owner in _owned_nodes(tree):
+            if not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)):
+                continue
             exponent = node.right if isinstance(node, ast.BinOp) else node.value
             if ast.unparse(exponent) != "2" and f"{path.stem}.{owner}" not in POW_ALLOWED:
                 found.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
@@ -89,3 +94,55 @@ def dispatch_dependent(src):
 def test_every_ufunc_and_power_keeps_its_bits_under_any_dispatch():
     assert dispatch_dependent(ROOT / "src" / "entspace") == []
 
+
+#: 'module.function' -> (the np.linalg functions it calls, why its output may
+#: depend on the LAPACK build).  A printed value that LAPACK decides moves
+#: with the BLAS kernel, so each entry is a decision-only site, a reference
+#: oracle, or a printed route whose move to elementwise sums is still open.
+LAPACK_SITES = {
+    "montecarlo.pt_oracle_masks": (
+        {"eigvalsh"}, "decision-only: its masks are printed only as counts"),
+    "montecarlo.sample_records": (
+        {"eigvalsh"}, "printed, open: the min_pt_eig column of sample"),
+    "montecarlo.reanalyze_record": (
+        {"eigvalsh"}, "printed, open: a replayed record's min_pt_eig"),
+    "separability._fit_system": (
+        {"pinv", "cond"}, "printed, open: the fit's pseudo-inverse and its condition"),
+    "linalg4.unitarity_defect": (
+        {"det"}, "printed, open: the |det U - 1| defect of the verify residuals"),
+    "verify._check_charpoly_vs_spectrum": (
+        {"det"}, "reference oracle: S4 against LAPACK's determinant"),
+}
+
+
+def _imports_linalg(node):
+    """Whether ``node`` imports numpy.linalg or a name from it."""
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.linalg") for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (
+        node.module == "numpy.linalg"
+        or node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+
+
+def lapack_calls(src):
+    """{'module.function': set of names} of every ``np.linalg.<name>`` under
+    ``src``.  An import of numpy.linalg or of a name from it is keyed
+    'module:line', which no listed site can cover."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules, _ = _numpy_names(tree)
+        for node, owner in _owned_nodes(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name) \
+                    and node.value.value.id in modules:
+                found.setdefault(f"{path.stem}.{owner}", set()).add(node.attr)
+            elif _imports_linalg(node):
+                found[f"{path.stem}:{node.lineno}"] = {"import"}
+    return found
+
+
+def test_every_lapack_call_sits_at_a_listed_site():
+    assert lapack_calls(ROOT / "src" / "entspace") == {
+        site: names for site, (names, _) in LAPACK_SITES.items()
+    }

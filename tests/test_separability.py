@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from entspace import tolerances as tol
 from entspace.chart import ChartPoint, SimplexPoint, representative_state
 from entspace.errors import DomainError, NumericalError
-from entspace.fano import from_fano, to_fano
+from entspace.fano import FanoState, from_fano, to_fano
 from entspace.linalg4 import herm_eigenvalues, partial_transpose
 from entspace.montecarlo import char_poly_batch, pt_batch
 from entspace.sampling import (
@@ -306,6 +307,37 @@ def test_stacked_invariants_are_bitwise_per_index():
         assert det_schlienz_mahler(fi) == det_m[i]
         assert quesne_c112(fi) == c112[i]
     assert np.max(np.abs(det_m - (det_c - 0.5 * c112))) < tol.DET_IDENTITY_TOL
+
+
+def _exact_det3(m):
+    """det m of a 3x3 matrix of Fractions, by the rule of Sarrus."""
+    return (m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0]
+            + m[0][2] * m[1][0] * m[2][1] - m[0][2] * m[1][1] * m[2][0]
+            - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2])
+
+
+def test_cofactor_invariants_are_exact_on_dyadic_entries():
+    # Entries k/8 keep every cofactor product and sum exact in binary64, so
+    # a fixed-order expansion gives the rational values themselves (LAPACK's
+    # LU divides by pivots, and about half of its values were inexact) and
+    # the matrix determinant lemma holds with no gap at all.
+    g = philox_stream(314, 63)
+    c = g.integers(-8, 9, (300, 3, 3)) / 8.0
+    a, b = g.integers(-4, 5, (2, 300, 3)) / 8.0  # |a|, |b| <= sqrt(3)/2
+    f = FanoState(a, b, c)
+    det_c, det_m, c112 = det_correlation(f), det_schlienz_mahler(f), quesne_c112(f)
+    for i in range(300):
+        ci = [[Fraction(x) for x in row] for row in c[i]]
+        ai, bi = [Fraction(x) for x in a[i]], [Fraction(x) for x in b[i]]
+        mi = [[ci[r][s] - ai[r] * bi[s] for s in range(3)] for r in range(3)]
+        cof = [[ci[(r + 1) % 3][(s + 1) % 3] * ci[(r + 2) % 3][(s + 2) % 3]
+                - ci[(r + 1) % 3][(s + 2) % 3] * ci[(r + 2) % 3][(s + 1) % 3]
+                for s in range(3)] for r in range(3)]
+        exact_c112 = 2 * sum(ai[r] * cof[r][s] * bi[s] for r in range(3) for s in range(3))
+        assert Fraction(det_c[i]) == _exact_det3(ci), i
+        assert Fraction(det_m[i]) == _exact_det3(mi), i
+        assert Fraction(c112[i]) == exact_c112, i
+    assert np.array_equal(det_m - (det_c - 0.5 * c112), np.zeros(300))
 
 
 def test_stacked_c112_against_epsilon_and_adjugate():
