@@ -3,10 +3,10 @@
 Everything in here is a pure function on numpy arrays.  The eigensolver
 and the matrix exponential are written out explicitly (cyclic complex
 Jacobi, scaling-and-squaring Taylor) so that their numerical behaviour is
-pinned down by this module alone; numpy supplies array arithmetic and
-determinants.  The eigensolver takes one matrix or a whole stack, with
-elementwise arithmetic only, so a stacked call repeats each single call
-bit for bit.
+pinned down by this module alone.  The eigensolver and the scan's kernels
+(on a Hermitian 4x4 matrix's 16 entry rows, _entry_rows) take one matrix or
+a whole stack, with elementwise arithmetic only, so a stacked call repeats
+each single call bit for bit.
 """
 
 import math
@@ -559,6 +559,32 @@ def _two_qubit(x):
     return x
 
 
+#: Flat indices, into the row-major entries of a 4x4 matrix, of the diagonal
+#: and the entries below it (whose real parts entry rows 0..9 hold), and of
+#: the entries below the diagonal and their mirror images above it.
+_REAL_ROWS = [0, 5, 10, 15, 4, 8, 9, 12, 13, 14]
+_BELOW, _ABOVE = np.array(_REAL_ROWS[4:]), np.array([1, 2, 6, 3, 7, 11])
+
+
+def _entry_rows(h):
+    """The real parts of _REAL_ROWS, then the imaginary parts of _BELOW (the diagonal and
+    lower triangle eigvalsh reads), of a 4x4 matrix as 16 floats or of a stack as (16, k)."""
+    if h.ndim == 2:
+        z = h.ravel().tolist()
+        return [z[i].real for i in _REAL_ROWS] + [z[i].imag for i in _REAL_ROWS[4:]]
+    e = h.reshape(-1, 16).T
+    return np.concatenate((e.real[_REAL_ROWS], e.imag[_BELOW]))
+
+
+def _hermitian(rows):
+    """The (4, 4, k) complex matrices, stack-last, of a stack's entry rows."""
+    h = np.zeros((16, rows.shape[1]), dtype=complex)
+    h.real[_REAL_ROWS] = rows[:10]
+    h.imag[_BELOW] = rows[10:]
+    h[_ABOVE] = np.conj(h[_BELOW])
+    return h.reshape(4, 4, -1)
+
+
 def partial_transpose(rho):
     """Partial transpose on qubit B of a two-qubit operator, or of each
     matrix of a (..., 4, 4) stack.
@@ -566,11 +592,17 @@ def partial_transpose(rho):
     B is the right (fast) tensor factor.  The operation is an involution and
     preserves trace and Hermiticity exactly.  The transpose on qubit A is
     the full transpose of this one, ``partial_transpose(rho).swapaxes(-1, -2)``,
-    with the same spectrum.
+    with the same spectrum; _PT_ROWS and _PT_SIGNS map entry rows alike.
     """
     rho = _two_qubit(rho)
     r = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
     return r.reshape(rho.shape)
+
+
+#: partial_transpose on entry rows, read off rows 1..16: rows[_PT_ROWS] * _PT_SIGNS
+_PT_ROWS = np.array(_entry_rows(partial_transpose(
+    _hermitian(np.arange(1.0, 17.0)[:, None])[..., 0])))
+_PT_ROWS, _PT_SIGNS = np.abs(_PT_ROWS).astype(int) - 1, np.copysign(1.0, _PT_ROWS)[:, None]
 
 
 def partial_trace(rho):
@@ -580,6 +612,38 @@ def partial_trace(rho):
     return np.einsum("...ijkj->...ik", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
+def _gram(g):
+    """Yield the entry rows of G G^dag, G a 4x4 table of (Re, Im) pairs of (k,) rows or
+    floats: each entry (q, p), q >= p, sums G[q, k] conj(G[p, k]) from +0.0, k = 0..3."""
+    for n, f in enumerate(_REAL_ROWS + _REAL_ROWS[4:]):
+        s = 0.0
+        for (w, x), (y, z) in zip(g[f // 4], g[f % 4]):
+            s += w * y + x * z if n < 10 else x * y - w * z
+        yield s
+
+
+def _s_coeffs(r):
+    """(S2, S3, S4) of the Hermitian H of the entry rows ``r``, (k,) rows or
+    one matrix's floats, by the same IEEE + - * / in the same order: H^2 =
+    H H^dag by _gram, then p1..p4 = tr H, tr H^2, tr H^2 H, tr H^2 H^2 from
+    +0.0 in written order, and Newton's identities (no np.power, see below)."""
+    h = [[(r[p], 0.0) if q == p else None for q in range(4)] for p in range(4)]
+    for t, f in enumerate(_BELOW.tolist()):  # h[q][p] = (Re, Im) of H[q, p]
+        h[f // 4][f % 4], h[f % 4][f // 4] = (r[4 + t], r[10 + t]), (r[4 + t], -r[10 + t])
+    h2 = list(_gram(h))
+    p1 = p2 = p3 = p4 = u = v = 0.0
+    for p in range(4):
+        p1, p2, p3, p4 = p1 + r[p], p2 + h2[p], p3 + h2[p] * r[p], p4 + h2[p] * h2[p]
+    for a, b, c, e in zip(h2[4:10], h2[10:], r[4:10], r[10:]):  # (Re, Im) of H^2, H
+        u, v = u + (a * c + b * e), v + (a * a + b * b)  # each counts twice
+    p3, p4 = p3 + 2.0 * u, p4 + 2.0 * v
+    p1_sq = p1 * p1  # powers as products: np.power's SIMD loops round by CPU
+    s2 = (p1_sq - p2) / 2.0
+    s3 = (p1_sq * p1 - 3 * p1 * p2 + 2 * p3) / 6.0
+    s4 = (p1_sq * p1_sq - 6 * p1_sq * p2 + 3 * (p2 * p2) + 8 * p1 * p3 - 6 * p4) / 24.0
+    return s2, s3, s4
+
+
 def char_poly_coeffs(h):
     """Elementary symmetric functions (S2, S3, S4) of a Hermitian 4x4 matrix
     or of each matrix of a (..., 4, 4) stack.
@@ -587,31 +651,15 @@ def char_poly_coeffs(h):
     With eigenvalues l_i, the characteristic polynomial is
     det(x I - H) = x^4 - S1 x^3 + S2 x^2 - S3 x + S4.  The coefficients are
     obtained from the power traces p_k = tr(H^k) through Newton's
-    identities, so no eigendecomposition is performed.  Each coefficient
-    has the leading shape of ``h`` (a scalar for one matrix), and a stacked
-    call repeats each single call bit for bit.
+    identities by _s_coeffs, which reads the lower triangle and the real
+    diagonal, with no eigendecomposition or BLAS call.  Each coefficient has
+    the leading shape of ``h`` (a scalar for one matrix, its stack row's bits).
     """
     h = _two_qubit(h)
-    lead = h.shape[:-2]
-    h = h.reshape(-1, 4, 4)
-    h2 = h @ h
-    p1 = np.einsum("nii->n", h).real
-    p2 = np.einsum("nii->n", h2).real
-    p3 = np.einsum("nij,nji->n", h2, h).real
-    p4 = np.einsum("nij,nji->n", h2, h2).real
-    # powers as products, not np.power, whose SIMD loops round differently
-    # on different CPUs
-    p1_sq = p1 * p1
-    s2 = (p1_sq - p2) / 2.0
-    s3 = (p1_sq * p1 - 3 * p1 * p2 + 2 * p3) / 6.0
-    s4 = (p1_sq * p1_sq - 6 * p1_sq * p2 + 3 * (p2 * p2) + 8 * p1 * p3 - 6 * p4) / 24.0
-    return tuple(s.reshape(lead)[()] for s in (s2, s3, s4))
-
-
-#: Flat indices, into the row-major entries of a 4x4 matrix, of the
-#: entries below the diagonal and of their mirror images above it.
-_BELOW = np.array([4, 8, 9, 12, 13, 14])
-_ABOVE = np.array([1, 2, 6, 3, 7, 11])
+    if h.ndim == 2:  # floats, which overflow to inf or NaN with no warning
+        return tuple(np.float64(s) for s in _s_coeffs(_entry_rows(h)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(s.reshape(h.shape[:-2]) for s in _s_coeffs(_entry_rows(h)))
 
 
 def min_eig_certificates(h, threshold):
@@ -621,8 +669,8 @@ def min_eig_certificates(h, threshold):
     one matrix).
 
     Like np.linalg.eigvalsh, the kernel reads the lower triangle and the
-    real part of the diagonal only.  With delta = CERTIFICATE_MARGIN *
-    max(1, |H|_F), it factors H - (t + delta) I as L D L^H without pivoting:
+    real part of the diagonal only, as entry rows.  With delta = CERTIFICATE_MARGIN
+    * max(1, |H|_F), it factors H - (t + delta) I as L D L^H without pivoting:
 
     - ``above``: every pivot of D is positive, so by Sylvester's law of
       inertia lambda_min > t + delta up to the factorisation's backward
@@ -639,12 +687,7 @@ def min_eig_certificates(h, threshold):
     nothing and emit no warning.
     """
     h = _two_qubit(h)
-    flat = h.reshape(-1, 4, 4)
-    above = np.empty(len(flat), dtype=bool)
-    below = np.empty(len(flat), dtype=bool)
-    for start in range(0, len(flat), _CERTIFICATE_BLOCK):
-        block = slice(start, start + _CERTIFICATE_BLOCK)
-        above[block], below[block] = _certificates(flat[block], threshold)
+    above, below = _certificates(_entry_rows(h.reshape(-1, 4, 4)), threshold)
     return above.reshape(h.shape[:-2])[()], below.reshape(h.shape[:-2])[()]
 
 
@@ -654,19 +697,17 @@ def min_eig_certificates(h, threshold):
 _CERTIFICATE_BLOCK = 1024
 
 
-def _certificates(flat, threshold):
-    """min_eig_certificates on a (k, 4, 4) stack: two (k,) masks."""
+def _certificates(rows, threshold):
+    """min_eig_certificates on (16, k) entry rows, _CERTIFICATE_BLOCK at a time."""
+    if rows.shape[1] > _CERTIFICATE_BLOCK:
+        blocks = range(0, rows.shape[1], _CERTIFICATE_BLOCK)
+        masks = [_certificates(rows[:, i:i + _CERTIFICATE_BLOCK], threshold) for i in blocks]
+        return tuple(np.concatenate(m) for m in zip(*masks))
     # the Hermitian matrix eigvalsh reads, with the stack axis last
-    hl = flat.transpose(1, 2, 0).copy()
-    k = hl.shape[-1]
-    entries = hl.reshape(16, k)
+    hl, k = _hermitian(rows), rows.shape[1]
     with np.errstate(all="ignore"):
-        lower = entries[_BELOW]
-        entries[_ABOVE] = np.conj(lower)
-        entries[::5].imag = 0.0
-        re = entries[::5].real
-        off2 = (lower.real ** 2 + lower.imag ** 2).sum(axis=0)
-        fro = np.sqrt((re * re).sum(axis=0) + 2.0 * off2)
+        off2 = (rows[4:10] ** 2 + rows[10:] ** 2).sum(axis=0)
+        fro = np.sqrt((rows[:4] ** 2).sum(axis=0) + 2.0 * off2)
         shift = threshold + tol.CERTIFICATE_MARGIN * np.maximum(1.0, fro)
         # right-looking L D L^H of H - shift I; the updates of the trailing
         # block reach its upper triangle too, which is never read

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
-from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues
-from .linalg4 import min_eig_certificates
+from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues, min_eig_certificates
 from .linalg4 import partial_transpose as pt_batch
-from .sampling import check_ensemble, ensemble_chunks, ensemble_state
+from .linalg4 import _PT_ROWS, _PT_SIGNS, _certificates, _entry_rows, _hermitian, _s_coeffs
+from .sampling import _hs_chunk, check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
     S3_BOUND,
     S4_BOUND,
@@ -44,18 +44,20 @@ def oracle_masks(min_eig):
 
 
 def pt_oracle_masks(pts):
-    """The oracle's masks of a (k, 4, 4) stack of partial transposes:
-    ``oracle_masks(np.linalg.eigvalsh(pts)[:, 0])``, decided without the
-    eigensolver wherever min_eig_certificates settles the sign of the
-    smallest eigenvalue against +-MINEIG_BAND.  Only the matrices that
-    neither certificate claims go to eigvalsh, and their masks are
-    scattered back into place, so every mask is eigvalsh's.
+    """The oracle's masks of a (k, 4, 4) stack of partial transposes or its
+    (16, k) entry rows: ``oracle_masks(np.linalg.eigvalsh(pts)[:, 0])``,
+    decided without the eigensolver wherever min_eig_certificates settles
+    the sign of the smallest eigenvalue against +-MINEIG_BAND.  Both read
+    the lower triangle and real diagonal alone.  Only the matrices neither
+    certificate claims go to eigvalsh, their masks scattered back into place.
     """
-    separable, entangled = min_eig_certificates(pts, tol.MINEIG_BAND)
+    stack = np.ndim(pts) == 3
+    separable, entangled = (min_eig_certificates if stack else _certificates)(pts, tol.MINEIG_BAND)
     silent = ~(separable | entangled)
     if silent.any():
+        silent_pts = pts[silent] if stack else _hermitian(pts[:, silent]).transpose(2, 0, 1)
         separable[silent], entangled[silent], _ = oracle_masks(
-            np.linalg.eigvalsh(pts[silent])[:, 0]
+            np.linalg.eigvalsh(silent_pts)[:, 0]
         )
     return separable, entangled, ~(separable | entangled)
 
@@ -116,8 +118,8 @@ _VIOLATIONS = ("lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_
 
 def tally_routes(chunks, band):
     """Count the verdicts of both PPT routes over ``chunks``, which yields
-    ``(pts, (S2, S3, S4))`` per chunk: the partial transposes and their
-    Newton coefficients.
+    ``(pts, (S2, S3, S4))`` per chunk: the partial transposes, as a stack or
+    its entry rows, and their Newton coefficients.
 
     Returns a dict of counts summed over the chunks, named as ScanResult
     names them: the criterion's separable / entangled / boundary
@@ -149,14 +151,18 @@ def separable_fraction(config):
     """Scan an ensemble, counting verdicts along both routes.
 
     Returns a ScanResult whose criterion and oracle counts come from the
-    same deterministic stream.
+    same deterministic stream, both read off the entry rows of rho^TB.
     """
-    chunks = ensemble_chunks(config.ensemble, config.seed, config.samples)
-    pts_chunks = (pt_batch(states) for _, states in chunks)
-    counts = tally_routes(((pts, char_poly_batch(pts)) for pts in pts_chunks), config.band)
+    n = config.samples
+    if config.ensemble == "hs":
+        rows = (_hs_chunk(config.seed, c, min(tol.CHUNK, n - c * tol.CHUNK), rows=True)
+                for c in range(-(-n // tol.CHUNK)))
+    else:
+        rows = (_entry_rows(s) for _, s in ensemble_chunks(config.ensemble, config.seed, n))
+    pts_chunks = (r[_PT_ROWS] * _PT_SIGNS for r in rows)  # rho^TB, one gather
+    counts = tally_routes(((pts, _s_coeffs(pts)) for pts in pts_chunks), config.band)
     violations = {name: counts.pop(name) for name in _VIOLATIONS}
     del counts["undecided"]  # not a ScanResult field
-    n = config.samples
     f = counts["separable"] / n
     return ScanResult(
         ensemble=config.ensemble, samples=n, seed=config.seed, band=config.band,

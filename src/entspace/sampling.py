@@ -19,7 +19,7 @@ normal sampler takes a variable number of words per draw, so a slice of a
 chunk draws the stream only as far as its last sample needs.  A single HS
 index builds only its own state and keeps its chunk's whole draw,
 read-only, for the next single index of that chunk, so HS replays of one
-chunk draw it once.
+chunk draw it once.  G G^dag takes no BLAS call (_hs_entries).
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import DomainError, check_chunk, check_count, check_seed, require
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
+from .linalg4 import _gram, _hermitian
 
 # Stream tags; (tag << 56) | index forms the second Philox key word.
 TAG_HS = 1
@@ -77,22 +78,29 @@ def verify_stream(seed, check_id):
 
 # -- Hilbert-Schmidt ensemble --------------------------------------------------
 
-def _hs_states(x, y):
-    """rho = G G^dag / tr(G G^dag) of the Ginibre matrices G = x + i y,
-    x and y of shape (m, 4, 4)."""
-    ginibre = x + 1j * y
-    rho = ginibre @ np.conj(np.swapaxes(ginibre, 1, 2))
-    traces = np.einsum("nii->n", rho).real
-    return rho / traces[:, None, None]
+def _hs_entries(x, y):
+    """The entry rows (linalg4) of G G^dag / tr, G = x + i y, by _gram on the 16 row-major
+    entries of x and y, (k,) rows or floats; the trace adds the diagonal to +0.0 in order."""
+    e = list(_gram([[(x[4 * p + k], y[4 * p + k]) for k in range(4)] for p in range(4)]))
+    trace = 0.0 + e[0] + e[1] + e[2] + e[3]
+    return [v / trace for v in e]
 
 
-def _hs_chunk(seed, chunk, m):
-    """The first m states of HS chunk ``chunk``: the real parts of all CHUNK
-    Ginibre matrices come first on the stream, then the imaginary parts."""
+def _hs_states(x, y, rows=False):
+    """_hs_entries of the Ginibre matrices x + i y, x and y (m, 4, 4): the exactly Hermitian
+    (m, 4, 4) stack, or with ``rows`` its entry rows; overflow gives inf or NaN, no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.array(_hs_entries(*(np.ascontiguousarray(a.reshape(-1, 16).T) for a in (x, y))))
+    return r if rows else _hermitian(r).transpose(2, 0, 1).copy()
+
+
+def _hs_chunk(seed, chunk, m, rows=False):
+    """_hs_states of the first m matrices of HS chunk ``chunk``: the real parts
+    of all CHUNK Ginibre matrices come first on the stream, then the imaginary parts."""
     g = philox_stream(seed, TAG_HS, chunk)
     x = g.standard_normal((tol.CHUNK, 4, 4))[:m]
     y = g.standard_normal((m, 4, 4))
-    return _hs_states(x, y)
+    return _hs_states(x, y, rows)
 
 
 #: The memo of sample_hs_state: ((seed, chunk), draws) of the chunk of the
@@ -114,9 +122,9 @@ def sample_hs_state(seed, index):
     index asked for here, drawn at once as one read-only 1 MiB block.  A
     later index of the same (seed, chunk) draws nothing; any other index
     drops the memo, then draws and keeps its own chunk.  Only state
-    ``index`` is built.  It is bitwise the one ``ensemble_chunks`` builds,
-    which never reads or fills the memo.  The seed and index are checked
-    before the lookup.
+    ``index`` is built, by _hs_entries on its Python floats, bitwise the
+    state ``ensemble_chunks`` builds, which never reads or fills the memo.
+    The seed and index are checked before the lookup.
     """
     global _hs_memo
     chunk, i = divmod(_check_index(index), tol.CHUNK)
@@ -129,7 +137,8 @@ def sample_hs_state(seed, index):
         draws.flags.writeable = False
         entry = _hs_memo = (seed, chunk), draws
     x, y = entry[1]
-    return _hs_states(x[i:i + 1], y[i:i + 1])[0]
+    rows = _hs_entries(x[i].ravel().tolist(), y[i].ravel().tolist())
+    return _hermitian(np.array(rows)[:, None])[..., 0]
 
 
 # -- fixed-width unit rows ----------------------------------------------------

@@ -124,27 +124,31 @@ _COF_ROWS = np.array([_NEXT1, _NEXT2, _NEXT1, _NEXT2])[:, :, None]
 _COF_COLS = np.array([_NEXT1, _NEXT2, _NEXT2, _NEXT1])[:, None, :]
 
 
-def _cofactors(m):
-    """cof(m) of a (..., 3, 3) stack and det m = (m00 cof00 + m01 cof01) + m02 cof02."""
-    g = m[..., _COF_ROWS, _COF_COLS]
-    cof = g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
-    t = m[..., 0, :] * cof[..., 0, :]
-    return cof, ((t[..., 0] + t[..., 1]) + t[..., 2])[()]
+def _cofactors(m, rows=_COF_ROWS):
+    """Rows of cof(m) of a (..., 3, 3) stack: all three, or row 0 by _COF_ROWS[:, :1]."""
+    g = m[..., rows, _COF_COLS]
+    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+
+
+def _det3(m):
+    """det m = (m00 cof00 + m01 cof01) + m02 cof02 of a (..., 3, 3) stack."""
+    t = m[..., 0, :] * _cofactors(m, _COF_ROWS[:, :1])[..., 0, :]
+    return ((t[..., 0] + t[..., 1]) + t[..., 2])[()]
 
 
 def det_correlation(f):
     """Determinant of C per stacked state: a fixed-order cofactor sum, no LAPACK call."""
-    return _cofactors(f.C)[1]
+    return _det3(f.C)
 
 
 def det_schlienz_mahler(f):
     """Determinant of the Schlienz-Mahler matrix M = C - a b^T, expanded as C is."""
-    return _cofactors(schlienz_mahler(f))[1]
+    return _det3(schlienz_mahler(f))
 
 
 def quesne_c112(f):
     """The degree-(1,1,2) invariant eps_ijk eps_abc a_i b_a C_jb C_kc = 2 a^T cof(C) b."""
-    return 2.0 * np.einsum("...i,...ij,...j->...", f.a, _cofactors(f.C)[0], f.b)[()]
+    return 2.0 * np.einsum("...i,...ij,...j->...", f.a, _cofactors(f.C), f.b)[()]
 
 
 def _chart_angles(alpha3, beta):
@@ -380,8 +384,8 @@ def analyze(rho, band=tol.VERDICT_TOL):
     """Analyze a (validated) two-qubit density matrix.
 
     Computes the PT characteristic coefficients, the three correlation
-    invariants and the dual-route left-hand sides, each quantity once (one
-    stacked call gives the coefficients of rho and rho^TB), checks the
+    invariants and the dual-route left-hand sides, each quantity once (two
+    one-matrix calls give the coefficients of rho and rho^TB), checks the
     routes against each other to DUAL_PATH_TOL and returns a
     SeparabilityReport.  A Fano form ``f`` is analysed as
     ``analyze(from_fano(f))``.  Raises DomainError unless ``rho`` is one
@@ -391,9 +395,8 @@ def analyze(rho, band=tol.VERDICT_TOL):
     if rho.shape != (4, 4):
         raise DomainError(f"analyze takes one 4x4 matrix, got shape {rho.shape}")
     f = to_fano(rho)
-    (_, s2_pt), (s3, s3_pt), (s4, s4_pt) = char_poly_coeffs(
-        np.stack([rho, partial_transpose(rho)])
-    )
+    _, s3, s4 = char_poly_coeffs(rho)
+    s2_pt, s3_pt, s4_pt = char_poly_coeffs(partial_transpose(rho))
     det_c = det_correlation(f)
     det_m = det_schlienz_mahler(f)
     lhs3 = s3 + 0.25 * det_c

@@ -17,6 +17,9 @@ is in POW_ALLOWED, with the reason it keeps its bits.
 LAPACK's results move with the BLAS kernel OpenBLAS picks for the CPU, so
 every ``np.linalg.*`` call must sit at a site of LAPACK_SITES, with its
 reason, and every listed site must still make exactly the listed calls.
+Matrix products (``@``, np.matmul, ``.dot``) are BLAS calls that move the
+same way, and np.einsum sums in an order of numpy's choosing, so each must
+sit at a site of PRODUCT_SITES, with its reason, in the same way.
 """
 
 import ast
@@ -145,4 +148,84 @@ def lapack_calls(src):
 def test_every_lapack_call_sits_at_a_listed_site():
     assert lapack_calls(ROOT / "src" / "entspace") == {
         site: names for site, (names, _) in LAPACK_SITES.items()
+    }
+
+
+#: 'module.function' -> (the products it makes: "@", "matmul", "dot" for
+#: ``x.dot`` or np.dot, "einsum"; why its output may depend on their order or
+#: on the BLAS kernel).  As in LAPACK_SITES, each is decision-only, a
+#: reference, exact whatever the order, or a printed route whose move to
+#: elementwise sums is open (ROADMAP item 16).
+PRODUCT_SITES = {
+    "chart._conjugate": (
+        {"@"}, "printed, open: A diag(r) A^dag of every chart state"),
+    "chart.a_factor": (
+        {"@"}, "reference: the series A-factor, the closed route's independent check"),
+    "chart.assemble_su4": (
+        {"@"}, "printed, open: (u (x) v) A T, read by the chart verify checks"),
+    "fano.FanoState.__post_init__": (
+        {"einsum"}, "decision-only: |a|^2 and |b|^2 against the Bloch-ball bound"),
+    "fano._reject": (
+        {"einsum"}, "message only: the norms an error names"),
+    "fano.to_fano": (
+        {"dot"}, "exact whatever the order: each table product adds at most two terms"),
+    "fano.from_fano": (
+        {"dot"}, "exact whatever the order: each family sum adds at most two terms"),
+    "fano.local_unitary_action": (
+        {"@"}, "printed, open: k rho k^dag in the verify residuals"),
+    "fano.su2_to_so3": (
+        {"einsum"}, "reference: the SO(3) rotation of an SU(2) factor"),
+    "linalg4._exp_antihermitian": (
+        {"@", "matmul"}, "printed, open: the series exponential's Taylor steps and squarings"),
+    "linalg4.partial_trace": (
+        {"einsum"}, "exact whatever the order: each entry adds two terms"),
+    "linalg4.unitarity_defect": (
+        {"@"}, "printed, open: the U^dag U Gram matrix of the verify residuals"),
+    "sampling._product_states": (
+        {"einsum"}, "exact whatever the order: one product per entry, no sum"),
+    "separability.fit_c112_coeffs": (
+        {"@"}, "printed, open: pinv times the targets, and the fit's residual"),
+    "separability.quesne_c112": (
+        {"einsum"}, "fixed order: numpy's loop, not BLAS, adds from +0.0 in (r, s) order, "
+                    "pinned by test_cofactor_invariants_are_their_fixed_order_sums"),
+    "verify._check_c112_quartic_predicts": (
+        {"@"}, "printed, open: the quartic table's predictions"),
+    "verify._check_eigensolver_reconstruction": (
+        {"@"}, "printed, open: the reconstruction residual V diag(w) V^dag - H"),
+    "verify._check_expm_paths": (
+        {"@"}, "printed, open: the residual exp(X) exp(-X) - I"),
+    "verify._check_kron_mixed_product": (
+        {"@"}, "printed, open: the mixed-product residual"),
+    "verify._check_partial_transpose_trace": (
+        {"einsum"}, "printed, open: the traces and Bloch vectors of the residual"),
+}
+
+
+def product_calls(src):
+    """{'module.function': set of names} of every matrix product and einsum
+    under ``src``: ``@`` and ``@=``, np.matmul, np.dot or ``x.dot(...)``, and
+    np.einsum, each as it is named in PRODUCT_SITES."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules, members = _numpy_names(tree)
+        for node, owner in _owned_nodes(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                name = "@"
+            elif isinstance(node, ast.Attribute) and (node.attr == "dot" or (
+                    node.attr in ("matmul", "einsum") and isinstance(node.value, ast.Name)
+                    and node.value.id in modules)):
+                name = node.attr
+            elif isinstance(node, ast.alias) and (node.asname or node.name) in members \
+                    and node.name in ("matmul", "dot", "einsum"):
+                name = node.name
+            else:
+                continue
+            found.setdefault(f"{path.stem}.{owner}", set()).add(name)
+    return found
+
+
+def test_every_matrix_product_and_einsum_sits_at_a_listed_site():
+    assert product_calls(ROOT / "src" / "entspace") == {
+        site: names for site, (names, _) in PRODUCT_SITES.items()
     }

@@ -15,6 +15,10 @@ from entspace.errors import DomainError, NumericalError
 from entspace.linalg4 import (
     _LONE_PIVOTS,
     _STACK_PIVOTS,
+    _PT_ROWS,
+    _PT_SIGNS,
+    _entry_rows,
+    _hermitian,
     I2,
     I4,
     SIGMA_X,
@@ -359,7 +363,7 @@ def _frozen_eigensolver_stacks():
 #: _frozen_eigensolver_stacks() in turn.  Every matrix is also one lone call,
 #: so this pins the one-matrix path to the stacked one; a change of the
 #: solver's bits has to change this value on purpose.
-FROZEN_EIGENSOLVER_DIGEST = "c6b29a0954d60fc3f6507348d57aeb854f28f19345d74459c487d4344ca5b61f"
+FROZEN_EIGENSOLVER_DIGEST = "979c621265e506bcb686b1e71d26416258e15456e96590fbe9525f2b10139543"
 
 
 def test_eigensolver_digest_contract(monkeypatch):
@@ -762,6 +766,42 @@ def test_stacked_pt_property(re, im_scale):
     for h, pt, i in zip(stack, pts, range(len(stack))):
         assert np.array_equal(partial_transpose(h), pt)
         assert char_poly_coeffs(pt) == tuple(c[i] for c in coeffs)
+
+
+def test_char_poly_reads_the_lower_triangle_and_real_diagonal_only():
+    hs = _hs_and_hermitian_stack(27, 20)
+    garbled = hs.copy()
+    upper = np.triu_indices(4, 1)
+    garbled[:, upper[0], upper[1]] = np.nan
+    garbled.imag[:, np.arange(4), np.arange(4)] = np.inf
+    for got, want in zip(char_poly_coeffs(garbled), char_poly_coeffs(hs)):
+        assert got.tobytes() == want.tobytes()
+    assert char_poly_coeffs(garbled[3]) == char_poly_coeffs(hs[3])
+
+
+def test_char_poly_overflows_alike_on_one_matrix_and_on_a_stack():
+    # p4 of entries near 1e80 overflows, and so does every product of 1e200:
+    # a lone matrix (Python floats) and a stack (rows) give the same inf or
+    # NaN coefficients, and neither raises nor warns
+    stack = np.stack([np.full((4, 4), 1e80), np.full((4, 4), 1e200), 1e200 * I4,
+                      np.diag([1e300, -1e300, 1.0, 0.0])]).astype(complex)
+    stack[1, 2, 1] = 1e200 - 1e200j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = char_poly_coeffs(stack)
+        for i, h in enumerate(stack):
+            lone = char_poly_coeffs(h)
+            assert np.array_equal(lone, [c[i] for c in coeffs], equal_nan=True)
+            assert not np.isfinite(lone).all()
+
+
+def test_pt_entry_rows_are_the_partial_transposes_rows():
+    # the scan takes rho^TB of entry rows by a signed row gather read off
+    # partial_transpose: the same entries, bit for bit
+    hs = _hs_and_hermitian_stack(28, 20)
+    pt_rows = _entry_rows(hs)[_PT_ROWS] * _PT_SIGNS
+    assert pt_rows.tobytes() == _entry_rows(partial_transpose(hs)).tobytes()
+    assert _hermitian(_entry_rows(hs)).transpose(2, 0, 1).tobytes() == hs.tobytes()
 
 
 # -- stacked series exponential ---------------------------------------------------

@@ -10,6 +10,9 @@ from hypothesis.extra.numpy import arrays
 from entspace import tolerances as tol
 from entspace.errors import DomainError, check_count, check_seed
 from entspace.linalg4 import (
+    _PT_ROWS,
+    _PT_SIGNS,
+    _entry_rows,
     char_poly_coeffs,
     herm_eigenvalues,
     min_eig_certificates,
@@ -362,6 +365,33 @@ def test_oracle_certificate_gives_eigvalsh_masks_near_the_band(
     defect = upper_defect * scale * (re + 1j * im)
     h += np.triu(defect, 1) + 1j * np.diag(np.diag(defect.imag))
     _assert_oracle_is_eigvalsh(h[None])
+
+
+def test_oracle_masks_of_entry_rows_are_those_of_the_stack(monkeypatch):
+    # the scan hands the oracle its chunks as stack-last entry rows (16, k):
+    # they get the masks of the (k, 4, 4) stack, and the state the
+    # certificates leave silent goes to eigvalsh alone in both forms.
+    # Product state 164 of seed 155 has its smallest PT eigenvalue 4.6e-9,
+    # inside the 1e-8 band.
+    (_, product), = ensemble_chunks("product", 155, 165)
+    above, below = min_eig_certificates(pt_batch(product), tol.MINEIG_BAND)
+    assert np.flatnonzero(~(above | below)).tolist() == [164]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.copy()) or eigvalsh(a))
+    stacks = [product] + [next(ensemble_chunks(e, 1, tol.CHUNK))[1] for e in ("hs", "chart")]
+    for states in stacks:
+        masks = np.array(pt_oracle_masks(pt_batch(states)))
+        stack_calls = calls[:]
+        calls.clear()
+        pt_rows = _entry_rows(states)[_PT_ROWS] * _PT_SIGNS
+        assert np.array_equal(np.array(pt_oracle_masks(pt_rows)), masks)
+        assert len(calls) == len(stack_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, stack_calls))
+        if states is product:
+            assert masks[:, 164].tolist() == [False, False, True]
+            assert len(calls) == 1 and np.array_equal(calls[0], pt_batch(product)[[164]])
+        calls.clear()
 
 
 def test_oracle_rarely_reaches_eigvalsh(monkeypatch):

@@ -45,6 +45,38 @@ def test_hs_states_are_valid_and_deterministic():
         assert np.array_equal(rho, sample_hs_state(99, i))
 
 
+def test_hs_chunk_states_are_exactly_hermitian_and_agree_with_g_g_dagger():
+    g = philox_stream(7, sampling.TAG_HS, 0)
+    x = g.standard_normal((tol.CHUNK, 4, 4))
+    y = g.standard_normal((tol.CHUNK, 4, 4))
+    (_, states), = ensemble_chunks("hs", 7, tol.CHUNK)
+    # every entry above the diagonal is its mirror's conjugate, bit for bit,
+    # and the diagonal is real, with imaginary parts +0
+    mirrored = np.conj(np.swapaxes(states, 1, 2))
+    mirrored[:, range(4), range(4)] = states[:, range(4), range(4)].real
+    assert states.tobytes() == mirrored.tobytes()
+    worst = 0.0
+    for i in range(tol.CHUNK):
+        ginibre = x[i] + 1j * y[i]
+        rho = ginibre @ ginibre.conj().T
+        worst = max(worst, np.max(np.abs(rho / np.trace(rho).real - states[i])))
+    assert worst <= 1e-15
+
+
+def test_hs_body_overflows_alike_on_one_matrix_and_on_a_stack():
+    # entries whose products overflow: the stack's rows and a lone matrix's
+    # floats both give inf or NaN, and neither raises nor warns
+    x = np.full((3, 4, 4), 1e200)
+    x[1] = np.linspace(-1e300, 1e300, 16).reshape(4, 4)
+    y = np.ones((3, 4, 4))
+    rows = sampling._hs_states(x, y, rows=True)
+    for i in range(3):
+        lone = sampling._hs_entries(x[i].ravel().tolist(), y[i].ravel().tolist())
+        assert all(type(v) is float for v in lone)
+        assert np.array_equal(lone, rows[:, i], equal_nan=True)
+        assert not np.isfinite(lone).all()
+
+
 def test_index_addressing_matches_chunk_iteration():
     n = tol.CHUNK + 40  # crosses a chunk boundary
     seen = {}

@@ -340,6 +340,39 @@ def test_cofactor_invariants_are_exact_on_dyadic_entries():
     assert np.array_equal(det_m - (det_c - 0.5 * c112), np.zeros(300))
 
 
+def test_cofactor_invariants_are_their_fixed_order_sums():
+    # on unrounded entries every product rounds: det C and det M expand
+    # along row 0 with row 0's cofactors, (m00 cof00 + m01 cof01) + m02 cof02,
+    # and C112 = 2 sum_rs (a_r cof_rs) b_s adds from +0.0 in (r, s) order,
+    # each cofactor m[r+1, s+1] m[r+2, s+2] - m[r+1, s+2] m[r+2, s+1]; a
+    # stacked call and a lone one give these bits
+    g = philox_stream(315, 63)
+    c = g.uniform(-1.0, 1.0, (300, 3, 3))
+    a, b = g.uniform(-0.5, 0.5, (2, 300, 3))
+    f = FanoState(a, b, c)
+    stacked = det_correlation(f), det_schlienz_mahler(f), quesne_c112(f)
+
+    def cofactor(m, r, s):
+        return (m[(r + 1) % 3][(s + 1) % 3] * m[(r + 2) % 3][(s + 2) % 3]
+                - m[(r + 1) % 3][(s + 2) % 3] * m[(r + 2) % 3][(s + 1) % 3])
+
+    def det(m):
+        return (m[0][0] * cofactor(m, 0, 0) + m[0][1] * cofactor(m, 0, 1)) \
+            + m[0][2] * cofactor(m, 0, 2)
+
+    for i in range(300):
+        ci, ai, bi = c[i].tolist(), a[i].tolist(), b[i].tolist()
+        mi = [[ci[r][s] - ai[r] * bi[s] for s in range(3)] for r in range(3)]
+        total = 0.0
+        for r in range(3):
+            for s in range(3):
+                total += ai[r] * cofactor(ci, r, s) * bi[s]
+        want = det(ci), det(mi), 2.0 * total
+        lone = FanoState(a[i], b[i], c[i])
+        got = det_correlation(lone), det_schlienz_mahler(lone), quesne_c112(lone)
+        assert [float(v[i]) for v in stacked] == list(want) == [float(v) for v in got], i
+
+
 def test_stacked_c112_against_epsilon_and_adjugate():
     _, states = next(ensemble_chunks("hs", 311, 200))
     f = to_fano(states)
@@ -380,7 +413,7 @@ def test_analyze_computes_each_invariant_once(monkeypatch):
     rho = sample_hs_state(313, 0)
     report = sep.analyze(rho)
     assert calls == {"to_fano": 1, "det_correlation": 1, "det_schlienz_mahler": 1,
-                     "quesne_c112": 1, "char_poly_coeffs": 1}
+                     "quesne_c112": 1, "char_poly_coeffs": 2}
     monkeypatch.undo()
     _, s3_pt, s4_pt = s_coeffs_pt(rho)
     assert (report.s3_pt, report.s4_pt) == (s3_pt, s4_pt)
