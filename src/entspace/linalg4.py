@@ -592,17 +592,17 @@ def partial_transpose(rho):
     B is the right (fast) tensor factor.  The operation is an involution and
     preserves trace and Hermiticity exactly.  The transpose on qubit A is
     the full transpose of this one, ``partial_transpose(rho).swapaxes(-1, -2)``,
-    with the same spectrum; _PT_ROWS and _PT_SIGNS map entry rows alike.
+    with the same spectrum; _PT_ROWS and _PT_FLIPS map entry rows alike.
     """
     rho = _two_qubit(rho)
     r = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
     return r.reshape(rho.shape)
 
 
-#: partial_transpose on entry rows, read off rows 1..16: rows[_PT_ROWS] * _PT_SIGNS
+#: partial_transpose on entry rows, read off rows 1..16: rows[_PT_ROWS], then _PT_FLIPS negated
 _PT_ROWS = np.array(_entry_rows(partial_transpose(
     _hermitian(np.arange(1.0, 17.0)[:, None])[..., 0])))
-_PT_ROWS, _PT_SIGNS = np.abs(_PT_ROWS).astype(int) - 1, np.copysign(1.0, _PT_ROWS)[:, None]
+_PT_ROWS, _PT_FLIPS = np.abs(_PT_ROWS).astype(int) - 1, np.flatnonzero(_PT_ROWS < 0)
 
 
 def partial_trace(rho):
@@ -662,14 +662,20 @@ def char_poly_coeffs(h):
         return tuple(s.reshape(h.shape[:-2]) for s in _s_coeffs(_entry_rows(h)))
 
 
-def min_eig_certificates(h, threshold):
-    """Masks (above, below) that certify where the smallest eigenvalue of a
-    Hermitian 4x4 matrix, or of each matrix of a (..., 4, 4) stack, lies
-    against +-``threshold`` t >= 0; masks of the leading shape (one bool for
-    one matrix).
+#: Matrices per block of min_eig_certificates: its (4, 4, 1024) complex
+#: working arrays take 256 kB each.  Whole 4096-matrix chunks took 4 MB
+#: of temporaries beside eigvalsh's 0.15 MB, and ran about 20 % slower.
+_CERTIFICATE_BLOCK = 1024
+
+
+def min_eig_certificates(rows, threshold):
+    """Masks (above, below) that certify where the smallest eigenvalue of
+    each Hermitian 4x4 matrix of the (16, k) entry rows ``rows`` lies
+    against +-``threshold`` t >= 0; two (k,) masks, _CERTIFICATE_BLOCK
+    matrices at a time.
 
     Like np.linalg.eigvalsh, the kernel reads the lower triangle and the
-    real part of the diagonal only, as entry rows.  With delta = CERTIFICATE_MARGIN
+    real part of the diagonal only: the entry rows.  With delta = CERTIFICATE_MARGIN
     * max(1, |H|_F), it factors H - (t + delta) I as L D L^H without pivoting:
 
     - ``above``: every pivot of D is positive, so by Sylvester's law of
@@ -686,22 +692,9 @@ def min_eig_certificates(h, threshold):
     Zero, infinite or NaN pivots, overflow and non-finite entries claim
     nothing and emit no warning.
     """
-    h = _two_qubit(h)
-    above, below = _certificates(_entry_rows(h.reshape(-1, 4, 4)), threshold)
-    return above.reshape(h.shape[:-2])[()], below.reshape(h.shape[:-2])[()]
-
-
-#: Matrices per block of min_eig_certificates: its (4, 4, 1024) complex
-#: working arrays take 256 kB each.  Whole 4096-matrix chunks took 4 MB
-#: of temporaries beside eigvalsh's 0.15 MB, and ran about 20 % slower.
-_CERTIFICATE_BLOCK = 1024
-
-
-def _certificates(rows, threshold):
-    """min_eig_certificates on (16, k) entry rows, _CERTIFICATE_BLOCK at a time."""
     if rows.shape[1] > _CERTIFICATE_BLOCK:
-        blocks = range(0, rows.shape[1], _CERTIFICATE_BLOCK)
-        masks = [_certificates(rows[:, i:i + _CERTIFICATE_BLOCK], threshold) for i in blocks]
+        cuts = range(_CERTIFICATE_BLOCK, rows.shape[1], _CERTIFICATE_BLOCK)
+        masks = [min_eig_certificates(b, threshold) for b in np.split(rows, cuts, axis=1)]
         return tuple(np.concatenate(m) for m in zip(*masks))
     # the Hermitian matrix eigvalsh reads, with the stack axis last
     hl, k = _hermitian(rows), rows.shape[1]

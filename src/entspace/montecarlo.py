@@ -3,12 +3,13 @@
 The scan pipeline keeps the criterion route (characteristic coefficients
 of the partial transpose) and the oracle route (the sign of the smallest
 PT eigenvalue against the exclusion band) strictly separate; both consume
-the identical sample stream, and tally_routes alone compares them sample
-by sample.  The oracle's decision is eigvalsh's, certified by LDL^H
-inertia where it is decided by >= delta: min_eig_certificates settles
-almost every state, and LAPACK's eigvalsh runs only on the states its
-certificates leave silent.  Sample records, which print the smallest PT
-eigenvalue, take it from eigvalsh.
+the identical sample stream, the entry rows of rho^TB that _pt_chunks
+yields to the scan and to verify's PPT check, and tally_routes alone
+compares them sample by sample.  The oracle's decision is eigvalsh's,
+certified by LDL^H inertia where it is decided by >= delta:
+min_eig_certificates settles almost every state, and LAPACK's eigvalsh
+runs only on the states its certificates leave silent.  Sample records,
+which print the smallest PT eigenvalue, take it from eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,9 @@ from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues, min_eig_certificates
 from .linalg4 import partial_transpose as pt_batch
-from .linalg4 import _PT_ROWS, _PT_SIGNS, _certificates, _entry_rows, _hermitian, _s_coeffs
-from .sampling import _hs_chunk, check_ensemble, ensemble_chunks, ensemble_state
+from .linalg4 import _PT_FLIPS, _PT_ROWS, _entry_rows, _hermitian, _s_coeffs
+from . import sampling
+from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
     S3_BOUND,
     S4_BOUND,
@@ -44,21 +46,18 @@ def oracle_masks(min_eig):
 
 
 def pt_oracle_masks(pts):
-    """The oracle's masks of a (k, 4, 4) stack of partial transposes or its
-    (16, k) entry rows: ``oracle_masks(np.linalg.eigvalsh(pts)[:, 0])``,
-    decided without the eigensolver wherever min_eig_certificates settles
-    the sign of the smallest eigenvalue against +-MINEIG_BAND.  Both read
-    the lower triangle and real diagonal alone.  Only the matrices neither
-    certificate claims go to eigvalsh, their masks scattered back into place.
+    """The oracle's masks of the (16, k) entry rows ``pts`` of partial
+    transposes: ``oracle_masks`` of the smallest eigvalsh eigenvalue of
+    each, decided without the eigensolver wherever min_eig_certificates
+    settles its sign against +-MINEIG_BAND.  Only the matrices neither
+    certificate claims are built from their rows and go to eigvalsh,
+    their masks scattered back into place.
     """
-    stack = np.ndim(pts) == 3
-    separable, entangled = (min_eig_certificates if stack else _certificates)(pts, tol.MINEIG_BAND)
+    separable, entangled = min_eig_certificates(pts, tol.MINEIG_BAND)
     silent = ~(separable | entangled)
     if silent.any():
-        silent_pts = pts[silent] if stack else _hermitian(pts[:, silent]).transpose(2, 0, 1)
-        separable[silent], entangled[silent], _ = oracle_masks(
-            np.linalg.eigvalsh(silent_pts)[:, 0]
-        )
+        min_eig = np.linalg.eigvalsh(_hermitian(pts[:, silent]).transpose(2, 0, 1))[:, 0]
+        separable[silent], entangled[silent], _ = oracle_masks(min_eig)
     return separable, entangled, ~(separable | entangled)
 
 
@@ -116,10 +115,25 @@ class ScanResult:
 _VIOLATIONS = ("lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256")
 
 
+def _pt_chunks(ensemble, seed, n, first=0):
+    """Yield (the (16, m) entry rows of rho^TB, (S2, S3, S4)) per chunk of samples 0..n-1 of
+    ``ensemble`` from chunk ``first`` on.  HS chunks are drawn as rows by sampling._hs_chunk,
+    looked up at each call; product and chart chunks are read into rows."""
+    if ensemble == "hs":
+        rows = (sampling._hs_chunk(seed, c, min(tol.CHUNK, n - c * tol.CHUNK))
+                for c in range(first, -(-n // tol.CHUNK)))
+    else:
+        rows = (_entry_rows(s) for _, s in ensemble_chunks(ensemble, seed, n, first))
+    for r in rows:
+        pts = r[_PT_ROWS]
+        pts[_PT_FLIPS] *= -1.0
+        yield pts, _s_coeffs(pts)
+
+
 def tally_routes(chunks, band):
     """Count the verdicts of both PPT routes over ``chunks``, which yields
-    ``(pts, (S2, S3, S4))`` per chunk: the partial transposes, as a stack or
-    its entry rows, and their Newton coefficients.
+    ``(pts, (S2, S3, S4))`` per chunk as _pt_chunks does: the (16, k) entry
+    rows of the partial transposes, and their Newton coefficients.
 
     Returns a dict of counts summed over the chunks, named as ScanResult
     names them: the criterion's separable / entangled / boundary
@@ -154,13 +168,7 @@ def separable_fraction(config):
     same deterministic stream, both read off the entry rows of rho^TB.
     """
     n = config.samples
-    if config.ensemble == "hs":
-        rows = (_hs_chunk(config.seed, c, min(tol.CHUNK, n - c * tol.CHUNK), rows=True)
-                for c in range(-(-n // tol.CHUNK)))
-    else:
-        rows = (_entry_rows(s) for _, s in ensemble_chunks(config.ensemble, config.seed, n))
-    pts_chunks = (r[_PT_ROWS] * _PT_SIGNS for r in rows)  # rho^TB, one gather
-    counts = tally_routes(((pts, _s_coeffs(pts)) for pts in pts_chunks), config.band)
+    counts = tally_routes(_pt_chunks(config.ensemble, config.seed, n), config.band)
     violations = {name: counts.pop(name) for name in _VIOLATIONS}
     del counts["undecided"]  # not a ScanResult field
     f = counts["separable"] / n

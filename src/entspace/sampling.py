@@ -19,7 +19,8 @@ normal sampler takes a variable number of words per draw, so a slice of a
 chunk draws the stream only as far as its last sample needs.  A single HS
 index builds only its own state and keeps its chunk's whole draw,
 read-only, for the next single index of that chunk, so HS replays of one
-chunk draw it once.  G G^dag takes no BLAS call (_hs_entries).
+chunk draw it once.  G G^dag takes no BLAS call (_hs_entries); a chunk is
+drawn as entry rows (_hs_chunk) and ensemble_chunks builds their stack.
 """
 
 import numpy as np
@@ -86,21 +87,20 @@ def _hs_entries(x, y):
     return [v / trace for v in e]
 
 
-def _hs_states(x, y, rows=False):
-    """_hs_entries of the Ginibre matrices x + i y, x and y (m, 4, 4): the exactly Hermitian
-    (m, 4, 4) stack, or with ``rows`` its entry rows; overflow gives inf or NaN, no warning."""
+def _hs_states(x, y):
+    """_hs_entries of the Ginibre matrices x + i y, x and y (m, 4, 4): the (16, m) entry rows
+    of exactly Hermitian states; overflow gives inf or NaN, no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.array(_hs_entries(*(np.ascontiguousarray(a.reshape(-1, 16).T) for a in (x, y))))
-    return r if rows else _hermitian(r).transpose(2, 0, 1).copy()
+        return np.array(_hs_entries(*(np.ascontiguousarray(a.reshape(-1, 16).T) for a in (x, y))))
 
 
-def _hs_chunk(seed, chunk, m, rows=False):
+def _hs_chunk(seed, chunk, m):
     """_hs_states of the first m matrices of HS chunk ``chunk``: the real parts
     of all CHUNK Ginibre matrices come first on the stream, then the imaginary parts."""
     g = philox_stream(seed, TAG_HS, chunk)
     x = g.standard_normal((tol.CHUNK, 4, 4))[:m]
     y = g.standard_normal((m, 4, 4))
-    return _hs_states(x, y, rows)
+    return _hs_states(x, y)
 
 
 #: The memo of sample_hs_state: ((seed, chunk), draws) of the chunk of the
@@ -317,7 +317,8 @@ def _row_chunk(states):
 
 #: Ensemble name -> (the first m states of chunk c, the state of one index).
 _ENSEMBLE_TABLE = {
-    "hs": (lambda seed, c, m: _hs_chunk(seed, c, m), sample_hs_state),
+    "hs": (lambda seed, c, m: _hermitian(_hs_chunk(seed, c, m)).transpose(2, 0, 1).copy(),
+           sample_hs_state),
     "product": (_row_chunk(_product_states), sample_product_state),
     "chart": (_row_chunk(_chart_states), lambda seed, i: _chart_states(seed, _check_index(i))),
 }

@@ -50,6 +50,7 @@ from .fano import (
 from .linalg4 import (
     I4,
     SIGMA,
+    _entry_rows,
     char_poly_coeffs as char_poly_batch,
     dag,
     exp_antihermitian,
@@ -62,6 +63,7 @@ from .linalg4 import (
     unitarity_defect,
 )
 from .montecarlo import (
+    _pt_chunks,
     oracle_masks,  # not called here; the benchmark tracer wraps verify.oracle_masks
     tally_routes,
 )
@@ -402,12 +404,8 @@ def _check_c112_quartic_predicts(run):
 # -- PPT criterion ------------------------------------------------------------------
 
 def _check_ppt_vs_eigenvalue_oracle(run):
-    later = (pt_batch(states) for _, states in ensemble_chunks("hs", run.seed, run.n, first=1))
-    chunks = chain(
-        [(pt_batch(run.hs()), run.pt_coeffs())],
-        ((pts, char_poly_batch(pts)) for pts in later),
-    )
-    counts = tally_routes(chunks, run.band)
+    head = (_entry_rows(pt_batch(run.hs())), run.pt_coeffs())
+    counts = tally_routes(chain([head], _pt_chunks("hs", run.seed, run.n, first=1)), run.band)
     detail = f"undecided(band)={counts['undecided']}"
     return _Measured(run.n, float(counts["mismatches"]), 0.0, detail)
 

@@ -15,8 +15,8 @@ from entspace.errors import DomainError, NumericalError
 from entspace.linalg4 import (
     _LONE_PIVOTS,
     _STACK_PIVOTS,
+    _PT_FLIPS,
     _PT_ROWS,
-    _PT_SIGNS,
     _entry_rows,
     _hermitian,
     I2,
@@ -796,10 +796,12 @@ def test_char_poly_overflows_alike_on_one_matrix_and_on_a_stack():
 
 
 def test_pt_entry_rows_are_the_partial_transposes_rows():
-    # the scan takes rho^TB of entry rows by a signed row gather read off
-    # partial_transpose: the same entries, bit for bit
+    # the scan takes rho^TB of entry rows by a row gather and two sign flips
+    # read off partial_transpose: the same entries, bit for bit
+    assert _PT_FLIPS.tolist() == [10, 15]
     hs = _hs_and_hermitian_stack(28, 20)
-    pt_rows = _entry_rows(hs)[_PT_ROWS] * _PT_SIGNS
+    pt_rows = _entry_rows(hs)[_PT_ROWS]
+    pt_rows[_PT_FLIPS] *= -1.0
     assert pt_rows.tobytes() == _entry_rows(partial_transpose(hs)).tobytes()
     assert _hermitian(_entry_rows(hs)).transpose(2, 0, 1).tobytes() == hs.tobytes()
 
@@ -986,25 +988,14 @@ def _hs_pt_stack(seed, n):
     return partial_transpose(states[:n])
 
 
-def test_min_eig_certificates_single_call_is_the_stack_entry():
-    pts = _hs_pt_stack(71, 24)
-    before = pts.copy()
-    above, below = min_eig_certificates(pts.reshape(2, 3, 4, 4, 4), tol.MINEIG_BAND)
-    assert above.shape == below.shape == (2, 3, 4)
-    for pt, a, b in zip(pts, above.reshape(-1), below.reshape(-1)):
-        single = min_eig_certificates(pt, tol.MINEIG_BAND)
-        assert all(type(m) is np.bool_ for m in single)
-        assert single == (a, b)
-    assert np.array_equal(pts, before)
-    # HS partial transposes are far from the band: every one is claimed
-    assert (above ^ below).all()
-    with pytest.raises(DomainError, match="4x4"):
-        min_eig_certificates(np.eye(3), tol.MINEIG_BAND)
-
-
 def test_min_eig_certificates_read_the_lower_triangle_only():
     pts = _hs_pt_stack(72, 16)
-    masks = min_eig_certificates(pts, tol.MINEIG_BAND)
+    rows = _entry_rows(pts)
+    before = rows.copy()
+    masks = min_eig_certificates(rows, tol.MINEIG_BAND)
+    assert rows.tobytes() == before.tobytes()
+    # HS partial transposes are far from the band: every one is claimed
+    assert (masks[0] ^ masks[1]).all()
     garbled = pts.copy()
     upper = np.triu_indices(4, 1)
     garbled[:, upper[0], upper[1]] = np.nan
@@ -1012,7 +1003,7 @@ def test_min_eig_certificates_read_the_lower_triangle_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert all(np.array_equal(m, g) for m, g in
-                   zip(masks, min_eig_certificates(garbled, tol.MINEIG_BAND)))
+                   zip(masks, min_eig_certificates(_entry_rows(garbled), tol.MINEIG_BAND)))
 
 
 # 1e200 squared overflows the Frobenius norm that sets the margin
@@ -1023,6 +1014,6 @@ def test_min_eig_certificates_claim_nothing_on_bad_entries_without_warnings(bad)
     pts[3, 3, 3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        above, below = min_eig_certificates(pts, tol.MINEIG_BAND)
+        above, below = min_eig_certificates(_entry_rows(pts), tol.MINEIG_BAND)
     assert not (above[[1, 3]] | below[[1, 3]]).any()
     assert (above[[0, 2]] | below[[0, 2]]).all()

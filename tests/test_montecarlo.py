@@ -1,6 +1,7 @@
 """Monte-Carlo harness: batched kernels, scans and record streams."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from hypothesis.extra.numpy import arrays
 from entspace import tolerances as tol
 from entspace.errors import DomainError, check_count, check_seed
 from entspace.linalg4 import (
-    _PT_ROWS,
-    _PT_SIGNS,
     _entry_rows,
+    _hermitian,
     char_poly_coeffs,
     herm_eigenvalues,
     min_eig_certificates,
@@ -73,7 +73,7 @@ def test_band_and_seed_are_checked_by_every_entry_point():
             verdict_masks(np.array([0.01, -0.2]), np.array([0.001, 0.0]), band)
         pts = pt_batch(np.stack([rho, BELL_PHI_PLUS]))
         with pytest.raises(DomainError, match="band"):
-            tally_routes([(pts, char_poly_batch(pts))], band)
+            tally_routes([(_entry_rows(pts), char_poly_batch(pts))], band)
     for seed in (-5, 1 << 64):
         with pytest.raises(DomainError, match="seed"):
             run_suite("ppt", 1, seed)
@@ -200,7 +200,7 @@ def test_chart_ensemble_scan_runs():
 
 def _route_chunk(states):
     pts = pt_batch(states)
-    return pts, char_poly_batch(pts)
+    return _entry_rows(pts), char_poly_batch(pts)
 
 
 def _tally_by_loop(chunks, band):
@@ -212,7 +212,7 @@ def _tally_by_loop(chunks, band):
         "lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256",
     ), 0)
     for pts, (_, s3, s4) in chunks:
-        for pt, lhs3, lhs4 in zip(pts, s3.tolist(), s4.tolist()):
+        for pt, lhs3, lhs4 in zip(_hermitian(pts).transpose(2, 0, 1), s3.tolist(), s4.tolist()):
             if lhs3 >= band and lhs4 >= band:
                 verdict = "separable"
             elif lhs3 < -band or lhs4 < -band:
@@ -250,7 +250,7 @@ def _tally_inputs():
     # the Werner ones, and some coefficients pass the upper bounds 1/16 and
     # 1/256 that no state's do
     crossed = (
-        np.concatenate([hs_pts[:512], werner_pts]),
+        np.concatenate([hs_pts[:, :512], werner_pts], axis=1),
         tuple(4.0 * c[512:1027] for c in hs_coeffs),
     )
     return {
@@ -288,11 +288,13 @@ def _eigvalsh_masks(pts):
 
 
 def _assert_oracle_is_eigvalsh(pts):
-    """pt_oracle_masks gives eigvalsh's masks, and neither certificate
-    claims a matrix that eigvalsh decides otherwise."""
+    """pt_oracle_masks of the entry rows of the stack ``pts`` gives
+    eigvalsh's masks, and neither certificate claims a matrix that eigvalsh
+    decides otherwise."""
     expected = _eigvalsh_masks(pts)
-    assert np.array_equal(np.array(pt_oracle_masks(pts)), expected)
-    above, below = min_eig_certificates(pts, tol.MINEIG_BAND)
+    rows = _entry_rows(pts)
+    assert np.array_equal(np.array(pt_oracle_masks(rows)), expected)
+    above, below = min_eig_certificates(rows, tol.MINEIG_BAND)
     assert not (above & ~expected[0]).any()
     assert not (below & ~expected[1]).any()
     return above, below
@@ -319,7 +321,7 @@ def test_oracle_certificate_gives_eigvalsh_masks_contract():
     # it they leave the state to eigvalsh
     reach = np.stack([_werner_pt(m) for m in (t + 2 * delta, -t - 2 * delta,
                                               t - 2 * delta, -t + 2 * delta)])
-    above, below = min_eig_certificates(reach, t)
+    above, below = min_eig_certificates(_entry_rows(reach), t)
     assert above.tolist() == [True, False, False, False]
     assert below.tolist() == [False, True, False, False]
     s = 1 / np.sqrt(2)
@@ -368,30 +370,22 @@ def test_oracle_certificate_gives_eigvalsh_masks_near_the_band(
 
 
 def test_oracle_masks_of_entry_rows_are_those_of_the_stack(monkeypatch):
-    # the scan hands the oracle its chunks as stack-last entry rows (16, k):
-    # they get the masks of the (k, 4, 4) stack, and the state the
-    # certificates leave silent goes to eigvalsh alone in both forms.
-    # Product state 164 of seed 155 has its smallest PT eigenvalue 4.6e-9,
-    # inside the 1e-8 band.
+    # the oracle takes its chunks as stack-last entry rows (16, k): they get
+    # eigvalsh's masks of the (k, 4, 4) stack, and the state the certificates
+    # leave silent goes to eigvalsh alone.  Product state 164 of seed 155 has
+    # its smallest PT eigenvalue 4.6e-9, inside the 1e-8 band.
     (_, product), = ensemble_chunks("product", 155, 165)
-    above, below = min_eig_certificates(pt_batch(product), tol.MINEIG_BAND)
+    pt_rows = _entry_rows(pt_batch(product))
+    above, below = min_eig_certificates(pt_rows, tol.MINEIG_BAND)
     assert np.flatnonzero(~(above | below)).tolist() == [164]
+    expected = _eigvalsh_masks(pt_batch(product))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.copy()) or eigvalsh(a))
-    stacks = [product] + [next(ensemble_chunks(e, 1, tol.CHUNK))[1] for e in ("hs", "chart")]
-    for states in stacks:
-        masks = np.array(pt_oracle_masks(pt_batch(states)))
-        stack_calls = calls[:]
-        calls.clear()
-        pt_rows = _entry_rows(states)[_PT_ROWS] * _PT_SIGNS
-        assert np.array_equal(np.array(pt_oracle_masks(pt_rows)), masks)
-        assert len(calls) == len(stack_calls)
-        assert all(np.array_equal(a, b) for a, b in zip(calls, stack_calls))
-        if states is product:
-            assert masks[:, 164].tolist() == [False, False, True]
-            assert len(calls) == 1 and np.array_equal(calls[0], pt_batch(product)[[164]])
-        calls.clear()
+    masks = np.array(pt_oracle_masks(pt_rows))
+    assert np.array_equal(masks, expected)
+    assert masks[:, 164].tolist() == [False, False, True]
+    assert len(calls) == 1 and np.array_equal(calls[0], pt_batch(product)[[164]])
 
 
 def test_oracle_rarely_reaches_eigvalsh(monkeypatch):
@@ -405,13 +399,29 @@ def test_oracle_rarely_reaches_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     # the counter sees the fallback: |00><00| has its smallest PT eigenvalue
     # 0, inside the band, and only eigvalsh can say so
-    assert pt_oracle_masks(partial_transpose(_pure([1, 0, 0, 0]))[None])[2][0]
+    assert pt_oracle_masks(_entry_rows(partial_transpose(_pure([1, 0, 0, 0]))[None]))[2][0]
     assert calls == [1]
     for ensemble in ("hs", "product", "chart"):
         calls.clear()
         (_, states), = ensemble_chunks(ensemble, 5, tol.CHUNK)
-        pt_oracle_masks(pt_batch(states))
+        pt_oracle_masks(_entry_rows(pt_batch(states)))
         assert sum(calls) <= tol.CHUNK // 100, ensemble
+
+
+def test_product_scan_reaching_the_eigvalsh_fallback_emits_no_warning(monkeypatch):
+    # Product state 164 of seed 155 is the one state of this scan the LDL^H
+    # certificates leave silent, with its non-positive pivots and witness:
+    # eigvalsh is called once, on its rho^TB alone, built from its rows
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.copy()) or eigvalsh(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = separable_fraction(RunConfig("product", 165, 155))
+    assert res.mismatches == 0
+    (_, product), = ensemble_chunks("product", 155, 165)
+    pt_164 = _hermitian(_entry_rows(pt_batch(product[[164]]))).transpose(2, 0, 1)
+    assert len(calls) == 1 and calls[0].tobytes() == pt_164.tobytes()
 
 
 def test_sample_records_consistent_with_fresh_analysis():

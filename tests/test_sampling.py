@@ -10,7 +10,7 @@ import entspace.sampling as sampling
 from entspace import tolerances as tol
 from entspace.chart import TWO_PI, eigenvalues_from_xyz, in_octahedron, xyz_from_eigenvalues
 from entspace.errors import DomainError
-from entspace.linalg4 import SIGMA, dag, herm_eigenvalues
+from entspace.linalg4 import SIGMA, _hermitian, dag, herm_eigenvalues
 from entspace.sampling import (
     TAG_CHART,
     ensemble_chunks,
@@ -69,7 +69,7 @@ def test_hs_body_overflows_alike_on_one_matrix_and_on_a_stack():
     x = np.full((3, 4, 4), 1e200)
     x[1] = np.linspace(-1e300, 1e300, 16).reshape(4, 4)
     y = np.ones((3, 4, 4))
-    rows = sampling._hs_states(x, y, rows=True)
+    rows = sampling._hs_states(x, y)
     for i in range(3):
         lone = sampling._hs_entries(x[i].ravel().tolist(), y[i].ravel().tolist())
         assert all(type(v) is float for v in lone)
@@ -465,14 +465,14 @@ def test_hs_memo_entry_is_replaced_never_changed():
 def test_hs_replays_far_from_zero_match_their_chunk(index):
     _forget_hs_memo()
     chunk, i = divmod(index, tol.CHUNK)
-    want = sampling._hs_chunk(31, chunk, i + 1)[i]
+    want = _hermitian(sampling._hs_chunk(31, chunk, i + 1))[..., i]
     assert sample_hs_state(31, index).tobytes() == want.tobytes()
     assert sampling._hs_memo[0] == (31, chunk)
     # a second index of the same far chunk is a hit on the same block
     entry = sampling._hs_memo
     other = (i + 1) % tol.CHUNK
     assert sample_hs_state(31, chunk * tol.CHUNK + other).tobytes() == \
-        sampling._hs_chunk(31, chunk, other + 1)[other].tobytes()
+        _hermitian(sampling._hs_chunk(31, chunk, other + 1))[..., other].tobytes()
     assert sampling._hs_memo is entry
 
 

@@ -17,6 +17,7 @@ from entspace.errors import NumericalError
 from entspace.fano import local_unitary_action, to_fano
 from entspace.linalg4 import (
     I4,
+    _hermitian,
     char_poly_coeffs,
     dag,
     exp_antihermitian,
@@ -25,6 +26,7 @@ from entspace.linalg4 import (
     partial_transpose,
     pauli_tables,
 )
+from entspace.montecarlo import _pt_chunks, tally_routes
 from entspace.sampling import (
     _hs_chunk,
     ensemble_chunks,
@@ -132,7 +134,7 @@ def test_shared_prefixes_are_bitwise_fresh_draws():
     store = verify._Run(tol.CHUNK + 7, seed, tol.VERDICT_TOL)
     assert store.hs().shape == (tol.CHUNK, 4, 4)
     for m in (1, 300, 2000, tol.CHUNK):
-        fresh = _hs_chunk(seed, 0, m)
+        fresh = _hermitian(_hs_chunk(seed, 0, m)).transpose(2, 0, 1)
         assert store.hs(m).tobytes() == fresh.tobytes()
         f = store.fano(m)
         ref = to_fano(fresh)
@@ -147,6 +149,30 @@ def test_shared_prefixes_are_bitwise_fresh_draws():
             assert getattr(points.simplex, k).tobytes() == getattr(fresh.simplex, k).tobytes()
         assert points.alpha.tobytes() == fresh.alpha.tobytes()
         assert points.beta.tobytes() == fresh.beta.tobytes()
+
+
+@pytest.mark.parametrize("n, seed", [(4200, 2), (tol.CHUNK + 7, 5)])
+def test_ppt_check_is_the_scan_tally(monkeypatch, n, seed):
+    # chunk 0 comes from the shared head and the later chunks from the
+    # scan's generator: the check tallies the generator's chunks from chunk
+    # 0, bit for bit, so the head's pair is a fresh row draw
+    tallied = []
+
+    def recorded(chunks, band):
+        tallied.extend(chunks)
+        return tally_routes(tallied, band)
+
+    monkeypatch.setattr(verify, "tally_routes", recorded)
+    measured = verify._check_ppt_vs_eigenvalue_oracle(verify._Run(n, seed, tol.VERDICT_TOL))
+    fresh = list(_pt_chunks("hs", seed, n))
+    assert len(tallied) == len(fresh) == 2
+    for (pts, coeffs), (want_pts, want_coeffs) in zip(tallied, fresh):
+        assert pts.tobytes() == want_pts.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(coeffs, want_coeffs))
+    counts = tally_routes(fresh, tol.VERDICT_TOL)
+    assert measured.samples == n
+    assert measured.residual == counts["mismatches"]
+    assert measured.detail == f"undecided(band)={counts['undecided']}"
 
 
 def test_shared_samples_are_drawn_once_lazily_and_bounded(monkeypatch):
