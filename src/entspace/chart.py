@@ -31,6 +31,9 @@ from .linalg4 import (
     SIGMA_Y,
     SIGMA_Z,
     _exp_antihermitian,
+    _exp_parts,
+    _gram,
+    _hermitian,
     dag,
     exp_antihermitian,  # not called here; the benchmark tracer wraps it
     exp_commuting_paulis,
@@ -233,8 +236,23 @@ def _warn_outside(v, name):
             f"octahedron (l1 norm {np.sum(np.abs(_row(v, i))):.6g} > 2*pi); "
             "the chart wraps around",
             OctahedronWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _ab_angles and its caller
         )
+
+
+def _ab_angles(alpha, beta):
+    """The (..., 2, 3) stack of the triples ``alpha`` and ``beta``, broadcast (DomainError
+    naming both shapes when they do not), with a_factor's OctahedronWarnings."""
+    alpha = _angle_triple(alpha, "alpha")
+    beta = _angle_triple(beta, "beta")
+    lead = check_broadcast(("alpha", alpha.shape, 1), ("beta", beta.shape, 1))
+    angles = np.empty(lead + (2, 3))
+    angles[..., 0, :] = alpha
+    angles[..., 1, :] = beta
+    if not in_octahedron(angles).all():
+        _warn_outside(alpha, "alpha")
+        _warn_outside(beta, "beta")
+    return angles
 
 
 def a_factor(alpha, beta, method="closed"):
@@ -254,15 +272,8 @@ def a_factor(alpha, beta, method="closed"):
     that overflows, a result that is not finite or not unitary) name alpha
     or beta and the caller's stack index.
     """
-    alpha = _angle_triple(alpha, "alpha")
-    beta = _angle_triple(beta, "beta")
-    lead = check_broadcast(("alpha", alpha.shape, 1), ("beta", beta.shape, 1))
-    angles = np.empty(lead + (2, 3))
-    angles[..., 0, :] = alpha
-    angles[..., 1, :] = beta
-    if not in_octahedron(angles).all():
-        _warn_outside(alpha, "alpha")
-        _warn_outside(beta, "beta")
+    angles = _ab_angles(alpha, beta)
+    lead = angles.shape[:-2]
     if method == "closed":
         return exp_commuting_paulis(angles.reshape(lead + (6,)), _AB_TABLES)
     if method != "series":
@@ -307,13 +318,14 @@ def _checked_spectrum(simplex):
         warnings.warn(
             f"degenerate spectrum {tuple(_row(r, i).tolist())}{at}: chart point is non-generic",
             DegenerateSpectrumWarning,
-            stacklevel=3,
+            stacklevel=4,  # past the chart function that called it
         )
     return r
 
 
 def _conjugate(a, r):
-    """A diag(r) A^dag for factors ``a`` (..., 4, 4) and spectra ``r``
+    """A diag(r) A^dag of the fit's targets (representative_state builds
+    _chart_rows instead), for factors ``a`` (..., 4, 4) and spectra ``r``
     (..., 4), broadcast against each other, returned as its Hermitian part
     (M + M^dag)/2, the mean that hermitize forms.  It needs none of
     hermitize's checks for user input: the factors are unitary to rounding
@@ -327,6 +339,25 @@ def _conjugate(a, r):
     return m
 
 
+def _chart_rows(point):
+    """The entry rows (linalg4) of A diag(r) A^dag of a chart point, 16 floats, or of each
+    point of a stacked ChartPoint, (16, ...).
+
+    The checks and warnings are representative_state's, in its order.  The rows are
+    _gram(A diag(r), A) on A's _exp_parts: k-sized rows, with no complex stack.  One point
+    runs the same body on Python floats, with its stacked row's bits."""
+    shape = check_broadcast(("simplex point", point.simplex.shape, 0),
+                            ("alpha", point.alpha.shape, 1), ("beta", point.beta.shape, 1))
+    r = np.moveaxis(_checked_spectrum(point.simplex), -1, 0)
+    angles = _ab_angles(point.alpha, point.beta)
+    parts = _exp_parts(angles.reshape(angles.shape[:-2] + (6,)), _AB_TABLES)
+    if not shape:
+        parts, r = parts.tolist(), r.tolist()
+    a = [[(parts[8 * q + 2 * k], parts[8 * q + 2 * k + 1]) for k in range(4)] for q in range(4)]
+    rows = list(_gram([[(re * r[k], im * r[k]) for k, (re, im) in enumerate(q)] for q in a], a))
+    return rows if not shape else np.array(rows)
+
+
 def representative_state(point):
     """Density matrix A diag(r) A^dag of a chart point, (4, 4), or of each
     point of a stacked ChartPoint, (..., 4, 4).
@@ -338,12 +369,11 @@ def representative_state(point):
     stack index, is emitted when a spectrum has a gap below GENERIC_GAP,
     where the chart stops being one-to-one.  Stack shapes of the simplex
     point, alpha and beta that do not broadcast raise DomainError naming
-    them.
+    them.  The state is _hermitian of its _chart_rows: each entry on and
+    below the diagonal is one sum over the A-factor's columns, and the
+    entries above it are their conjugates.
     """
-    check_broadcast(("simplex point", point.simplex.shape, 0), ("alpha", point.alpha.shape, 1),
-                    ("beta", point.beta.shape, 1))
-    r = _checked_spectrum(point.simplex)
-    return _conjugate(a_factor(point.alpha, point.beta), r)
+    return _hermitian(_chart_rows(point))
 
 
 def assemble_su4(k, alpha, beta, t):

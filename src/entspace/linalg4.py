@@ -509,8 +509,18 @@ def exp_commuting_paulis(angles, tables):
     Every nonzero component of the result is the value of these updates,
     and every zero component is +0, whatever the sign of a zero met on the
     way or of a term that underflows.  Every value is computed elementwise,
-    so a stacked call repeats each single call bit for bit.
+    so a stacked call repeats each single call bit for bit.  The result is
+    the complex transpose of _exp_parts, with its bytes.
     """
+    parts = _exp_parts(angles, tables)
+    n = tables.shape[1]
+    flat = np.ascontiguousarray(parts.reshape(len(parts), -1).T)
+    return flat.view(complex).reshape(*parts.shape[1:], n, n)
+
+
+def _exp_parts(angles, tables):
+    """The (2 n^2, ...) rows of exp_commuting_paulis(angles, tables), stack-last: row
+    2 (n i + j) + c holds the real (c = 0) or imaginary (c = 1) part of entry (i, j)."""
     k, n = tables.shape[:2]
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != (k,):
@@ -521,33 +531,32 @@ def exp_commuting_paulis(angles, tables):
                               f"against the tables' (k,) = {(k,)}") from None
     lead = angles.shape[:-1]
     size = math.prod(lead)
-    half = angles.reshape(size, k) / 2.0
-    trig = np.empty((2, size, k))  # sin, then cos
+    half = angles.reshape(size, k).T / 2.0
+    trig = np.empty((2, k, size))  # sin, then cos, of each word's angles
     np.sin(half, out=trig[0])
     np.cos(half, out=trig[1])
-    u = np.empty((*lead, n, n), dtype=complex)
-    parts = u.view(float).reshape(size, 2 * n * n)
+    parts = np.empty((2 * n * n, size))
     # rows of the gathered columns, of the product M and of -M, one per
     # entry part, each along the stack: every broadcast of the sines and
-    # cosines runs along a row
+    # cosines runs along a row, and reads them contiguously
     step = -(-size // -(-size // _EXP_CHUNK)) if size else 0  # even chunks
     work = np.empty((3, 2 * n * n, step))
     for lo in range(0, size, max(step, 1)):
-        chunk = trig[:, lo:lo + step].transpose(2, 0, 1)[:, :, None]  # (k, 2, 1, width)
+        chunk = trig[:, :, None, lo:lo + step]  # (2, k, 1, width)
         width = chunk.shape[-1]
         rows = work if width == step else np.empty((3, 2 * n * n, width))
         gathered, product, negated = rows
         source = rows[1:].reshape(-1, width)  # M, then -M
-        np.multiply(tables.start, chunk[0], out=rows[:2])
+        np.multiply(tables.start, chunk[:, 0], out=rows[:2])
         np.add(product, gathered, out=product)
         for w in range(1, k):
             np.negative(product, out=negated)
             source.take(tables.gather[w], 0, gathered, "clip")
-            rows[:2] *= chunk[w]  # sin v_j M[:, pi(j)] with parts swapped, cos M
+            rows[:2] *= chunk[:, w]  # sin v_j M[:, pi(j)] with parts swapped, cos M
             np.add(product, gathered, out=product)
         # every zero component is +0
-        np.add(product.T, 0.0, out=parts[lo:lo + width])
-    return u
+        np.add(product, 0.0, out=parts[:, lo:lo + width])
+    return parts.reshape(2 * n * n, *lead)
 
 
 def _two_qubit(x):
@@ -577,12 +586,25 @@ def _entry_rows(h):
 
 
 def _hermitian(rows):
-    """The (4, 4, k) complex matrices, stack-last, of a stack's entry rows."""
-    h = np.zeros((16, rows.shape[1]), dtype=complex)
-    h.real[_REAL_ROWS] = rows[:10]
-    h.imag[_BELOW] = rows[10:]
-    h[_ABOVE] = np.conj(h[_BELOW])
-    return h.reshape(4, 4, -1)
+    """The complex matrix of one matrix's 16 entry rows, (4, 4), or of each of a stack's
+    (16, ...) rows, (..., 4, 4): one gather from 0.0, the rows and their six imaginary
+    rows negated, as np.conj negates them."""
+    if np.ndim(rows) == 1:
+        v = np.array([0.0, *rows, *(-x for x in rows[10:])])
+    else:
+        v = np.empty((*rows.shape[1:], 23))
+        v[..., 0] = 0.0
+        v[..., 1:17] = np.moveaxis(rows, 0, -1)
+        np.negative(np.moveaxis(rows[10:], 0, -1), out=v[..., 17:])
+    return v.take(_GATHER, axis=-1).view(complex)[..., 0]
+
+
+#: The (4, 4, 2) positions that _hermitian gathers each entry's real and imaginary part from.
+_GATHER = np.zeros((16, 2), dtype=np.intp)
+_GATHER[_REAL_ROWS, 0] = np.arange(1, 11)
+_GATHER[_ABOVE, 0] = _GATHER[_BELOW, 0]
+_GATHER[_BELOW, 1], _GATHER[_ABOVE, 1] = np.arange(11, 17), np.arange(17, 23)
+_GATHER = _GATHER.reshape(4, 4, 2)
 
 
 def partial_transpose(rho):
@@ -600,8 +622,7 @@ def partial_transpose(rho):
 
 
 #: partial_transpose on entry rows, read off rows 1..16: rows[_PT_ROWS], then _PT_FLIPS negated
-_PT_ROWS = np.array(_entry_rows(partial_transpose(
-    _hermitian(np.arange(1.0, 17.0)[:, None])[..., 0])))
+_PT_ROWS = np.array(_entry_rows(partial_transpose(_hermitian(np.arange(1.0, 17.0)))))
 _PT_ROWS, _PT_FLIPS = np.abs(_PT_ROWS).astype(int) - 1, np.flatnonzero(_PT_ROWS < 0)
 
 
@@ -612,12 +633,15 @@ def partial_trace(rho):
     return np.einsum("...ijkj->...ik", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
-def _gram(g):
-    """Yield the entry rows of G G^dag, G a 4x4 table of (Re, Im) pairs of (k,) rows or
-    floats: each entry (q, p), q >= p, sums G[q, k] conj(G[p, k]) from +0.0, k = 0..3."""
+def _gram(g, h=None):
+    """Yield the entry rows of G H^dag (H = G by default), G and H 4x4 tables of (Re, Im)
+    pairs of (k,) rows or floats: each entry (q, p), q >= p, sums G[q, k] conj(H[p, k])
+    from +0.0, k = 0..3.  Rows broadcast as numpy broadcasts them, and floats give the
+    bits of their stacked rows, so one matrix and a stack share this body."""
+    h = g if h is None else h
     for n, f in enumerate(_REAL_ROWS + _REAL_ROWS[4:]):
         s = 0.0
-        for (w, x), (y, z) in zip(g[f // 4], g[f % 4]):
+        for (w, x), (y, z) in zip(g[f // 4], h[f % 4]):
             s += w * y + x * z if n < 10 else x * y - w * z
         yield s
 
@@ -697,7 +721,12 @@ def min_eig_certificates(rows, threshold):
         masks = [min_eig_certificates(b, threshold) for b in np.split(rows, cuts, axis=1)]
         return tuple(np.concatenate(m) for m in zip(*masks))
     # the Hermitian matrix eigvalsh reads, with the stack axis last
-    hl, k = _hermitian(rows), rows.shape[1]
+    k = rows.shape[1]
+    hl = np.zeros((16, k), dtype=complex)
+    hl.real[_REAL_ROWS] = rows[:10]
+    hl.imag[_BELOW] = rows[10:]
+    hl[_ABOVE] = np.conj(hl[_BELOW])
+    hl = hl.reshape(4, 4, k)
     with np.errstate(all="ignore"):
         off2 = (rows[4:10] ** 2 + rows[10:] ** 2).sum(axis=0)
         fro = np.sqrt((rows[:4] ** 2).sum(axis=0) + 2.0 * off2)

@@ -21,7 +21,7 @@ from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues, min_eig_certificates
 from .linalg4 import partial_transpose as pt_batch
-from .linalg4 import _PT_FLIPS, _PT_ROWS, _entry_rows, _hermitian, _s_coeffs
+from .linalg4 import _PT_FLIPS, _PT_ROWS, _hermitian, _s_coeffs
 from . import sampling
 from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
@@ -56,7 +56,7 @@ def pt_oracle_masks(pts):
     separable, entangled = min_eig_certificates(pts, tol.MINEIG_BAND)
     silent = ~(separable | entangled)
     if silent.any():
-        min_eig = np.linalg.eigvalsh(_hermitian(pts[:, silent]).transpose(2, 0, 1))[:, 0]
+        min_eig = np.linalg.eigvalsh(_hermitian(pts[:, silent]))[:, 0]
         separable[silent], entangled[silent], _ = oracle_masks(min_eig)
     return separable, entangled, ~(separable | entangled)
 
@@ -117,14 +117,8 @@ _VIOLATIONS = ("lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_
 
 def _pt_chunks(ensemble, seed, n, first=0):
     """Yield (the (16, m) entry rows of rho^TB, (S2, S3, S4)) per chunk of samples 0..n-1 of
-    ``ensemble`` from chunk ``first`` on.  HS chunks are drawn as rows by sampling._hs_chunk,
-    looked up at each call; product and chart chunks are read into rows."""
-    if ensemble == "hs":
-        rows = (sampling._hs_chunk(seed, c, min(tol.CHUNK, n - c * tol.CHUNK))
-                for c in range(first, -(-n // tol.CHUNK)))
-    else:
-        rows = (_entry_rows(s) for _, s in ensemble_chunks(ensemble, seed, n, first))
-    for r in rows:
+    ``ensemble`` from chunk ``first`` on, each chunk drawn as rows by sampling._row_chunks."""
+    for _, r in sampling._row_chunks(ensemble, seed, n, first):
         pts = r[_PT_ROWS]
         pts[_PT_FLIPS] *= -1.0
         yield pts, _s_coeffs(pts)

@@ -19,17 +19,22 @@ normal sampler takes a variable number of words per draw, so a slice of a
 chunk draws the stream only as far as its last sample needs.  A single HS
 index builds only its own state and keeps its chunk's whole draw,
 read-only, for the next single index of that chunk, so HS replays of one
-chunk draw it once.  G G^dag takes no BLAS call (_hs_entries); a chunk is
-drawn as entry rows (_hs_chunk) and ensemble_chunks builds their stack.
+chunk draw it once.
+
+Every chunk is drawn as the (16, m) entry rows (linalg4) of its states,
+with no complex stack: G G^dag (_hs_chunk) and the chart's A diag(r) A^dag
+(chart._chart_rows) by _gram, with no BLAS call, and product states read
+into rows.  The scan reads the rows (_row_chunks), ensemble_chunks their
+_hermitian matrices.
 """
 
 import numpy as np
 
 from .errors import DomainError, check_chunk, check_count, check_seed, require
 from . import tolerances as tol
-from .chart import ChartPoint, TWO_PI, representative_state, xyz_from_eigenvalues
+from .chart import ChartPoint, TWO_PI, _chart_rows, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
-from .linalg4 import _gram, _hermitian
+from .linalg4 import _entry_rows, _gram, _hermitian
 
 # Stream tags; (tag << 56) | index forms the second Philox key word.
 TAG_HS = 1
@@ -137,8 +142,7 @@ def sample_hs_state(seed, index):
         draws.flags.writeable = False
         entry = _hs_memo = (seed, chunk), draws
     x, y = entry[1]
-    rows = _hs_entries(x[i].ravel().tolist(), y[i].ravel().tolist())
-    return _hermitian(np.array(rows)[:, None])[..., 0]
+    return _hermitian(_hs_entries(x[i].ravel().tolist(), y[i].ravel().tolist()))
 
 
 # -- fixed-width unit rows ----------------------------------------------------
@@ -158,9 +162,16 @@ def _unit_rows(seed, tag, index, width):
     stream (seed, tag, c), ``width`` a multiple of the four words of a
     Philox4x64 block.  Each chunk touched is drawn in one call, from its
     first requested sample to its last: the stream is advanced by
-    width // 4 blocks per sample skipped."""
+    width // 4 blocks per sample skipped, and a run of consecutive indices
+    within one chunk is that one call's rows, with no reordering."""
     check_seed(seed)
     flat = _check_indices(index).astype(np.int64)
+    if flat.size and flat[-1] - flat[0] == flat.size - 1 and (flat[1:] - flat[:-1] == 1).all():
+        chunk, lo = divmod(int(flat[0]), tol.CHUNK)
+        if lo + flat.size <= tol.CHUNK:
+            g = philox_stream(seed, tag, chunk)
+            g.bit_generator.advance(width // 4 * lo)
+            return g.random((flat.size, width))
     units = np.empty((flat.size, width))
     order = np.argsort(flat)
     chunk, offset = np.divmod(flat[order], tol.CHUNK)
@@ -212,6 +223,16 @@ def sample_product_state(seed, index):
 
 # -- chart-point ensemble ------------------------------------------------------
 
+def _sorted_network(*v):
+    """The arrays ``v`` (three or four) sorted elementwise into increasing order by a
+    network of np.minimum and np.maximum: the values np.sort gives, with its bits."""
+    v = list(v)
+    pairs = ((0, 1), (1, 2), (0, 1)) if len(v) == 3 else ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
+    for i, j in pairs:
+        v[i], v[j] = np.minimum(v[i], v[j]), np.maximum(v[i], v[j])
+    return v
+
+
 def _chart_from_units(u):
     """(spectrum, alpha, beta) of the rows of 12 unit draws ``u``.
 
@@ -222,19 +243,20 @@ def _chart_from_units(u):
     int(8 * u6) is set: a uniform point of the l1-ball of radius 2*pi.
     beta comes from u7..u10 in the same way, and u11 pads the row.  The
     spacings are exact, so a triple's l1 norm is 2*pi times its largest
-    draw, below 1, to rounding: it lies in the octahedron.
+    draw, below 1, to rounding: it lies in the octahedron.  Each group is
+    sorted by _sorted_network along the draws' columns.
     """
-    s = np.sort(u[:, [[0, 1, 2], [3, 4, 5], [7, 8, 9]]], axis=2)
-    spacings = s.copy()
-    spacings[..., 1:] -= s[..., :-1]
-    r = np.empty((len(u), 4))
-    r[:, :3] = spacings[:, 0]
-    r[:, 3] = 1.0 - s[:, 0, 2]
-    r = np.sort(r, axis=1)[:, ::-1]
-    negative = ((8 * u[:, [6, 10]]).astype(np.int64)[..., None] >> np.arange(3)) & 1
-    magnitude = TWO_PI * spacings[:, 1:]
-    angles = np.where(negative == 1, -magnitude, magnitude)
-    return r, angles[:, 0], angles[:, 1]
+    u = np.ascontiguousarray(u.T)
+    c0, c1, c2 = _sorted_network(*u[0:3])
+    r = np.empty((len(u[0]), 4))
+    r[:, ::-1] = np.transpose(_sorted_network(c0, c1 - c0, c2 - c1, 1.0 - c2))
+    angles = []
+    for first in (3, 7):
+        c0, c1, c2 = _sorted_network(*u[first:first + 3])
+        magnitude = TWO_PI * np.array([c0, c1 - c0, c2 - c1])
+        negative = ((8 * u[first + 3]).astype(np.int64) >> np.arange(3)[:, None]) & 1
+        angles.append(np.where(negative == 1, -magnitude, magnitude).T)
+    return r, *angles
 
 
 def sample_chart_point(seed, index):
@@ -305,22 +327,20 @@ def random_hermitian(g, dim=4, shape=()):
 
 # -- chunked iteration ---------------------------------------------------------
 
-def _chart_states(seed, index):
-    return representative_state(sample_chart_point(seed, index))
+def _chunk_from_indices(rows):
+    """The entry rows of the first m states of chunk c of a row ensemble, whose ``rows``
+    builds the entry rows of an index array."""
+    return lambda seed, c, m: rows(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m))
 
 
-def _row_chunk(states):
-    """The first m states of chunk c of a row ensemble, whose ``states``
-    builds the states of an index array."""
-    return lambda seed, c, m: states(seed, np.arange(c * tol.CHUNK, c * tol.CHUNK + m))
-
-
-#: Ensemble name -> (the first m states of chunk c, the state of one index).
+#: Ensemble name -> (the (16, m) entry rows of the first m states of chunk c, the state of
+#: one index).  Names are looked up at each call, where the benchmark tracer wraps them.
 _ENSEMBLE_TABLE = {
-    "hs": (lambda seed, c, m: _hermitian(_hs_chunk(seed, c, m)).transpose(2, 0, 1).copy(),
-           sample_hs_state),
-    "product": (_row_chunk(_product_states), sample_product_state),
-    "chart": (_row_chunk(_chart_states), lambda seed, i: _chart_states(seed, _check_index(i))),
+    "hs": (lambda seed, c, m: _hs_chunk(seed, c, m), sample_hs_state),
+    "product": (_chunk_from_indices(lambda seed, i: _entry_rows(_product_states(seed, i))),
+                sample_product_state),
+    "chart": (_chunk_from_indices(lambda seed, i: _chart_rows(sample_chart_point(seed, i))),
+              lambda seed, i: representative_state(sample_chart_point(seed, _check_index(i)))),
 }
 
 ENSEMBLES = tuple(_ENSEMBLE_TABLE)
@@ -336,21 +356,29 @@ def check_ensemble(ensemble):
         ) from None
 
 
-def ensemble_chunks(ensemble, seed, n, first=0):
-    """Yield (start_index, states) arrays covering samples 0..n-1 in order,
-    from chunk ``first`` on: the chunks before it are not drawn.
-
-    The last chunk is truncated to the requested count without moving
-    any sample: a chunk's stream is laid out for the full chunk and a
-    truncated chunk only stops drawing it earlier.  DomainError unless
-    ``first`` is a non-negative integer.
-    """
-    chunk_states, _ = check_ensemble(ensemble)
+def _row_chunks(ensemble, seed, n, first=0):
+    """Yield (start_index, (16, m) entry rows) covering samples 0..n-1 in order, from chunk
+    ``first`` on, as ensemble_chunks yields their states."""
+    chunk_rows, _ = check_ensemble(ensemble)
     check_count(n)
     check_chunk(first)
     for chunk in range(first, (n + tol.CHUNK - 1) // tol.CHUNK):
         start = chunk * tol.CHUNK
-        yield start, chunk_states(seed, chunk, min(tol.CHUNK, n - start))
+        yield start, chunk_rows(seed, chunk, min(tol.CHUNK, n - start))
+
+
+def ensemble_chunks(ensemble, seed, n, first=0):
+    """Yield (start_index, states) arrays covering samples 0..n-1 in order,
+    from chunk ``first`` on: the chunks before it are not drawn.
+
+    Each chunk is drawn as entry rows (_row_chunks), and its states are
+    their _hermitian matrices.  The last chunk is truncated to the
+    requested count without moving any sample: a chunk's stream is laid
+    out for the full chunk and a truncated chunk only stops drawing it
+    earlier.  DomainError unless ``first`` is a non-negative integer.
+    """
+    for start, rows in _row_chunks(ensemble, seed, n, first):
+        yield start, _hermitian(rows)
 
 
 def ensemble_state(ensemble, seed, index):

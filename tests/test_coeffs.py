@@ -15,6 +15,9 @@ from entspace.chart import (
     OctahedronWarning,
     SimplexPoint,
     TWO_PI,
+    _conjugate,
+    a_factor,
+    eigenvalues_from_xyz,
     xyz_from_eigenvalues,
 )
 from entspace.errors import DomainError, NumericalError
@@ -164,7 +167,9 @@ def test_fit_rejects_small_grids_and_bad_conditioning(monkeypatch):
 
 def _reference_system(alpha, beta):
     # rebuilt on every call: grid coordinates, scalar Vandermonde rows and
-    # brute-force C112 targets
+    # brute-force C112 targets of the fit's own conjugation, A diag(r) A^dag
+    # by _conjugate, which the chart's states, built as entry rows, match
+    # to rounding
     s = xyz_from_eigenvalues(np.asarray(FIT_SPECTRA, dtype=float))
     v = np.array(
         [
@@ -172,7 +177,9 @@ def _reference_system(alpha, beta):
             for x, y, z in zip(s.x, s.y, s.z)
         ]
     )
-    return v, c112_of_chart_point(ChartPoint(s, alpha, beta))
+    targets = quesne_c112(to_fano(_conjugate(a_factor(alpha, beta), eigenvalues_from_xyz(s))))
+    assert np.abs(targets - c112_of_chart_point(ChartPoint(s, alpha, beta))).max() < 1e-15
+    return v, targets
 
 
 def _reference_fit(alpha, beta):

@@ -158,7 +158,7 @@ def test_every_lapack_call_sits_at_a_listed_site():
 #: elementwise sums is open (ROADMAP item 16).
 PRODUCT_SITES = {
     "chart._conjugate": (
-        {"@"}, "printed, open: A diag(r) A^dag of every chart state"),
+        {"@"}, "printed, open: A diag(r) A^dag of the fit's 23 targets"),
     "chart.a_factor": (
         {"@"}, "reference: the series A-factor, the closed route's independent check"),
     "chart.assemble_su4": (

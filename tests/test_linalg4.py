@@ -18,6 +18,7 @@ from entspace.linalg4 import (
     _PT_FLIPS,
     _PT_ROWS,
     _entry_rows,
+    _exp_parts,
     _hermitian,
     I2,
     I4,
@@ -577,6 +578,27 @@ def test_exp_commuting_paulis_zero_angles_leave_a_family_unchanged_contract():
             assert closed.tobytes() == exp_commuting_paulis(angles, pauli_tables(words)).tobytes()
 
 
+def test_exp_parts_are_the_exponentials_bytes_stack_last_contract():
+    # row 2 (4 i + j) + c of _exp_parts is part c (real, imaginary) of entry
+    # (i, j) of exp_commuting_paulis, along the stack; a lone triple gives
+    # its stack column's bytes
+    from entspace.chart import _AB_TABLES, _TORUS_TABLES
+
+    grid, mixed = _special_and_mixed_triples(philox_stream(20, 60), 150)
+    cases = [(_TORUS_TABLES, grid), (_TORUS_TABLES, mixed),
+             (_AB_TABLES, np.concatenate([grid, grid[::-1]], axis=1)),
+             (_AB_TABLES, np.concatenate([mixed, grid[:150]], axis=1))]
+    for tables, angles in cases:
+        u = exp_commuting_paulis(angles, tables)
+        parts = _exp_parts(angles, tables)
+        assert parts.shape == (32, len(angles))
+        assert parts.T.tobytes() == u.tobytes()
+        for i, triple in enumerate(angles):
+            assert _exp_parts(triple, tables).tobytes() == u[i].tobytes()
+        grid_shape = _exp_parts(angles.reshape(2, -1, angles.shape[1]), tables).shape
+        assert grid_shape == (32, 2, len(angles) // 2)
+
+
 @pytest.mark.parametrize("generators, message", [
     ((tensor_product(SIGMA_Y, I2),), r"generators\[0\] is not a real signed permutation"),
     ((tensor_product(SIGMA_X, I2), tensor_product(I2, SIGMA_Y)),
@@ -803,7 +825,7 @@ def test_pt_entry_rows_are_the_partial_transposes_rows():
     pt_rows = _entry_rows(hs)[_PT_ROWS]
     pt_rows[_PT_FLIPS] *= -1.0
     assert pt_rows.tobytes() == _entry_rows(partial_transpose(hs)).tobytes()
-    assert _hermitian(_entry_rows(hs)).transpose(2, 0, 1).tobytes() == hs.tobytes()
+    assert _hermitian(_entry_rows(hs)).tobytes() == hs.tobytes()
 
 
 # -- stacked series exponential ---------------------------------------------------

@@ -212,7 +212,7 @@ def _tally_by_loop(chunks, band):
         "lhs3_below_0", "lhs3_above_1_16", "lhs4_below_0", "lhs4_above_1_256",
     ), 0)
     for pts, (_, s3, s4) in chunks:
-        for pt, lhs3, lhs4 in zip(_hermitian(pts).transpose(2, 0, 1), s3.tolist(), s4.tolist()):
+        for pt, lhs3, lhs4 in zip(_hermitian(pts), s3.tolist(), s4.tolist()):
             if lhs3 >= band and lhs4 >= band:
                 verdict = "separable"
             elif lhs3 < -band or lhs4 < -band:
@@ -420,7 +420,7 @@ def test_product_scan_reaching_the_eigvalsh_fallback_emits_no_warning(monkeypatc
         res = separable_fraction(RunConfig("product", 165, 155))
     assert res.mismatches == 0
     (_, product), = ensemble_chunks("product", 155, 165)
-    pt_164 = _hermitian(_entry_rows(pt_batch(product[[164]]))).transpose(2, 0, 1)
+    pt_164 = _hermitian(_entry_rows(pt_batch(product[[164]])))
     assert len(calls) == 1 and calls[0].tobytes() == pt_164.tobytes()
 
 

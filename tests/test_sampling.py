@@ -10,7 +10,7 @@ import entspace.sampling as sampling
 from entspace import tolerances as tol
 from entspace.chart import TWO_PI, eigenvalues_from_xyz, in_octahedron, xyz_from_eigenvalues
 from entspace.errors import DomainError
-from entspace.linalg4 import SIGMA, _hermitian, dag, herm_eigenvalues
+from entspace.linalg4 import SIGMA, _entry_rows, _hermitian, dag, herm_eigenvalues
 from entspace.sampling import (
     TAG_CHART,
     ensemble_chunks,
@@ -218,13 +218,19 @@ def test_ensemble_chunks_names_a_first_chunk_that_is_not_a_non_negative_integer(
 
 
 def test_chart_chunks_match_per_index_states_across_a_chunk_boundary():
-    from entspace.chart import representative_state
+    from entspace.chart import _chart_rows, representative_state
 
     n = tol.CHUNK + 8
+    rows = np.concatenate([r for _, r in sampling._row_chunks("chart", 41, n)], axis=1)
     seen = np.concatenate([states for _, states in ensemble_chunks("chart", 41, n)])
-    assert seen.shape == (n, 4, 4)
+    assert rows.shape == (16, n) and seen.shape == (n, 4, 4)
     for i in range(n):
-        single = representative_state(sample_chart_point(41, i))
+        point = sample_chart_point(41, i)
+        lone = _chart_rows(point)  # the same body on Python floats
+        assert all(type(v) is float for v in lone)
+        assert np.array(lone).tobytes() == rows[:, i].tobytes()
+        single = representative_state(point)
+        assert np.array(_entry_rows(single)).tobytes() == rows[:, i].tobytes()
         assert seen[i].tobytes() == single.tobytes()
     assert ensemble_state("chart", 41, n - 1).tobytes() == seen[-1].tobytes()
 
@@ -465,14 +471,14 @@ def test_hs_memo_entry_is_replaced_never_changed():
 def test_hs_replays_far_from_zero_match_their_chunk(index):
     _forget_hs_memo()
     chunk, i = divmod(index, tol.CHUNK)
-    want = _hermitian(sampling._hs_chunk(31, chunk, i + 1))[..., i]
+    want = _hermitian(sampling._hs_chunk(31, chunk, i + 1))[i]
     assert sample_hs_state(31, index).tobytes() == want.tobytes()
     assert sampling._hs_memo[0] == (31, chunk)
     # a second index of the same far chunk is a hit on the same block
     entry = sampling._hs_memo
     other = (i + 1) % tol.CHUNK
     assert sample_hs_state(31, chunk * tol.CHUNK + other).tobytes() == \
-        _hermitian(sampling._hs_chunk(31, chunk, other + 1))[..., other].tobytes()
+        _hermitian(sampling._hs_chunk(31, chunk, other + 1))[other].tobytes()
     assert sampling._hs_memo is entry
 
 
@@ -525,14 +531,12 @@ def _reference_chart_draw(u):
     component k negated where bit k of int(8 * the next draw) is set."""
     cuts = sorted(u[0:3])
     r = sorted((b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])), reverse=True)
-    assert r[0] > r[1] > r[2] > r[3] > 0
     angles = []
     for first in (3, 7):
         cuts = sorted(u[first:first + 3])
         signs = int(8 * u[first + 3])
         magnitudes = [TWO_PI * (b - a) for a, b in zip([0.0, *cuts], cuts)]
         angles.append([-m if signs >> k & 1 else m for k, m in enumerate(magnitudes)])
-        assert sum(magnitudes) <= TWO_PI
     return r, *angles
 
 
@@ -554,7 +558,27 @@ def _assert_chart_points_match(points, index, draws):
 def _assert_chart_points_match_reference(points, seed, index):
     draws = [_reference_chart_draw(_reference_units(seed, TAG_CHART, int(i), 12))
              for i in np.reshape(index, -1)]
+    for r, alpha, beta in draws:  # generic, and inside both octahedra
+        assert r[0] > r[1] > r[2] > r[3] > 0
+        assert sum(map(abs, alpha)) <= TWO_PI and sum(map(abs, beta)) <= TWO_PI
     _assert_chart_points_match(points, index, draws)
+
+
+def test_chart_draw_networks_equal_the_plain_python_draw_with_ties():
+    # _chart_from_units sorts each group by min/max networks: np.sort's
+    # values, and so the plain-Python draw's, on a full chunk and on rows
+    # whose groups tie (two or three equal draws, or a draw of 0)
+    u = sampling._unit_rows(5, TAG_CHART, np.arange(tol.CHUNK), 12)
+    tied = u[:64].copy()
+    tied[0::4, 1] = tied[0::4, 0]
+    tied[1::4, 2] = tied[1::4, 0]
+    tied[2::4, 3:6] = tied[2::4, 4:5]
+    tied[3::4, [7, 9]] = 0.0
+    for rows in (u, tied):
+        r, alpha, beta = sampling._chart_from_units(rows)
+        for k, want in enumerate(map(_reference_chart_draw, rows.tolist())):
+            got = (r[k], alpha[k], beta[k])
+            assert all(np.array(w).tobytes() == g.tobytes() for w, g in zip(want, got)), k
 
 
 @pytest.mark.parametrize("seed", [1, 2, 99])

@@ -134,7 +134,7 @@ def test_shared_prefixes_are_bitwise_fresh_draws():
     store = verify._Run(tol.CHUNK + 7, seed, tol.VERDICT_TOL)
     assert store.hs().shape == (tol.CHUNK, 4, 4)
     for m in (1, 300, 2000, tol.CHUNK):
-        fresh = _hermitian(_hs_chunk(seed, 0, m)).transpose(2, 0, 1)
+        fresh = _hermitian(_hs_chunk(seed, 0, m))
         assert store.hs(m).tobytes() == fresh.tobytes()
         f = store.fano(m)
         ref = to_fano(fresh)
