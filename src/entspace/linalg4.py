@@ -1,17 +1,18 @@
-"""Dense complex linear algebra kernels for 2x2 and 4x4 matrices.
+"""Dense linear algebra kernels for 2x2 and 4x4 matrices.
 
 Everything in here is a pure function on numpy arrays.  The eigensolver
-and the matrix exponential are written out explicitly (cyclic complex
-Jacobi, scaling-and-squaring Taylor) so that their numerical behaviour is
-pinned down by this module alone.  The eigensolver and the scan's kernels
-(on a Hermitian 4x4 matrix's 16 entry rows, _entry_rows) take one matrix or
-a whole stack, with elementwise arithmetic only, so a stacked call repeats
-each single call bit for bit.
+and the matrix exponential are written out explicitly (cyclic Jacobi on
+entry rows, scaling-and-squaring Taylor) so that their numerical behaviour
+is pinned down by this module alone.  The eigensolver and the scan's
+kernels work on a Hermitian matrix's entry rows (_entry_rows: its diagonal,
+then the real and the imaginary parts of its lower triangle), one matrix as
+Python floats or a whole stack as stack-last rows, with real elementwise
+arithmetic only, so a stacked call repeats each single call bit for bit.
 """
 
 import math
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,209 +93,203 @@ def hermitize(h):
 
 @cache
 def _pair_tables(d):
-    """The entries above the diagonal of a d x d matrix as one flat index
-    p * d + q into its row-major entries, and as the pairs (p, q), both in
-    cyclic pair order; built once per d."""
-    p, q = np.triu_indices(d, 1)
-    return p * d + q, tuple(zip(p.tolist(), q.tolist()))
+    """The entry rows of a d x d Hermitian matrix and its Jacobi pairs, built once per d.
+
+    A matrix is n = d^2 real rows: its d diagonal entries, the real parts of its lower
+    triangle row by row, then their imaginary parts.  Returns (real, imag, pairs): the
+    row-major flat indices that the real and the imaginary rows read, and each pivot
+    p < q in cyclic order as (p, q, the rows x and y of A[q, p] = x + iy, others): for
+    each i other than p and q, the real and imaginary rows of A[i, p] and of A[i, q]
+    and whether each lies above the diagonal, where its row holds the conjugate's.
+    """
+    lower = [(i, j) for i in range(d) for j in range(i)]
+    row = {e: d + t for t, e in enumerate(lower)}
+
+    def entry(i, j):
+        r = row[max(i, j), min(i, j)]
+        return r, r + len(lower), i < j
+
+    pairs = tuple(
+        (p, q, row[q, p], row[q, p] + len(lower),
+         tuple(entry(i, p) + entry(i, q) for i in range(d) if i not in (p, q)))
+        for p in range(d) for q in range(p + 1, d)
+    )
+    imag = [i * d + j for i, j in lower]
+    return [i * (d + 1) for i in range(d)] + imag, imag, pairs
 
 
-def _lone_squared_sum(z):
-    """sum(z.real ** 2 + z.imag ** 2) for the 1-D z of a lone matrix, on
-    Python floats: every square and sum is the IEEE operation the arrays
-    take, in the same order.  Not sum() itself, which from Python 3.12
-    compensates the rounding of floats."""
+#: The modulus of x + iy, math.sqrt or np.sqrt, copysign and max(1, x) as one
+#: matrix takes them on Python floats and a stack on its (k,) rows.  abs of a
+#: complex is the C hypot that np.hypot calls, both square roots are correctly
+#: rounded and copysign and the maximum are exact, so each pair gives one bit
+#: pattern; a lone matrix so makes no ufunc call per scalar.
+_FLOAT_OPS = (lambda x, y: abs(complex(x, y)), math.sqrt, math.copysign,
+              lambda x: max(x, 1.0))  # x first: NaN stays NaN, as np.maximum keeps it
+_ROW_OPS = (np.hypot, np.sqrt, np.copysign, lambda x: np.maximum(1.0, x))
+
+
+def _off_squares(a, pairs):
+    """The sum of x^2 + y^2 over the pairs' entries A[q, p] = x + iy of the
+    rows ``a``, from +0.0 in cyclic pair order: floats or (k,) rows."""
     total = 0.0
-    for x in z.tolist():
-        total += x.real * x.real + x.imag * x.imag
+    for _, _, x, y, _ in pairs:
+        total = total + (a[x] * a[x] + a[y] * a[y])
     return total
 
 
-class _Pivots(NamedTuple):
-    """The scalar functions a sweep applies to each matrix: the modulus of
-    A[p, q]; the real diagonal entry A[p, p] of a working set, sqrt,
-    copysign and the real-to-complex cast of c in the rotation; the count
-    of a test's true entries; and the sum of squared moduli over the first
-    axis of a complex array, one term at a time."""
-
-    modulus: Callable
-    diagonal: Callable
-    sqrt: Callable
-    copysign: Callable
-    cast: Callable
-    count: Callable
-    squared_sum: Callable
+def _turn(c, ur, ui, a, b, g, h):
+    """The parts of c z - conj(u) z' and u z + c z', z = a + ib and z' = g + ih
+    the entries of columns p and q in one row of A or V, u = ur + i ui: the
+    columns of A J or V J for the rotation J[p, p] = J[q, q] = c, J[p, q] = u,
+    J[q, p] = -conj(u).  Real + - * only, each in its written order."""
+    return (c * a - (ur * g + ui * h), c * b - (ur * h - ui * g),
+            (ur * a - ui * b) + c * g, (ur * b + ui * a) + c * h)
 
 
-#: A lone matrix's pivots are numpy scalars, and its real pivots Python
-#: floats.  Numpy's scalar complex abs is the C hypot that np.hypot calls,
-#: math.sqrt is correctly rounded and math.copysign exact, as np.sqrt and
-#: np.copysign are, and complex(c) is c + 0j, as np.complex128(c) is: the
-#: same bits, each without a ufunc call, and real arithmetic on Python
-#: floats is the IEEE arithmetic of numpy's.  A lone test is one bool.
-_LONE_PIVOTS = _Pivots(
-    lambda z: float(abs(z)),
-    lambda work, p: work.item(p, p).real,
-    math.sqrt,
-    math.copysign,
-    complex,
-    bool,
-    _lone_squared_sum,
-)
-#: A stack's pivots are arrays.  np.abs of a complex array is not np.hypot
-#: bit for bit, so stacks take the modulus from np.hypot.
-_STACK_PIVOTS = _Pivots(
-    lambda z: np.hypot(z.real, z.imag),
-    lambda work, p: work[p, p].real,
-    np.sqrt,
-    np.copysign,
-    np.complex128,
-    np.count_nonzero,
-    lambda z: sum(z.real ** 2 + z.imag ** 2),
-)
+def _rotate(a, v, pair, mag, ops):
+    """Apply the Jacobi rotation of ``pair`` that zeroes A[p, q] to the entry
+    rows ``a`` and the eigenvector columns ``v`` (None without vectors) of one
+    matrix or of a stack; ``mag`` is |A[p, q]| and ``ops`` its _FLOAT_OPS or
+    _ROW_OPS.
 
-
-def _lone(x):
-    """``x`` without its stack axis (the last) when that axis has length 1:
-    a lone matrix's (d, d) or (2d, d) view, or its stop as a scalar."""
-    return x[..., 0] if x.shape[-1] == 1 else x
-
-
-def _sweep_view(work):
-    """The working set as a sweep reads it, and its pivot functions.  A
-    lone matrix is swept on its (d, d) or (2d, d) view with _LONE_PIVOTS,
-    Python's scalar functions on numpy scalars: the same IEEE operations in
-    the same order as on a length-1 stack, without the cost of length-1
-    arrays or of a ufunc call per scalar.  A stack is swept as it is, with
-    _STACK_PIVOTS."""
-    return _lone(work), _LONE_PIVOTS if work.shape[-1] == 1 else _STACK_PIVOTS
-
-
-def _entries(work):
-    """The entries of each matrix of ``work`` (rows, d[, k]) in row-major
-    order: shape (rows * d[, k]), a view."""
-    return work.reshape(work.shape[0] * work.shape[1], *work.shape[2:])
-
-
-def _off_norm(work, flat, pivots):
-    """Off-diagonal Frobenius norm of the Hermitian blocks work[:d, :d], one
-    per stack index (the last axis), or a scalar for a lone matrix's view.
-    ``flat`` indexes the entries above the diagonal among the row-major
-    entries of work, in cyclic pair order, in one gather; they are summed
-    in that order, so each norm depends on its own matrix only."""
-    return pivots.sqrt(2.0 * pivots.squared_sum(_entries(work)[flat]))
-
-
-def _rotate(work, p, q, apq, mag, pivots):
-    """Apply the Jacobi rotation zeroing A[p, q] to every matrix of ``work``.
-
-    ``work`` holds A, or A over V, with the stack axis last: shape (d, d, k)
-    or (2d, d, k), so work[:, p] is column p of every matrix and each entry
-    is a contiguous run over the stack; a lone matrix's (d, d) or (2d, d)
-    view takes the same steps on scalar pivots.  ``apq`` is A[p, q], ``mag``
-    its modulus and ``pivots`` the scalar functions for the shape
-    (_LONE_PIVOTS or _STACK_PIVOTS), which give the same bits.  The
-    rotation J = D R D^dag (R real, D a phase on q) updates columns p and q
-    of A (and V); rows p and q of the Hermitian A follow by conjugation,
-    and the 2x2 pivot block is set to its diagonalized form.
+    ``a`` is a list of one matrix's floats or of a stack's (k,) rows, and
+    v[col] = [Re, Im] a list of the column's d floats or its (d, k) parts.
+    The same IEEE operations run in the same order on either, and every
+    entry that changes is replaced, never written into.  The pivots become
+    their diagonalized pair, A[q, p] is zeroed, A[i, p] and A[i, q] turn for
+    every other i (the rows above the diagonal, A[i, p] = conj(A[p, i]), by
+    a sign), and V's columns p and q turn whole.
     """
-    d = work.shape[1]
-    app = pivots.diagonal(work, p)
-    aqq = pivots.diagonal(work, q)
+    p, q, x, y, others = pair
+    sqrt, copysign = ops[1:3]
+    app, aqq = a[p], a[q]
     tau = (aqq - app) / (2.0 * mag)
     # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), and t = 1 at tau = 0: adding
     # 0.0 turns tau = -0 (from aqq = -0, app = +0) into +0 for copysign
-    t = pivots.copysign(1.0 / (abs(tau) + pivots.sqrt(1.0 + tau * tau)), tau + 0.0)
+    t = copysign(1.0 / (abs(tau) + sqrt(1.0 + tau * tau)), tau + 0.0)
     tm = t * mag
-    new_pp = app - tm
-    new_qq = aqq + tm
-    c = 1.0 / pivots.sqrt(1.0 + t * t)
-    cs = t * c * (apq / mag)  # s e^{i phi} with s = t c
-    c = pivots.cast(c)  # once: the cast each real-by-complex product would make
-    col_p = work[:, p]
-    col_q = work[:, q]
-    new_p = c * col_p - np.conj(cs) * col_q
-    new_q = cs * col_p + c * col_q
-    work[:, p] = new_p
-    work[:, q] = new_q
-    np.conjugate(new_p[:d], out=work[p])
-    np.conjugate(new_q[:d], out=work[q])
-    work[p, p] = new_pp
-    work[q, q] = new_qq
-    work[p, q] = 0.0
-    work[q, p] = 0.0
+    a[p], a[q] = app - tm, aqq + tm
+    c = 1.0 / sqrt(1.0 + t * t)
+    s = t * c
+    # u = s A[p, q] / |A[p, q]|, with A[p, q] = x - iy
+    ur, ui = s * (a[x] / mag), -(s * (a[y] / mag))
+    a[x] = a[y] = 0.0 * mag  # +0.0, a row on a stack
+    for rp, ip, above_p, rq, iq, above_q in others:
+        zp, zq = a[ip], a[iq]
+        re_p, im_p, re_q, im_q = _turn(c, ur, ui, a[rp], -zp if above_p else zp,
+                                       a[rq], -zq if above_q else zq)
+        a[rp], a[ip] = re_p, -im_p if above_p else im_p
+        a[rq], a[iq] = re_q, -im_q if above_q else im_q
+    if v is not None:
+        vp, vq = v[p], v[q]
+        if isinstance(c, float):
+            for r in range(len(vp[0])):
+                vp[0][r], vp[1][r], vq[0][r], vq[1][r] = _turn(
+                    c, ur, ui, vp[0][r], vp[1][r], vq[0][r], vq[1][r])
+        else:
+            vp[0], vp[1], vq[0], vq[1] = _turn(c, ur, ui, *vp, *vq)
 
 
-def _jacobi(h, vectors):
-    """The cyclic Jacobi body of herm_eigensystem: (w, v) with v None unless
-    ``vectors``.  Without vectors the working set holds A alone; A's
-    rotations never read V, so w is the same to the bit either way."""
-    a = hermitize(h)
-    lead, d = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, d, d)
-    k = a.shape[0]
-    flat, pairs = _pair_tables(d)
-    work = np.empty((2 * d if vectors else d, d, k), dtype=complex)
-    work[:d] = a.transpose(1, 2, 0)
+def _row_jacobi(rows, lead, vectors):
+    """The cyclic Jacobi body of herm_eigensystem on entry rows, which it
+    leaves as they are: one matrix's n floats, or the (n, k) rows of a stack
+    of leading shape ``lead``.  Returns (w, v), v None unless ``vectors``;
+    A's rotations never read V, so w is the same to the bit either way.  A
+    stack is swept on its rows with _ROW_OPS while more than one matrix is
+    left, and a lone matrix on Python floats with _FLOAT_OPS."""
+    lone = isinstance(rows, list)
+    n, k = (len(rows), 1) if lone else rows.shape
+    d = math.isqrt(n)
+    pairs = _pair_tables(d)[2]
+    a, v, w, vs = list(rows), None, np.empty((k, d)), None
     if vectors:
-        work[d:] = _real_eye(d)[:, :, None]
-    sweep, pivots = _sweep_view(work)
-    # entry by entry, row-major
+        eye = np.zeros((d, 2, d, k))
+        eye[range(d), 0, range(d)] = 1.0
+        v = eye[..., 0].tolist() if lone else [list(col) for col in eye]
+        vs = np.empty((k, d, d), dtype=complex)
+    ops = _FLOAT_OPS if lone else _ROW_OPS
     with np.errstate(over="ignore"):
-        fro2 = pivots.squared_sum(_entries(sweep)[: d * d])
-    stop = (tol.JACOBI_OFF_TOL * np.maximum(1.0, pivots.sqrt(fro2))).reshape(k)
+        fro2 = 0.0
+        for j in range(d):
+            fro2 = fro2 + a[j] * a[j]
+        stop = tol.JACOBI_OFF_TOL * ops[3](ops[1](fro2 + 2.0 * _off_squares(a, pairs)))
     # an infinite stop would end the sweeps before any rotation
     require(np.isfinite(stop), lead,
             lambda i, at: f"matrix{at} has a Frobenius norm that overflows")
     active = np.arange(k)
-    w = np.empty((k, d))
-    v = np.empty((k, d, d), dtype=complex) if vectors else None
-    diag = np.arange(d)
-    limit = _lone(stop)
     for _ in range(tol.JACOBI_MAX_SWEEPS):
-        done = _off_norm(sweep, flat, pivots) <= limit
-        finished = pivots.count(done)
-        if finished == active.size:
-            w[active] = work[diag, diag].real.T
+        if not lone and active.size == 1:
+            a, stop, lone, ops = np.array(a)[:, 0].tolist(), float(stop[0]), True, _FLOAT_OPS
+            v = np.array(v)[..., 0].tolist() if vectors else None
+        done = ops[1](2.0 * _off_squares(a, pairs)) <= stop
+        finished = np.count_nonzero(done)
+        if finished:  # the (d, j) diagonals and (d, 2, d, j) columns of the retired
+            diagonal = np.array(a[:d]).reshape(d, -1)
+            columns = np.array(v).reshape(d, 2, d, -1) if vectors else None
+            if finished < active.size:
+                diagonal, columns = diagonal[:, done], columns[..., done] if vectors else None
+            w[active[done]] = diagonal.T
             if vectors:
-                v[active] = work[d:].transpose(2, 0, 1)
+                vs.real[active[done]], vs.imag[active[done]] = columns.transpose(1, 3, 2, 0)
+        if finished == active.size:
             break
         if finished:
-            retired = work[..., done]
-            w[active[done]] = retired[diag, diag].real.T
-            if vectors:
-                v[active[done]] = retired[d:].transpose(2, 0, 1)
             keep = ~done
-            work, active, stop = work[..., keep], active[keep], stop[keep]
-            sweep, pivots = _sweep_view(work)
-            limit = _lone(stop)
-        left, skip = active.size, limit / (d * d)
-        for p, q in pairs:
-            apq = sweep[p, q]
-            mag = pivots.modulus(apq)
+            a, active, stop = [r[keep] for r in a], active[keep], stop[keep]
+            v = [[part[:, keep] for part in col] for col in v] if vectors else None
+        skip = stop / (d * d)
+        for pair in pairs:
+            mag = ops[0](a[pair[2]], a[pair[3]])
+            if lone:
+                if mag > skip:
+                    _rotate(a, v, pair, mag, ops)
+                continue
             rotate = mag > skip
-            rotated = pivots.count(rotate)
-            if rotated == left:
-                _rotate(sweep, p, q, apq, mag, pivots)
+            rotated = np.count_nonzero(rotate)
+            if rotated == active.size:
+                _rotate(a, v, pair, mag, ops)
             elif rotated:
-                sub = work[..., rotate]
-                _rotate(sub, p, q, apq[rotate], mag[rotate], pivots)
-                work[..., rotate] = sub
+                # all turn, with |A[p, q]| floored at the skip so that none overflows,
+                # and those that skip get back every entry it replaced
+                saved = [(a, list(a))] + [(col, list(col)) for col in v or ()]
+                _rotate(a, v, pair, np.maximum(mag, skip), ops)
+                for new, old in saved:
+                    for r, entry in enumerate(old):
+                        if new[r] is not entry:
+                            new[r] = np.where(rotate, new[r], entry)
     else:
+        off = ops[1](2.0 * _off_squares(a, pairs))
         raise NumericalError(
             f"Jacobi sweep cap ({tol.JACOBI_MAX_SWEEPS}) reached"
             f"{stack_position(lead, active[0])}, off-diagonal norm "
-            f"{_off_norm(work[..., :1], flat, _STACK_PIVOTS)[0]:.3e} > {stop[0]:.3e}"
+            f"{off if lone else off[0]:.3e} > {stop if lone else stop[0]:.3e}"
         )
     if vectors:
         order = np.argsort(-w, axis=1, kind="stable")
         # plain indexing: np.take_along_axis costs more per call
-        rows = np.arange(k)[:, None, None]
-        v = v[rows, diag[:, None], order[:, None, :]].reshape(*lead, d, d)
+        diag = np.arange(d)
+        vs = vs[np.arange(k)[:, None, None], diag[:, None], order[:, None, :]].reshape(*lead, d, d)
     # w in that order to the bit: both sorts are stable, so tied values stay
     # in place, and negation is exact
     w = -np.sort(-w, axis=1, kind="stable")
-    return w.reshape(*lead, d), v
+    return w.reshape(*lead, d), vs
+
+
+def _jacobi(h, vectors):
+    """_row_jacobi of the entry rows of hermitize(h)."""
+    a = hermitize(h)
+    lead, d = a.shape[:-2], a.shape[-1]
+    return _row_jacobi(_entry_rows(a.reshape(-1, d, d) if lead else a), lead, vectors)
+
+
+def _row_spectra(rows):
+    """herm_eigenvalues(_hermitian(rows)) to the bit, taken on the (16, k)
+    entry rows ``rows`` themselves, which it leaves as they are: the rows of an
+    exactly Hermitian matrix are those of its hermitize mean, and the same
+    DomainError names the first matrix with a non-finite entry."""
+    require(np.isfinite(rows).all(axis=0), rows.shape[1:],
+            lambda i, at: f"matrix{at} has a non-finite entry")
+    return _row_jacobi(rows, rows.shape[1:], False)[0]
 
 
 def herm_eigensystem(h):
@@ -302,19 +297,19 @@ def herm_eigensystem(h):
 
     One kernel for one matrix and for a stack: every value is computed by
     elementwise operations, so ``herm_eigensystem(hs)[k][i]`` is bit for
-    bit ``herm_eigensystem(hs[i])[k]``.  Each matrix sweeps the pairs
-    (p, q) in cyclic order until its off-diagonal norm is at most
-    JACOBI_OFF_TOL * max(1, |H|_F); a rotation is skipped while |H[p, q]|
-    is at most that stop over d^2, and a matrix drops out of the stack at
-    the start of the first sweep it no longer needs.  A sweep that starts
-    with one matrix left rotates that matrix's (d, d) view, (2d, d) with V,
-    on numpy-scalar pivots with Python's scalar functions: numpy's scalar
-    complex abs (the C hypot of np.hypot), math.sqrt and math.copysign
-    (correctly rounded and exact, as np.sqrt and np.copysign are) and
-    complex(c) (c + 0j, the cast of np.complex128), with its real pivots
-    and sums of squares as Python floats.  They are the same steps on a
-    different shape, without a ufunc call per scalar.  The pair tables are
-    built once per d.
+    bit ``herm_eigensystem(hs[i])[k]``.  The matrices of hermitize(h) are
+    taken as entry rows (_pair_tables: the diagonal, then the real and the
+    imaginary parts of the lower triangle), and each rotation is written
+    out in real + - * / with sqrt, hypot and copysign, in a fixed order,
+    on those rows (_rotate): no complex arithmetic, whose multiply numpy
+    may fuse on some CPUs.  Each matrix sweeps the pairs (p, q) in cyclic
+    order until its off-diagonal norm is at most JACOBI_OFF_TOL *
+    max(1, |H|_F); a rotation is skipped while |H[p, q]| is at most that
+    stop over d^2, and a matrix drops out of the stack at the start of the
+    first sweep it no longer needs.  A stack is swept on (k,) rows, one
+    matrix (a lone call, or the last of a stack) on Python floats: the same
+    steps on a different shape, without a ufunc call per scalar.  The
+    eigenvectors' columns turn as their real and imaginary (d, k) parts.
 
     Parameters
     ----------
@@ -479,14 +474,6 @@ def pauli_tables(generators):
 _EXP_CHUNK = 1024
 
 
-@cache
-def _real_eye(n):
-    """The real n x n identity, read-only; built once per n."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def exp_commuting_paulis(angles, tables):
     """The half-angle rotation product I F_1 ... F_k of k real Pauli words,
     F = cos(t/2) I - i sin(t/2) P for each word P and its angle t, taken
@@ -571,18 +558,20 @@ def _two_qubit(x):
 #: Flat indices, into the row-major entries of a 4x4 matrix, of the diagonal
 #: and the entries below it (whose real parts entry rows 0..9 hold), and of
 #: the entries below the diagonal and their mirror images above it.
-_REAL_ROWS = [0, 5, 10, 15, 4, 8, 9, 12, 13, 14]
+_REAL_ROWS = _pair_tables(4)[0]  # [0, 5, 10, 15, 4, 8, 9, 12, 13, 14]
 _BELOW, _ABOVE = np.array(_REAL_ROWS[4:]), np.array([1, 2, 6, 3, 7, 11])
 
 
 def _entry_rows(h):
-    """The real parts of _REAL_ROWS, then the imaginary parts of _BELOW (the diagonal and
-    lower triangle eigvalsh reads), of a 4x4 matrix as 16 floats or of a stack as (16, k)."""
+    """The real parts of the diagonal and the lower triangle, then the imaginary parts of the
+    lower triangle (_pair_tables), of a d x d matrix as floats or of a stack as (d^2, k) rows."""
+    d = h.shape[-1]
+    real, imag, _ = _pair_tables(d)
     if h.ndim == 2:
         z = h.ravel().tolist()
-        return [z[i].real for i in _REAL_ROWS] + [z[i].imag for i in _REAL_ROWS[4:]]
-    e = h.reshape(-1, 16).T
-    return np.concatenate((e.real[_REAL_ROWS], e.imag[_BELOW]))
+        return [z[i].real for i in real] + [z[i].imag for i in imag]
+    e = h.reshape(-1, d * d).T
+    return np.concatenate((e.real[real], e.imag[imag]))
 
 
 def _hermitian(rows):
@@ -624,6 +613,14 @@ def partial_transpose(rho):
 #: partial_transpose on entry rows, read off rows 1..16: rows[_PT_ROWS], then _PT_FLIPS negated
 _PT_ROWS = np.array(_entry_rows(partial_transpose(_hermitian(np.arange(1.0, 17.0)))))
 _PT_ROWS, _PT_FLIPS = np.abs(_PT_ROWS).astype(int) - 1, np.flatnonzero(_PT_ROWS < 0)
+
+
+def _pt_rows(rows):
+    """The (16, k) entry rows of the partial transposes of the matrices of ``rows``, new:
+    one gather and one negation, the bytes of _entry_rows(partial_transpose(_hermitian(rows)))."""
+    pts = rows[_PT_ROWS]
+    pts[_PT_FLIPS] *= -1.0
+    return pts
 
 
 def partial_trace(rho):

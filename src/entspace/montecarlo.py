@@ -8,8 +8,10 @@ yields to the scan and to verify's PPT check, and tally_routes alone
 compares them sample by sample.  The oracle's decision is eigvalsh's,
 certified by LDL^H inertia where it is decided by >= delta:
 min_eig_certificates settles almost every state, and LAPACK's eigvalsh
-runs only on the states its certificates leave silent.  Sample records,
-which print the smallest PT eigenvalue, take it from eigvalsh.
+runs only on the states its certificates leave silent.  Sample records
+read the same entry rows: S2-S4 from rho^TB's rows, the spectrum from the
+Jacobi on the state's rows, and the smallest PT eigenvalue they print
+from eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,10 @@ import numpy as np
 
 from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
+# char_poly_batch and ensemble_chunks are read by no code here: the benchmark's tracer hooks them
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues, min_eig_certificates
 from .linalg4 import partial_transpose as pt_batch
-from .linalg4 import _PT_FLIPS, _PT_ROWS, _hermitian, _s_coeffs
+from .linalg4 import _hermitian, _pt_rows, _row_spectra, _s_coeffs
 from . import sampling
 from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
@@ -119,8 +122,7 @@ def _pt_chunks(ensemble, seed, n, first=0):
     """Yield (the (16, m) entry rows of rho^TB, (S2, S3, S4)) per chunk of samples 0..n-1 of
     ``ensemble`` from chunk ``first`` on, each chunk drawn as rows by sampling._row_chunks."""
     for _, r in sampling._row_chunks(ensemble, seed, n, first):
-        pts = r[_PT_ROWS]
-        pts[_PT_FLIPS] *= -1.0
+        pts = _pt_rows(r)
         yield pts, _s_coeffs(pts)
 
 
@@ -193,26 +195,25 @@ class SampleRecord(NamedTuple):
 def sample_records(config):
     """Yield a SampleRecord per scanned state, in stream order.
 
-    Each chunk is analysed by stacked calls: the verdict and left-hand
-    sides come from the Newton coefficients of the partial transpose (the
-    values a fresh analyze() call on the replayed state gives), the minimal
-    PT eigenvalue from the oracle route, and the spectrum from the package
-    eigensolver, equal to the one a replay of the single state gets.  The
+    Each chunk is drawn as entry rows, as the scan draws it, and analysed by
+    stacked calls on them: the verdict and left-hand sides come from the
+    Newton coefficients of the partial transpose's rows (the values a fresh
+    analyze() call on the replayed state gives), the minimal PT eigenvalue
+    from eigvalsh, and the spectrum from the package eigensolver on the
+    state's rows, equal to the one a replay of the single state gets.  The
     chunk is converted to Python floats and strings once (``tolist``), so
     a record holds plain Python values.
     """
-    for start, states in ensemble_chunks(
-        config.ensemble, config.seed, config.samples
-    ):
-        pts = pt_batch(states)
-        _, s3, s4 = char_poly_batch(pts)
-        min_eig = np.linalg.eigvalsh(pts)[:, 0]
-        spectra = herm_eigenvalues(states)
+    for start, rows in sampling._row_chunks(config.ensemble, config.seed, config.samples):
+        spectra = _row_spectra(rows)  # first: it names a matrix with a non-finite entry
+        pts = _pt_rows(rows)
+        _, s3, s4 = _s_coeffs(pts)
+        min_eig = np.linalg.eigvalsh(_hermitian(pts))[:, 0]
         verdicts = verdict_from_coeffs(s3, s4, config.band)
-        rows = zip(
+        fields = zip(
             verdicts.tolist(), s3.tolist(), s4.tolist(), min_eig.tolist(), spectra.tolist()
         )
-        for index, (verdict, lhs3, lhs4, min_pt_eig, spectrum) in enumerate(rows, start):
+        for index, (verdict, lhs3, lhs4, min_pt_eig, spectrum) in enumerate(fields, start):
             yield SampleRecord(index, verdict, lhs3, lhs4, min_pt_eig, tuple(spectrum))
 
 

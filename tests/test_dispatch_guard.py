@@ -6,7 +6,13 @@ some loops round differently from one target to another.  Hashing 2^20
 values with numpy's AVX-512 loops on and then off, np.cbrt, np.exp, np.log
 and np.power (``x ** 3`` and ``x ** 4`` on an array among them) moved, and
 the ufuncs of STABLE kept their bits.  So every ``np.<name>`` under
-``src/entspace`` that is a ufunc must be one of STABLE.  np.matmul is a
+``src/entspace`` that is a ufunc must be one of STABLE.  np.multiply (and
+``*``) keeps its bits on real arrays only: numpy's X86_V3 loops fuse a
+complex product, and with them on 43,842 of 100,000 random complex
+products differed from the unfused real formula, none with them off.
+This guard does not see the dtype, so the Jacobi and the entry-row
+kernels take real parts, and the complex products left (tensor_product
+among them) are named in the CI step that disables those loops.  np.matmul is a
 BLAS call: it moves with the BLAS kernel, not with numpy's dispatch, and
 is not judged here.
 

@@ -13,13 +13,15 @@ from hypothesis.extra.numpy import arrays
 from entspace import tolerances as tol
 from entspace.errors import DomainError, NumericalError
 from entspace.linalg4 import (
-    _LONE_PIVOTS,
-    _STACK_PIVOTS,
+    _FLOAT_OPS,
     _PT_FLIPS,
     _PT_ROWS,
+    _ROW_OPS,
     _entry_rows,
     _exp_parts,
     _hermitian,
+    _off_squares,
+    _pair_tables,
     I2,
     I4,
     SIGMA_X,
@@ -303,38 +305,36 @@ def _bits(x):
 
 
 def test_lone_pivot_functions_give_the_stack_bits_contract():
-    # A lone matrix's pivots are numpy scalars and take Python's scalar
-    # functions; a stack's are arrays and take ufuncs.  Numpy's scalar
-    # complex abs is the C hypot of np.hypot, math.sqrt and np.sqrt are both
-    # correctly rounded, math.copysign and np.copysign exact.  Stacks keep
+    # A lone matrix's entry rows are Python floats and take Python's scalar
+    # functions (_FLOAT_OPS); a stack's are arrays and take ufuncs (_ROW_OPS).
+    # abs of a complex is the C hypot of np.hypot, math.sqrt and np.sqrt are
+    # both correctly rounded, copysign and the maximum exact.  Stacks keep
     # np.hypot: with numpy 2.4 on x86-64, np.abs of a complex array differed
     # from np.hypot in about 35 % of 20000 draws at every scale from 1e-300
     # to 1e300, and math.hypot in about 0.6 %, where the scalar abs matched
     # every one.
-    lone, stack = _LONE_PIVOTS, _STACK_PIVOTS
+    lone, stack = _FLOAT_OPS, _ROW_OPS
     re, im = (x.reshape(-1) for x in np.meshgrid(_SIGNED_EDGES, _SIGNED_EDGES))
-    z = re + 1j * im  # every pair, equal real and imaginary parts among them
-    scalar = [lone.modulus(np.complex128(v)) for v in z]
-    assert np.array_equal(_bits(scalar), _bits(stack.modulus(z)))
+    # every pair, equal real and imaginary parts among them
+    scalar = [lone[0](x, y) for x, y in zip(re.tolist(), im.tolist())]
+    assert scalar == [abs(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())]
+    assert np.array_equal(_bits(scalar), _bits(stack[0](re, im)))
     assert np.array_equal(_bits(scalar), _bits(np.hypot(re, im)))
     roots = np.concatenate([[-0.0, np.inf], _PIVOT_EDGES, 1.0 + _PIVOT_EDGES])
-    assert np.array_equal(_bits([lone.sqrt(x) for x in roots.tolist()]), _bits(np.sqrt(roots)))
-    signs = [lone.copysign(x, y) for x, y in zip(re.tolist(), im.tolist())]
-    assert np.array_equal(_bits(signs), _bits(stack.copysign(re, im)))
-    square = np.diag(z[::1000])
-    diagonal = [lone.diagonal(square, p) for p in range(len(square))]
-    stacked = [stack.diagonal(square[..., None], p) for p in range(len(square))]
-    assert np.array_equal(_bits(diagonal), _bits(stacked))
+    assert np.array_equal(_bits([lone[1](x) for x in roots.tolist()]), _bits(np.sqrt(roots)))
+    assert np.array_equal(_bits([lone[1](x) for x in roots.tolist()]), _bits(stack[1](roots)))
+    signs = [lone[2](x, y) for x, y in zip(re.tolist(), im.tolist())]
+    assert np.array_equal(_bits(signs), _bits(stack[2](re, im)))
+    assert np.array_equal(_bits(signs), _bits(np.copysign(re, im)))
+    floors = np.concatenate([[np.inf, np.nan, 1.0], _SIGNED_EDGES, 1.0 + _PIVOT_EDGES])
+    assert np.array_equal(_bits([lone[3](x) for x in floors.tolist()]), _bits(stack[3](floors)))
     with np.errstate(over="ignore"):
-        # c meets a complex column as c + 0j either way
-        column = z[::97]
-        for c in _SIGNED_EDGES.tolist():
-            assert np.array_equal(_bits(lone.cast(c) * column), _bits(stack.cast(c) * column))
-        # sum(|z|^2), one term at a time: Python floats against arrays
-        draws = philox_stream(26, 60).standard_normal((20, 32)).view(complex)
-        for entries in (*draws, z[:16], z[-16:], z[5000:5032], np.full(16, 1e200 + 1e200j)):
+        # sum(|A[q, p]|^2) over the pairs, one term at a time: floats against rows
+        pairs = _pair_tables(4)[2]
+        draws = philox_stream(26, 60).standard_normal((20, 16))
+        for rows in (*draws, re[:16], im[-16:], re[5000:5016], np.full(16, 1e200)):
             assert np.array_equal(
-                _bits(lone.squared_sum(entries)), _bits(stack.squared_sum(entries[:, None]))
+                _bits(_off_squares(rows.tolist(), pairs)), _bits(_off_squares(rows[:, None], pairs))
             )
 
 
@@ -364,7 +364,7 @@ def _frozen_eigensolver_stacks():
 #: _frozen_eigensolver_stacks() in turn.  Every matrix is also one lone call,
 #: so this pins the one-matrix path to the stacked one; a change of the
 #: solver's bits has to change this value on purpose.
-FROZEN_EIGENSOLVER_DIGEST = "979c621265e506bcb686b1e71d26416258e15456e96590fbe9525f2b10139543"
+FROZEN_EIGENSOLVER_DIGEST = "c405d42a4d61f530231e24c96260c3760073d502fc3ec623e9a140f6a1d8a65b"
 
 
 def test_eigensolver_digest_contract(monkeypatch):
@@ -377,8 +377,8 @@ def test_eigensolver_digest_contract(monkeypatch):
         ws, vs = herm_eigensystem(stack)
         stacked.update(ws.tobytes() + vs.tobytes())
         values_only.update(herm_eigenvalues(stack).tobytes() + vs.tobytes())
-    # lone matrices rotate on numpy scalars with Python's scalar functions
-    # (_LONE_PIVOTS), stacks on ufunc loops (_STACK_PIVOTS)
+    # lone matrices rotate on Python floats with Python's scalar functions
+    # (_FLOAT_OPS), stacks on (k,) rows with ufuncs (_ROW_OPS)
     assert per_index.hexdigest() == stacked.hexdigest() == values_only.hexdigest(), (
         "scalar and ufunc paths of the Jacobi body diverged"
     )

@@ -32,7 +32,14 @@ from entspace.montecarlo import (
     verdict_from_coeffs,
     verdict_masks,
 )
-from entspace.sampling import ensemble_chunks, ensemble_state, philox_stream, sample_hs_state
+from entspace import sampling
+from entspace.sampling import (
+    ENSEMBLES,
+    ensemble_chunks,
+    ensemble_state,
+    philox_stream,
+    sample_hs_state,
+)
 from entspace.separability import (
     BELL_PHI_PLUS,
     BOUNDARY,
@@ -452,7 +459,8 @@ def test_sample_records_spectrum_is_descending_state_spectrum():
 
 @pytest.mark.parametrize(
     "ensemble, samples, indices",
-    [("hs", 4100, (0, 1, 2047, 4095, 4096, 4099)), ("product", 20, (0, 19)), ("chart", 12, (0, 11))],
+    [("hs", 4100, (0, 1, 2047, 4095, 4096, 4099)), ("product", 4100, (0, 19, 4095, 4096)),
+     ("chart", 4100, (0, 11, 4095, 4096))],
 )
 def test_sample_records_spectra_replay_exactly(ensemble, samples, indices):
     # the stacked per-chunk spectrum is the one a single-state replay gets
@@ -462,6 +470,32 @@ def test_sample_records_spectra_replay_exactly(ensemble, samples, indices):
         replay = herm_eigenvalues(ensemble_state(ensemble, 60, i))
         assert records[i].spectrum == tuple(replay)
         assert reanalyze_record(config, records[i]).spectrum == records[i].spectrum
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_sample_records_spectra_are_the_eigensolver_on_the_chunk_rows(ensemble):
+    # the records' spectra, taken on the entry rows, are the public
+    # eigensolver's on the rows' matrices, chunk by chunk
+    config = RunConfig(ensemble=ensemble, samples=tol.CHUNK + 100, seed=62)
+    spectra = np.array([r.spectrum for r in sample_records(config)])
+    chunks = list(sampling._row_chunks(ensemble, 62, config.samples))
+    assert [start for start, _ in chunks] == [0, tol.CHUNK]
+    for start, rows in chunks:
+        expected = herm_eigenvalues(_hermitian(rows))
+        assert spectra[start:start + rows.shape[1]].tobytes() == expected.tobytes()
+
+
+def test_sample_records_name_a_non_finite_row_as_the_eigensolver_does(monkeypatch):
+    (_, rows), = sampling._row_chunks("hs", 63, 6)
+    rows[5, 3] = np.nan
+    monkeypatch.setattr(sampling, "_row_chunks", lambda *args: iter([(0, rows)]))
+    with pytest.raises(DomainError) as streamed:
+        next(sample_records(RunConfig("hs", 6, 63)))
+    with pytest.raises(DomainError) as public:
+        herm_eigenvalues(_hermitian(rows))
+    assert str(streamed.value) == str(public.value) == (
+        "matrix at stack index 3 has a non-finite entry"
+    )
 
 
 @pytest.mark.parametrize("ensemble", ["hs", "chart"])
