@@ -226,11 +226,12 @@ def _row_jacobi(rows, lead, vectors):
         if finished:  # the (d, j) diagonals and (d, 2, d, j) columns of the retired
             diagonal = np.array(a[:d]).reshape(d, -1)
             columns = np.array(v).reshape(d, 2, d, -1) if vectors else None
+            retired = active if lone else active[done]
             if finished < active.size:
                 diagonal, columns = diagonal[:, done], columns[..., done] if vectors else None
-            w[active[done]] = diagonal.T
+            w[retired] = diagonal.T
             if vectors:
-                vs.real[active[done]], vs.imag[active[done]] = columns.transpose(1, 3, 2, 0)
+                vs.real[retired], vs.imag[retired] = columns.transpose(1, 3, 2, 0)
         if finished == active.size:
             break
         if finished:
