@@ -617,8 +617,9 @@ _PT_ROWS, _PT_FLIPS = np.abs(_PT_ROWS).astype(int) - 1, np.flatnonzero(_PT_ROWS 
 
 
 def _pt_rows(rows):
-    """The (16, k) entry rows of the partial transposes of the matrices of ``rows``, new:
-    one gather and one negation, the bytes of _entry_rows(partial_transpose(_hermitian(rows)))."""
+    """The (16, k) entry rows of the partial transposes of the matrices of ``rows`` (or the
+    (16,) rows of one), new: one gather and one negation, the bytes of
+    _entry_rows(partial_transpose(_hermitian(rows)))."""
     pts = rows[_PT_ROWS]
     pts[_PT_FLIPS] *= -1.0
     return pts
@@ -682,6 +683,57 @@ def char_poly_coeffs(h):
         return tuple(np.float64(s) for s in _s_coeffs(_entry_rows(h)))
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(s.reshape(h.shape[:-2]) for s in _s_coeffs(_entry_rows(h)))
+
+
+def _pt_newton(t, s2, s3, s4):
+    """(x, whether |lambda_min - x| is within PT_NEWTON_BOUND) after Newton's
+    steps from -1/2 on p(x) = x^4 - t x^3 + S2 x^2 - S3 x + S4, on floats or
+    (k,) rows by the same IEEE + - * / in the same order.  On floats a step
+    that leaves x as it was ends the loop, since every later one would too;
+    a zero p'(x) raises ZeroDivisionError there, and on rows leaves x
+    infinite or NaN, whose bound fails."""
+    x, last, t3, s2_2 = -0.5, None, 3.0 * t, 2.0 * s2
+    for step in range(tol.PT_NEWTON_STEPS + 1):
+        p = (((x - t) * x + s2) * x - s3) * x + s4
+        dp = ((4.0 * x - t3) * x + s2_2) * x - s3
+        if step == tol.PT_NEWTON_STEPS or isinstance(x, float) and x == last:
+            break
+        last, x = x, x - p / dp
+    e = tol.PT_COEFF_ERROR
+    return x, 4.0 * (abs(p) + e) <= tol.PT_NEWTON_BOUND * (abs(dp) - e)
+
+
+def pt_min_eigenvalue(pts, s2, s3, s4):
+    """The smallest eigenvalue of each partial transpose rho^TB of a two-qubit
+    state, from its (16, k) entry rows ``pts`` and its (S2, S3, S4) by
+    _s_coeffs, (k,) rows; or of one, its 16 rows as Python floats and its
+    coefficients as floats, which gives the stacked row's bits.
+
+    rho^TB has at most one negative eigenvalue, and all of them lie in
+    [-1/2, 1] (Sanpera, Tarrach & Vidal 1998; Rana 2013), so Newton's method
+    from -1/2 on p(x) = det(x I - rho^TB), with t = tr rho^TB summed from
+    the diagonal rows, rises to lambda_min, in + - * / only.  After
+    PT_NEWTON_STEPS steps some eigenvalue lies within 4 |p(x)| / |p'(x)| of x
+    (p'/p = sum_i 1 / (x - l_i)), and it is lambda_min, which x approaches
+    from below.  With PT_COEFF_ERROR bounding the rounding of p(x) and of
+    p'(x) (tolerances), x is kept where 4 (|p(x)| + e) <= PT_NEWTON_BOUND
+    (|p'(x)| - e).  The rest, near-double roots where Newton slows and p'
+    vanishes, and a zero p'(x) met on the way, take the package Jacobi on
+    their own rows (_row_jacobi).  No case emits a RuntimeWarning.
+    """
+    t = ((pts[0] + pts[1]) + pts[2]) + pts[3]
+    if isinstance(pts, list):
+        try:
+            x, bounded = _pt_newton(t, float(s2), float(s3), float(s4))
+        except ZeroDivisionError:
+            bounded = False
+        return x if bounded else float(_row_jacobi(pts, (), False)[0][-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, bounded = _pt_newton(t, s2, s3, s4)
+    late = ~bounded
+    if late.any():
+        x[late] = _row_spectra(pts[:, late])[:, -1]
+    return x
 
 
 #: Matrices per block of min_eig_certificates: its (4, 4, 1024) complex

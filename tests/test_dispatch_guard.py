@@ -111,10 +111,6 @@ def test_every_ufunc_and_power_keeps_its_bits_under_any_dispatch():
 LAPACK_SITES = {
     "montecarlo.pt_oracle_masks": (
         {"eigvalsh"}, "decision-only: its masks are printed only as counts"),
-    "montecarlo.sample_records": (
-        {"eigvalsh"}, "printed, open: the min_pt_eig column of sample"),
-    "montecarlo.reanalyze_record": (
-        {"eigvalsh"}, "printed, open: a replayed record's min_pt_eig"),
     "separability._fit_system": (
         {"pinv", "cond"}, "printed, open: the fit's pseudo-inverse and its condition"),
     "linalg4.unitarity_defect": (

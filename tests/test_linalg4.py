@@ -22,6 +22,9 @@ from entspace.linalg4 import (
     _hermitian,
     _off_squares,
     _pair_tables,
+    _pt_newton,
+    _pt_rows,
+    _s_coeffs,
     I2,
     I4,
     SIGMA_X,
@@ -38,14 +41,18 @@ from entspace.linalg4 import (
     partial_trace,
     partial_transpose,
     pauli_tables,
+    pt_min_eigenvalue,
     tensor_product,
     unitarity_defect,
 )
+from entspace import sampling
 from entspace.sampling import (
+    ENSEMBLES,
     ensemble_chunks,
     philox_stream,
     random_hermitian,
 )
+from entspace.separability import werner_state
 
 EPS = np.finfo(float).eps
 
@@ -1039,3 +1046,79 @@ def test_min_eig_certificates_claim_nothing_on_bad_entries_without_warnings(bad)
         above, below = min_eig_certificates(_entry_rows(pts), tol.MINEIG_BAND)
     assert not (above[[1, 3]] | below[[1, 3]]).any()
     assert (above[[0, 2]] | below[[0, 2]]).all()
+
+
+# -- Newton's smallest eigenvalue of rho^TB ---------------------------------------
+
+def _pt_rows_and_coeffs(states):
+    """The (16, k) entry rows of the partial transposes of ``states`` and their S2-S4."""
+    pts = _entry_rows(partial_transpose(states))
+    return pts, _s_coeffs(pts)
+
+
+def _late(pts, coeffs):
+    """Indices of the matrices whose Newton bound fails, with t summed as the kernel sums it."""
+    return np.flatnonzero(~_pt_newton(((pts[0] + pts[1]) + pts[2]) + pts[3], *coeffs)[1])
+
+
+def _lone_pt_min_eigenvalue(pts, coeffs, i):
+    """pt_min_eigenvalue of matrix i of a stack, as one matrix's Python floats."""
+    return pt_min_eigenvalue(pts[:, i].tolist(), *(float(c[i]) for c in coeffs))
+
+
+def test_pt_min_eigenvalue_on_the_werner_line():
+    # lambda_min = (1 - 3p)/4 against three (1 + p)/4 for p >= 0, the triple
+    # root (1 + p)/4 below it for p < 0; p = 0 (I/4) and the states near it,
+    # with a near-quadruple root, take the Jacobi
+    ps = np.linspace(-1.0 / 3.0, 1.0, 49)
+    pts, coeffs = _pt_rows_and_coeffs(np.array([werner_state(p) for p in ps]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = pt_min_eigenvalue(pts, *coeffs)
+        lone = [_lone_pt_min_eigenvalue(pts, coeffs, i) for i in range(len(ps))]
+    assert np.abs(stacked - np.minimum(1.0 - 3.0 * ps, 1.0 + ps) / 4.0).max() < 1e-14
+    assert lone == stacked.tolist()
+    assert ps.tolist().index(0.0) in _late(pts, coeffs)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_pt_min_eigenvalue_against_eigvalsh_on_chunk_0(ensemble):
+    # within 1e-12 of LAPACK wherever rho^TB is entangled by more than 1e-6,
+    # and within the kernel's bound everywhere; a lone matrix, late or not,
+    # gets its stacked row's bits
+    (_, rows), = sampling._row_chunks(ensemble, 3, tol.CHUNK)
+    pts = _pt_rows(rows)
+    coeffs = _s_coeffs(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = pt_min_eigenvalue(pts, *coeffs)
+    reference = np.linalg.eigvalsh(_hermitian(pts))[:, 0]
+    gap = np.abs(stacked - reference)
+    assert gap[reference < -1e-6].max(initial=0.0) <= 1e-12
+    assert gap.max() <= tol.PT_NEWTON_BOUND
+    late = _late(pts, coeffs)
+    if ensemble != "hs":
+        assert late.size  # near-double roots: product and chart states take the Jacobi
+    for i in sorted({*late[:8].tolist(), *range(0, tol.CHUNK, 509)}):
+        assert _lone_pt_min_eigenvalue(pts, coeffs, i) == stacked[i]
+
+
+def _diagonal_state(*diagonal):
+    return np.diag(np.array(diagonal, dtype=complex))
+
+
+@pytest.mark.parametrize("rho, expected", [
+    (I4 / 4.0, 0.25),                                             # quadruple root
+    (_diagonal_state(0.375, 0.125, 0.375, 0.125), 0.125),         # diag(1/2, 1/2) (x) diag(3/4, 1/4)
+    (_diagonal_state(1.0, 0.0, 0.0, 0.0), 0.0),                   # |00><00|: a triple root at 0
+    # not a partial transpose (it has a double negative eigenvalue), so
+    # that p'(-1/2) = 0 exactly at the first step
+    (_diagonal_state(-0.5, -0.5, 1.0, 1.0), -0.5),
+])
+def test_pt_min_eigenvalue_at_a_vanishing_derivative_warns_nothing(rho, expected):
+    pts, coeffs = _pt_rows_and_coeffs(np.array([rho, I4 / 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = pt_min_eigenvalue(pts, *coeffs)
+        lone = _lone_pt_min_eigenvalue(pts, coeffs, 0)
+    assert stacked[0] == lone == expected

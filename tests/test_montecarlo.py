@@ -440,7 +440,7 @@ def test_sample_records_consistent_with_fresh_analysis():
         assert fresh.verdict == r.verdict
         assert abs(fresh.lhs3 - r.lhs3) < 1e-12
         assert abs(fresh.lhs4 - r.lhs4) < 1e-12
-        assert abs(fresh.min_pt_eig - r.min_pt_eig) < 1e-12
+        assert fresh.min_pt_eig == r.min_pt_eig
         assert np.max(np.abs(np.array(fresh.spectrum) - np.array(r.spectrum))) < 1e-12
         rho = sample_hs_state(57, r.index)
         rep = analyze(rho)
@@ -463,13 +463,14 @@ def test_sample_records_spectrum_is_descending_state_spectrum():
      ("chart", 4100, (0, 11, 4095, 4096))],
 )
 def test_sample_records_spectra_replay_exactly(ensemble, samples, indices):
-    # the stacked per-chunk spectrum is the one a single-state replay gets
+    # the stacked per-chunk spectrum is the one a single-state replay gets,
+    # and so is every other field of the record
     config = RunConfig(ensemble=ensemble, samples=samples, seed=60)
     records = list(sample_records(config))
     for i in indices:
         replay = herm_eigenvalues(ensemble_state(ensemble, 60, i))
         assert records[i].spectrum == tuple(replay)
-        assert reanalyze_record(config, records[i]).spectrum == records[i].spectrum
+        assert reanalyze_record(config, records[i]) == records[i]
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
