@@ -23,9 +23,9 @@ chunk draw it once.
 
 Every chunk is drawn as the (16, m) entry rows (linalg4) of its states,
 with no complex stack: G G^dag (_hs_chunk) and the chart's A diag(r) A^dag
-(chart._chart_rows) by _gram, with no BLAS call, and product states read
-into rows.  The scan reads the rows (_row_chunks), ensemble_chunks their
-_hermitian matrices.
+(chart._chart_rows) by _gram, with no BLAS call, and rho_A (x) rho_B as the
+products of its factors' entries (_product_rows).  The scan and verify read
+the rows (_row_chunks), ensemble_chunks their _hermitian matrices.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import DomainError, check_chunk, check_count, check_seed, require
 from . import tolerances as tol
 from .chart import ChartPoint, TWO_PI, _chart_rows, representative_state, xyz_from_eigenvalues
 from .fano import LocalUnitary
-from .linalg4 import _entry_rows, _gram, _hermitian
+from .linalg4 import _gram, _hermitian
 
 # Stream tags; (tag << 56) | index forms the second Philox key word.
 TAG_HS = 1
@@ -186,8 +186,16 @@ def _unit_rows(seed, tag, index, width):
 
 # -- product-state ensemble ----------------------------------------------------
 
-def _product_states(seed, index):
-    """The product states of the integer array ``index``, (..., 4, 4).
+#: Entry (r, c) of rho_A (x) rho_B is A[r//2, c//2] B[r%2, c%2].  Of each factor's halves (p, q,
+#: x, y, -y) of (I + xX + yY + zZ)/2, entry row k is A's _PRODUCT_A[k] times B's _PRODUCT_B[k];
+#: the _PRODUCT_PAIRS rows, of two off-diagonal entries, add A's y times B's _PRODUCT_PAIR_B.
+_PRODUCT_A = np.array([0, 0, 1, 1, 0, 2, 2, 2, 2, 1, 0, 3, 2, 2, 3, 1])
+_PRODUCT_B = np.array([0, 1, 0, 1, 2, 0, 2, 2, 1, 2, 3, 0, 4, 3, 1, 3])
+_PRODUCT_PAIRS, _PRODUCT_PAIR_B = np.array([6, 7, 12, 13]), np.array([3, 4, 2, 2])
+
+
+def _product_rows(seed, index):
+    """The (16, ...) entry rows (linalg4) of the product states of the integer array ``index``.
 
     Each is a row of 12 unit draws of its chunk's stream (seed, TAG_PRODUCT,
     chunk): u0..u4 give the Bloch point of rho_A and u5..u9 that of rho_B,
@@ -196,29 +204,25 @@ def _product_states(seed, index):
     whose law P(r <= t) = t^3 makes the point uniform over the solid ball;
     u10 and u11 pad the row.  The radius takes comparisons only, so its bits
     do not depend on which SIMD loops numpy picks."""
-    index = np.asarray(index)
     u = _unit_rows(seed, TAG_PRODUCT, index, _PRODUCT_WORDS)[:, :10].reshape(-1, 5)
     z = 2.0 * u[:, 0] - 1.0
     phi = TWO_PI * u[:, 1]
     across = np.sqrt(1.0 - z * z)
     radius = np.maximum(np.maximum(u[:, 2], u[:, 3]), u[:, 4])
     x, y, z = radius * [across * np.cos(phi), across * np.sin(phi), z]
-    # (I + x X + y Y + z Z) / 2 of each Bloch point
-    rho = np.zeros((len(u), 2, 2), dtype=complex)
-    rho.real[:, 0, 0], rho.real[:, 1, 1] = 1.0 + z, 1.0 - z
-    rho.real[:, 0, 1] = rho.real[:, 1, 0] = x
-    rho.imag[:, 0, 1], rho.imag[:, 1, 0] = -y, y
-    rho *= 0.5
-    rho = rho.reshape(-1, 2, 2, 2)
-    product = np.einsum("nab,ncd->nacbd", rho[:, 0], rho[:, 1])
-    return product.reshape(*index.shape, 4, 4)
+    halves = 0.5 * np.array([1.0 + z, 1.0 - z, x, y, -y])
+    a, b = halves[:, 0::2], halves[:, 1::2]
+    rows = a[_PRODUCT_A] * b[_PRODUCT_B]
+    rows[_PRODUCT_PAIRS] += a[3] * b[_PRODUCT_PAIR_B]
+    rows += 0.0  # every zero +0, as a complex product summed from +0 gives it
+    return rows.reshape(16, *np.shape(index))
 
 
 def sample_product_state(seed, index):
     """Sample ``index`` of the product ensemble rho_A (x) rho_B with both
     factors uniform over the solid Bloch ball.  Separable by construction.
     An index draws its own row of 12 unit draws and nothing else."""
-    return _product_states(seed, _check_index(index))
+    return _hermitian(_product_rows(seed, _check_index(index)))
 
 
 # -- chart-point ensemble ------------------------------------------------------
@@ -337,8 +341,7 @@ def _chunk_from_indices(rows):
 #: one index).  Names are looked up at each call, where the benchmark tracer wraps them.
 _ENSEMBLE_TABLE = {
     "hs": (lambda seed, c, m: _hs_chunk(seed, c, m), sample_hs_state),
-    "product": (_chunk_from_indices(lambda seed, i: _entry_rows(_product_states(seed, i))),
-                sample_product_state),
+    "product": (_chunk_from_indices(_product_rows), sample_product_state),
     "chart": (_chunk_from_indices(lambda seed, i: _chart_rows(sample_chart_point(seed, i))),
               lambda seed, i: representative_state(sample_chart_point(seed, _check_index(i)))),
 }

@@ -9,7 +9,7 @@ dense eigensolver.  CHECKS lists the checks and groups them into suites
 A check takes one argument, the run: the sample count, seed and verdict
 band, and the samples the checks of one run share (see _Run), each drawn
 or computed once, by the first check that needs it, and handed out as
-read-only prefixes: the head (HS chunk 0 with its Fano coefficients and
+read-only prefixes: the head (HS chunk 0's entry rows, with their Fano and
 partial-transpose coefficients, built together) and the chart prefix.  A
 check returns only what it measured; run_suite builds one run per call
 and names, groups and records each check, so a check that raises is
@@ -50,7 +50,9 @@ from .fano import (
 from .linalg4 import (
     I4,
     SIGMA,
-    _entry_rows,
+    _hermitian,
+    _pt_rows,
+    _s_coeffs,
     char_poly_coeffs as char_poly_batch,
     dag,
     exp_antihermitian,
@@ -68,6 +70,7 @@ from .montecarlo import (
     tally_routes,
 )
 from .sampling import (
+    _row_chunks,
     ensemble_chunks,
     random_hermitian,
     sample_chart_point,
@@ -141,13 +144,13 @@ class _Run:
     verdict ``band`` every check reads, and the samples its checks share.
 
     The shared samples are the head, and the chart prefix.  The head is the
-    first min(n, CHUNK) Hilbert-Schmidt states (chunk 0 of the ensemble),
-    their Fano coefficients and the characteristic coefficients of their
-    partial transposes, all three computed together by the first check that
-    reads any of them (a suite that reads one reads all three).  The chart
-    prefix is chart points 0..k-1 with their representative states; it
-    starts empty and grows on demand, drawing only the new indices.  A
-    check takes a prefix; every array handed out is read-only.
+    entry rows of HS chunk 0 (the first min(n, CHUNK) states), their Fano
+    coefficients and the characteristic coefficients of their partial
+    transposes, all three computed together by the first check that reads
+    any of them (a suite that reads one reads all three); hs builds the
+    matrices of the rows it hands out.  The chart prefix is chart points
+    0..k-1 with their representative states; it starts empty and grows on
+    demand, drawing only the new indices.  Checks take prefixes, read-only.
     """
 
     def __init__(self, n, seed, band):
@@ -158,17 +161,17 @@ class _Run:
 
     @cached_property
     def _head(self):
-        """HS states 0..size-1, their FanoState and the (S2, S3, S4) of
-        their partial transposes, read-only."""
-        _, states = next(ensemble_chunks("hs", self.seed, self.size))
-        f = to_fano(states)
-        coeffs = char_poly_batch(pt_batch(states))
-        _read_only(states, f.a, f.b, f.C, *coeffs)
-        return states, f, coeffs
+        """The entry rows of HS states 0..size-1, their FanoState and the
+        (S2, S3, S4) of their partial transposes, read-only."""
+        _, rows = next(_row_chunks("hs", self.seed, self.size))
+        f = to_fano(_hermitian(rows))
+        coeffs = _s_coeffs(_pt_rows(rows))
+        _read_only(rows, f.a, f.b, f.C, *coeffs)
+        return rows, f, coeffs
 
     def hs(self, m=None):
-        """HS states 0..m-1 (all ``size`` of them by default)."""
-        return self._head[0][:m]
+        """HS states 0..m-1 (all ``size`` of them by default), built from their rows."""
+        return _read_only(_hermitian(self._head[0][:, :m]))[0]
 
     def fano(self, m=None):
         """Fano coefficients of hs(m)."""
@@ -404,7 +407,7 @@ def _check_c112_quartic_predicts(run):
 # -- PPT criterion ------------------------------------------------------------------
 
 def _check_ppt_vs_eigenvalue_oracle(run):
-    head = (_entry_rows(pt_batch(run.hs())), run.pt_coeffs())
+    head = (_pt_rows(run._head[0]), run.pt_coeffs())
     counts = tally_routes(chain([head], _pt_chunks("hs", run.seed, run.n, first=1)), run.band)
     detail = f"undecided(band)={counts['undecided']}"
     return _Measured(run.n, float(counts["mismatches"]), 0.0, detail)
@@ -442,12 +445,11 @@ def _check_product_states_separable(run):
     m = min(run.n, 5000)
     entangled = 0
     gaps = []
-    for _, states in ensemble_chunks("product", run.seed, m):
-        pts = pt_batch(states)
-        _, s3, s4 = char_poly_batch(pts)
+    for _, rows in _row_chunks("product", run.seed, m):
+        _, s3, s4 = _s_coeffs(_pt_rows(rows))
         _, ent, _ = verdict_masks(s3, s4, run.band)
         entangled += int(ent.sum())
-        f = to_fano(states[:: max(1, len(states) // 64)])
+        f = to_fano(_hermitian(rows[:, :: max(1, rows.shape[1] // 64)]))
         gaps += [np.abs(schlienz_mahler(f)), np.abs(quesne_c112(f))]
     if entangled:
         return _Measured(m, np.inf, 1e-12, f"{entangled} product states judged entangled")

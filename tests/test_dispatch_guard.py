@@ -183,8 +183,6 @@ PRODUCT_SITES = {
         {"einsum"}, "exact whatever the order: each entry adds two terms"),
     "linalg4.unitarity_defect": (
         {"@"}, "printed, open: the U^dag U Gram matrix of the verify residuals"),
-    "sampling._product_states": (
-        {"einsum"}, "exact whatever the order: one product per entry, no sum"),
     "separability.fit_c112_coeffs": (
         {"@"}, "printed, open: pinv times the targets, and the fit's residual"),
     "separability.quesne_c112": (

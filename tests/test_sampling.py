@@ -698,6 +698,55 @@ def test_product_states_are_their_rows_mapped(seed):
         assert np.abs(sample_product_state(seed, i) - want).max() < 1e-15, i
 
 
+def _einsum_product_states(u):
+    """The product states of the rows of 12 unit draws ``u`` as a complex (k, 4, 4)
+    stack, built with numpy as einsum builds them: each Bloch point's
+    (I + xX + yY + zZ)/2 as a complex 2x2 matrix, then the complex product of
+    every pair of entries, each summed into a zero output."""
+    u = u[:, :10].reshape(-1, 5)
+    z = 2.0 * u[:, 0] - 1.0
+    phi = TWO_PI * u[:, 1]
+    across = np.sqrt(1.0 - z * z)
+    radius = np.maximum(np.maximum(u[:, 2], u[:, 3]), u[:, 4])
+    x, y, z = radius * [across * np.cos(phi), across * np.sin(phi), z]
+    rho = np.zeros((len(u), 2, 2), dtype=complex)
+    rho.real[:, 0, 0], rho.real[:, 1, 1] = 1.0 + z, 1.0 - z
+    rho.real[:, 0, 1] = rho.real[:, 1, 0] = x
+    rho.imag[:, 0, 1], rho.imag[:, 1, 0] = -y, y
+    rho *= 0.5
+    rho = rho.reshape(-1, 2, 2, 2)
+    return np.einsum("nab,ncd->nacbd", rho[:, 0], rho[:, 1]).reshape(-1, 4, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_product_rows_are_the_einsum_products_bit_for_bit(seed):
+    def einsum_states(index):
+        units = sampling._unit_rows(seed, sampling.TAG_PRODUCT, index, 12)
+        return _einsum_product_states(units)
+
+    for chunk in (0, 1, 1 << 30):
+        (_, rows), = sampling._row_chunks("product", seed, (chunk + 1) * tol.CHUNK, chunk)
+        want = _entry_rows(einsum_states(np.arange(chunk * tol.CHUNK, (chunk + 1) * tol.CHUNK)))
+        assert rows.tobytes() == want.tobytes(), chunk
+    for i in (0, tol.CHUNK - 1, tol.CHUNK, 1 << 40, (1 << 56) - 1):
+        (want,) = einsum_states(np.array(i))
+        assert sampling._product_rows(seed, i).tobytes() == np.array(_entry_rows(want)).tobytes()
+        assert sample_product_state(seed, i).tobytes() == want.tobytes(), i
+
+
+def test_product_rows_at_the_poles_have_the_einsum_zeros(monkeypatch):
+    # u0 = 0 puts a factor on the z = -1 pole, where x and y are zeros whose
+    # signs follow the azimuth's cosine and sine: every zero entry is +0
+    draws = [[a0, a1, 0.5, 0.2, 0.1, b0, b1, 0.4, 0.3, 0.2, 0.0, 0.0]
+             for a0 in (0.0, 0.3) for a1 in (0.1, 0.35, 0.6, 0.9)
+             for b0 in (0.0, 0.7) for b1 in (0.1, 0.35, 0.6, 0.9)]
+    units = np.array(draws)
+    monkeypatch.setattr(sampling, "_unit_rows", lambda seed, tag, index, width: units)
+    want = _entry_rows(_einsum_product_states(units))
+    assert (want == 0.0).sum() > 100  # the poles' zero entries
+    assert sampling._product_rows(0, np.arange(len(units))).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 99])
 def test_local_unitaries_are_their_rows_mapped(seed):
     for index in _row_index_sets(seed):

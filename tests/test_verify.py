@@ -305,8 +305,8 @@ _BROKEN_INPUTS = (
     ("werner_verdicts", "werner_state", lambda p: separability.werner_state(0.2),
      r"^p=0\.3333333333333333: got separable, want boundary; "
      r"p=0\.5: got separable, want entangled$"),
-    ("product_states_separable", "ensemble_chunks",
-     lambda _, seed, m, **kw: ensemble_chunks("hs", seed, m, **kw),
+    ("product_states_separable", "_row_chunks",
+     lambda _, seed, m, **kw: sampling._row_chunks("hs", seed, m, **kw),
      r"^\d+ product states judged entangled$"),
 )
 
